@@ -6,7 +6,7 @@ provides exact Gaussian simulation, spectral/autocovariance computations,
 band log-periodogram regression for the memory vector, a parametric
 periodogram-likelihood fit, and a replication harness around all of it.
 """
-from .errors import ConvergenceError, NumericError, SarfimaError, ValidationError
+from .errors import NumericError, SarfimaError, ValidationError
 from .model import (POLE_TOL, ArmaFactor, PoleSet, SarfimaSpec, SeasonalComponent,
                     ValidityReport, arma_spectral_density, asymptotic_acvf,
                     check_stationary_invertible, combined_filter_coefficients,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArmaFactor", "AcfPacf", "Band", "BandPlan", "BandwidthScan",
-    "ConvergenceError", "DESIGN_NAMES", "EstimatorDef", "EstimatorResult",
+    "DESIGN_NAMES", "EstimatorDef", "EstimatorResult",
     "McConfig", "McSummary", "MemoryEstimate", "POLE_TOL", "Periodogram",
     "PoleSet", "SarfimaError", "SarfimaSpec", "ScanRow", "SeasonalComponent",
     "SimConfig", "ValidationError", "ValidityReport", "WhittleFit",

@@ -23,7 +23,3 @@ class ValidationError(SarfimaError):
 
 class NumericError(SarfimaError):
     """Numerical failure: quadrature self-check, non-PSD covariance, ..."""
-
-
-class ConvergenceError(NumericError):
-    """Optimizer failed to converge within its iteration budget."""

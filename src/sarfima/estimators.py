@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ValidationError
-from .model import SarfimaSpec, SeasonalComponent, enumerate_poles
+from .model import ArmaFactor, SarfimaSpec, SeasonalComponent, enumerate_poles
 from .spectrum import Periodogram, BandPlan, build_band_plan, periodogram
 
 __all__ = ["MemoryEstimate", "WhittleFit", "WhittleTemplate", "gph_estimate",
@@ -49,7 +48,7 @@ class WhittleFit:
     short_memory: dict           # {"ar": [(lag, coeffs)], "ma": [...], "sigma2": float}
     objective: float
     converged: bool
-    iterations: int
+    iterations: int              # accepted Newton steps, summed over both descents of a restarted fit
     periods: tuple
 
 
@@ -177,9 +176,9 @@ class WhittleTemplate:
 
     ``spec`` supplies the structure and the starting/fixed values; ``free_d``
     marks which component memories are estimated, ``free_ar``/``free_ma``
-    mark whole factors.  ``d_box`` bounds each free memory via a smooth tanh
-    reparameterization; the default 0.49 keeps fits inside the stationary
-    region, misspecification studies may widen it.
+    mark whole factors.  ``d_box`` is a hard constraint |d| <= d_box on each
+    free memory; the default 0.49 keeps fits inside the stationary region,
+    misspecification studies may widen it.
     """
 
     spec: SarfimaSpec
@@ -199,8 +198,8 @@ class WhittleTemplate:
                 or len(self.free_ar) != len(self.spec.ar_factors) \
                 or len(self.free_ma) != len(self.spec.ma_factors):
             raise ValidationError("bad-template", "free-parameter markers do not match the spec shape")
-        if not (0 < self.d_box):
-            raise ValidationError("bad-template", f"d_box must be positive, got {self.d_box}")
+        if not (0 < self.d_box < math.inf):
+            raise ValidationError("bad-template", f"d_box must be positive and finite, got {self.d_box}")
         if not any(self.free_d) and not any(self.free_ar) and not any(self.free_ma):
             raise ValidationError("bad-template", "template has no free parameters")
 
@@ -211,33 +210,21 @@ class WhittleTemplate:
         return cls(spec=SarfimaSpec(components=comps), d_box=d_box)
 
 
-def _factor_roots_ok(lag: int, coeffs: np.ndarray) -> bool:
-    if len(coeffs) == 1:
-        return abs(coeffs[0]) < 1.0
-    poly = np.zeros(len(coeffs) * lag + 1)
-    poly[0] = 1.0
-    for i, c in enumerate(coeffs, start=1):
-        poly[i * lag] = -c
-    roots = np.roots(poly[::-1])
-    return bool(roots.size == 0 or np.min(np.abs(roots)) > 1.0)
+#: Newton steps allowed before a Whittle fit is reported as not converged
+WHITTLE_MAX_STEPS = 100
+#: bound on the Newton decrement g'H^-1 g of a converged fit: a few ulps of F ~ 1
+WHITTLE_TOL = 2e-15
 
 
-def _gph_start(series, template: WhittleTemplate):
+def _gph_start(pg: Periodogram, template: WhittleTemplate):
     """Starting memories from the band OLS estimator; zeros when unusable."""
     periods = template.spec.periods
-    n = len(series)
+    m = max(2, int(pg.n ** 0.5))
     try:
-        pg = periodogram(series)
         if len(periods) == 1:
-            m = max(2, int(n ** 0.5))
             return [float(gph_single(pg, periods[0], m).d_hat[0])]
-        sp, ss = max(periods), min(periods)
-        if sp % ss != 0:
-            return [0.0] * len(periods)
-        m = max(2, int(n ** 0.5))
-        plan = build_band_plan(n, periods[0], periods[1], m)
-        est = gph_estimate(pg, plan, periods[0], periods[1])
-        return [float(v) for v in est.d_hat]
+        plan = build_band_plan(pg.n, periods[0], periods[1], m)
+        return [float(v) for v in gph_estimate(pg, plan, periods[0], periods[1]).d_hat]
     except ValidationError:
         return [0.0] * len(periods)
 
@@ -249,10 +236,13 @@ def whittle_estimate(series, template: WhittleTemplate) -> WhittleFit:
     fold onto a template pole within half a Fourier spacing (pi/n).  The
     innovation variance is profiled out analytically: with f = sigma^2 g,
     sigma^2_hat = mean(I_j / g_j) and the concentrated objective
-    ln sigma^2_hat + mean(ln g_j) is minimized over the free shape
-    parameters by Nelder-Mead inside the tanh box for the memories, with
-    AR/MA root checks applied after every step.  Non-convergence is reported
-    in the returned fit, never silently discarded.
+    F = ln sigma^2_hat + mean(ln g_j) is minimized over the free shape
+    parameters by projected Newton steps (analytic gradient and Hessian)
+    from the band OLS memories, with the free memories held in the box
+    |d| <= d_box and the AR/MA roots outside the unit circle.  With free
+    AR/MA factors F is not convex, so a fit that ends on the box is repeated
+    from white noise.  ``iterations`` counts Newton steps; non-convergence is
+    reported in the returned fit, never silently discarded.
     """
     x = np.asarray(series, dtype=float)
     n = len(x)
@@ -260,123 +250,136 @@ def whittle_estimate(series, template: WhittleTemplate) -> WhittleFit:
         raise ValidationError("series-too-short", f"Whittle fit needs n >= 64, got {n}")
     spec0 = template.spec
     pg = periodogram(x)
-    I_all = pg.ordinates
     j = np.arange(1, n)
     lam = 2 * np.pi * j / n
     folded = 2 * np.pi * np.minimum(j, n - j) / n
     keep = np.ones(n - 1, dtype=bool)
     for pole_freq in enumerate_poles(spec0).frequencies:
         keep &= np.abs(folded - pole_freq) >= np.pi / n - 1e-12
-    lam_u, I_u = lam[keep], I_all[keep]
+    lam_u, I_u = lam[keep], pg.ordinates[keep]
     n_used = len(lam_u)
     if n_used < 8:
         raise ValidationError("series-too-short", "too few usable Fourier frequencies after pole exclusion")
+    # rescaled ordinates keep F of order one, whatever the scale of the series
+    scale = float(np.mean(I_u))
+    if not 0 < scale < math.inf:
+        raise ValidationError("zero-periodogram", "periodogram vanishes at every usable frequency")
+    I_u = I_u / scale
 
-    log_sin = [np.log(np.abs(2 * np.sin(lam_u * c.period / 2))) for c in spec0.components]
+    # log g = base + jac_d @ d + sum of sign * ln|t|^2 over the free factors,
+    # t = 1 - sum_p c_p z_p with z_p = exp(-i lambda p lag), sign -1 for AR
+    # and +1 for MA; base holds -ln(2 pi) and every fixed parameter
+    free_d = np.array(template.free_d)
+    memory_jac = -2 * np.log(np.abs(2 * np.sin(np.outer(lam_u, spec0.periods) / 2)))
+    jac_d = memory_jac[:, free_d]
+    base = memory_jac[:, ~free_d] @ np.array(spec0.memories)[~free_d] - math.log(2 * math.pi)
+    theta0 = [d for d, flag in zip(_gph_start(pg, template), free_d) if flag]
+    free_factors = []   # (sign, slice of theta, z, lag)
+    for sign, flags, factors in ((-1.0, template.free_ar, spec0.ar_factors),
+                                 (1.0, template.free_ma, spec0.ma_factors)):
+        for flag, f in zip(flags, factors):
+            z = np.exp(-1j * np.outer(lam_u, f.lag * np.arange(1, len(f.coeffs) + 1)))
+            if not flag:
+                base = base + sign * np.log(np.abs(1.0 - z @ np.array(f.coeffs)) ** 2)
+                continue
+            free_factors.append((sign, slice(len(theta0), len(theta0) + len(f.coeffs)), z, f.lag))
+            # a nonstationary or non-invertible start falls back to white noise
+            theta0.extend(f.coeffs if f.roots_outside_unit_circle() else [0.0] * len(f.coeffs))
+    nd = jac_d.shape[1]
+    box = np.where(np.arange(len(theta0)) < nd, template.d_box, np.inf)   # |theta| <= box
 
-    # fixed part of log g: -log(2 pi) + fixed MA - fixed AR transfer logs
-    base = np.full(n_used, -math.log(2 * math.pi))
-    exp_cache = {}
-
-    def transfer_log(lag, coeffs):
-        key = (lag, len(coeffs))
-        if key not in exp_cache:
-            p = lag * np.arange(1, len(coeffs) + 1)
-            exp_cache[key] = np.exp(-1j * np.outer(lam_u, p))
-        t = 1.0 - exp_cache[key] @ np.asarray(coeffs, dtype=float)
-        return np.log(np.abs(t) ** 2)
-
-    for flag, f in zip(template.free_ma, spec0.ma_factors):
-        if not flag:
-            base = base + transfer_log(f.lag, f.coeffs)
-    for flag, f in zip(template.free_ar, spec0.ar_factors):
-        if not flag:
-            base = base - transfer_log(f.lag, f.coeffs)
-    for i, (flag, c) in enumerate(zip(template.free_d, spec0.components)):
-        if not flag:
-            base = base - 2 * c.memory * log_sin[i]
-
-    free_d_idx = [i for i, flag in enumerate(template.free_d) if flag]
-    free_ar = [(i, f) for i, (flag, f) in enumerate(zip(template.free_ar, spec0.ar_factors)) if flag]
-    free_ma = [(i, f) for i, (flag, f) in enumerate(zip(template.free_ma, spec0.ma_factors)) if flag]
-    box = template.d_box
-
-    def unpack(theta):
-        pos = 0
-        ds = box * np.tanh(theta[: len(free_d_idx)])
-        pos += len(free_d_idx)
-        ars, mas = [], []
-        for _, f in free_ar:
-            ars.append(theta[pos: pos + len(f.coeffs)])
-            pos += len(f.coeffs)
-        for _, f in free_ma:
-            mas.append(theta[pos: pos + len(f.coeffs)])
-            pos += len(f.coeffs)
-        return ds, ars, mas
-
-    def log_shape(theta):
-        ds, ars, mas = unpack(theta)
-        logg = base.copy()
-        for d, i in zip(ds, free_d_idx):
-            logg = logg - 2 * d * log_sin[i]
-        for (_, f), coeffs in zip(free_ar, ars):
-            if not _factor_roots_ok(f.lag, coeffs):
+    def evaluate(theta):
+        """(F, log g, each free factor's z/t) at theta; None outside the stationary region."""
+        logg = base + jac_d @ theta[:nd]
+        ratios = []
+        for sign, sl, z, lag in free_factors:
+            if not ArmaFactor(lag, theta[sl]).roots_outside_unit_circle():
                 return None
-            logg = logg - transfer_log(f.lag, coeffs)
-        for (_, f), coeffs in zip(free_ma, mas):
-            if not _factor_roots_ok(f.lag, coeffs):
-                return None
-            logg = logg + transfer_log(f.lag, coeffs)
-        return logg
-
-    def concentrated(theta):
-        logg = log_shape(theta)
-        if logg is None:
-            return 1e12 * (1.0 + float(np.sum(theta ** 2)))
+            t = 1.0 - z @ theta[sl]
+            logg = logg + sign * np.log(t.real ** 2 + t.imag ** 2)
+            ratios.append(z / t[:, None])
         s2 = float(np.mean(I_u * np.exp(-logg)))
-        if not (s2 > 0 and np.isfinite(s2)):
-            return 1e12
-        return math.log(s2) + float(np.mean(logg))
+        return (math.log(s2) + float(np.mean(logg)) if 0 < s2 < math.inf else math.inf), logg, ratios
 
-    d_start = _gph_start(x, template)
-    theta0 = []
-    for i in free_d_idx:
-        frac = np.clip(d_start[i] / box, -0.99, 0.99)
-        theta0.append(math.atanh(frac))
-    for _, f in free_ar:
-        theta0.extend(f.coeffs)
-    for _, f in free_ma:
-        theta0.extend(f.coeffs)
-    theta0 = np.asarray(theta0, dtype=float)
+    def derivatives(logg, ratios):
+        """Gradient mean((1 - w/W) J) of F, its Hessian and Gauss-Newton part, with
+        w = I / g, W = mean(w), J the Jacobian of log g.  The Gauss-Newton part is
+        the w-weighted covariance of J; the Hessian adds mean((1 - w/W) d2 log g)."""
+        w = I_u * np.exp(-logg)
+        wn = w / w.sum()
+        u = 1.0 / n_used - wn
+        jac = np.hstack([jac_d] + [-2 * sign * r.real for (sign, *_), r in zip(free_factors, ratios)])
+        centred = jac - wn @ jac
+        gauss_newton = (centred * wn[:, None]).T @ centred
+        hess = gauss_newton.copy()
+        for (sign, sl, *_), r in zip(free_factors, ratios):
+            hess[sl, sl] -= 2 * sign * ((r * u[:, None]).T @ r).real
+        return u @ jac, hess, gauss_newton
 
-    res = minimize(concentrated, theta0, method="Nelder-Mead",
-                   options={"xatol": 1e-6, "fatol": 1e-9,
-                            "maxiter": 2000, "maxfev": 4000})
-    logg = log_shape(res.x)
-    converged = bool(res.success) and logg is not None
-    ds, ars, mas = unpack(res.x)
-    d_final = [c.memory for c in spec0.components]
-    for d, i in zip(ds, free_d_idx):
-        d_final[i] = float(d)
-    ar_out = [(f.lag, tuple(float(v) for v in f.coeffs)) for f in spec0.ar_factors]
-    for (i, f), coeffs in zip(free_ar, ars):
-        ar_out[i] = (f.lag, tuple(float(v) for v in coeffs))
-    ma_out = [(f.lag, tuple(float(v) for v in f.coeffs)) for f in spec0.ma_factors]
-    for (i, f), coeffs in zip(free_ma, mas):
-        ma_out[i] = (f.lag, tuple(float(v) for v in coeffs))
+    def newton(theta):
+        """Projected Newton descent from theta: (theta, evaluate(theta), converged, steps).
 
-    if logg is not None:
-        sigma2 = float(np.mean(I_u * np.exp(-logg)))
-        log_f = math.log(sigma2) + logg
-        objective = float(np.sum(log_f + I_u * np.exp(-log_f)) / (2 * n))
-    else:
-        sigma2 = math.nan
-        objective = math.inf
+        A memory on its bound stays there until the other parameters have
+        converged, then leaves if its gradient points into the box.
+        """
+        theta = np.clip(theta, -box, box)
+        state = evaluate(theta)
+        held = np.abs(theta) >= box
+        steps = 0
+        while steps < WHITTLE_MAX_STEPS:
+            grad, hess, gauss_newton = derivatives(*state[1:])
+            free = ~held
+            e, v = np.linalg.eigh(hess[free][:, free])
+            if not np.all(e > 0):   # not convex here: Gauss-Newton
+                e, v = np.linalg.eigh(gauss_newton[free][:, free])
+            # pseudo-inverse: an AR and an MA factor at one lag can cancel out
+            step = np.zeros(len(theta))
+            step[free] = -v @ ((v.T @ grad[free]) / np.where(e > 1e-12 * e.max(initial=0.0), e, np.inf))
+            # below the tolerance F cannot resolve the decrease: take the step as is
+            done = -float(grad @ step) <= WHITTLE_TOL
+            inward = held & (theta * grad > 0)
+            if done and inward.any():
+                held &= ~inward
+                continue
+            alpha = 1.0
+            while alpha > 1e-12:
+                trial = np.clip(theta + alpha * step, -box, box)
+                trial_state = evaluate(trial)
+                if trial_state is not None and (
+                        done or trial_state[0] <= state[0] + 1e-4 * float(grad @ (trial - theta))):
+                    break
+                alpha *= 0.5
+            else:
+                break
+            theta, state = trial, trial_state
+            held |= np.abs(theta) >= box
+            steps += 1
+            if done:
+                return theta, state, True, steps
+        return theta, state, False, steps
 
-    return WhittleFit(d_hat=np.array(d_final),
+    theta, state, converged, steps = newton(np.array(theta0, dtype=float))
+    if free_factors and np.any(np.abs(theta) >= box):
+        # with free AR/MA factors F is not convex: a memory on the box may
+        # mark a local minimum, so descend once more from white noise
+        other = newton(np.zeros(len(theta0)))
+        steps += other[3]
+        if other[1][0] < state[0]:
+            theta, state, converged = other[:3]
+
+    d_hat = np.array(spec0.memories, dtype=float)
+    d_hat[free_d] = theta[:nd]
+    fitted = iter(theta[sl] for _, sl, *_ in free_factors)
+    ar_out = [(f.lag, tuple(float(v) for v in (next(fitted) if flag else f.coeffs)))
+              for flag, f in zip(template.free_ar, spec0.ar_factors)]
+    ma_out = [(f.lag, tuple(float(v) for v in (next(fitted) if flag else f.coeffs)))
+              for flag, f in zip(template.free_ma, spec0.ma_factors)]
+    sigma2 = scale * float(np.mean(I_u * np.exp(-state[1])))
+    converged = converged and math.isfinite(sigma2) and bool(np.all(np.isfinite(d_hat)))
+    return WhittleFit(d_hat=d_hat,
                       short_memory={"ar": ar_out, "ma": ma_out, "sigma2": sigma2},
-                      objective=objective, converged=converged,
-                      iterations=int(res.nit), periods=spec0.periods)
+                      objective=n_used * (state[0] + math.log(scale) + 1) / (2 * n), converged=converged,
+                      iterations=steps, periods=spec0.periods)
 
 
 # ---------------------------------------------------------------------------

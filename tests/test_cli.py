@@ -149,6 +149,15 @@ class TestEstimateWhittleVerb:
         doc = json.loads(capsys.readouterr().out)
         assert doc["converged"] is True
 
+    @pytest.mark.parametrize("box", ["inf", "nan"])
+    def test_non_finite_box_rejected(self, series_file, capsys, box):
+        path, _ = series_file
+        rc = cli.dispatch(["estimate-whittle", "--in", path, "--periods", "1,4", "--box", box])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad-template:")
+
     def test_template_and_periods_conflict(self, tmp_path, series_file, capsys):
         path, _ = series_file
         rc = cli.dispatch(["estimate-whittle", "--in", path,

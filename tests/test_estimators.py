@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from sarfima import (ArmaFactor, Periodogram, SarfimaSpec, SeasonalComponent,
                      SimConfig, ValidationError, WhittleTemplate,
-                     asymptotic_cov_matrix, build_band_plan, estimate_to_json,
-                     gph_estimate, gph_single, periodogram, simulate,
-                     spectral_density, whittle_estimate, whittle_fit_to_json)
+                     asymptotic_cov_matrix, build_band_plan, derive_rep_seed,
+                     design, enumerate_poles, estimate_to_json, gph_estimate,
+                     gph_single, periodogram, simulate, spectral_density,
+                     whittle_estimate, whittle_fit_to_json)
 
 
 def synthetic_periodogram(spec, n):
@@ -149,8 +150,10 @@ class TestWhittleTemplate:
 
     def test_rejects_bad_box(self):
         spec = SarfimaSpec(components=(SeasonalComponent(4, 0.3),))
-        with pytest.raises(ValidationError):
-            WhittleTemplate(spec=spec, d_box=0.0)
+        for box in (0.0, math.inf, math.nan):
+            with pytest.raises(ValidationError) as exc:
+                WhittleTemplate(spec=spec, d_box=box)
+            assert exc.value.code == "bad-template"
 
 
 class TestWhittleEstimation:
@@ -176,6 +179,23 @@ class TestWhittleEstimation:
         assert abs(fit.short_memory["ar"][0][1][0] - 0.8) < 0.08
         assert abs(fit.d_hat[0] - 0.1) < 0.08
 
+    def test_recovers_ma_factor_with_fixed_memory(self):
+        spec = SarfimaSpec(components=(SeasonalComponent(4, 0.2),),
+                           ma_factors=(ArmaFactor(1, (0.4, -0.2)),))
+        x = simulate(SimConfig(spec=spec, n=2160, seed=556))
+        template = WhittleTemplate(spec=SarfimaSpec(components=(SeasonalComponent(4, 0.2),),
+                                                    ma_factors=(ArmaFactor(1, (0.0, 0.0)),)),
+                                   free_d=(False,))
+        fit = whittle_estimate(x, template)
+        assert fit.converged
+        assert fit.d_hat[0] == 0.2
+        assert np.allclose(fit.short_memory["ma"][0][1], (0.4, -0.2), atol=0.08)
+
+    def test_zero_periodogram_rejected(self):
+        with pytest.raises(ValidationError) as exc:
+            whittle_estimate(np.full(128, 3.0), WhittleTemplate.pure([4]))
+        assert exc.value.code == "zero-periodogram"
+
     def test_fixed_memory_stays_fixed(self, two_period_path):
         spec = SarfimaSpec(components=(SeasonalComponent(1, 0.1),
                                        SeasonalComponent(4, 0.3)))
@@ -185,7 +205,7 @@ class TestWhittleEstimation:
         assert fit.d_hat[1] != 0.3
 
     def test_box_is_respected(self, quarterly_path):
-        # true d = 0.3 saturates a 0.2 box; tanh reaches the boundary in float
+        # true d = 0.3 saturates a 0.2 box; the fit ends on the bound itself
         fit = whittle_estimate(quarterly_path, WhittleTemplate.pure([4], d_box=0.2))
         assert abs(fit.d_hat[0]) <= 0.2
 
@@ -226,3 +246,74 @@ class TestWhittleEstimation:
         assert abs(a.d_hat[0] - b.d_hat[0]) < 1e-5
         assert b.short_memory["sigma2"] == pytest.approx(
             a.short_memory["sigma2"] * scale ** 2, rel=1e-4)
+
+
+def design_path(name, master, rep):
+    """Replication ``rep`` of a canned design at n = 1080 and the design's ``ft`` template."""
+    cfg = design(name, master)
+    x = simulate(SimConfig(spec=cfg.spec, n=1080, seed=derive_rep_seed(master, rep)))
+    return x, next(e.template for e in cfg.estimators if e.name == "ft")
+
+
+def profiled_whittle(x, periods, memories, ar_factors=()):
+    """(2n)^-1 sum [ln f + I/f] over the fit's frequencies, sigma^2 profiled out.
+
+    Written out from the spectral shape, independently of whittle_estimate.
+    """
+    n = len(x)
+    pg = periodogram(x)
+    lam = pg.frequencies
+    fold = np.minimum(lam, 2 * np.pi - lam)
+    keep = np.ones(n - 1, bool)
+    pole_spec = SarfimaSpec(components=tuple(SeasonalComponent(s, 0.0) for s in periods))
+    for p in enumerate_poles(pole_spec).frequencies:
+        keep &= np.abs(fold - p) >= np.pi / n - 1e-12
+    lam, I = lam[keep], pg.ordinates[keep]
+    log_g = sum(-2 * d * np.log(np.abs(2 * np.sin(s * lam / 2))) for s, d in zip(periods, memories))
+    for lag, coeffs in ar_factors:
+        t = 1 - sum(c * np.exp(-1j * lam * lag * p) for p, c in enumerate(coeffs, start=1))
+        log_g = log_g - np.log(np.abs(t) ** 2)
+    s2 = np.mean(I * np.exp(-log_g))
+    return float(np.sum(np.log(s2) + log_g + I * np.exp(-log_g) / s2) / (2 * n))
+
+
+class TestWhittleOptimum:
+    @pytest.mark.parametrize("master, rep, nelder_mead_objective", [
+        (777000011, 1, -0.379567119),
+        (777000027, 5, -0.424818842),
+        (777000053, 1, -0.437500238),
+        (777000014, 5, -0.401815797),
+    ])
+    def test_ar_template_matches_nelder_mead(self, master, rep, nelder_mead_objective):
+        # table4 paths that test the active set: on the first the seasonal
+        # memory ends on the box, on the second the descent starts there and
+        # must leave it.  The last two have a local minimum on the box and
+        # one inside: the descent from the band OLS start ends on the worse
+        # one in the third, and releasing the memory before the AR coefficient
+        # has converged misses the better one in the fourth.  A Nelder-Mead
+        # search reached these objectives.
+        x, template = design_path("table4", master, rep)
+        fit = whittle_estimate(x, template)
+        assert fit.converged
+        assert fit.objective <= nelder_mead_objective + 1e-9
+
+    @pytest.mark.parametrize("name, rep", [("table2", 0), ("table2", 1), ("table4", 0), ("table4", 1)])
+    def test_no_nudge_lowers_the_objective(self, name, rep):
+        x, template = design_path(name, 20101125, rep)
+        fit = whittle_estimate(x, template)
+        assert fit.converged
+        periods = template.spec.periods
+        ar = fit.short_memory["ar"]
+        assert fit.objective == pytest.approx(
+            profiled_whittle(x, periods, fit.d_hat, ar), abs=1e-12)
+        params = list(fit.d_hat) + [c for _, coeffs in ar for c in coeffs]
+        for i in range(len(params)):
+            for h in (-1e-4, 1e-4):
+                nudged = list(params)
+                if i < len(periods):
+                    nudged[i] = float(np.clip(nudged[i] + h, -template.d_box, template.d_box))
+                elif abs(nudged[i] + h) < 1:   # one-coefficient AR factor: stationary iff |c| < 1
+                    nudged[i] += h
+                value = profiled_whittle(x, periods, nudged[:len(periods)],
+                                         [(ar[0][0], nudged[len(periods):])] if ar else ())
+                assert value >= fit.objective - 1e-12, (i, h, value - fit.objective)
