@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericError, SarfimaError, ValidationError
 from .model import spec_from_json, spec_to_json
-from .spectrum import build_band_plan, gph_T_bandwidth, periodogram
+from .spectrum import build_band_plan, periodogram, resolve_bandwidth, write_csv
 from .estimators import (WhittleTemplate, estimate_to_json, gph_estimate,
                          gph_single, whittle_estimate, whittle_fit_to_json)
 from .simulate import SimConfig, simulate
@@ -57,10 +57,7 @@ def _read_series(path) -> np.ndarray:
 
 
 def _write_series(path, x):
-    with open(path, "w") as fh:
-        fh.write("x\n")
-        for v in x:
-            fh.write(f"{float(v)!r}\n")
+    write_csv(path, ("x",), zip(np.asarray(x, dtype=float).tolist()))
 
 
 def _load_spec(path):
@@ -199,13 +196,8 @@ def _cmd_estimate_gph(args) -> int:
     picks = sum([args.alpha is not None, args.m is not None, args.gph_T])
     if picks != 1:
         raise ValidationError("bad-arguments", "pick exactly one of --alpha, --m, --gph-T")
-    s_prime = max(args.s1, args.s2) if args.s2 else args.s1
-    if args.gph_T:
-        m = (n - 1) // s_prime if args.uncapped else gph_T_bandwidth(n, s_prime)
-    elif args.alpha is not None:
-        m = int(n ** args.alpha)
-    else:
-        m = args.m
+    m = resolve_bandwidth(n, max(args.s1, args.s2) if args.s2 else args.s1, alpha=args.alpha,
+                          m=args.m, gph_T=args.gph_T, uncapped=args.uncapped)
     pg = periodogram(x)
     if args.s2 is None or args.s2 == args.s1:
         est = gph_single(pg, args.s1, m, allow_overlap=args.uncapped)

@@ -61,7 +61,7 @@ def _band_deltas(sp: int):
     return [1 if (k == 0 or 2 * k == sp) else 2 for k in range(sp // 2 + 1)]
 
 
-def asymptotic_cov_matrix(n: int, s1: int, s2, m: int) -> np.ndarray:
+def asymptotic_cov_matrix(s1: int, s2, m: int) -> np.ndarray:
     """Asymptotic covariance (pi^2 / 6m) Q^-1 of the band OLS estimator.
 
     Q = 4 [[sum_k delta_k, sum_{k in I} delta_k], [sym., sum_{k in I} delta_k]]
@@ -141,7 +141,7 @@ def gph_estimate(pgram: Periodogram, plan: BandPlan, s1: int, s2: int) -> Memory
     det = g11 * g22 - g12 * g12
     d1 = (g22 * rhs1 - g12 * rhs2) / det
     d2 = (g11 * rhs2 - g12 * rhs1) / det
-    cov = asymptotic_cov_matrix(plan.n, s1, s2, plan.m)
+    cov = asymptotic_cov_matrix(s1, s2, plan.m)
     return MemoryEstimate(d_hat=np.array([d1, d2]), asymptotic_cov=cov, m=plan.m,
                           method="gph_multi", band_count=len(plan.bands),
                           periods=(s1, s2))
@@ -160,7 +160,7 @@ def gph_single(pgram: Periodogram, s: int, m: int, allow_overlap: bool = False) 
     if sxx <= 0:
         raise ValidationError("rank-deficient", "degenerate regressor in single-period fit")
     d = -0.5 * (x @ y) / sxx
-    cov = asymptotic_cov_matrix(pgram.n, s, None, m)
+    cov = asymptotic_cov_matrix(s, None, m)
     return MemoryEstimate(d_hat=np.array([d]), asymptotic_cov=cov, m=m,
                           method="gph_single", band_count=len(plan.bands),
                           periods=(s,))
@@ -194,6 +194,9 @@ class WhittleTemplate:
             object.__setattr__(self, "free_ar", tuple(True for _ in self.spec.ar_factors))
         if self.free_ma is None:
             object.__setattr__(self, "free_ma", tuple(True for _ in self.spec.ma_factors))
+        if not all(isinstance(flag, bool) for markers in (self.free_d, self.free_ar, self.free_ma)
+                   for flag in markers):
+            raise ValidationError("bad-template", "free-parameter markers must be true or false")
         if len(self.free_d) != len(self.spec.components) \
                 or len(self.free_ar) != len(self.spec.ar_factors) \
                 or len(self.free_ma) != len(self.spec.ma_factors):
@@ -278,10 +281,10 @@ def whittle_estimate(series, template: WhittleTemplate) -> WhittleFit:
     for sign, flags, factors in ((-1.0, template.free_ar, spec0.ar_factors),
                                  (1.0, template.free_ma, spec0.ma_factors)):
         for flag, f in zip(flags, factors):
-            z = np.exp(-1j * np.outer(lam_u, f.lag * np.arange(1, len(f.coeffs) + 1)))
             if not flag:
-                base = base + sign * np.log(np.abs(1.0 - z @ np.array(f.coeffs)) ** 2)
+                base = base + sign * np.log(np.abs(f.transfer(lam_u)) ** 2)
                 continue
+            z = np.exp(-1j * np.outer(lam_u, f.lag * np.arange(1, len(f.coeffs) + 1)))
             free_factors.append((sign, slice(len(theta0), len(theta0) + len(f.coeffs)), z, f.lag))
             # a nonstationary or non-invertible start falls back to white noise
             theta0.extend(f.coeffs if f.roots_outside_unit_circle() else [0.0] * len(f.coeffs))

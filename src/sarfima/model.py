@@ -12,6 +12,7 @@ asymptotic (large-lag) autocovariance.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ __all__ = [
     "SeasonalComponent",
     "ArmaFactor",
     "SarfimaSpec",
+    "Pole",
     "PoleSet",
     "ValidityReport",
     "check_stationary_invertible",
@@ -50,7 +52,7 @@ class SeasonalComponent:
     memory: float
 
     def __post_init__(self):
-        if not isinstance(self.period, int) or self.period < 1:
+        if type(self.period) is not int or self.period < 1:   # not bool, float or str
             raise ValidationError("bad-period", f"period must be a positive integer, got {self.period!r}")
         if not math.isfinite(self.memory) or self.memory <= -1:
             raise ValidationError("bad-memory", f"memory must be finite and > -1, got {self.memory!r}")
@@ -64,7 +66,7 @@ class ArmaFactor:
     coeffs: tuple
 
     def __post_init__(self):
-        if not isinstance(self.lag, int) or self.lag < 1:
+        if type(self.lag) is not int or self.lag < 1:
             raise ValidationError("bad-arma-lag", f"factor lag must be a positive integer, got {self.lag!r}")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if len(self.coeffs) == 0:
@@ -79,6 +81,11 @@ class ArmaFactor:
         for i, c in enumerate(self.coeffs, start=1):
             p[i * self.lag] = -c
         return p
+
+    def transfer(self, lam) -> np.ndarray:
+        """Transfer 1 - sum_p c_p e^(-i lam p lag) at the frequencies lam."""
+        powers = self.lag * np.arange(1, len(self.coeffs) + 1)
+        return 1.0 - np.exp(-1j * np.multiply.outer(lam, powers)) @ np.array(self.coeffs)
 
     def roots_outside_unit_circle(self) -> bool:
         if len(self.coeffs) == 1:
@@ -220,40 +227,25 @@ def combined_filter_coefficients(spec: SarfimaSpec, max_lag: int) -> np.ndarray:
 # spectral density
 # ---------------------------------------------------------------------------
 
-def _transfer_modulus_sq(poly: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    z = np.exp(-1j * np.multiply.outer(lam, np.arange(len(poly))))
-    return np.abs(z @ poly) ** 2
-
-
 def arma_spectral_density(spec: SarfimaSpec, lam) -> np.ndarray:
     """Spectral density of the ARMA part nu_t: (sigma^2/2pi) |Theta|^2/|Phi|^2."""
     lam = np.asarray(lam, dtype=float)
     f = np.full(lam.shape, spec.innovation_variance / (2 * np.pi))
-    if spec.ma_factors:
-        f = f * _transfer_modulus_sq(spec.ma_polynomial(), lam)
-    if spec.ar_factors:
-        f = f / _transfer_modulus_sq(spec.ar_polynomial(), lam)
+    for factor in spec.ma_factors:
+        f = f * np.abs(factor.transfer(lam)) ** 2
+    for factor in spec.ar_factors:
+        f = f / np.abs(factor.transfer(lam)) ** 2
     return f
-
-
-def _vanishing_components(spec: SarfimaSpec, lam: float):
-    """Components whose sin-factor vanishes at lam, with the pole frequency."""
-    hits = []
-    for comp in spec.components:
-        j = round(lam * comp.period / (2 * np.pi))
-        pole = 2 * np.pi * j / comp.period
-        if abs(lam - pole) < POLE_TOL:
-            hits.append(comp)
-    return hits
 
 
 def spectral_density(spec: SarfimaSpec, lam: float) -> float:
     """Theoretical spectral density f(lam) of the stationary process.
 
     f(lam) = f_nu(lam) * prod_i |2 sin(lam s_i / 2)|^(-2 d_i).  At a seasonal
-    harmonic the vanishing sin factors are replaced by their limit: +inf when
-    the local exponent sum is positive, 0 when negative, and the finite limit
-    prod s_i^(-2 d_i) when the exponents cancel exactly.
+    harmonic (a pole within POLE_TOL of lam) the sin factors of the owning
+    components are replaced by their limit: +inf when the local exponent is
+    positive, 0 when negative, and the finite limit prod s_i^(-2 d_i) when
+    the exponents cancel exactly.
     """
     require_stationary(spec, "spectral density")
     lam = float(lam)
@@ -261,19 +253,20 @@ def spectral_density(spec: SarfimaSpec, lam: float) -> float:
         raise ValidationError("bad-frequency", f"lambda must lie in (-pi, pi], got {lam}")
     lam = abs(lam)  # even function
 
-    vanishing = _vanishing_components(spec, lam)
-    esum = sum(c.memory for c in vanishing)
-    if vanishing and esum > POLE_TOL:
+    pole = next((p for p in enumerate_poles(spec).poles if abs(lam - p.frequency) < POLE_TOL), None)
+    if pole and pole.local_exponent > POLE_TOL:
         return math.inf
-    if vanishing and esum < -POLE_TOL:
+    if pole and pole.local_exponent < -POLE_TOL:
         return 0.0
+    return _seasonal_gain(spec, lam, pole.owners if pole else (), float(arma_spectral_density(spec, lam)))
 
-    val = float(arma_spectral_density(spec, lam))
+
+def _seasonal_gain(spec: SarfimaSpec, lam: float, owners, val: float = 1.0) -> float:
+    """val * prod_i |2 sin(lam s_i / 2)|^(-2 d_i), with the vanishing factor
+    of each pole owner replaced by its limit ratio s_i^(-2 d_i)."""
     for comp in spec.components:
-        if comp in vanishing:
-            val *= float(comp.period) ** (-2 * comp.memory)
-        else:
-            val *= abs(2 * math.sin(lam * comp.period / 2)) ** (-2 * comp.memory)
+        base = float(comp.period) if comp in owners else abs(2 * math.sin(lam * comp.period / 2))
+        val *= base ** (-2 * comp.memory)
     return val
 
 
@@ -282,22 +275,50 @@ def spectral_density(spec: SarfimaSpec, lam: float) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PoleSet:
-    """Seasonal harmonics and their filter exponents d_ij.
+class Pole:
+    """The harmonic 2 pi * ``fraction`` and the components whose sin factor
+    vanishes there (``fraction * period`` integral); the rest is derived."""
 
-    Exponents follow the operator factorization convention: an interior
-    harmonic owned by one period carries that period's d, harmonics at 0 or
-    pi carry d/2, and shared harmonics carry the sum of the merged values.
-    The local behaviour of the spectral density at a pole is
-    |lam - lam_p|^(-2 e_p) with e_p = local_exponent (see
-    ``local_exponents``), which doubles the stored value at 0 and pi.
+    fraction: Fraction      # in [0, 1/2]
+    owners: tuple           # SeasonalComponents, in spec order
+
+    @property
+    def frequency(self) -> float:
+        return 2 * math.pi * float(self.fraction)
+
+    @property
+    def boundary(self) -> bool:
+        """At 0 or pi, where the harmonic has no mirror image at -lam."""
+        return self.fraction == 0 or self.fraction == Fraction(1, 2)
+
+    @property
+    def local_exponent(self) -> float:
+        """e with f(lam) ~ C |lam - lam_p|^(-2 e): the owners' memory sum."""
+        return sum(c.memory for c in self.owners)
+
+
+@dataclass(frozen=True)
+class PoleSet:
+    """The pole table: the spec's seasonal harmonics in [0, pi], sorted.
+
+    The spectral density, the asymptotic autocovariance, the quadrature
+    segments and the Whittle pole exclusion all read it.  ``entries`` pairs
+    each frequency with its exponent in the operator factorization
+    convention (d of each owner, d/2 at 0 and pi); the local exponent e_p of
+    f(lam) ~ |lam - lam_p|^(-2 e_p) is twice that exponent at 0 and pi.
     """
 
-    entries: tuple  # of (frequency: float, exponent: float)
+    poles: tuple
+
+    @property
+    def entries(self) -> tuple:
+        """(frequency, exponent) pairs, the exponent halved at 0 and pi."""
+        return tuple((p.frequency, p.local_exponent / 2 if p.boundary else p.local_exponent)
+                     for p in self.poles)
 
     @property
     def frequencies(self) -> np.ndarray:
-        return np.array([f for f, _ in self.entries])
+        return np.array([p.frequency for p in self.poles])
 
     @property
     def exponents(self) -> np.ndarray:
@@ -305,45 +326,23 @@ class PoleSet:
 
     def local_exponents(self) -> np.ndarray:
         """Exponent e_p with f(lam) ~ C |lam - lam_p|^(-2 e_p) near each pole."""
-        out = []
-        for f, e in self.entries:
-            boundary = abs(f) < POLE_TOL or abs(f - np.pi) < POLE_TOL
-            out.append(2 * e if boundary else e)
-        return np.array(out)
+        return np.array([p.local_exponent for p in self.poles])
 
 
+@functools.lru_cache(maxsize=64)
 def enumerate_poles(spec: SarfimaSpec) -> PoleSet:
-    """All distinct seasonal harmonics 2 pi j / s_i with merged exponents.
+    """The pole table: every distinct harmonic 2 pi j / s_i in [0, pi].
 
-    Frequency collisions between the two periods are detected by exact
-    rational comparison of j/s_i, never by floating point.
+    Harmonics are exact fractions j / s_i, so a frequency shared by the two
+    periods is merged by rational comparison, never by floating point, and
+    its owners are exactly the components whose period it divides into.
+    Cached per spec: spectral_density looks up one frequency per call.
     """
-    table: dict = {}
-    for comp in spec.components:
-        s, d = comp.period, comp.memory
-        for j in range(s // 2 + 1):
-            fr = Fraction(j, s)
-            boundary = fr == 0 or fr == Fraction(1, 2)
-            table[fr] = table.get(fr, 0.0) + (d / 2 if boundary else d)
-    entries = tuple((2 * math.pi * float(fr), e) for fr, e in sorted(table.items()))
-    return PoleSet(entries=entries)
-
-
-def _owning_components(spec: SarfimaSpec, fr: Fraction):
-    out = []
-    for comp in spec.components:
-        if (fr * comp.period).denominator == 1:
-            out.append(comp)
-    return out
-
-
-def _pole_fractions(spec: SarfimaSpec):
-    """Sorted distinct harmonics as exact fractions of 2 pi."""
-    fracs = set()
-    for comp in spec.components:
-        for j in range(comp.period // 2 + 1):
-            fracs.add(Fraction(j, comp.period))
-    return sorted(fracs)
+    fractions = sorted({Fraction(j, c.period) for c in spec.components
+                        for j in range(c.period // 2 + 1)})
+    return PoleSet(poles=tuple(
+        Pole(fr, tuple(c for c in spec.components if (fr * c.period).denominator == 1))
+        for fr in fractions))
 
 
 def asymptotic_acvf(spec: SarfimaSpec, h: int) -> float:
@@ -366,20 +365,14 @@ def asymptotic_acvf(spec: SarfimaSpec, h: int) -> float:
 
     total = 0.0
     any_positive = False
-    for fr in _pole_fractions(spec):
-        lam_p = 2 * math.pi * float(fr)
-        owners = _owning_components(spec, fr)
-        e = sum(c.memory for c in owners)
+    for pole in enumerate_poles(spec).poles:
+        e = pole.local_exponent
         if e <= 0:
             continue
         any_positive = True
-        G = 1.0
-        for comp in spec.components:
-            if comp in owners:
-                G *= float(comp.period) ** (-2 * comp.memory)
-            else:
-                G *= abs(2 * math.sin(lam_p * comp.period / 2)) ** (-2 * comp.memory)
-        w = 1.0 if (fr == 0 or fr == Fraction(1, 2)) else 2.0
+        lam_p = pole.frequency
+        G = _seasonal_gain(spec, lam_p, pole.owners)
+        w = 1.0 if pole.boundary else 2.0
         a = w * 2.0 * float(arma_spectral_density(spec, lam_p)) * G \
             * math.gamma(1 - 2 * e) * math.sin(math.pi * e)
         total += a * h ** (2 * e - 1) * math.cos(h * lam_p)
@@ -408,10 +401,11 @@ def spec_from_json(text: str) -> SarfimaSpec:
     except json.JSONDecodeError as exc:
         raise ValidationError("bad-json", f"spec is not valid JSON: {exc}") from exc
     try:
-        components = tuple(SeasonalComponent(int(c["period"]), float(c["d"]))
+        # periods and lags go in as parsed: the dataclasses reject 4.7, true and "4"
+        components = tuple(SeasonalComponent(c["period"], float(c["d"]))
                            for c in doc["components"])
-        ar = tuple(ArmaFactor(int(f["lag"]), tuple(f["coeffs"])) for f in doc.get("ar", []))
-        ma = tuple(ArmaFactor(int(f["lag"]), tuple(f["coeffs"])) for f in doc.get("ma", []))
+        ar = tuple(ArmaFactor(f["lag"], tuple(f["coeffs"])) for f in doc.get("ar", []))
+        ma = tuple(ArmaFactor(f["lag"], tuple(f["coeffs"])) for f in doc.get("ma", []))
         sigma2 = float(doc.get("sigma2", 1.0))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError("bad-spec-json", f"malformed spec document: {exc}") from exc

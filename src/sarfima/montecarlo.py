@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import SarfimaError, ValidationError
 from .model import ArmaFactor, SarfimaSpec, SeasonalComponent
-from .spectrum import build_band_plan, gph_T_bandwidth, periodogram
+from .spectrum import build_band_plan, periodogram, resolve_bandwidth, write_csv
 from .estimators import WhittleTemplate, gph_estimate, gph_single, whittle_estimate
 from .simulate import (SimConfig, acvf_self_check, default_grid_exponent,
                        derive_rep_seed, simulate, _dl_tables)
@@ -62,13 +62,8 @@ class EstimatorDef:
                                       f"{self.name}: pick exactly one of alpha, m, use_gph_T")
 
     def bandwidth(self, n: int, s_prime: int) -> int:
-        if self.use_gph_T:
-            if self.allow_overlap:
-                return max((n - 1) // s_prime, 1)
-            return gph_T_bandwidth(n, s_prime)
-        if self.alpha is not None:
-            return int(n ** self.alpha)
-        return self.m
+        return resolve_bandwidth(n, s_prime, alpha=self.alpha, m=self.m,
+                                 gph_T=self.use_gph_T, uncapped=self.allow_overlap)
 
     def dimension(self, spec: SarfimaSpec) -> int:
         if self.kind == "gph_multi":
@@ -357,20 +352,16 @@ def design(name: str, master_seed: int, reps: int = 2000, n: int = 1080,
 
 def summary_to_csv(summary: McSummary, path):
     """Table-style rows `estimator,param,mean,mse,corr` (corr on 2-dim rows)."""
-    with open(path, "w") as fh:
-        fh.write("estimator,param,mean,mse,corr\n")
-        for res in summary.results:
-            for i in range(len(res.mean)):
-                corr = repr(res.corr) if len(res.mean) == 2 and not math.isnan(res.corr) else ""
-                fh.write(f"{res.name},d{i+1},{float(res.mean[i])!r},{float(res.mse[i])!r},{corr}\n")
+    write_csv(path, ("estimator", "param", "mean", "mse", "corr"),
+              ((res.name, f"d{i+1}", res.mean[i], res.mse[i],
+                res.corr if len(res.mean) == 2 and not math.isnan(res.corr) else None)
+               for res in summary.results for i in range(len(res.mean))))
 
 
 def estimates_to_csv(summary: McSummary, path):
     """Per-replication estimates, one row per (rep, estimator, component)."""
-    with open(path, "w") as fh:
-        fh.write("rep,estimator,param,value\n")
-        for res in summary.results:
-            for rep in range(summary.reps):
-                for i in range(res.estimates.shape[1]):
-                    v = res.estimates[rep, i]
-                    fh.write(f"{rep},{res.name},d{i+1},{'' if math.isnan(v) else repr(float(v))}\n")
+    write_csv(path, ("rep", "estimator", "param", "value"),
+              ((rep, res.name, f"d{i+1}", None if math.isnan(v) else v)
+               for res in summary.results
+               for rep, row in enumerate(res.estimates.tolist())
+               for i, v in enumerate(row)))

@@ -9,8 +9,9 @@ from scipy.signal import fftconvolve
 
 from .errors import SarfimaError, ValidationError
 from .model import SarfimaSpec, SeasonalComponent, combined_filter_coefficients
-from .spectrum import build_band_plan, periodogram
+from .spectrum import build_band_plan, periodogram, write_csv
 from .estimators import MemoryEstimate, gph_estimate
+from .simulate import levinson
 
 __all__ = ["ScanRow", "BandwidthScan", "bandwidth_scan", "fractional_filter",
            "AcfPacf", "sample_acf_pacf", "scan_to_csv", "acf_to_csv"]
@@ -101,20 +102,10 @@ def sample_acf_pacf(series, max_lag: int) -> AcfPacf:
         raise ValidationError("zero-variance", "constant series has no ACF")
     acf = np.array([float(xc[:-h] @ xc[h:]) / n / c0 for h in range(1, max_lag + 1)])
 
-    r = np.concatenate([[1.0], acf])
-    pacf = np.empty(max_lag)
-    phi = np.empty(0)
-    prev_v = 1.0
-    for t in range(1, max_lag + 1):
-        kappa = (r[t] - phi @ r[t - 1:0:-1]) / prev_v if t > 1 else r[1]
+    pacf = np.zeros(max_lag)
+    for t, (kappa, _, v) in enumerate(levinson(np.concatenate([[1.0], acf])), start=1):
         pacf[t - 1] = kappa
-        nxt = np.empty(t)
-        nxt[: t - 1] = phi - kappa * phi[::-1]
-        nxt[t - 1] = kappa
-        prev_v *= 1.0 - kappa * kappa
-        phi = nxt
-        if prev_v <= 0:
-            pacf[t:] = 0.0
+        if v <= 0:   # degenerate sample autocorrelations: later lags stay 0
             break
     return AcfPacf(lags=np.arange(1, max_lag + 1), acf=acf, pacf=pacf,
                    band=1.96 / math.sqrt(n))
@@ -126,19 +117,16 @@ def sample_acf_pacf(series, max_lag: int) -> AcfPacf:
 
 def scan_to_csv(scan: BandwidthScan, path):
     """Rows `alpha,m,d1_hat,d2_hat,var_d1,var_d2`; failed rows leave blanks."""
-    with open(path, "w") as fh:
-        fh.write("alpha,m,d1_hat,d2_hat,var_d1,var_d2\n")
-        for row in scan.rows:
-            if row.estimate is None:
-                fh.write(f"{float(row.alpha)!r},{row.m},,,,\n")
-            else:
-                d = row.estimate.d_hat
-                v = np.diag(row.estimate.asymptotic_cov)
-                fh.write(f"{float(row.alpha)!r},{row.m},{float(d[0])!r},{float(d[1])!r},{float(v[0])!r},{float(v[1])!r}\n")
+    def row(r):
+        if r.estimate is None:
+            return (float(r.alpha), r.m, None, None, None, None)
+        est = r.estimate
+        return (float(r.alpha), r.m, *est.d_hat.tolist(), *np.diag(est.asymptotic_cov).tolist())
+
+    write_csv(path, ("alpha", "m", "d1_hat", "d2_hat", "var_d1", "var_d2"), map(row, scan.rows))
 
 
 def acf_to_csv(res: AcfPacf, path):
-    with open(path, "w") as fh:
-        fh.write("lag,acf,pacf,band\n")
-        for lag, a, p in zip(res.lags, res.acf, res.pacf):
-            fh.write(f"{lag},{float(a)!r},{float(p)!r},{float(res.band)!r}\n")
+    write_csv(path, ("lag", "acf", "pacf", "band"),
+              ((lag, a, p, res.band) for lag, a, p in
+               zip(res.lags.tolist(), res.acf.tolist(), res.pacf.tolist())))

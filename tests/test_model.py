@@ -271,6 +271,23 @@ class TestPoleEnumeration:
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
+    def test_table_owners_are_exact(self):
+        spec = SarfimaSpec(components=(SeasonalComponent(4, 0.3),
+                                       SeasonalComponent(6, 0.1)))
+        poles = enumerate_poles(spec).poles
+        assert [p.fraction for p in poles] == [Fraction(0), Fraction(1, 6), Fraction(1, 4),
+                                               Fraction(1, 3), Fraction(1, 2)]
+        by_fraction = {p.fraction: p for p in poles}
+        shared, only_six = by_fraction[Fraction(1, 2)], by_fraction[Fraction(1, 3)]
+        assert [c.period for c in shared.owners] == [4, 6]
+        assert shared.boundary and shared.local_exponent == pytest.approx(0.4)
+        assert [c.period for c in only_six.owners] == [6]
+        assert not only_six.boundary and only_six.local_exponent == pytest.approx(0.1)
+        assert enumerate_poles(spec).entries[-1] == (shared.frequency, shared.local_exponent / 2)
+        # pi/2 is a harmonic of 4 only: the period-6 sin factor stays finite there
+        assert [c.period for c in by_fraction[Fraction(1, 4)].owners] == [4]
+
+
 class TestAsymptoticAcvf:
     def test_matches_arfima_tail(self):
         # gamma(h) = Gamma(1-2d) Gamma(h+d) / (Gamma(d) Gamma(1-d) Gamma(h+1-d))
@@ -325,3 +342,16 @@ class TestSpecJson:
         with pytest.raises(ValidationError) as exc:
             spec_from_json('{"sigma2": 1.0}')
         assert exc.value.code == "bad-spec-json"
+
+    @pytest.mark.parametrize("value", [4.7, True, "4"])
+    def test_non_integral_period_and_lag_rejected(self, value):
+        # json.loads gives float, bool and str here; none may be coerced to an int
+        period_doc = {"components": [{"period": value, "d": 0.3}]}
+        with pytest.raises(ValidationError) as exc:
+            spec_from_json(json.dumps(period_doc))
+        assert exc.value.code == "bad-period"
+        lag_doc = {"components": [{"period": 4, "d": 0.3}],
+                   "ar": [{"lag": value, "coeffs": [0.5]}]}
+        with pytest.raises(ValidationError) as exc:
+            spec_from_json(json.dumps(lag_doc))
+        assert exc.value.code == "bad-arma-lag"
