@@ -76,7 +76,7 @@ def main(argv=None) -> int:
     acf = sample_acf_pacf(resid, 48)
     acf_to_csv(acf, out / "residual_acf.csv")
     band = 1.96 / args.n ** 0.5
-    outside = int(np.sum(np.abs(acf.acf[1:]) > band))
+    outside = int(np.sum(np.abs(acf.acf) > band))
     print(f"filtered with the band-OLS estimate; residual ACF lags 1..48: "
           f"{outside} of 48 outside +-{band:.4f} (expect ~2 for white noise)")
     print(f"outputs in {out}/")

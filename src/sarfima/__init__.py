@@ -7,7 +7,7 @@ band log-periodogram regression for the memory vector, a parametric
 periodogram-likelihood fit, and a replication harness around all of it.
 """
 from .errors import NumericError, SarfimaError, ValidationError
-from .model import (POLE_TOL, ArmaFactor, PoleSet, SarfimaSpec, SeasonalComponent,
+from .model import (POLE_TOL, ArmaFactor, SarfimaSpec, SeasonalComponent,
                     ValidityReport, arma_spectral_density, asymptotic_acvf,
                     check_stationary_invertible, combined_filter_coefficients,
                     enumerate_poles, pi_coefficients, require_stationary,
@@ -33,7 +33,7 @@ __all__ = [
     "ArmaFactor", "AcfPacf", "Band", "BandPlan", "BandwidthScan",
     "DESIGN_NAMES", "EstimatorDef", "EstimatorResult",
     "McConfig", "McSummary", "MemoryEstimate", "POLE_TOL", "Periodogram",
-    "PoleSet", "SarfimaError", "SarfimaSpec", "ScanRow", "SeasonalComponent",
+    "SarfimaError", "SarfimaSpec", "ScanRow", "SeasonalComponent",
     "SimConfig", "ValidationError", "ValidityReport", "WhittleFit",
     "WhittleTemplate", "NumericError",
     "acf_to_csv", "acvf_numeric", "acvf_self_check", "arma_spectral_density",

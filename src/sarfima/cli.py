@@ -18,7 +18,7 @@ from .errors import NumericError, SarfimaError, ValidationError
 from .model import spec_from_json, spec_to_json
 from .spectrum import build_band_plan, periodogram, resolve_bandwidth, write_csv
 from .estimators import (WhittleTemplate, estimate_to_json, gph_estimate,
-                         gph_single, whittle_estimate, whittle_fit_to_json)
+                         whittle_estimate, whittle_fit_to_json)
 from .simulate import SimConfig, simulate
 from .pipeline import acf_to_csv, bandwidth_scan, fractional_filter, sample_acf_pacf, scan_to_csv
 from .montecarlo import DESIGN_NAMES, design, estimates_to_csv, run_mc, summary_to_csv
@@ -45,13 +45,15 @@ def _read_series(path) -> np.ndarray:
         raise ValidationError("io-error", f"cannot read {path}: {exc}") from exc
     if len(lines) < 2:
         raise ValidationError("malformed-csv", f"{path}: need a header line and at least one value")
+    if any("," in ln for ln in lines):
+        raise ValidationError("malformed-csv", f"{path}: need one column, found a line with several cells")
     try:
-        float(lines[0].split(",")[0])
+        float(lines[0])
         raise ValidationError("malformed-csv", f"{path}: first line must be a header, not data")
     except ValueError:
         pass
     try:
-        return np.array([float(ln.split(",")[0]) for ln in lines[1:]])
+        return np.array([float(ln) for ln in lines[1:]])
     except ValueError as exc:
         raise ValidationError("malformed-csv", f"{path}: non-numeric value ({exc})") from exc
 
@@ -196,15 +198,14 @@ def _cmd_estimate_gph(args) -> int:
     picks = sum([args.alpha is not None, args.m is not None, args.gph_T])
     if picks != 1:
         raise ValidationError("bad-arguments", "pick exactly one of --alpha, --m, --gph-T")
-    m = resolve_bandwidth(n, max(args.s1, args.s2) if args.s2 else args.s1, alpha=args.alpha,
+    if args.uncapped and not args.gph_T:
+        raise ValidationError("bad-arguments", "--uncapped applies only with --gph-T")
+    s2 = args.s1 if args.s2 is None else args.s2   # one period: the single-parameter fit
+    m = resolve_bandwidth(n, max(args.s1, s2), alpha=args.alpha,
                           m=args.m, gph_T=args.gph_T, uncapped=args.uncapped)
     pg = periodogram(x)
-    if args.s2 is None or args.s2 == args.s1:
-        est = gph_single(pg, args.s1, m, allow_overlap=args.uncapped)
-    else:
-        plan = build_band_plan(n, args.s1, args.s2, m, allow_overlap=args.uncapped)
-        est = gph_estimate(pg, plan, args.s1, args.s2)
-    _emit(estimate_to_json(est) + "\n", args.out)
+    plan = build_band_plan(n, args.s1, s2, m, allow_overlap=args.uncapped)
+    _emit(estimate_to_json(gph_estimate(pg, plan, args.s1, s2)) + "\n", args.out)
     return 0
 
 
@@ -218,12 +219,15 @@ def _load_template(path) -> WhittleTemplate:
         raise ValidationError("bad-json", f"template is not valid JSON: {exc}") from exc
     try:
         spec = spec_from_json(json.dumps(doc["spec"]))
+        d_box = doc.get("d_box", 0.49)
+        if type(d_box) not in (int, float):   # true and "0.3" are not JSON numbers
+            raise ValidationError("bad-template", f"d_box must be a JSON number, got {d_box!r}")
         return WhittleTemplate(
             spec=spec,
             free_d=tuple(doc["free_d"]) if "free_d" in doc else None,
             free_ar=tuple(doc["free_ar"]) if "free_ar" in doc else None,
             free_ma=tuple(doc["free_ma"]) if "free_ma" in doc else None,
-            d_box=float(doc.get("d_box", 0.49)))
+            d_box=float(d_box))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError("bad-template", f"malformed template document: {exc}") from exc
 

@@ -115,13 +115,15 @@ def _banded_logs(pgram: Periodogram, plan: BandPlan, regressor_periods):
 
 
 def gph_estimate(pgram: Periodogram, plan: BandPlan, s1: int, s2: int) -> MemoryEstimate:
-    """Two-parameter multi-band log-periodogram regression.
+    """Multi-band log-periodogram regression, one memory per distinct period.
 
     Within every band around a harmonic of s' the response log I and the
-    regressors -2 log|2 sin(s_i lambda / 2)| are centered by their band
+    regressors z_i = -2 log|2 sin(s_i lambda / 2)| are centered by their band
     means (absorbing the band intercepts), then pooled into one no-intercept
     least-squares fit.  d_hat is reported in the caller's (s1, s2) order with
-    asymptotic covariance (pi^2/6m) Q^-1.
+    asymptotic covariance (pi^2/6m) Q^-1.  With s1 == s2 (a one-period plan)
+    the fit has the single regressor, d_hat = (z.y)/(z.z), and the variance
+    pi^2 / (24 s m).
     """
     if {s1, s2} != {plan.s_prime, plan.s_small}:
         raise ValidationError("plan-mismatch",
@@ -129,41 +131,34 @@ def gph_estimate(pgram: Periodogram, plan: BandPlan, s1: int, s2: int) -> Memory
     if plan.n != pgram.n:
         raise ValidationError("plan-mismatch",
                               f"plan was built for n={plan.n}, periodogram has n={pgram.n}")
-    y, (x1, x2) = _banded_logs(pgram, plan, (s1, s2))
-    z1, z2 = -2.0 * x1, -2.0 * x2
-    g11, g22, g12 = z1 @ z1, z2 @ z2, z1 @ z2
-    if 1.0 - g12 * g12 / (g11 * g22) < COLLINEARITY_TOL:
-        raise ValidationError(
-            "rank-deficient",
-            f"regressors collinear for periods {(s1, s2)} over {len(plan.bands)} bands "
-            f"(s'={plan.s_prime}); cannot separate d1 from d2")
-    rhs1, rhs2 = z1 @ y, z2 @ y
-    det = g11 * g22 - g12 * g12
-    d1 = (g22 * rhs1 - g12 * rhs2) / det
-    d2 = (g11 * rhs2 - g12 * rhs1) / det
-    cov = asymptotic_cov_matrix(s1, s2, plan.m)
-    return MemoryEstimate(d_hat=np.array([d1, d2]), asymptotic_cov=cov, m=plan.m,
-                          method="gph_multi", band_count=len(plan.bands),
-                          periods=(s1, s2))
+    periods = (s1,) if s1 == s2 else (s1, s2)
+    y, xs = _banded_logs(pgram, plan, periods)
+    if len(periods) == 1:
+        z = -2.0 * xs[0]
+        g = z @ z
+        if g <= 0:
+            raise ValidationError("rank-deficient", "degenerate regressor in single-period fit")
+        d_hat = [(z @ y) / g]
+    else:
+        z1, z2 = -2.0 * xs[0], -2.0 * xs[1]
+        g11, g22, g12 = z1 @ z1, z2 @ z2, z1 @ z2
+        if 1.0 - g12 * g12 / (g11 * g22) < COLLINEARITY_TOL:
+            raise ValidationError(
+                "rank-deficient",
+                f"regressors collinear for periods {(s1, s2)} over {len(plan.bands)} bands "
+                f"(s'={plan.s_prime}); cannot separate d1 from d2")
+        rhs1, rhs2 = z1 @ y, z2 @ y
+        det = g11 * g22 - g12 * g12
+        d_hat = [(g22 * rhs1 - g12 * rhs2) / det, (g11 * rhs2 - g12 * rhs1) / det]
+    return MemoryEstimate(d_hat=np.array(d_hat), asymptotic_cov=asymptotic_cov_matrix(s1, s2, plan.m),
+                          m=plan.m, method="gph_single" if len(periods) == 1 else "gph_multi",
+                          band_count=len(plan.bands), periods=periods)
 
 
 def gph_single(pgram: Periodogram, s: int, m: int, allow_overlap: bool = False) -> MemoryEstimate:
-    """Single-parameter band regression: d_hat = -0.5 S_xy / S_xx.
-
-    Bands around the harmonics of one period s; X = log|2 sin(s lambda / 2)|,
-    both response and regressor locally centered.  Reported variance is the
-    asymptotic pi^2 / (24 s m).
-    """
-    plan = build_band_plan(pgram.n, s, s, m, allow_overlap=allow_overlap)
-    y, (x,) = _banded_logs(pgram, plan, (s,))
-    sxx = x @ x
-    if sxx <= 0:
-        raise ValidationError("rank-deficient", "degenerate regressor in single-period fit")
-    d = -0.5 * (x @ y) / sxx
-    cov = asymptotic_cov_matrix(s, None, m)
-    return MemoryEstimate(d_hat=np.array([d]), asymptotic_cov=cov, m=m,
-                          method="gph_single", band_count=len(plan.bands),
-                          periods=(s,))
+    """Single-parameter band regression around the harmonics of one period s:
+    ``gph_estimate`` on the one-period plan."""
+    return gph_estimate(pgram, build_band_plan(pgram.n, s, s, m, allow_overlap=allow_overlap), s, s)
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +219,8 @@ def _gph_start(pg: Periodogram, template: WhittleTemplate):
     periods = template.spec.periods
     m = max(2, int(pg.n ** 0.5))
     try:
-        if len(periods) == 1:
-            return [float(gph_single(pg, periods[0], m).d_hat[0])]
-        plan = build_band_plan(pg.n, periods[0], periods[1], m)
-        return [float(v) for v in gph_estimate(pg, plan, periods[0], periods[1]).d_hat]
+        plan = build_band_plan(pg.n, periods[0], periods[-1], m)
+        return [float(v) for v in gph_estimate(pg, plan, periods[0], periods[-1]).d_hat]
     except ValidationError:
         return [0.0] * len(periods)
 
@@ -257,8 +250,8 @@ def whittle_estimate(series, template: WhittleTemplate) -> WhittleFit:
     lam = 2 * np.pi * j / n
     folded = 2 * np.pi * np.minimum(j, n - j) / n
     keep = np.ones(n - 1, dtype=bool)
-    for pole_freq in enumerate_poles(spec0).frequencies:
-        keep &= np.abs(folded - pole_freq) >= np.pi / n - 1e-12
+    for pole in enumerate_poles(spec0):
+        keep &= np.abs(folded - pole.frequency) >= np.pi / n - 1e-12
     lam_u, I_u = lam[keep], pg.ordinates[keep]
     n_used = len(lam_u)
     if n_used < 8:

@@ -27,7 +27,6 @@ __all__ = [
     "ArmaFactor",
     "SarfimaSpec",
     "Pole",
-    "PoleSet",
     "ValidityReport",
     "check_stationary_invertible",
     "pi_coefficients",
@@ -162,18 +161,13 @@ def check_stationary_invertible(spec: SarfimaSpec) -> ValidityReport:
             violations.append(f"|d[{i}]| >= 1/2")
     if len(ds) == 2 and not abs(ds[0] + ds[1]) < 0.5:
         violations.append("|d1+d2| >= 1/2")
-    for f in spec.ar_factors:
-        if not f.roots_outside_unit_circle():
-            violations.append(f"ar-roots-inside[lag={f.lag}]")
-    for f in spec.ma_factors:
-        if not f.roots_outside_unit_circle():
-            violations.append(f"ma-roots-inside[lag={f.lag}]")
-
-    d_ok = not any(v.startswith("|d") for v in violations)
-    ar_ok = not any(v.startswith("ar-") for v in violations)
-    ma_ok = not any(v.startswith("ma-") for v in violations)
-    return ValidityReport(stationary=d_ok and ar_ok, invertible=d_ok and ma_ok,
-                          violations=tuple(violations))
+    d_ok = not violations
+    ar_bad = [f"ar-roots-inside[lag={f.lag}]" for f in spec.ar_factors
+              if not f.roots_outside_unit_circle()]
+    ma_bad = [f"ma-roots-inside[lag={f.lag}]" for f in spec.ma_factors
+              if not f.roots_outside_unit_circle()]
+    return ValidityReport(stationary=d_ok and not ar_bad, invertible=d_ok and not ma_bad,
+                          violations=tuple(violations + ar_bad + ma_bad))
 
 
 def require_stationary(spec: SarfimaSpec, what: str = "operation"):
@@ -253,7 +247,7 @@ def spectral_density(spec: SarfimaSpec, lam: float) -> float:
         raise ValidationError("bad-frequency", f"lambda must lie in (-pi, pi], got {lam}")
     lam = abs(lam)  # even function
 
-    pole = next((p for p in enumerate_poles(spec).poles if abs(lam - p.frequency) < POLE_TOL), None)
+    pole = next((p for p in enumerate_poles(spec) if abs(lam - p.frequency) < POLE_TOL), None)
     if pole and pole.local_exponent > POLE_TOL:
         return math.inf
     if pole and pole.local_exponent < -POLE_TOL:
@@ -297,52 +291,22 @@ class Pole:
         return sum(c.memory for c in self.owners)
 
 
-@dataclass(frozen=True)
-class PoleSet:
-    """The pole table: the spec's seasonal harmonics in [0, pi], sorted.
-
-    The spectral density, the asymptotic autocovariance, the quadrature
-    segments and the Whittle pole exclusion all read it.  ``entries`` pairs
-    each frequency with its exponent in the operator factorization
-    convention (d of each owner, d/2 at 0 and pi); the local exponent e_p of
-    f(lam) ~ |lam - lam_p|^(-2 e_p) is twice that exponent at 0 and pi.
-    """
-
-    poles: tuple
-
-    @property
-    def entries(self) -> tuple:
-        """(frequency, exponent) pairs, the exponent halved at 0 and pi."""
-        return tuple((p.frequency, p.local_exponent / 2 if p.boundary else p.local_exponent)
-                     for p in self.poles)
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.array([p.frequency for p in self.poles])
-
-    @property
-    def exponents(self) -> np.ndarray:
-        return np.array([e for _, e in self.entries])
-
-    def local_exponents(self) -> np.ndarray:
-        """Exponent e_p with f(lam) ~ C |lam - lam_p|^(-2 e_p) near each pole."""
-        return np.array([p.local_exponent for p in self.poles])
-
-
 @functools.lru_cache(maxsize=64)
-def enumerate_poles(spec: SarfimaSpec) -> PoleSet:
-    """The pole table: every distinct harmonic 2 pi j / s_i in [0, pi].
+def enumerate_poles(spec: SarfimaSpec) -> tuple:
+    """The pole table: one ``Pole`` per distinct harmonic 2 pi j / s_i in
+    [0, pi], sorted by frequency.
 
     Harmonics are exact fractions j / s_i, so a frequency shared by the two
     periods is merged by rational comparison, never by floating point, and
     its owners are exactly the components whose period it divides into.
-    Cached per spec: spectral_density looks up one frequency per call.
+    The spectral density, the asymptotic autocovariance, the quadrature
+    segments and the Whittle pole exclusion all read this table.  Cached per
+    spec: spectral_density looks up one frequency per call.
     """
     fractions = sorted({Fraction(j, c.period) for c in spec.components
                         for j in range(c.period // 2 + 1)})
-    return PoleSet(poles=tuple(
-        Pole(fr, tuple(c for c in spec.components if (fr * c.period).denominator == 1))
-        for fr in fractions))
+    return tuple(Pole(fr, tuple(c for c in spec.components if (fr * c.period).denominator == 1))
+                 for fr in fractions)
 
 
 def asymptotic_acvf(spec: SarfimaSpec, h: int) -> float:
@@ -365,7 +329,7 @@ def asymptotic_acvf(spec: SarfimaSpec, h: int) -> float:
 
     total = 0.0
     any_positive = False
-    for pole in enumerate_poles(spec).poles:
+    for pole in enumerate_poles(spec):
         e = pole.local_exponent
         if e <= 0:
             continue
@@ -395,6 +359,13 @@ def spec_to_json(spec: SarfimaSpec) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _json_number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number; true, false and strings are not."""
+    if type(value) not in (int, float):
+        raise ValidationError("bad-spec-json", f"{what} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def spec_from_json(text: str) -> SarfimaSpec:
     try:
         doc = json.loads(text)
@@ -402,11 +373,13 @@ def spec_from_json(text: str) -> SarfimaSpec:
         raise ValidationError("bad-json", f"spec is not valid JSON: {exc}") from exc
     try:
         # periods and lags go in as parsed: the dataclasses reject 4.7, true and "4"
-        components = tuple(SeasonalComponent(c["period"], float(c["d"]))
+        components = tuple(SeasonalComponent(c["period"], _json_number(c["d"], "d"))
                            for c in doc["components"])
-        ar = tuple(ArmaFactor(f["lag"], tuple(f["coeffs"])) for f in doc.get("ar", []))
-        ma = tuple(ArmaFactor(f["lag"], tuple(f["coeffs"])) for f in doc.get("ma", []))
-        sigma2 = float(doc.get("sigma2", 1.0))
+        ar = tuple(ArmaFactor(f["lag"], tuple(_json_number(c, "coeffs") for c in f["coeffs"]))
+                   for f in doc.get("ar", []))
+        ma = tuple(ArmaFactor(f["lag"], tuple(_json_number(c, "coeffs") for c in f["coeffs"]))
+                   for f in doc.get("ma", []))
+        sigma2 = _json_number(doc.get("sigma2", 1.0), "sigma2")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError("bad-spec-json", f"malformed spec document: {exc}") from exc
     return SarfimaSpec(components=components, ar_factors=ar, ma_factors=ma,

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import SarfimaError, ValidationError
 from .model import ArmaFactor, SarfimaSpec, SeasonalComponent
-from .spectrum import build_band_plan, periodogram, resolve_bandwidth, write_csv
-from .estimators import WhittleTemplate, gph_estimate, gph_single, whittle_estimate
+from .spectrum import BandPlan, build_band_plan, periodogram, resolve_bandwidth, write_csv
+from .estimators import WhittleTemplate, gph_estimate, whittle_estimate
 from .simulate import (SimConfig, acvf_self_check, default_grid_exponent,
                        derive_rep_seed, simulate, _dl_tables)
 
@@ -37,7 +37,8 @@ class EstimatorDef:
     gph_single (one-parameter band OLS at ``period``), or whittle (Fox-Taqqu
     fit of ``template``).  Bandwidth comes from exactly one of ``alpha``
     (m = floor(n^alpha)), ``m`` (fixed), or ``use_gph_T`` (the capped
-    truncated bandwidth; ``allow_overlap`` switches to the uncapped variant).
+    truncated bandwidth; ``allow_overlap`` switches to the uncapped variant
+    and is rejected without ``use_gph_T``).
     """
 
     name: str
@@ -60,17 +61,23 @@ class EstimatorDef:
             if picks != 1:
                 raise ValidationError("bad-estimator",
                                       f"{self.name}: pick exactly one of alpha, m, use_gph_T")
+        if self.allow_overlap and not self.use_gph_T:
+            raise ValidationError("bad-estimator",
+                                  f"{self.name}: allow_overlap applies only with use_gph_T")
 
     def bandwidth(self, n: int, s_prime: int) -> int:
         return resolve_bandwidth(n, s_prime, alpha=self.alpha, m=self.m,
                                  gph_T=self.use_gph_T, uncapped=self.allow_overlap)
 
+    def band_plan(self, n: int, spec: SarfimaSpec) -> BandPlan:
+        """The band plan of a gph estimator on a length-n path of ``spec``;
+        a one-period plan for gph_single."""
+        periods = self.result_periods(spec)
+        return build_band_plan(n, periods[0], periods[-1], self.bandwidth(n, max(periods)),
+                               allow_overlap=self.allow_overlap)
+
     def dimension(self, spec: SarfimaSpec) -> int:
-        if self.kind == "gph_multi":
-            return 2
-        if self.kind == "gph_single":
-            return 1
-        return len(self.template.spec.components)
+        return len(self.result_periods(spec))
 
     def result_periods(self, spec: SarfimaSpec) -> tuple:
         if self.kind == "gph_multi":
@@ -117,22 +124,17 @@ class McConfig:
 
 def _validate_estimator(e: EstimatorDef, n: int, spec: SarfimaSpec):
     periods = spec.periods
-    if e.kind == "gph_multi":
-        if len(periods) != 2:
-            raise ValidationError("bad-estimator", f"{e.name}: gph_multi needs a two-component spec")
-        m = e.bandwidth(n, max(periods))
-        build_band_plan(n, periods[0], periods[1], m, allow_overlap=e.allow_overlap)
-    elif e.kind == "gph_single":
-        s = e._single_period(spec)
-        if s not in periods:
-            raise ValidationError("bad-estimator", f"{e.name}: period {s} not in the spec")
-        m = e.bandwidth(n, s)
-        build_band_plan(n, s, s, m, allow_overlap=e.allow_overlap)
-    else:
+    if e.kind == "whittle":
         for s in e.template.spec.periods:
             if s not in periods:
                 raise ValidationError("bad-estimator",
                                       f"{e.name}: template period {s} absent from the data spec")
+        return
+    if e.kind == "gph_multi" and len(periods) != 2:
+        raise ValidationError("bad-estimator", f"{e.name}: gph_multi needs a two-component spec")
+    if e.kind == "gph_single" and e._single_period(spec) not in periods:
+        raise ValidationError("bad-estimator", f"{e.name}: period {e.period} not in the spec")
+    e.band_plan(n, spec)
 
 
 def _true_d(e: EstimatorDef, spec: SarfimaSpec) -> np.ndarray:
@@ -143,14 +145,9 @@ def _true_d(e: EstimatorDef, spec: SarfimaSpec) -> np.ndarray:
 def _apply_estimator(e: EstimatorDef, x: np.ndarray, pg, spec: SarfimaSpec):
     """Estimate vector for one path, or None on a counted failure."""
     try:
-        if e.kind == "gph_multi":
-            s1, s2 = spec.periods
-            m = e.bandwidth(len(x), max(s1, s2))
-            plan = build_band_plan(len(x), s1, s2, m, allow_overlap=e.allow_overlap)
-            return gph_estimate(pg, plan, s1, s2).d_hat
-        if e.kind == "gph_single":
-            s = e._single_period(spec)
-            return gph_single(pg, s, e.bandwidth(len(x), s), allow_overlap=e.allow_overlap).d_hat
+        if e.kind != "whittle":
+            periods = e.result_periods(spec)
+            return gph_estimate(pg, e.band_plan(len(x), spec), periods[0], periods[-1]).d_hat
         fit = whittle_estimate(x, e.template)
         if not fit.converged:
             return None

@@ -29,9 +29,6 @@ class ScanRow:
 class BandwidthScan:
     rows: tuple
 
-    def successful(self):
-        return [r for r in self.rows if r.estimate is not None]
-
 
 def bandwidth_scan(series, s1: int, s2: int, alphas) -> BandwidthScan:
     """One gph_estimate per bandwidth m = floor(n^alpha).

@@ -123,7 +123,7 @@ def acvf_numeric(spec: SarfimaSpec, max_lag: int, grid_exponent: int = 17) -> np
     require_stationary(spec, "autocovariance")
     if max_lag < 0:
         raise ValidationError("bad-lag", "max_lag must be >= 0")
-    poles = enumerate_poles(spec).poles
+    poles = enumerate_poles(spec)
     for pole in poles:
         if pole.local_exponent >= 0.5:
             raise ValidationError("nonstationary-spec",

@@ -1,7 +1,6 @@
 """Periodogram and the seasonal-harmonic band plan for log-periodogram regression."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +31,9 @@ class Periodogram:
                   zip(range(1, self.n), self.frequencies.tolist(), self.ordinates.tolist()))
 
 
-def periodogram(series, subtract_mean: bool = True, method: str = "fft") -> Periodogram:
-    """Raw periodogram I(lambda_j) = (2 pi n)^-1 |sum_t x_t e^(i lambda_j t)|^2.
+def periodogram(series, subtract_mean: bool = True) -> Periodogram:
+    """Raw periodogram I(lambda_j) = (2 pi n)^-1 |sum_t x_t e^(i lambda_j t)|^2,
+    computed by FFT.
 
     Parameters
     ----------
@@ -41,9 +41,6 @@ def periodogram(series, subtract_mean: bool = True, method: str = "fft") -> Peri
         Observed series, length >= 8.
     subtract_mean : bool
         Remove the sample mean first (the j=0 ordinate is dropped either way).
-    method : {"fft", "direct"}
-        "direct" evaluates the defining sum; both paths agree to 1e-10
-        relative and exist so the FFT path can be cross-checked.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or len(x) < 8:
@@ -53,14 +50,7 @@ def periodogram(series, subtract_mean: bool = True, method: str = "fft") -> Peri
     n = len(x)
     if subtract_mean:
         x = x - x.mean()
-    if method == "fft":
-        dft = np.fft.fft(x)
-    elif method == "direct":
-        t = np.arange(n)
-        dft = np.exp(-2j * np.pi * np.outer(np.arange(n), t) / n) @ x
-    else:
-        raise ValidationError("bad-method", f"unknown periodogram method {method!r}")
-    I = (np.abs(dft) ** 2 / (2 * np.pi * n))[1:]
+    I = (np.abs(np.fft.fft(x)) ** 2 / (2 * np.pi * n))[1:]
     return Periodogram(n=n, ordinates=I)
 
 
@@ -69,32 +59,24 @@ class Band:
     """One regression band around the harmonic 2 pi k / s'."""
 
     k: int
-    center: float           # 2 pi k / s'
     center_index: int       # nearest Fourier index round(n k / s')
-    center_snapped: bool    # True when n k / s' was not an integer
     j_set: tuple            # signed offsets
     fourier_indices: np.ndarray
-    delta: int              # 1 at k=0 and k=s'/2, else 2
-    in_I: bool              # k * s2 is a multiple of s' (both regressors informative)
 
 
 @dataclass(frozen=True)
 class BandPlan:
-    """Bands k = 0..floor(s'/2) with m Fourier ordinates per side."""
+    """Bands k = 0..floor(s'/2) with m Fourier ordinates per side.
+
+    Only the regression layout: the band weights delta_k and the informative
+    set I of the covariance design live in ``asymptotic_cov_matrix``.
+    """
 
     n: int
     s_prime: int
     s_small: int
     m: int
     bands: tuple
-    allow_overlap: bool = False
-
-    @property
-    def total_points(self) -> int:
-        return sum(len(b.j_set) for b in self.bands)
-
-    def all_indices(self) -> np.ndarray:
-        return np.concatenate([b.fourier_indices for b in self.bands])
 
 
 def gph_T_bandwidth(n: int, s1: int, s2: int = None) -> int:
@@ -145,32 +127,24 @@ def build_band_plan(n: int, s1: int, s2: int, m: int, allow_overlap: bool = Fals
 
     bands = []
     for k in range(sp // 2 + 1):
-        exact = n * k / sp
-        center_index = round(exact)
-        snapped = center_index != exact
+        center_index = round(n * k / sp)
         if k == 0:
             js = tuple(range(1, m + 1))
-            delta = 1
         elif 2 * k == sp:
             js = tuple(range(-1, -m - 1, -1))
-            delta = 1
         else:
             js = tuple(range(1, m + 1)) + tuple(range(-1, -m - 1, -1))
-            delta = 2
         idx = center_index + np.array(js)
         if idx.min() < 1 or idx.max() > n // 2:
             raise ValidationError("band-overlap",
                                   f"band k={k} spills outside (0, pi] (indices {idx.min()}..{idx.max()})")
-        bands.append(Band(k=k, center=2 * np.pi * k / sp, center_index=center_index,
-                          center_snapped=snapped, j_set=js, fourier_indices=idx,
-                          delta=delta, in_I=(k * ss) % sp == 0))
+        bands.append(Band(k=k, center_index=center_index, j_set=js, fourier_indices=idx))
 
     if not allow_overlap:
         everything = np.concatenate([b.fourier_indices for b in bands])
         if len(np.unique(everything)) != len(everything):
             raise ValidationError("band-overlap", "bands share Fourier indices; reduce m")
-    return BandPlan(n=n, s_prime=sp, s_small=ss, m=m, bands=tuple(bands),
-                    allow_overlap=allow_overlap)
+    return BandPlan(n=n, s_prime=sp, s_small=ss, m=m, bands=tuple(bands))
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,17 @@ class TestPeriodogramVerb:
         assert "error: malformed-csv:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("text", ["x,y\n" + "".join(f"{v},{2 * v}\n" for v in range(20)),
+                                      "x\n" + "".join(f"{v}\n" for v in range(19)) + "19,0\n"])
+    def test_extra_columns_rejected(self, tmp_path, capsys, text):
+        p = tmp_path / "two.csv"
+        p.write_text(text)
+        rc = cli.dispatch(["periodogram", "--in", str(p), "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: malformed-csv:")
+        assert not (tmp_path / "o.csv").exists()
+
+
 class TestEstimateGphVerb:
     def test_stdout_matches_library_json(self, series_file, capsys):
         path, x = series_file
@@ -139,6 +150,16 @@ class TestEstimateGphVerb:
                            "--gph-T", "--uncapped"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: m-too-small:")
+
+    def test_uncapped_needs_gph_T(self, series_file, capsys):
+        # without --gph-T the flag would switch off the band-overlap guard
+        path, _ = series_file
+        rc = cli.dispatch(["estimate-gph", "--in", path, "--s1", "4", "--alpha", "0.8",
+                           "--uncapped"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad-arguments:")
 
     def test_out_file(self, tmp_path, series_file):
         path, _ = series_file
@@ -194,6 +215,26 @@ class TestEstimateWhittleVerb:
         assert captured.out == ""
         assert captured.err.startswith("error: bad-template:")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("patch, code", [
+        ({"d_box": "0.3"}, "bad-template"),
+        ({"d_box": True}, "bad-template"),
+        ({"spec": {"components": [{"period": 4, "d": "0.3"}]}}, "bad-spec-json"),
+        ({"spec": {"components": [{"period": 4, "d": 0.3}], "sigma2": True}}, "bad-spec-json"),
+        ({"spec": {"components": [{"period": 4, "d": 0.3}],
+                   "ar": [{"lag": 4, "coeffs": ["0.5"]}]}}, "bad-spec-json"),
+    ])
+    def test_non_number_values_rejected(self, tmp_path, series_file, two_period_spec,
+                                        capsys, patch, code):
+        path, _ = series_file
+        tpath = tmp_path / "template.json"
+        tpath.write_text(json.dumps({"spec": json.loads(spec_to_json(two_period_spec)), **patch}))
+        rc = cli.dispatch(["estimate-whittle", "--in", path, "--template", str(tpath)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: {code}:")
 
     def test_template_and_periods_conflict(self, tmp_path, series_file, capsys):
         path, _ = series_file

@@ -118,6 +118,14 @@ class TestGphSampling:
             gph_estimate(pg, plan, 1, 4)
         assert exc.value.code == "plan-mismatch"
 
+    def test_one_period_plan_gives_the_single_fit(self, quarterly_path):
+        pg = periodogram(quarterly_path)
+        via_plan = gph_estimate(pg, build_band_plan(pg.n, 4, 4, 50), 4, 4)
+        single = gph_single(pg, 4, 50)
+        assert via_plan.method == single.method == "gph_single" and via_plan.periods == (4,)
+        assert np.array_equal(via_plan.d_hat, single.d_hat)
+        assert np.array_equal(via_plan.asymptotic_cov, single.asymptotic_cov)
+
     def test_single_near_truth_on_long_path(self, quarterly_path):
         pg = periodogram(quarterly_path)
         est = gph_single(pg, 4, 134)
@@ -273,8 +281,8 @@ def profiled_whittle(x, periods, memories, ar_factors=()):
     fold = np.minimum(lam, 2 * np.pi - lam)
     keep = np.ones(n - 1, bool)
     pole_spec = SarfimaSpec(components=tuple(SeasonalComponent(s, 0.0) for s in periods))
-    for p in enumerate_poles(pole_spec).frequencies:
-        keep &= np.abs(fold - p) >= np.pi / n - 1e-12
+    for p in enumerate_poles(pole_spec):
+        keep &= np.abs(fold - p.frequency) >= np.pi / n - 1e-12
     lam, I = lam[keep], pg.ordinates[keep]
     log_g = sum(-2 * d * np.log(np.abs(2 * np.sin(s * lam / 2))) for s, d in zip(periods, memories))
     for lag, coeffs in ar_factors:

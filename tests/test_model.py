@@ -225,34 +225,32 @@ class TestPoleEnumeration:
     def test_single_quarterly(self):
         spec = SarfimaSpec(components=(SeasonalComponent(4, 0.3),))
         poles = enumerate_poles(spec)
-        assert np.allclose(poles.frequencies, [0.0, np.pi / 2, np.pi])
-        # d/2 at the boundary harmonics, d at the interior one
-        assert np.allclose(poles.exponents, [0.15, 0.3, 0.15])
-        assert np.allclose(poles.local_exponents(), [0.3, 0.3, 0.3])
+        assert np.allclose([p.frequency for p in poles], [0.0, np.pi / 2, np.pi])
+        # 0 and pi have no mirror image; the local exponent is d at all three
+        assert [p.boundary for p in poles] == [True, False, True]
+        assert np.allclose([p.local_exponent for p in poles], [0.3, 0.3, 0.3])
 
     def test_shared_harmonics_merge_exactly(self):
         spec = SarfimaSpec(components=(SeasonalComponent(4, 0.3),
                                        SeasonalComponent(12, 0.1)))
         poles = enumerate_poles(spec)
-        assert len(poles.entries) == 7  # 2 pi j / 12, j = 0..6
-        freq_to_exp = {round(f, 12): e for f, e in poles.entries}
-        # 0 and pi: (d1 + d2)/2; shared interior at pi/2 (j=3): d1 + d2
-        assert freq_to_exp[0.0] == pytest.approx(0.2)
-        assert freq_to_exp[round(np.pi, 12)] == pytest.approx(0.2)
-        assert freq_to_exp[round(np.pi / 2, 12)] == pytest.approx(0.4)
-        # harmonics of 12 alone carry d2 = 0.1
-        assert freq_to_exp[round(np.pi / 6, 12)] == pytest.approx(0.1)
-        local = dict(zip(np.round(poles.frequencies, 12), poles.local_exponents()))
+        assert len(poles) == 7  # 2 pi j / 12, j = 0..6
+        assert [p.boundary for p in poles] == [True] + [False] * 5 + [True]
+        local = {round(p.frequency, 12): p.local_exponent for p in poles}
+        # 0, pi and the shared interior pi/2 (j=3): d1 + d2
         assert local[0.0] == pytest.approx(0.4)
+        assert local[round(np.pi, 12)] == pytest.approx(0.4)
         assert local[round(np.pi / 2, 12)] == pytest.approx(0.4)
+        # harmonics of 12 alone carry d2 = 0.1
+        assert local[round(np.pi / 6, 12)] == pytest.approx(0.1)
 
     def test_annual_plus_weekly_counts(self):
         spec = SarfimaSpec(components=(SeasonalComponent(1, 0.1),
                                        SeasonalComponent(7, 0.2)))
         poles = enumerate_poles(spec)
         # 0, and 2 pi j / 7 for j = 1..3
-        assert len(poles.entries) == 4
-        assert poles.exponents[0] == pytest.approx((0.1 + 0.2) / 2)
+        assert len(poles) == 4
+        assert poles[0].boundary and poles[0].local_exponent == pytest.approx(0.1 + 0.2)
 
     @given(lam=st.floats(0.001, math.pi - 0.001))
     @settings(max_examples=80, deadline=None)
@@ -262,10 +260,13 @@ class TestPoleEnumeration:
         spec = SarfimaSpec(components=(SeasonalComponent(4, 0.3),
                                        SeasonalComponent(12, 0.1)))
         poles = enumerate_poles(spec)
-        if np.min(np.abs(poles.frequencies - lam)) < 1e-4:
+        if min(abs(p.frequency - lam) for p in poles) < 1e-4:
             return  # too close to a harmonic for a well-conditioned check
         lhs = 1.0
-        for f, e in poles.entries:
+        for p in poles:
+            # at 0 and pi the two sin factors coincide, so each takes half the exponent
+            e = p.local_exponent / 2 if p.boundary else p.local_exponent
+            f = p.frequency
             lhs *= abs(2 * math.sin((lam - f) / 2) * 2 * math.sin((lam + f) / 2)) ** (-2 * e)
         rhs = abs(2 * math.sin(2 * lam)) ** -0.6 * abs(2 * math.sin(6 * lam)) ** -0.2
         assert lhs == pytest.approx(rhs, rel=1e-8)
@@ -274,7 +275,7 @@ class TestPoleEnumeration:
     def test_table_owners_are_exact(self):
         spec = SarfimaSpec(components=(SeasonalComponent(4, 0.3),
                                        SeasonalComponent(6, 0.1)))
-        poles = enumerate_poles(spec).poles
+        poles = enumerate_poles(spec)
         assert [p.fraction for p in poles] == [Fraction(0), Fraction(1, 6), Fraction(1, 4),
                                                Fraction(1, 3), Fraction(1, 2)]
         by_fraction = {p.fraction: p for p in poles}
@@ -283,7 +284,7 @@ class TestPoleEnumeration:
         assert shared.boundary and shared.local_exponent == pytest.approx(0.4)
         assert [c.period for c in only_six.owners] == [6]
         assert not only_six.boundary and only_six.local_exponent == pytest.approx(0.1)
-        assert enumerate_poles(spec).entries[-1] == (shared.frequency, shared.local_exponent / 2)
+        assert poles[-1] is shared and shared.frequency == math.pi
         # pi/2 is a harmonic of 4 only: the period-6 sin factor stays finite there
         assert [c.period for c in by_fraction[Fraction(1, 4)].owners] == [4]
 
@@ -342,6 +343,23 @@ class TestSpecJson:
         with pytest.raises(ValidationError) as exc:
             spec_from_json('{"sigma2": 1.0}')
         assert exc.value.code == "bad-spec-json"
+
+    @pytest.mark.parametrize("bad", [dict(d="0.3"), dict(d=True), dict(sigma2=True),
+                                     dict(sigma2="1.0"), dict(coeff="0.5"), dict(coeff=False)])
+    def test_non_number_values_rejected(self, bad):
+        # json.loads gives bool and str here; neither may be coerced to a float
+        values = {"d": 0.3, "sigma2": 1.0, "coeff": 0.5, **bad}
+        doc = {"components": [{"period": 4, "d": values["d"]}],
+               "ar": [{"lag": 4, "coeffs": [values["coeff"]]}], "sigma2": values["sigma2"]}
+        with pytest.raises(ValidationError) as exc:
+            spec_from_json(json.dumps(doc))
+        assert exc.value.code == "bad-spec-json"
+
+    def test_integers_are_numbers(self):
+        doc = {"components": [{"period": 4, "d": 0}], "ar": [{"lag": 4, "coeffs": [0]}], "sigma2": 2}
+        spec = spec_from_json(json.dumps(doc))
+        assert spec.memories == (0.0,) and spec.ar_factors[0].coeffs == (0.0,)
+        assert spec.innovation_variance == 2.0
 
     @pytest.mark.parametrize("value", [4.7, True, "4"])
     def test_non_integral_period_and_lag_rejected(self, value):

@@ -40,6 +40,11 @@ class TestEstimatorDef:
                                 allow_overlap=True)
         assert uncapped.bandwidth(1080, 4) == 269
 
+    def test_overlap_needs_gph_T(self):
+        with pytest.raises(ValidationError) as exc:
+            EstimatorDef(name="x", kind="gph_single", alpha=0.8, allow_overlap=True)
+        assert exc.value.code == "bad-estimator"
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError):
             EstimatorDef(name="x", kind="mystery", m=10)

@@ -57,7 +57,7 @@ class TestBandwidthScan:
         assert [r.alpha for r in scan.rows] == [0.4, 0.5, 0.6]
         assert [r.m for r in scan.rows] == [16, 32, 66]
         assert all(r.error is None for r in scan.rows)
-        assert len(scan.successful()) == 3
+        assert sum(r.estimate is not None for r in scan.rows) == 3
 
     def test_failed_rows_record_code(self, two_period_path):
         # alpha = 0.05 gives m = 1, below the minimum bandwidth

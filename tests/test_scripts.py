@@ -9,7 +9,14 @@ def test_demo_workflow_writes_its_outputs(tmp_path, capsys):
     loader = importlib.util.spec_from_file_location("demo_workflow", SCRIPTS / "demo_workflow.py")
     demo = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(demo)
-    assert demo.main(["--out-dir", str(tmp_path)]) == 0
+    # with seed 23 the lag-1 residual autocorrelation lies outside the band
+    assert demo.main(["--out-dir", str(tmp_path), "--seed", "23"]) == 0
     assert (tmp_path / "scan.csv").read_text().startswith("alpha,m,d1_hat,d2_hat,var_d1,var_d2\n")
     assert (tmp_path / "residual_acf.csv").read_text().startswith("lag,acf,pacf,band\n")
-    assert "Whittle" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "Whittle" in out
+    # the printed count covers every lag of the written ACF, 1..48
+    rows = [line.split(",") for line in (tmp_path / "residual_acf.csv").read_text().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(1, 49))
+    outside = sum(abs(float(acf)) > float(band) for _, acf, _, band in rows)
+    assert f"{outside} of 48 outside" in out

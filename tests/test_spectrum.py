@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sarfima import (ValidationError, build_band_plan, gph_T_bandwidth,
-                     periodogram)
+from sarfima import (ValidationError, asymptotic_cov_matrix, build_band_plan,
+                     gph_T_bandwidth, periodogram)
 
 
 class TestPeriodogram:
@@ -23,10 +23,12 @@ class TestPeriodogram:
         assert abs(2 * np.pi / n * pg.ordinates.sum() - np.mean((x - x.mean()) ** 2)) < 1e-10
 
     def test_fft_matches_direct(self, rng):
+        # the defining O(n^2) sum, written out as the oracle
         x = rng.standard_normal(200)
-        a = periodogram(x, method="fft").ordinates
-        b = periodogram(x, method="direct").ordinates
-        assert np.max(np.abs(a - b)) < 1e-10
+        n = len(x)
+        dft = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) @ (x - x.mean())
+        direct = (np.abs(dft) ** 2 / (2 * np.pi * n))[1:]
+        assert np.max(np.abs(periodogram(x).ordinates - direct)) < 1e-10
 
     def test_pure_cosine_concentrates(self):
         n, j0 = 240, 30
@@ -102,6 +104,22 @@ class TestTruncatedBandwidth:
             build_band_plan(n, s, s, m)  # must not raise band-overlap
 
 
+def sides(plan):
+    """Sides per band (|j_set| / m): the band weight delta_k of the covariance design."""
+    return [len(b.j_set) // plan.m for b in plan.bands]
+
+
+def assert_cov_matches_plan(plan, informative_ks):
+    """asymptotic_cov_matrix's Q = 4 [[sum delta, sum_I delta], [., sum_I delta]]
+    agrees with the plan's band sides over the informative bands ``informative_ks``."""
+    delta = sides(plan)
+    total, informative = sum(delta), sum(delta[k] for k in informative_ks)
+    q = 4 * np.array([[total, informative], [informative, informative]], dtype=float)
+    expect = np.pi ** 2 / (6 * plan.m) * np.linalg.inv(q)
+    got = asymptotic_cov_matrix(plan.s_prime, plan.s_small, plan.m)
+    assert np.allclose(got, expect, rtol=1e-12, atol=0)
+
+
 class TestBandPlan:
     def test_quarterly_structure(self):
         plan = build_band_plan(1080, 4, 1, 10)
@@ -109,21 +127,22 @@ class TestBandPlan:
         ks = [b.k for b in plan.bands]
         assert ks == [0, 1, 2]
         b0, b1, b2 = plan.bands
-        assert b0.j_set == tuple(range(1, 11)) and b0.delta == 1
-        assert b1.j_set == tuple(range(1, 11)) + tuple(range(-1, -11, -1)) and b1.delta == 2
-        assert b2.j_set == tuple(range(-1, -11, -1)) and b2.delta == 1
+        assert b0.j_set == tuple(range(1, 11))
+        assert b1.j_set == tuple(range(1, 11)) + tuple(range(-1, -11, -1))
+        assert b2.j_set == tuple(range(-1, -11, -1))
+        assert sides(plan) == [1, 2, 1]
         assert b0.center_index == 0 and b1.center_index == 270 and b2.center_index == 540
-        assert not any(b.center_snapped for b in plan.bands)
+        assert all(b.center_index == 1080 * b.k / 4 for b in plan.bands)
         # s_small = 1 has its only pole at frequency zero
-        assert [b.in_I for b in plan.bands] == [True, False, False]
-        assert plan.total_points == 40
+        assert_cov_matches_plan(plan, informative_ks=[0])
+        assert sum(len(b.j_set) for b in plan.bands) == 40
 
     def test_annual_within_monthly_membership(self):
         plan = build_band_plan(1080, 12, 4, 5)
         assert [b.k for b in plan.bands] == list(range(7))
+        assert sides(plan) == [1, 2, 2, 2, 2, 2, 1]
         # harmonics of the period-4 component sit at k = 0, 3, 6
-        assert [b.in_I for b in plan.bands] == [True, False, False, True, False, False, True]
-        assert [b.delta for b in plan.bands] == [1, 2, 2, 2, 2, 2, 1]
+        assert_cov_matches_plan(plan, informative_ks=[0, 3, 6])
 
     def test_indices_are_center_plus_offsets(self):
         plan = build_band_plan(1080, 4, 1, 7)
@@ -133,18 +152,18 @@ class TestBandPlan:
 
     def test_snapping_flagged_when_center_not_integer(self):
         plan = build_band_plan(1000, 12, 4, 3)
-        snapped = {b.k: b.center_snapped for b in plan.bands}
-        assert snapped[0] is False
-        assert snapped[1] is True  # 1000/12 is not an integer
-        assert snapped[3] is False  # 3000/12 = 250
+        exact = {b.k: b.center_index == 1000 * b.k / 12 for b in plan.bands}
+        assert exact[0] is True
+        assert exact[1] is False  # 1000/12 is not an integer
+        assert exact[3] is True  # 3000/12 = 250
         b1 = [b for b in plan.bands if b.k == 1][0]
         assert b1.center_index == round(1000 / 12)
 
     def test_odd_s_prime_has_no_half_band(self):
         plan = build_band_plan(700, 7, 1, 4)
         assert [b.k for b in plan.bands] == [0, 1, 2, 3]
-        assert all(b.delta == 2 for b in plan.bands if b.k > 0)
-        assert plan.total_points == 4 + 3 * 8
+        assert sides(plan) == [1, 2, 2, 2]
+        assert sum(len(b.j_set) for b in plan.bands) == 4 + 3 * 8
 
     def test_smaller_period_must_divide(self):
         with pytest.raises(ValidationError) as exc:
@@ -163,12 +182,13 @@ class TestBandPlan:
 
     def test_overlap_allowed_when_requested(self):
         plan = build_band_plan(1080, 4, 1, 269, allow_overlap=True)
-        assert plan.allow_overlap and plan.m == 269
+        assert plan.m == 269
         # adjacent bands share ordinates in this regime
-        assert len(np.unique(plan.all_indices())) < plan.total_points
+        idx = np.concatenate([b.fourier_indices for b in plan.bands])
+        assert len(np.unique(idx)) < sum(len(b.j_set) for b in plan.bands)
 
     def test_all_indices_unique_and_in_range(self):
         plan = build_band_plan(1080, 12, 4, 40)
-        idx = plan.all_indices()
+        idx = np.concatenate([b.fourier_indices for b in plan.bands])
         assert len(np.unique(idx)) == len(idx)
         assert idx.min() >= 1 and idx.max() <= 540
