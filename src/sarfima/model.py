@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import ValidationError
 
@@ -215,6 +216,17 @@ def combined_filter_coefficients(spec: SarfimaSpec, max_lag: int) -> np.ndarray:
     if len(out) < max_lag + 1:
         out = np.pad(out, (0, max_lag + 1 - len(out)))
     return out
+
+
+def _convolve_head(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The first len(x) terms of the linear convolution x * coeffs, by FFT.
+
+    The arithmetic of ``scipy.signal.fftconvolve`` for real 1-d inputs (rfft
+    at the next fast real length of the full convolution), so the result is
+    bitwise the same without importing scipy.signal.
+    """
+    size = next_fast_len(len(x) + len(coeffs) - 1, True)
+    return irfft(rfft(x, size) * rfft(coeffs, size), size)[: len(x)]
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,7 @@ from .errors import SarfimaError, ValidationError
 from .model import ArmaFactor, SarfimaSpec, SeasonalComponent
 from .spectrum import BandPlan, build_band_plan, periodogram, resolve_bandwidth, write_csv
 from .estimators import WhittleTemplate, gph_estimate, whittle_estimate
-from .simulate import (SimConfig, acvf_self_check, default_grid_exponent,
-                       derive_rep_seed, simulate, _dl_tables)
+from .simulate import SimConfig, acvf_self_check, derive_rep_seed, simulate, _dl_tables
 
 __all__ = ["EstimatorDef", "McConfig", "EstimatorResult", "McSummary", "run_mc",
            "standardized_sample", "design", "DESIGN_NAMES", "summary_to_csv",
@@ -113,8 +112,10 @@ class McConfig:
             raise ValidationError("bad-reps", f"need reps >= 1, got {self.reps}")
         if not self.estimators:
             raise ValidationError("bad-estimator", "need at least one estimator")
-        if self.grid_exponent is None:
-            object.__setattr__(self, "grid_exponent", default_grid_exponent(self.n))
+        # the sampler's own checks (n, method, table size, grid exponent), before any acvf work
+        sampler = SimConfig(spec=self.spec, n=self.n, seed=0, method=self.method,
+                            grid_exponent=self.grid_exponent)
+        object.__setattr__(self, "grid_exponent", sampler.grid_exponent)
         names = [e.name for e in self.estimators]
         if len(set(names)) != len(names):
             raise ValidationError("bad-estimator", "estimator names must be unique")

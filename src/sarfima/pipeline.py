@@ -5,11 +5,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import SarfimaError, ValidationError
-from .model import SarfimaSpec, SeasonalComponent, combined_filter_coefficients
-from .spectrum import build_band_plan, periodogram, write_csv
+from .model import SarfimaSpec, SeasonalComponent, combined_filter_coefficients, _convolve_head
+from .spectrum import build_band_plan, periodogram, write_csv, _check_periods
 from .estimators import MemoryEstimate, gph_estimate
 from .simulate import levinson
 
@@ -44,6 +43,7 @@ def bandwidth_scan(series, s1: int, s2: int, alphas) -> BandwidthScan:
         raise ValidationError("bad-alphas", "alphas must lie strictly inside (0, 1)")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValidationError("bad-alphas", "alphas must be strictly increasing")
+    _check_periods(s1, s2)   # a bad period fails the scan, not each row
     x = np.asarray(series, dtype=float)
     pg = periodogram(x)
     n = len(x)
@@ -76,7 +76,7 @@ def fractional_filter(series, d_hat, periods) -> np.ndarray:
     spec = SarfimaSpec(components=tuple(SeasonalComponent(s, float(d))
                                         for s, d in zip(periods, d_hat)))
     coeffs = combined_filter_coefficients(spec, len(x) - 1)
-    return fftconvolve(x, coeffs)[: len(x)]
+    return _convolve_head(x, coeffs)
 
 
 @dataclass(frozen=True)

@@ -10,22 +10,29 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.signal import fftconvolve, lfilter
 from scipy.special import roots_jacobi
 
 from .errors import ValidationError, NumericError
 from .model import (SarfimaSpec, SeasonalComponent, arma_spectral_density,
-                    combined_filter_coefficients, enumerate_poles, require_stationary)
+                    combined_filter_coefficients, enumerate_poles, require_stationary,
+                    _convolve_head)
 
 __all__ = ["SimConfig", "acvf_numeric", "acvf_self_check", "simulate",
-           "durbin_levinson_decompose", "derive_rep_seed", "default_grid_exponent"]
+           "durbin_levinson_decompose", "derive_rep_seed", "default_grid_exponent",
+           "MAX_GRID_EXPONENT"]
 
 _MAX_NODES_PER_SEGMENT = 30000
+
+#: largest accepted grid exponent.  The 2^(g-6) resolution floor exceeds
+#: _MAX_NODES_PER_SEGMENT from g = 21, so no larger value changes a node
+#: count, and huge ones overflow the float node-count arithmetic
+MAX_GRID_EXPONENT = 40
 
 
 def default_grid_exponent(n: int) -> int:
@@ -52,8 +59,20 @@ class SimConfig:
             raise ValidationError("bad-method", f"unknown simulation method {self.method!r}")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
             raise ValidationError("bad-seed", "seed must be an unsigned 64-bit integer")
-        if self.grid_exponent is None:
+        if self.method == "exact_dl":
+            # checked before any acvf work: the predictor table is n x n doubles
+            need = 8 * self.n ** 2
+            have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+            if need > have:
+                raise ValidationError("too-large",
+                                      f"exact_dl at n={self.n} needs a {need / 2 ** 30:.3g} GiB "
+                                      f"table; physical memory is {have / 2 ** 30:.3g} GiB")
+        g = self.grid_exponent
+        if g is None:
             object.__setattr__(self, "grid_exponent", default_grid_exponent(self.n))
+        elif not (type(g) is int and 0 <= g <= MAX_GRID_EXPONENT):
+            raise ValidationError("bad-grid-exponent",
+                                  f"grid exponent must be an integer in 0..{MAX_GRID_EXPONENT}, got {g!r}")
         if self.method == "exact_dl" and 2 ** self.grid_exponent < 64 * self.n:
             raise ValidationError("grid-too-small",
                                   f"need 2^grid_exponent >= 64 n; got 2^{self.grid_exponent} < {64 * self.n}")
@@ -199,7 +218,8 @@ def durbin_levinson_decompose(gamma: np.ndarray):
     -phi_{t,j}, so that M X = sigma * Z maps i.i.d. standard normals Z to an
     exact sample path; sigma[t] is the innovation standard deviation at step
     t.  Every partial autocorrelation must stay inside (-1, 1); anything
-    else means the sequence is not positive definite and raises.
+    else means the sequence is not positive definite and raises.  M and sigma
+    are checked finite once here, so solves against them need not rescan.
     """
     gamma = np.asarray(gamma, dtype=float)
     n = len(gamma)
@@ -216,13 +236,22 @@ def durbin_levinson_decompose(gamma: np.ndarray):
                                "autocovariance sequence is not positive definite")
         M[t, :t] = -phi[::-1]
         v[t] = v_t
+    if not (np.isfinite(v).all() and np.isfinite(M).all()):
+        raise NumericError("non-finite-table",
+                           "Durbin-Levinson table has NaN or infinite entries; "
+                           "the autocovariance sequence is not finite")
     return M, np.sqrt(v)
 
 
 @functools.lru_cache(maxsize=4)
 def _dl_tables(spec: SarfimaSpec, n: int, grid_exponent: int):
+    """(M, sigma) for ``spec`` at length n, read-only so that the finiteness
+    check made when they were built holds for every later path."""
     gamma = acvf_numeric(spec, n - 1 if n > 1 else 0, grid_exponent)
-    return durbin_levinson_decompose(gamma)
+    tables = durbin_levinson_decompose(gamma)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def derive_rep_seed(master_seed: int, rep_index: int) -> int:
@@ -245,8 +274,13 @@ def simulate(config: SimConfig, rng: np.random.Generator = None) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     if config.method == "exact_dl":
         M, sig = _dl_tables(config.spec, config.n, config.grid_exponent)
-        z = rng.standard_normal(config.n)
-        return solve_triangular(M, sig * z, lower=True, unit_diagonal=True)
+        b = sig * rng.standard_normal(config.n)
+        if not np.isfinite(b).all():
+            raise NumericError("non-finite-draw", "innovations contain NaN or infinite values")
+        # M was checked finite when the cached table was built
+        return solve_triangular(M, b, lower=True, unit_diagonal=True, check_finite=False)
+
+    from scipy.signal import lfilter   # its only caller; keeps scipy.signal off the import path
 
     spec = config.spec
     total = config.burn_in + config.n
@@ -255,5 +289,4 @@ def simulate(config: SimConfig, rng: np.random.Generator = None) -> np.ndarray:
     inverted = SarfimaSpec(
         components=tuple(SeasonalComponent(c.period, -c.memory) for c in spec.components))
     psi = combined_filter_coefficients(inverted, config.ma_truncation)
-    x = fftconvolve(nu, psi)[:total]
-    return x[config.burn_in:]
+    return _convolve_head(nu, psi)[config.burn_in:]

@@ -79,6 +79,13 @@ class BandPlan:
     bands: tuple
 
 
+def _check_periods(*periods):
+    """Reject a period below 1 before any bandwidth or band arithmetic divides by it."""
+    for s in periods:
+        if s < 1:
+            raise ValidationError("bad-period", f"periods must be >= 1, got {s}")
+
+
 def gph_T_bandwidth(n: int, s1: int, s2: int = None) -> int:
     """Bandwidth floor((n-1)/s') capped so adjacent bands cannot overlap.
 
@@ -90,7 +97,9 @@ def gph_T_bandwidth(n: int, s1: int, s2: int = None) -> int:
     Never returns less than 1 (values below 2 are rejected downstream by
     the band plan).
     """
-    sp = max(s1, s2) if s2 else s1
+    periods = (s1,) if s2 is None else (s1, s2)
+    _check_periods(*periods)
+    sp = max(periods)
     raw = (n - 1) // sp
     cap = (n // sp - 1) // 2
     return max(min(raw, cap), 1)
@@ -100,6 +109,7 @@ def resolve_bandwidth(n: int, s_prime: int, alpha: float = None, m: int = None,
                       gph_T: bool = False, uncapped: bool = False) -> int:
     """Bandwidth m: the truncated floor((n-1)/s') if ``gph_T`` (capped unless
     ``uncapped``, floored at 1), else floor(n^alpha), else the fixed ``m``."""
+    _check_periods(s_prime)
     if gph_T:
         return max((n - 1) // s_prime, 1) if uncapped else gph_T_bandwidth(n, s_prime)
     if alpha is not None:
@@ -116,6 +126,7 @@ def build_band_plan(n: int, s1: int, s2: int, m: int, allow_overlap: bool = Fals
     and 2 pi m / n < pi / s' unless ``allow_overlap`` (used by the uncapped
     truncated-bandwidth variant, which double-counts shared ordinates).
     """
+    _check_periods(s1, s2)
     sp, ss = max(s1, s2), min(s1, s2)
     if sp % ss != 0:
         raise ValidationError("s2-not-divisor", f"smaller period {ss} must divide larger period {sp}")

@@ -375,3 +375,58 @@ class TestParsing:
         with pytest.raises(SystemExit) as exc:
             cli.dispatch(["--help"])
         assert exc.value.code == 0
+
+
+class TestRejectedInputs:
+    """Each ends in exit 1 and one ``error: <code>:`` line, never a traceback."""
+
+    @staticmethod
+    def assert_one_error(capsys, code):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {code}:")
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate-gph", "--s1", "4", "--s2", "0", "--alpha", "0.5"],
+        ["estimate-gph", "--s1", "0", "--s2", "4", "--alpha", "0.5"],
+        ["estimate-gph", "--s1", "4", "--s2", "-1", "--alpha", "0.5"],
+        ["estimate-gph", "--s1", "-4", "--alpha", "0.5"],
+        ["estimate-gph", "--s1", "4", "--s2", "0", "--gph-T"],
+        ["scan", "--s1", "4", "--s2", "0", "--alphas", "0.5"],
+        ["scan", "--s1", "0", "--s2", "4", "--alphas", "0.3,0.5"],
+    ])
+    def test_bad_period(self, tmp_path, series_file, capsys, argv):
+        path, _ = series_file
+        out = ["--out", str(tmp_path / "scan.csv")] if argv[0] == "scan" else []
+        assert cli.dispatch([argv[0], "--in", path, *argv[1:], *out]) == 1
+        self.assert_one_error(capsys, "bad-period")
+        assert not (tmp_path / "scan.csv").exists()
+
+    @pytest.mark.parametrize("extra,code", [
+        (["--n", "1080", "--grid-exponent", "9999"], "bad-grid-exponent"),
+        (["--n", "10000000"], "too-large"),
+    ])
+    def test_simulate_guards(self, tmp_path, spec_file, capsys, extra, code):
+        out = tmp_path / "y.csv"
+        rc = cli.dispatch(["simulate", "--spec", spec_file, "--seed", "1", *extra,
+                           "--out", str(out)])
+        assert rc == 1
+        self.assert_one_error(capsys, code)
+        assert not out.exists()
+
+    def test_mc_too_large(self, tmp_path, capsys):
+        rc = cli.dispatch(["mc", "--design", "table2", "--seed", "1", "--reps", "2",
+                           "--n", "10000000", "--out", str(tmp_path / "m.csv")])
+        assert rc == 1
+        self.assert_one_error(capsys, "too-large")
+
+
+def test_simulate_truncated_ma(tmp_path, spec_file, two_period_spec):
+    out = tmp_path / "ma.csv"
+    rc = cli.dispatch(["simulate", "--spec", spec_file, "--n", "300", "--seed", "8",
+                       "--method", "truncated_ma", "--out", str(out)])
+    assert rc == 0
+    x = simulate(SimConfig(spec=two_period_spec, n=300, seed=8, method="truncated_ma"))
+    assert out.read_text().splitlines()[1:] == [repr(float(v)) for v in x]
+    assert json.loads((tmp_path / "ma.csv.meta.json").read_text())["method"] == "truncated_ma"

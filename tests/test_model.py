@@ -373,3 +373,13 @@ class TestSpecJson:
         with pytest.raises(ValidationError) as exc:
             spec_from_json(json.dumps(lag_doc))
         assert exc.value.code == "bad-arma-lag"
+
+
+def test_convolve_head_is_fftconvolve_bitwise():
+    from scipy.signal import fftconvolve
+    from sarfima.model import _convolve_head
+    rng = np.random.default_rng(20101125)
+    for _ in range(200):
+        x = rng.standard_normal(int(rng.integers(1, 2500)))
+        c = rng.standard_normal(int(rng.integers(1, 6000)))
+        assert np.array_equal(_convolve_head(x, c), fftconvolve(x, c)[: len(x)])

@@ -9,6 +9,8 @@ from sarfima import (ArmaFactor, NumericError, SarfimaSpec, SeasonalComponent,
                      SimConfig, ValidationError, acvf_numeric, acvf_self_check,
                      default_grid_exponent, derive_rep_seed,
                      durbin_levinson_decompose, simulate)
+from sarfima import McConfig, design
+from sarfima.simulate import MAX_GRID_EXPONENT, _dl_tables
 
 
 def arfima_acvf(d, sigma2, lags):
@@ -231,3 +233,87 @@ class TestRepSeeds:
     def test_distinct_across_reps(self, master, reps):
         seeds = {derive_rep_seed(master, r) for r in range(reps)}
         assert len(seeds) == reps
+
+
+class TestDlTableChecks:
+    """The table is checked finite once, when built, and solved without rescanning."""
+
+    @pytest.mark.parametrize("gamma", [[np.nan], [np.inf, 0.5]])
+    def test_non_finite_table_rejected(self, gamma):
+        with pytest.raises(NumericError) as exc:
+            durbin_levinson_decompose(np.array(gamma))
+        assert exc.value.code == "non-finite-table"
+
+    def test_cached_table_is_read_only(self, quarterly_spec):
+        cfg = SimConfig(spec=quarterly_spec, n=64, seed=1)
+        M, sigma = _dl_tables(quarterly_spec, cfg.n, cfg.grid_exponent)
+        with pytest.raises(ValueError):
+            M[1, 0] = 0.0
+        with pytest.raises(ValueError):
+            sigma[0] = 1.0
+
+    @pytest.mark.parametrize("name", ["table1", "table2", "table3", "table4", "table5"])
+    def test_path_equals_checked_solve(self, name):
+        from scipy.linalg import solve_triangular
+        spec = design(name, master_seed=1).spec
+        for seed in (11, 12, 13):
+            cfg = SimConfig(spec=spec, n=1080, seed=seed)
+            M, sigma = _dl_tables(spec, cfg.n, cfg.grid_exponent)
+            z = np.random.default_rng(np.random.SeedSequence(seed)).standard_normal(cfg.n)
+            expect = solve_triangular(M, sigma * z, lower=True, unit_diagonal=True)
+            assert np.array_equal(simulate(cfg), expect)
+
+    def test_non_finite_draw_rejected(self, quarterly_spec):
+        class NanRng:
+            def standard_normal(self, size):
+                out = np.zeros(size)
+                out[3] = np.nan
+                return out
+
+        with pytest.raises(NumericError) as exc:
+            simulate(SimConfig(spec=quarterly_spec, n=64, seed=1), rng=NanRng())
+        assert exc.value.code == "non-finite-draw"
+
+
+def _mc_config(spec, **kwargs):
+    return McConfig(spec=spec, estimators=design("table1", 1).estimators[:1], reps=2,
+                    master_seed=1, **kwargs)
+
+
+class TestSamplerGuards:
+    @pytest.mark.parametrize("g", [9999, MAX_GRID_EXPONENT + 1, -1, 20.0, True])
+    def test_out_of_range_grid_exponent(self, quarterly_spec, g):
+        for make in (lambda: SimConfig(spec=quarterly_spec, n=1080, seed=1, grid_exponent=g),
+                     lambda: _mc_config(quarterly_spec, n=1080, grid_exponent=g)):
+            with pytest.raises(ValidationError) as exc:
+                make()
+            assert exc.value.code == "bad-grid-exponent"
+
+    def test_ceiling_is_accepted(self, quarterly_spec):
+        cfg = SimConfig(spec=quarterly_spec, n=1080, seed=1, grid_exponent=MAX_GRID_EXPONENT)
+        assert cfg.grid_exponent == MAX_GRID_EXPONENT
+        assert _mc_config(quarterly_spec, n=1080).grid_exponent == default_grid_exponent(1080)
+
+    def test_default_grid_exponent_valid_wherever_the_table_fits(self):
+        # no 64-bit host holds 8 n^2 bytes beyond n = sqrt(2^64 / 8)
+        n_max = math.isqrt(2 ** 64 // 8)
+        for n in (1, 1080, 4096, 10 ** 5, 10 ** 7, n_max):
+            assert 0 <= default_grid_exponent(n) <= MAX_GRID_EXPONENT
+
+    def test_huge_table_rejected_before_any_work(self, quarterly_spec, monkeypatch):
+        import importlib
+        sim = importlib.import_module("sarfima.simulate")   # the package attribute is the function
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("acvf work started")
+
+        monkeypatch.setattr(sim, "acvf_numeric", forbidden)
+        for make in (lambda: SimConfig(spec=quarterly_spec, n=10 ** 7, seed=1),
+                     lambda: _mc_config(quarterly_spec, n=10 ** 7)):
+            with pytest.raises(ValidationError) as exc:
+                make()
+            assert exc.value.code == "too-large"
+
+    def test_truncated_ma_has_no_table(self, quarterly_spec):
+        cfg = SimConfig(spec=quarterly_spec, n=10 ** 7, seed=1, method="truncated_ma")
+        assert cfg.n == 10 ** 7

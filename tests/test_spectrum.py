@@ -192,3 +192,16 @@ class TestBandPlan:
         idx = np.concatenate([b.fourier_indices for b in plan.bands])
         assert len(np.unique(idx)) == len(idx)
         assert idx.min() >= 1 and idx.max() <= 540
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_band_plan(1080, 4, 0, 20),
+    lambda: build_band_plan(1080, 0, 4, 20),
+    lambda: build_band_plan(1080, -4, -4, 20),
+    lambda: gph_T_bandwidth(1080, 4, 0),
+    lambda: gph_T_bandwidth(1080, -1),
+])
+def test_period_below_one_rejected(call):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert exc.value.code == "bad-period"
