@@ -260,6 +260,9 @@ def _cmd_scan(args) -> int:
     x = _read_series(args.infile)
     scan = bandwidth_scan(x, args.s1, args.s2, _float_list(args.alphas, "--alphas"))
     scan_to_csv(scan, args.out)
+    if all(r.estimate is None for r in scan.rows):
+        raise ValidationError(scan.rows[0].error, "no bandwidth gave an estimate: " +
+                              ", ".join(f"alpha {r.alpha} {r.error}" for r in scan.rows))
     return 0
 
 

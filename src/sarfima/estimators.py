@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import ArmaFactor, SarfimaSpec, SeasonalComponent, enumerate_poles
-from .spectrum import Periodogram, BandPlan, build_band_plan, periodogram
+from .spectrum import Periodogram, BandPlan, build_band_plan, periodogram, _check_period_pair
 
 __all__ = ["MemoryEstimate", "WhittleFit", "WhittleTemplate", "gph_estimate",
            "gph_single", "asymptotic_cov_matrix", "whittle_estimate",
@@ -73,9 +73,8 @@ def asymptotic_cov_matrix(s1: int, s2, m: int) -> np.ndarray:
         raise ValidationError("m-too-small", f"bandwidth must be >= 1, got {m}")
     if s2 is None or s1 == s2:
         return np.array([[math.pi ** 2 / (24 * s1 * m)]])
+    _check_period_pair(s1, s2)
     sp, ss = max(s1, s2), min(s1, s2)
-    if sp % ss != 0:
-        raise ValidationError("s2-not-divisor", f"smaller period {ss} must divide larger period {sp}")
     deltas = _band_deltas(sp)
     total = sum(deltas)
     informative = sum(d for k, d in enumerate(deltas) if (k * ss) % sp == 0)

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import SarfimaError, ValidationError
 from .model import SarfimaSpec, SeasonalComponent, combined_filter_coefficients, _convolve_head
-from .spectrum import build_band_plan, periodogram, write_csv, _check_periods
+from .spectrum import build_band_plan, periodogram, write_csv, _check_period_pair
 from .estimators import MemoryEstimate, gph_estimate
 from .simulate import levinson
 
@@ -32,9 +32,10 @@ class BandwidthScan:
 def bandwidth_scan(series, s1: int, s2: int, alphas) -> BandwidthScan:
     """One gph_estimate per bandwidth m = floor(n^alpha).
 
-    Alphas must be strictly increasing inside (0, 1).  A row that cannot be
-    estimated (m below 2, band overlap, degenerate regression) is recorded
-    with its error code and the scan continues.
+    Alphas must be strictly increasing inside (0, 1), and the periods must
+    admit a band plan at all.  A row that cannot be estimated (m below 2,
+    band overlap, degenerate regression) is recorded with its error code and
+    the scan continues.
     """
     alphas = [float(a) for a in alphas]
     if not alphas:
@@ -43,7 +44,7 @@ def bandwidth_scan(series, s1: int, s2: int, alphas) -> BandwidthScan:
         raise ValidationError("bad-alphas", "alphas must lie strictly inside (0, 1)")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValidationError("bad-alphas", "alphas must be strictly increasing")
-    _check_periods(s1, s2)   # a bad period fails the scan, not each row
+    _check_period_pair(s1, s2)   # bad periods fail the scan, not each row
     x = np.asarray(series, dtype=float)
     pg = periodogram(x)
     n = len(x)
@@ -113,14 +114,16 @@ def sample_acf_pacf(series, max_lag: int) -> AcfPacf:
 # ---------------------------------------------------------------------------
 
 def scan_to_csv(scan: BandwidthScan, path):
-    """Rows `alpha,m,d1_hat,d2_hat,var_d1,var_d2`; failed rows leave blanks."""
+    """Rows `alpha,m,d1_hat,d2_hat,var_d1,var_d2,error`: a failed row leaves
+    the estimate blank and names its error code, a fitted row the reverse."""
     def row(r):
         if r.estimate is None:
-            return (float(r.alpha), r.m, None, None, None, None)
+            return (float(r.alpha), r.m, None, None, None, None, r.error)
         est = r.estimate
-        return (float(r.alpha), r.m, *est.d_hat.tolist(), *np.diag(est.asymptotic_cov).tolist())
+        return (float(r.alpha), r.m, *est.d_hat.tolist(), *np.diag(est.asymptotic_cov).tolist(), None)
 
-    write_csv(path, ("alpha", "m", "d1_hat", "d2_hat", "var_d1", "var_d2"), map(row, scan.rows))
+    write_csv(path, ("alpha", "m", "d1_hat", "d2_hat", "var_d1", "var_d2", "error"),
+              map(row, scan.rows))
 
 
 def acf_to_csv(res: AcfPacf, path):

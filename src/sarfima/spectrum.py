@@ -86,6 +86,14 @@ def _check_periods(*periods):
             raise ValidationError("bad-period", f"periods must be >= 1, got {s}")
 
 
+def _check_period_pair(s1: int, s2: int):
+    """Both periods >= 1 and the smaller dividing the larger."""
+    _check_periods(s1, s2)
+    sp, ss = max(s1, s2), min(s1, s2)
+    if sp % ss != 0:
+        raise ValidationError("s2-not-divisor", f"smaller period {ss} must divide larger period {sp}")
+
+
 def gph_T_bandwidth(n: int, s1: int, s2: int = None) -> int:
     """Bandwidth floor((n-1)/s') capped so adjacent bands cannot overlap.
 
@@ -126,10 +134,8 @@ def build_band_plan(n: int, s1: int, s2: int, m: int, allow_overlap: bool = Fals
     and 2 pi m / n < pi / s' unless ``allow_overlap`` (used by the uncapped
     truncated-bandwidth variant, which double-counts shared ordinates).
     """
-    _check_periods(s1, s2)
+    _check_period_pair(s1, s2)
     sp, ss = max(s1, s2), min(s1, s2)
-    if sp % ss != 0:
-        raise ValidationError("s2-not-divisor", f"smaller period {ss} must divide larger period {sp}")
     if m < 2:
         raise ValidationError("m-too-small", f"bandwidth m must be >= 2, got {m}")
     if not allow_overlap and not 2 * np.pi * m / n < np.pi / sp:

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sarfima
 import sarfima.cli as cli
 from sarfima import (AcfPacf, BandwidthScan, EstimatorResult, McSummary, MemoryEstimate,
                      Periodogram, SarfimaSpec, ScanRow, SeasonalComponent, SimConfig,
@@ -314,8 +318,8 @@ class TestCsvBytes:
         scan = BandwidthScan(rows=(ScanRow(alpha=0.1, m=1, error="m-too-small"),
                                    ScanRow(alpha=0.5, m=32, estimate=est)))
         scan_to_csv(scan, tmp_path / "scan.csv")
-        assert lines("scan.csv") == ["alpha,m,d1_hat,d2_hat,var_d1,var_d2",
-                                     "0.1,1,,,,", "0.5,32,0.1,0.3,0.002,0.004"]
+        assert lines("scan.csv") == ["alpha,m,d1_hat,d2_hat,var_d1,var_d2,error",
+                                     "0.1,1,,,,,m-too-small", "0.5,32,0.1,0.3,0.002,0.004,"]
 
         acf = AcfPacf(lags=np.arange(1, 3), acf=np.array([0.5, 0.25]),
                       pacf=np.array([0.5, -0.125]), band=0.0596)
@@ -403,6 +407,24 @@ class TestRejectedInputs:
         self.assert_one_error(capsys, "bad-period")
         assert not (tmp_path / "scan.csv").exists()
 
+    def test_scan_with_non_divisor_periods(self, tmp_path, series_file, capsys):
+        path, _ = series_file
+        out = tmp_path / "scan.csv"
+        assert cli.dispatch(["scan", "--in", path, "--s1", "3", "--s2", "4",
+                             "--alphas", "0.3,0.5", "--out", str(out)]) == 1
+        self.assert_one_error(capsys, "s2-not-divisor")
+        assert not out.exists()
+
+    def test_scan_with_every_row_failed(self, tmp_path, series_file, capsys):
+        path, _ = series_file
+        out = tmp_path / "scan.csv"
+        assert cli.dispatch(["scan", "--in", path, "--s1", "1", "--s2", "4",
+                             "--alphas", "0.05,0.09", "--out", str(out)]) == 1
+        self.assert_one_error(capsys, "m-too-small")
+        # the CSV is still written, with each row's reason
+        assert out.read_text().splitlines()[1:] == ["0.05,1,,,,,m-too-small",
+                                                    "0.09,1,,,,,m-too-small"]
+
     @pytest.mark.parametrize("extra,code", [
         (["--n", "1080", "--grid-exponent", "9999"], "bad-grid-exponent"),
         (["--n", "10000000"], "too-large"),
@@ -430,3 +452,12 @@ def test_simulate_truncated_ma(tmp_path, spec_file, two_period_spec):
     x = simulate(SimConfig(spec=two_period_spec, n=300, seed=8, method="truncated_ma"))
     assert out.read_text().splitlines()[1:] == [repr(float(v)) for v in x]
     assert json.loads((tmp_path / "ma.csv.meta.json").read_text())["method"] == "truncated_ma"
+
+
+def test_python_m_sarfima_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(sarfima.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-m", "sarfima", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert "estimate-whittle" in done.stdout

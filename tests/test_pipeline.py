@@ -66,6 +66,12 @@ class TestBandwidthScan:
         assert scan.rows[0].estimate is None
         assert scan.rows[1].error is None
 
+    def test_non_divisor_periods_fail_the_scan(self, two_period_path):
+        # no bandwidth could rescue them, so the scan fails before any row
+        with pytest.raises(ValidationError) as exc:
+            bandwidth_scan(two_period_path, 3, 4, [0.3, 0.5])
+        assert exc.value.code == "s2-not-divisor"
+
     def test_alphas_must_increase(self, two_period_path):
         with pytest.raises(ValidationError) as exc:
             bandwidth_scan(two_period_path, 1, 4, [0.5, 0.4])
@@ -80,13 +86,14 @@ class TestBandwidthScan:
         path = tmp_path / "scan.csv"
         scan_to_csv(scan, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "alpha,m,d1_hat,d2_hat,var_d1,var_d2"
-        assert lines[1] == "0.05,1,,,,"
+        assert lines[0] == "alpha,m,d1_hat,d2_hat,var_d1,var_d2,error"
+        assert lines[1] == "0.05,1,,,,,m-too-small"
         fields = lines[2].split(",")
         assert float(fields[0]) == 0.5 and int(fields[1]) == 32
         est = scan.rows[1].estimate
         assert float(fields[2]) == est.d_hat[0]
         assert float(fields[5]) == est.asymptotic_cov[1, 1]
+        assert fields[6] == ""
 
 
 class TestSampleAcfPacf:

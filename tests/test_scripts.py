@@ -11,7 +11,7 @@ def test_demo_workflow_writes_its_outputs(tmp_path, capsys):
     loader.loader.exec_module(demo)
     # with seed 23 the lag-1 residual autocorrelation lies outside the band
     assert demo.main(["--out-dir", str(tmp_path), "--seed", "23"]) == 0
-    assert (tmp_path / "scan.csv").read_text().startswith("alpha,m,d1_hat,d2_hat,var_d1,var_d2\n")
+    assert (tmp_path / "scan.csv").read_text().startswith("alpha,m,d1_hat,d2_hat,var_d1,var_d2,error\n")
     assert (tmp_path / "residual_acf.csv").read_text().startswith("lag,acf,pacf,band\n")
     out = capsys.readouterr().out
     assert "Whittle" in out

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_jacobi
 
 from sarfima import (ArmaFactor, NumericError, SarfimaSpec, SeasonalComponent,
                      SimConfig, ValidationError, acvf_numeric, acvf_self_check,
@@ -90,6 +91,44 @@ class TestAcvfNumeric:
         spec = SarfimaSpec(components=(SeasonalComponent(4, 0.3),))
         got = acvf_numeric(spec, 1000, grid_exponent=17)
         assert got[1000] == pytest.approx(asymptotic_acvf(spec, 1000), rel=1e-3)
+
+    @pytest.mark.parametrize("n", [1080, 4096])
+    @pytest.mark.parametrize("d", [0.1, 0.3, 0.45])
+    @pytest.mark.parametrize("period", [1, 4])
+    def test_every_lag_matches_closed_form(self, period, d, n):
+        # (1 - B^s)^-d noise has gamma(s k) = gamma_ARFIMA(k) and 0 between
+        spec = SarfimaSpec(components=(SeasonalComponent(period, d),))
+        got = acvf_numeric(spec, n - 1, default_grid_exponent(n))
+        expect = np.zeros(n)
+        expect[::period] = arfima_acvf(d, 1.0, range(len(expect[::period])))
+        assert np.max(np.abs(got - expect)) < 1e-10 * expect[0]
+
+    @pytest.mark.parametrize("n", [1080, 4096])
+    @pytest.mark.parametrize("name", ["table1", "table2", "table3", "table4", "table5"])
+    def test_design_acvf_converged_in_grid(self, name, n):
+        spec = design(name, 1, reps=1).spec
+        g = default_grid_exponent(n)
+        got = acvf_numeric(spec, n - 1, g)
+        finer = acvf_numeric(spec, n - 1, g + 2)
+        assert np.max(np.abs(got - finer)) < 1e-10 * got[0]
+
+    def test_rule_cost_does_not_grow_with_n(self, two_period_spec, monkeypatch):
+        import importlib
+        sim = importlib.import_module("sarfima.simulate")   # the package attribute is the function
+        orders = []
+
+        def counting_rule(order, alpha, beta):
+            orders.append(order)
+            return roots_jacobi(order, alpha, beta)
+
+        monkeypatch.setattr(sim, "roots_jacobi", counting_rule)
+        sim._panel_rule.cache_clear()
+        acvf_numeric(two_period_spec, 1079, default_grid_exponent(1080))
+        built = len(orders)
+        acvf_numeric(two_period_spec, 4095, default_grid_exponent(4096))
+        # one rule per pole exponent plus Gauss-Legendre (beta = 0), all of
+        # the fixed panel order, and none new for the longer sequence
+        assert built <= 3 and orders == [sim._PANEL_ORDER] * built
 
     def test_self_check_passes_on_stationary_spec(self, two_period_spec):
         acvf_self_check(two_period_spec, grid_exponent=17)
