@@ -10,6 +10,7 @@ Two families:
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -61,6 +62,7 @@ def _band_deltas(sp: int):
     return [1 if (k == 0 or 2 * k == sp) else 2 for k in range(sp // 2 + 1)]
 
 
+@functools.lru_cache(maxsize=64)
 def asymptotic_cov_matrix(s1: int, s2, m: int) -> np.ndarray:
     """Asymptotic covariance (pi^2 / 6m) Q^-1 of the band OLS estimator.
 
@@ -68,11 +70,12 @@ def asymptotic_cov_matrix(s1: int, s2, m: int) -> np.ndarray:
     where I = {0} u {k : k s2 = 0 mod s'}; the inverse is carried out in
     exact rational arithmetic before the pi^2/(6m) scaling.  A single-period
     call (s2 = None or s2 = s1) returns the 1x1 matrix [[pi^2 / (24 s m)]].
+    Built once per argument tuple; the shared matrix is read-only.
     """
     if m < 1:
         raise ValidationError("m-too-small", f"bandwidth must be >= 1, got {m}")
     if s2 is None or s1 == s2:
-        return np.array([[math.pi ** 2 / (24 * s1 * m)]])
+        return _frozen(np.array([[math.pi ** 2 / (24 * s1 * m)]]))
     _check_period_pair(s1, s2)
     sp, ss = max(s1, s2), min(s1, s2)
     deltas = _band_deltas(sp)
@@ -89,28 +92,39 @@ def asymptotic_cov_matrix(s1: int, s2, m: int) -> np.ndarray:
                     [scale * float(inv[1][0]), scale * float(inv[1][1])]])
     if s1 < s2:  # caller listed the smaller period first
         cov = cov[::-1, ::-1]
-    return cov
+    return _frozen(cov)
+
+
+def _frozen(*arrays):
+    """Mark cached design arrays read-only; returns the first one."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays[0]
 
 
 # ---------------------------------------------------------------------------
 # log-periodogram OLS
 # ---------------------------------------------------------------------------
 
-def _banded_logs(pgram: Periodogram, plan: BandPlan, regressor_periods):
-    """Locally centered responses and regressors, pooled across bands."""
-    ys, xs = [], [[] for _ in regressor_periods]
-    for band in plan.bands:
-        I = pgram.ordinate(band.fourier_indices)
-        if np.any(I <= 0):
-            raise ValidationError("zero-ordinate",
-                                  f"non-positive periodogram ordinate in band k={band.k}")
-        lam = 2 * np.pi * band.fourier_indices / plan.n
-        y = np.log(I)
-        ys.append(y - y.mean())
-        for i, s in enumerate(regressor_periods):
+@functools.lru_cache(maxsize=64)
+def _band_design(plan: BandPlan, regressor_periods: tuple):
+    """The data-free half of the band regression, once per (plan, periods):
+    zero-based ordinate positions pooled across bands, each band's slice of
+    them, and the regressors z_i = -2 log|2 sin(s_i lambda / 2)| centred by
+    their band means.  The arrays are read-only."""
+    positions = np.concatenate([band.fourier_indices for band in plan.bands]) - 1
+    ends = np.cumsum([len(band.fourier_indices) for band in plan.bands]).tolist()
+    slices = tuple(slice(a, b) for a, b in zip([0] + ends[:-1], ends))
+    zs = []
+    for s in regressor_periods:
+        xs = []
+        for band in plan.bands:
+            lam = 2 * np.pi * band.fourier_indices / plan.n
             x = np.log(np.abs(2 * np.sin(s * lam / 2)))
-            xs[i].append(x - x.mean())
-    return np.concatenate(ys), [np.concatenate(col) for col in xs]
+            xs.append(x - x.mean())
+        zs.append(-2.0 * np.concatenate(xs))
+    _frozen(positions, *zs)
+    return positions, slices, tuple(zs)
 
 
 def gph_estimate(pgram: Periodogram, plan: BandPlan, s1: int, s2: int) -> MemoryEstimate:
@@ -122,7 +136,8 @@ def gph_estimate(pgram: Periodogram, plan: BandPlan, s1: int, s2: int) -> Memory
     least-squares fit.  d_hat is reported in the caller's (s1, s2) order with
     asymptotic covariance (pi^2/6m) Q^-1.  With s1 == s2 (a one-period plan)
     the fit has the single regressor, d_hat = (z.y)/(z.z), and the variance
-    pi^2 / (24 s m).
+    pi^2 / (24 s m).  Only the response is built per call: the regressors
+    depend on the plan alone and are shared.
     """
     if {s1, s2} != {plan.s_prime, plan.s_small}:
         raise ValidationError("plan-mismatch",
@@ -131,15 +146,23 @@ def gph_estimate(pgram: Periodogram, plan: BandPlan, s1: int, s2: int) -> Memory
         raise ValidationError("plan-mismatch",
                               f"plan was built for n={plan.n}, periodogram has n={pgram.n}")
     periods = (s1,) if s1 == s2 else (s1, s2)
-    y, xs = _banded_logs(pgram, plan, periods)
+    positions, slices, zs = _band_design(plan, periods)
+    I = pgram.ordinates[positions]
+    if np.any(I <= 0):
+        band = next(b for b, sl in zip(plan.bands, slices) if np.any(I[sl] <= 0))
+        raise ValidationError("zero-ordinate",
+                              f"non-positive periodogram ordinate in band k={band.k}")
+    y = np.log(I)
+    for sl in slices:
+        y[sl] -= y[sl].mean()
     if len(periods) == 1:
-        z = -2.0 * xs[0]
+        z = zs[0]
         g = z @ z
         if g <= 0:
             raise ValidationError("rank-deficient", "degenerate regressor in single-period fit")
         d_hat = [(z @ y) / g]
     else:
-        z1, z2 = -2.0 * xs[0], -2.0 * xs[1]
+        z1, z2 = zs
         g11, g22, g12 = z1 @ z1, z2 @ z2, z1 @ z2
         if 1.0 - g12 * g12 / (g11 * g22) < COLLINEARITY_TOL:
             raise ValidationError(
@@ -182,12 +205,11 @@ class WhittleTemplate:
     d_box: float = 0.49
 
     def __post_init__(self):
-        if self.free_d is None:
-            object.__setattr__(self, "free_d", tuple(True for _ in self.spec.components))
-        if self.free_ar is None:
-            object.__setattr__(self, "free_ar", tuple(True for _ in self.spec.ar_factors))
-        if self.free_ma is None:
-            object.__setattr__(self, "free_ma", tuple(True for _ in self.spec.ma_factors))
+        # tuples, so that a template is hashable and keys the cached Whittle design
+        for name, parts in (("free_d", self.spec.components), ("free_ar", self.spec.ar_factors),
+                            ("free_ma", self.spec.ma_factors)):
+            markers = getattr(self, name)
+            object.__setattr__(self, name, tuple(True for _ in parts) if markers is None else tuple(markers))
         if not all(isinstance(flag, bool) for markers in (self.free_d, self.free_ar, self.free_ma)
                    for flag in markers):
             raise ValidationError("bad-template", "free-parameter markers must be true or false")
@@ -224,6 +246,50 @@ def _gph_start(pg: Periodogram, template: WhittleTemplate):
         return [0.0] * len(periods)
 
 
+@functools.lru_cache(maxsize=16)
+def _whittle_design(n: int, template: WhittleTemplate):
+    """The data-free half of a Whittle fit, once per (n, template): the mask
+    of usable Fourier indices, the Jacobian jac_d of log g in the free
+    memories, the fixed part ``base`` of log g, each free factor's
+    (sign, slice of theta, z, lag), the factors' starting coefficients and
+    the box |theta| <= box.  The arrays are read-only.
+
+    log g = base + jac_d @ d + sum of sign * ln|t|^2 over the free factors,
+    t = 1 - sum_p c_p z_p with z_p = exp(-i lambda p lag), sign -1 for AR
+    and +1 for MA; base holds -ln(2 pi) and every fixed parameter.
+    """
+    spec0 = template.spec
+    j = np.arange(1, n)
+    lam = 2 * np.pi * j / n
+    folded = 2 * np.pi * np.minimum(j, n - j) / n
+    keep = np.ones(n - 1, dtype=bool)
+    for pole in enumerate_poles(spec0):
+        keep &= np.abs(folded - pole.frequency) >= np.pi / n - 1e-12
+    lam_u = lam[keep]
+    if len(lam_u) < 8:
+        raise ValidationError("series-too-short", "too few usable Fourier frequencies after pole exclusion")
+    free_d = np.array(template.free_d)
+    memory_jac = -2 * np.log(np.abs(2 * np.sin(np.outer(lam_u, spec0.periods) / 2)))
+    jac_d = memory_jac[:, free_d]
+    base = memory_jac[:, ~free_d] @ np.array(spec0.memories)[~free_d] - math.log(2 * math.pi)
+    nd = jac_d.shape[1]
+    free_factors, arma0 = [], []
+    for sign, flags, factors in ((-1.0, template.free_ar, spec0.ar_factors),
+                                 (1.0, template.free_ma, spec0.ma_factors)):
+        for flag, f in zip(flags, factors):
+            if not flag:
+                base = base + sign * np.log(np.abs(f.transfer(lam_u)) ** 2)
+                continue
+            z = np.exp(-1j * np.outer(lam_u, f.lag * np.arange(1, len(f.coeffs) + 1)))
+            start = nd + len(arma0)
+            free_factors.append((sign, slice(start, start + len(f.coeffs)), _frozen(z), f.lag))
+            # a nonstationary or non-invertible start falls back to white noise
+            arma0.extend(f.coeffs if f.roots_outside_unit_circle() else [0.0] * len(f.coeffs))
+    box = np.where(np.arange(nd + len(arma0)) < nd, template.d_box, np.inf)   # |theta| <= box
+    _frozen(keep, jac_d, base, box)
+    return keep, jac_d, base, tuple(free_factors), tuple(arma0), box
+
+
 def whittle_estimate(series, template: WhittleTemplate) -> WhittleFit:
     """Fox-Taqqu fit: minimize (2n)^-1 sum_j [ln f(lambda_j) + I_j / f(lambda_j)].
 
@@ -245,43 +311,17 @@ def whittle_estimate(series, template: WhittleTemplate) -> WhittleFit:
         raise ValidationError("series-too-short", f"Whittle fit needs n >= 64, got {n}")
     spec0 = template.spec
     pg = periodogram(x)
-    j = np.arange(1, n)
-    lam = 2 * np.pi * j / n
-    folded = 2 * np.pi * np.minimum(j, n - j) / n
-    keep = np.ones(n - 1, dtype=bool)
-    for pole in enumerate_poles(spec0):
-        keep &= np.abs(folded - pole.frequency) >= np.pi / n - 1e-12
-    lam_u, I_u = lam[keep], pg.ordinates[keep]
-    n_used = len(lam_u)
-    if n_used < 8:
-        raise ValidationError("series-too-short", "too few usable Fourier frequencies after pole exclusion")
+    keep, jac_d, base, free_factors, arma0, box = _whittle_design(n, template)
+    I_u = pg.ordinates[keep]
+    n_used = len(I_u)
     # rescaled ordinates keep F of order one, whatever the scale of the series
     scale = float(np.mean(I_u))
     if not 0 < scale < math.inf:
         raise ValidationError("zero-periodogram", "periodogram vanishes at every usable frequency")
     I_u = I_u / scale
-
-    # log g = base + jac_d @ d + sum of sign * ln|t|^2 over the free factors,
-    # t = 1 - sum_p c_p z_p with z_p = exp(-i lambda p lag), sign -1 for AR
-    # and +1 for MA; base holds -ln(2 pi) and every fixed parameter
     free_d = np.array(template.free_d)
-    memory_jac = -2 * np.log(np.abs(2 * np.sin(np.outer(lam_u, spec0.periods) / 2)))
-    jac_d = memory_jac[:, free_d]
-    base = memory_jac[:, ~free_d] @ np.array(spec0.memories)[~free_d] - math.log(2 * math.pi)
-    theta0 = [d for d, flag in zip(_gph_start(pg, template), free_d) if flag]
-    free_factors = []   # (sign, slice of theta, z, lag)
-    for sign, flags, factors in ((-1.0, template.free_ar, spec0.ar_factors),
-                                 (1.0, template.free_ma, spec0.ma_factors)):
-        for flag, f in zip(flags, factors):
-            if not flag:
-                base = base + sign * np.log(np.abs(f.transfer(lam_u)) ** 2)
-                continue
-            z = np.exp(-1j * np.outer(lam_u, f.lag * np.arange(1, len(f.coeffs) + 1)))
-            free_factors.append((sign, slice(len(theta0), len(theta0) + len(f.coeffs)), z, f.lag))
-            # a nonstationary or non-invertible start falls back to white noise
-            theta0.extend(f.coeffs if f.roots_outside_unit_circle() else [0.0] * len(f.coeffs))
+    theta0 = [d for d, flag in zip(_gph_start(pg, template), free_d) if flag] + list(arma0)
     nd = jac_d.shape[1]
-    box = np.where(np.arange(len(theta0)) < nd, template.d_box, np.inf)   # |theta| <= box
 
     def evaluate(theta):
         """(F, log g, each free factor's z/t) at theta; None outside the stationary region."""
@@ -303,7 +343,8 @@ def whittle_estimate(series, template: WhittleTemplate) -> WhittleFit:
         w = I_u * np.exp(-logg)
         wn = w / w.sum()
         u = 1.0 / n_used - wn
-        jac = np.hstack([jac_d] + [-2 * sign * r.real for (sign, *_), r in zip(free_factors, ratios)])
+        jac = np.hstack([jac_d] + [-2 * sign * r.real for (sign, *_), r in zip(free_factors, ratios)]) \
+            if free_factors else jac_d
         centred = jac - wn @ jac
         gauss_newton = (centred * wn[:, None]).T @ centred
         hess = gauss_newton.copy()

@@ -27,6 +27,7 @@ __all__ = ["SimConfig", "acvf_numeric", "acvf_self_check", "simulate",
            "durbin_levinson_decompose", "derive_rep_seed", "default_grid_exponent",
            "MAX_GRID_EXPONENT"]
 
+#: cap on the 2^(g-6) resolution floor's nodes per segment; the lag term is not capped
 _MAX_NODES_PER_SEGMENT = 30000
 
 #: nodes per quadrature panel; a segment of N nodes is cut into ceil(N / 24) panels
@@ -159,10 +160,12 @@ def acvf_numeric(spec: SarfimaSpec, max_lag: int, grid_exponent: int = 17) -> np
     for a, b, pole, pole_left in _segments(poles):
         width = b - a
         beta = -2.0 * pole.local_exponent
+        # the lag term resolves the oscillation of cos(h lambda), so only the
+        # floor is capped: a cap on both errs by 9e-3 gamma(0) at 32767 lags
         nodes = max(256,
                     int(0.85 * (max_lag + 1) * width) + 64,
-                    math.ceil(2 ** (grid_exponent - 6) * width / math.pi))
-        panels = math.ceil(min(nodes, _MAX_NODES_PER_SEGMENT) / _PANEL_ORDER)
+                    min(math.ceil(2 ** (grid_exponent - 6) * width / math.pi), _MAX_NODES_PER_SEGMENT))
+        panels = math.ceil(nodes / _PANEL_ORDER)
         half = width / panels / 2
         # u is the distance from the pole: panel 0 is [0, 2 half], panel j
         # is centred at (2j + 1) half

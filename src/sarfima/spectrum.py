@@ -1,7 +1,9 @@
 """Periodogram and the seasonal-harmonic band plan for log-periodogram regression."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,7 +63,8 @@ class Band:
     k: int
     center_index: int       # nearest Fourier index round(n k / s')
     j_set: tuple            # signed offsets
-    fourier_indices: np.ndarray
+    # center_index + j_set, read-only; equality and hashing go by the fields above
+    fourier_indices: np.ndarray = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,17 @@ def build_band_plan(n: int, s1: int, s2: int, m: int, allow_overlap: bool = Fals
     round(n k / s') + j.  Requires the smaller period to divide the larger
     and 2 pi m / n < pi / s' unless ``allow_overlap`` (used by the uncapped
     truncated-bandwidth variant, which double-counts shared ordinates).
+    A plan depends on nothing but its arguments, so it is built once per
+    argument tuple and shared, with read-only index arrays.
     """
+    # checked before the cache lookup: a float bandwidth is rejected, not coerced
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+        raise ValidationError("bad-bandwidth", f"bandwidth m must be an integer, got {m!r}")
+    return _band_plan(n, s1, s2, m, allow_overlap)
+
+
+@functools.lru_cache(maxsize=64)
+def _band_plan(n: int, s1: int, s2: int, m: int, allow_overlap: bool) -> BandPlan:
     _check_period_pair(s1, s2)
     sp, ss = max(s1, s2), min(s1, s2)
     if m < 2:
@@ -155,6 +168,7 @@ def build_band_plan(n: int, s1: int, s2: int, m: int, allow_overlap: bool = Fals
         if idx.min() < 1 or idx.max() > n // 2:
             raise ValidationError("band-overlap",
                                   f"band k={k} spills outside (0, pi] (indices {idx.min()}..{idx.max()})")
+        idx.setflags(write=False)
         bands.append(Band(k=k, center_index=center_index, j_set=js, fourier_indices=idx))
 
     if not allow_overlap:

@@ -170,6 +170,16 @@ class TestWhittleTemplate:
                 WhittleTemplate(spec=spec, d_box=box)
             assert exc.value.code == "bad-template"
 
+    def test_list_markers_fit_like_tuples(self, two_period_path):
+        spec = SarfimaSpec(components=(SeasonalComponent(1, 0.0), SeasonalComponent(4, 0.3)),
+                           ar_factors=(ArmaFactor(4, (0.5,)),))
+        listed = WhittleTemplate(spec=spec, free_d=[True, False], free_ar=[True])
+        tupled = WhittleTemplate(spec=spec, free_d=(True, False), free_ar=(True,))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        a, b = whittle_estimate(two_period_path, listed), whittle_estimate(two_period_path, tupled)
+        assert a.d_hat.tobytes() == b.d_hat.tobytes()
+        assert (a.objective, a.iterations, a.short_memory) == (b.objective, b.iterations, b.short_memory)
+
 
 class TestWhittleEstimation:
     def test_recovers_memory_single(self, quarterly_path):
@@ -342,3 +352,40 @@ class TestWhittleOptimum:
                 value = profiled_whittle(x, periods, nudged[:len(periods)],
                                          [(ar[0][0], nudged[len(periods):])] if ar else ())
                 assert value >= fit.objective - 1e-12, (i, h, value - fit.objective)
+
+
+class TestDesignCache:
+    """The data-free halves of both estimators are built once and shared read-only."""
+
+    def test_band_regressors_are_read_only(self, two_period_path):
+        from sarfima.estimators import _band_design
+        plan = build_band_plan(1080, 1, 4, 32)
+        gph_estimate(periodogram(two_period_path), plan, 1, 4)
+        positions, _, zs = _band_design(plan, (1, 4))
+        for array in (positions, *zs):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_whittle_design_is_read_only(self, two_period_path):
+        from sarfima.estimators import _whittle_design
+        spec = SarfimaSpec(components=(SeasonalComponent(1, 0.0), SeasonalComponent(4, 0.0)),
+                           ar_factors=(ArmaFactor(4, (0.5,)),), ma_factors=(ArmaFactor(1, (0.2,)),))
+        template = WhittleTemplate(spec=spec, free_ma=(False,))
+        whittle_estimate(two_period_path, template)
+        keep, jac_d, base, free_factors, _, box = _whittle_design(1080, template)
+        for array in (keep, jac_d, base, box, *(z for _, _, z, _ in free_factors)):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_covariance_is_read_only(self):
+        with pytest.raises(ValueError):
+            asymptotic_cov_matrix(4, 12, 30)[0, 0] = 0.0
+
+    def test_failing_design_raises_on_every_call(self):
+        # at n = 64 every Fourier frequency is a harmonic of period 64
+        short = np.random.default_rng(5).standard_normal(64)
+        template = WhittleTemplate.pure((64,))
+        for _ in range(3):
+            with pytest.raises(ValidationError) as exc:
+                whittle_estimate(short, template)
+            assert exc.value.code == "series-too-short"

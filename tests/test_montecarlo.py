@@ -65,6 +65,14 @@ class TestMcConfigValidation:
             McConfig(spec=spec, estimators=ests, reps=5, n=256, master_seed=1)
         assert exc.value.code == "band-overlap"
 
+    @pytest.mark.parametrize("m", [3.5, 20.0])
+    def test_non_integer_bandwidth_rejected(self, m):
+        spec = SarfimaSpec(components=(SeasonalComponent(4, 0.3),))
+        ests = (EstimatorDef(name="float", kind="gph_single", m=m),)
+        with pytest.raises(ValidationError) as exc:
+            McConfig(spec=spec, estimators=ests, reps=5, n=256, master_seed=1)
+        assert exc.value.code == "bad-bandwidth"
+
     def test_template_periods_must_match_spec(self):
         spec = SarfimaSpec(components=(SeasonalComponent(4, 0.3),))
         ests = (EstimatorDef(name="w", kind="whittle",
@@ -199,3 +207,21 @@ class TestDesigns:
         ft = summary.by_name("ft")
         assert abs(ft.mean[0] - 0.1) < 0.15
         assert abs(ft.mean[1] - 0.3) < 0.15
+
+
+def test_estimates_do_not_depend_on_the_design_caches():
+    """Warm caches and each cleared cache give the same bits on every design."""
+    from dataclasses import replace
+
+    from sarfima import estimators, spectrum
+    caches = (spectrum._band_plan, estimators._band_design, estimators._whittle_design,
+              estimators.asymptotic_cov_matrix)
+    for name in DESIGN_NAMES:
+        config = replace(design(name, master_seed=271828, reps=3), self_check=False)
+        for cache in caches:
+            cache.cache_clear()
+        first = [r.estimates.tobytes() for r in run_mc(config).results]
+        assert [r.estimates.tobytes() for r in run_mc(config).results] == first
+        for cache in caches:
+            cache.cache_clear()
+            assert [r.estimates.tobytes() for r in run_mc(config).results] == first

@@ -1,14 +1,20 @@
 """Smoke test of the scripts under scripts/."""
 import importlib.util
+import re
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
+def load(name):
+    loader = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module
+
+
 def test_demo_workflow_writes_its_outputs(tmp_path, capsys):
-    loader = importlib.util.spec_from_file_location("demo_workflow", SCRIPTS / "demo_workflow.py")
-    demo = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(demo)
+    demo = load("demo_workflow")
     # with seed 23 the lag-1 residual autocorrelation lies outside the band
     assert demo.main(["--out-dir", str(tmp_path), "--seed", "23"]) == 0
     assert (tmp_path / "scan.csv").read_text().startswith("alpha,m,d1_hat,d2_hat,var_d1,var_d2,error\n")
@@ -20,3 +26,14 @@ def test_demo_workflow_writes_its_outputs(tmp_path, capsys):
     assert [int(r[0]) for r in rows] == list(range(1, 49))
     outside = sum(abs(float(acf)) > float(band) for _, acf, _, band in rows)
     assert f"{outside} of 48 outside" in out
+
+
+def test_digest_prints_two_stable_digests(capsys):
+    digest = load("digest")
+    runs = []
+    for _ in range(2):
+        assert digest.main(["--reps", "2"]) == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    assert runs[0] == runs[1]
+    assert [line.split()[0] for line in runs[0]] == ["run_mc", "cli"]
+    assert all(re.fullmatch("[0-9a-f]{64}", line.split()[1]) for line in runs[0])

@@ -205,3 +205,30 @@ def test_period_below_one_rejected(call):
     with pytest.raises(ValidationError) as exc:
         call()
     assert exc.value.code == "bad-period"
+
+
+@pytest.mark.parametrize("m", [3.5, 2.0, True, "20", None])
+def test_non_integer_bandwidth_rejected(m):
+    with pytest.raises(ValidationError) as exc:
+        build_band_plan(1080, 1, 4, m)
+    assert exc.value.code == "bad-bandwidth"
+
+
+def test_numpy_integer_bandwidth_accepted():
+    assert build_band_plan(1080, 1, 4, np.int64(20)) == build_band_plan(1080, 1, 4, 20)
+
+
+class TestPlanCache:
+    def test_plan_is_shared_and_read_only(self):
+        plan = build_band_plan(1080, 4, 12, 30)
+        assert build_band_plan(1080, 4, 12, 30) is plan
+        for band in plan.bands:
+            with pytest.raises(ValueError):
+                band.fourier_indices[0] = 0
+
+    @pytest.mark.parametrize("m, code", [(1, "m-too-small"), (135, "band-overlap")])
+    def test_failing_plan_raises_on_every_call(self, m, code):
+        for _ in range(3):
+            with pytest.raises(ValidationError) as exc:
+                build_band_plan(1080, 4, 1, m)
+            assert exc.value.code == code
