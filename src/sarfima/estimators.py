@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import ArmaFactor, SarfimaSpec, SeasonalComponent, enumerate_poles
-from .spectrum import Periodogram, BandPlan, build_band_plan, periodogram, _check_period_pair
+from .spectrum import (Periodogram, BandPlan, build_band_plan, periodogram, _check_bandwidth,
+                       _check_period_pair)
 
 __all__ = ["MemoryEstimate", "WhittleFit", "WhittleTemplate", "gph_estimate",
            "gph_single", "asymptotic_cov_matrix", "whittle_estimate",
@@ -62,7 +63,6 @@ def _band_deltas(sp: int):
     return [1 if (k == 0 or 2 * k == sp) else 2 for k in range(sp // 2 + 1)]
 
 
-@functools.lru_cache(maxsize=64)
 def asymptotic_cov_matrix(s1: int, s2, m: int) -> np.ndarray:
     """Asymptotic covariance (pi^2 / 6m) Q^-1 of the band OLS estimator.
 
@@ -72,6 +72,12 @@ def asymptotic_cov_matrix(s1: int, s2, m: int) -> np.ndarray:
     call (s2 = None or s2 = s1) returns the 1x1 matrix [[pi^2 / (24 s m)]].
     Built once per argument tuple; the shared matrix is read-only.
     """
+    _check_bandwidth(m)
+    return _asymptotic_cov(s1, s2, m)
+
+
+@functools.lru_cache(maxsize=64)
+def _asymptotic_cov(s1: int, s2, m: int) -> np.ndarray:
     if m < 1:
         raise ValidationError("m-too-small", f"bandwidth must be >= 1, got {m}")
     if s2 is None or s1 == s2:

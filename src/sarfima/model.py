@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import ValidationError
 
@@ -225,6 +224,7 @@ def _convolve_head(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     at the next fast real length of the full convolution), so the result is
     bitwise the same without importing scipy.signal.
     """
+    from scipy.fft import irfft, next_fast_len, rfft   # keeps scipy.fft off the import path
     size = next_fast_len(len(x) + len(coeffs) - 1, True)
     return irfft(rfft(x, size) * rfft(coeffs, size), size)[: len(x)]
 

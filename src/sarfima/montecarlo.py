@@ -21,11 +21,16 @@ from .errors import SarfimaError, ValidationError
 from .model import ArmaFactor, SarfimaSpec, SeasonalComponent
 from .spectrum import BandPlan, build_band_plan, periodogram, resolve_bandwidth, write_csv
 from .estimators import WhittleTemplate, gph_estimate, whittle_estimate
-from .simulate import SimConfig, acvf_self_check, derive_rep_seed, simulate, _dl_tables
+from .simulate import (SimConfig, acvf_self_check, derive_rep_seed, simulate, _dl_paths,
+                       _dl_tables, _seed_rng)
 
 __all__ = ["EstimatorDef", "McConfig", "EstimatorResult", "McSummary", "run_mc",
            "standardized_sample", "design", "DESIGN_NAMES", "summary_to_csv",
            "estimates_to_csv"]
+
+#: most replications whose exact_dl paths share one triangular solve; at
+#: n = 4096 their innovation block is 2 MB
+_PATH_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -157,13 +162,24 @@ def _apply_estimator(e: EstimatorDef, x: np.ndarray, pg, spec: SarfimaSpec):
         return None
 
 
+def _paths(config: McConfig, reps: range):
+    """The sample paths of replications ``reps`` in order, each from its own
+    derived seed; exact_dl draws up to _PATH_BLOCK of them per solve."""
+    seeds = [derive_rep_seed(config.master_seed, rep) for rep in reps]
+    if config.method != "exact_dl":
+        for seed in seeds:
+            yield simulate(SimConfig(spec=config.spec, n=config.n, seed=seed,
+                                     method=config.method, grid_exponent=config.grid_exponent))
+        return
+    for lo in range(0, len(seeds), _PATH_BLOCK):
+        rngs = [_seed_rng(seed) for seed in seeds[lo:lo + _PATH_BLOCK]]
+        yield from _dl_paths(config.spec, config.n, config.grid_exponent, rngs).T
+
+
 def _run_reps(config: McConfig, start: int, stop: int):
     out = []
-    for rep in range(start, stop):
-        cfg = SimConfig(spec=config.spec, n=config.n,
-                        seed=derive_rep_seed(config.master_seed, rep),
-                        method=config.method, grid_exponent=config.grid_exponent)
-        x = simulate(cfg)
+    reps = range(start, stop)
+    for rep, x in zip(reps, _paths(config, reps)):
         pg = periodogram(x)
         out.append((rep, [_apply_estimator(e, x, pg, config.spec) for e in config.estimators]))
     return out
@@ -198,7 +214,8 @@ def run_mc(config: McConfig) -> McSummary:
     """Run the full replication study described by ``config``.
 
     Startup runs the quadrature doubling self-check, then each replication
-    simulates with its derived seed and applies every estimator to the same
+    simulates with its derived seed (exact_dl paths drawn in blocks that
+    share one triangular solve) and applies every estimator to the same
     path.  Failed estimator applications (guard violations, optimizer
     non-convergence) are excluded from the moments and counted.  The summary
     is identical for any worker count.

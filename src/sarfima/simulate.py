@@ -2,9 +2,10 @@
 
 The autocovariance sequence is obtained by numerical integration of the
 theoretical spectral density (gamma(h) = 2 int_0^pi f cos(h lambda) dlambda),
-then a Durbin-Levinson decomposition turns i.i.d. normals into one exact
-sample path.  A truncated MA(infinity) generator is provided as an
-independent cross-check.
+then a Durbin-Levinson decomposition turns i.i.d. normals into exact sample
+paths: the innovations of a block of paths fill the columns of one matrix,
+and one triangular solve against the decomposition whitens them all.  A
+truncated MA(infinity) generator is provided as an independent cross-check.
 """
 from __future__ import annotations
 
@@ -15,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import roots_jacobi
 
 from .errors import ValidationError, NumericError
 from .model import (SarfimaSpec, SeasonalComponent, arma_spectral_density,
@@ -98,6 +97,7 @@ class SimConfig:
 def _panel_rule(beta: float):
     """_PANEL_ORDER-point Gauss rule on [-1, 1] for the weight (1 + t)^beta;
     beta = 0 is the Gauss-Legendre rule."""
+    from scipy.special import roots_jacobi   # keeps scipy.special off the import path
     return roots_jacobi(_PANEL_ORDER, 0.0, beta)
 
 
@@ -282,25 +282,48 @@ def derive_rep_seed(master_seed: int, rep_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _seed_rng(seed: int) -> np.random.Generator:
+    """The generator a path of seed ``seed`` draws its normals from."""
+    return np.random.default_rng(np.random.SeedSequence(seed))
+
+
+def _dl_paths(spec: SarfimaSpec, n: int, grid_exponent: int, rngs) -> np.ndarray:
+    """Exact Durbin-Levinson paths, one column per generator, as an n x R
+    Fortran-order array.
+
+    Column j starts as the innovations sigma * z_j, with z_j the next n
+    standard normals of rngs[j]; one BLAS-3 solve M X = B against the cached
+    table then whitens the whole block.  The solve treats every column
+    alike, so a column's bits depend on its generator only, not on the
+    block's width or on the column's place in it.
+    """
+    from scipy.linalg.blas import dtrsm   # keeps scipy.linalg off the import path
+    M, sig = _dl_tables(spec, n, grid_exponent)
+    B = np.empty((n, len(rngs)), order="F")
+    for j, rng in enumerate(rngs):
+        B[:, j] = sig * rng.standard_normal(n)
+    if not np.isfinite(B).all():
+        raise NumericError("non-finite-draw", "innovations contain NaN or infinite values")
+    # M was checked finite when the cached table was built, and M.T is an
+    # F-contiguous view of it, so the n x n table is neither scanned nor copied
+    return dtrsm(1.0, M.T, B, lower=0, trans_a=1, diag=1, overwrite_b=1)
+
+
 def simulate(config: SimConfig, rng: np.random.Generator = None) -> np.ndarray:
     """One zero-mean Gaussian sample path of length n.
 
     exact_dl draws through the Durbin-Levinson decomposition of the
-    quadrature autocovariances (exact up to quadrature error); truncated_ma
-    runs the ARMA recursion on fresh normals and applies the MA(infinity)
-    fractional expansion truncated at ma_truncation, discarding burn_in
-    values.  Byte-identical output for equal (config, seed).
+    quadrature autocovariances (exact up to quadrature error), as a block of
+    one path: the result is bitwise the column a Monte Carlo run draws for
+    the same seed.  truncated_ma runs the ARMA recursion on fresh normals and
+    applies the MA(infinity) fractional expansion truncated at ma_truncation,
+    discarding burn_in values.  Byte-identical output for equal (config, seed).
     """
     require_stationary(config.spec, "simulation")
     if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+        rng = _seed_rng(config.seed)
     if config.method == "exact_dl":
-        M, sig = _dl_tables(config.spec, config.n, config.grid_exponent)
-        b = sig * rng.standard_normal(config.n)
-        if not np.isfinite(b).all():
-            raise NumericError("non-finite-draw", "innovations contain NaN or infinite values")
-        # M was checked finite when the cached table was built
-        return solve_triangular(M, b, lower=True, unit_diagonal=True, check_finite=False)
+        return _dl_paths(config.spec, config.n, config.grid_exponent, [rng])[:, 0]
 
     from scipy.signal import lfilter   # its only caller; keeps scipy.signal off the import path
 

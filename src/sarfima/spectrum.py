@@ -20,10 +20,6 @@ class Periodogram:
     n: int
     ordinates: np.ndarray  # length n-1, index 0 <-> j=1
 
-    def ordinate(self, j) -> np.ndarray:
-        """I at Fourier index j (scalar or array of ints in 1..n-1)."""
-        return self.ordinates[np.asarray(j) - 1]
-
     @property
     def frequencies(self) -> np.ndarray:
         return 2 * np.pi * np.arange(1, self.n) / self.n
@@ -89,6 +85,13 @@ def _check_periods(*periods):
             raise ValidationError("bad-period", f"periods must be >= 1, got {s}")
 
 
+def _check_bandwidth(m):
+    """Reject a bandwidth that is not an integer; called before a cache
+    lookup, so a float or boolean is rejected, not coerced to an equal key."""
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+        raise ValidationError("bad-bandwidth", f"bandwidth m must be an integer, got {m!r}")
+
+
 def _check_period_pair(s1: int, s2: int):
     """Both periods >= 1 and the smaller dividing the larger."""
     _check_periods(s1, s2)
@@ -139,9 +142,7 @@ def build_band_plan(n: int, s1: int, s2: int, m: int, allow_overlap: bool = Fals
     A plan depends on nothing but its arguments, so it is built once per
     argument tuple and shared, with read-only index arrays.
     """
-    # checked before the cache lookup: a float bandwidth is rejected, not coerced
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
-        raise ValidationError("bad-bandwidth", f"bandwidth m must be an integer, got {m!r}")
+    _check_bandwidth(m)
     return _band_plan(n, s1, s2, m, allow_overlap)
 
 

@@ -56,6 +56,17 @@ class TestCovarianceMatrix:
             asymptotic_cov_matrix(12, 5, 30)
         assert exc.value.code == "s2-not-divisor"
 
+    @pytest.mark.parametrize("m", [3.5, 2.0, True, "4", None])
+    def test_non_integer_bandwidth_rejected(self, m):
+        for s2 in (12, None):
+            with pytest.raises(ValidationError) as exc:
+                asymptotic_cov_matrix(4, s2, m)
+            assert exc.value.code == "bad-bandwidth"
+
+    def test_numpy_integer_bandwidth_accepted(self):
+        assert np.array_equal(asymptotic_cov_matrix(4, 12, np.int64(30)),
+                              asymptotic_cov_matrix(4, 12, 30))
+
 
 class TestGphNoiseFree:
     def test_two_period_exact_recovery(self):

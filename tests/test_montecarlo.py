@@ -7,7 +7,8 @@ from sarfima import (DESIGN_NAMES, EstimatorDef, McConfig, SarfimaSpec,
                      SeasonalComponent, SimConfig, ValidationError,
                      WhittleTemplate, build_band_plan, derive_rep_seed,
                      design, estimates_to_csv, gph_estimate, periodogram,
-                     run_mc, simulate, standardized_sample, summary_to_csv)
+                     run_mc, simulate, standardized_sample, summary_to_csv,
+                     whittle_estimate)
 
 
 def small_config(reps=6, workers=1, seed=314):
@@ -141,6 +142,43 @@ class TestRunMc:
         assert len(elines) == 1 + 2 * 6 * 2
 
 
+class TestBlockBoundary:
+    """70 replications cross the boundary of the 64-path solve block."""
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        return run_mc(small_config(reps=70))
+
+    @pytest.mark.parametrize("reps", [1, 63, 64, 65])
+    def test_prefix_property(self, serial, reps):
+        prefix = run_mc(small_config(reps=reps))
+        for a, b in zip(prefix.results, serial.results):
+            assert np.array_equal(a.estimates, b.estimates[:reps])
+
+    def test_worker_count_invariance(self, serial):
+        parallel = run_mc(small_config(reps=70, workers=3))
+        for a, b in zip(parallel.results, serial.results):
+            assert np.array_equal(a.estimates, b.estimates)
+
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_paths_and_estimates_equal_standalone(self, n):
+        from dataclasses import replace
+
+        from sarfima.montecarlo import _paths
+        cfg = replace(small_config(reps=70), n=n)
+        paths = list(_paths(cfg, range(cfg.reps)))
+        summary = run_mc(cfg)
+        template = cfg.estimators[1].template
+        for rep in (0, 1, 63, 64, 69):
+            x = simulate(SimConfig(spec=cfg.spec, n=n, seed=derive_rep_seed(cfg.master_seed, rep)))
+            assert np.array_equal(paths[rep], x)
+            plan = build_band_plan(n, 4, 1, int(n ** 0.5))
+            assert np.array_equal(summary.by_name("gph").estimates[rep],
+                                  gph_estimate(periodogram(x), plan, 1, 4).d_hat)
+            assert np.array_equal(summary.by_name("ft").estimates[rep],
+                                  whittle_estimate(x, template).d_hat)
+
+
 class TestStandardizedSample:
     def test_exact_first_two_moments(self, rng):
         z, moments = standardized_sample(rng.standard_normal(500) * 3 + 7)
@@ -215,7 +253,7 @@ def test_estimates_do_not_depend_on_the_design_caches():
 
     from sarfima import estimators, spectrum
     caches = (spectrum._band_plan, estimators._band_design, estimators._whittle_design,
-              estimators.asymptotic_cov_matrix)
+              estimators._asymptotic_cov)
     for name in DESIGN_NAMES:
         config = replace(design(name, master_seed=271828, reps=3), self_check=False)
         for cache in caches:

@@ -11,7 +11,7 @@ from sarfima import (ArmaFactor, NumericError, SarfimaSpec, SeasonalComponent,
                      default_grid_exponent, derive_rep_seed,
                      durbin_levinson_decompose, simulate)
 from sarfima import McConfig, design
-from sarfima.simulate import MAX_GRID_EXPONENT, _dl_tables
+from sarfima.simulate import MAX_GRID_EXPONENT, _dl_paths, _dl_tables, _seed_rng
 
 
 def arfima_acvf(d, sigma2, lags):
@@ -26,6 +26,15 @@ def arfima_acvf(d, sigma2, lags):
         sign = 1.0 if d > 0 else math.copysign(1.0, math.gamma(h + d) / math.gamma(d))
         out.append(sigma2 * sign * math.exp(log))
     return np.array(out)
+
+
+class NanRng:
+    """A generator whose normals hold a NaN."""
+
+    def standard_normal(self, size):
+        out = np.zeros(size)
+        out[3] = np.nan
+        return out
 
 
 class TestAcvfNumeric:
@@ -115,6 +124,8 @@ class TestAcvfNumeric:
 
     def test_rule_cost_does_not_grow_with_n(self, two_period_spec, monkeypatch):
         import importlib
+
+        import scipy.special
         sim = importlib.import_module("sarfima.simulate")   # the package attribute is the function
         orders = []
 
@@ -122,7 +133,8 @@ class TestAcvfNumeric:
             orders.append(order)
             return roots_jacobi(order, alpha, beta)
 
-        monkeypatch.setattr(sim, "roots_jacobi", counting_rule)
+        # _panel_rule imports the rule from scipy.special when it runs
+        monkeypatch.setattr(scipy.special, "roots_jacobi", counting_rule)
         sim._panel_rule.cache_clear()
         acvf_numeric(two_period_spec, 1079, default_grid_exponent(1080))
         built = len(orders)
@@ -294,25 +306,87 @@ class TestDlTableChecks:
 
     @pytest.mark.parametrize("name", ["table1", "table2", "table3", "table4", "table5"])
     def test_path_equals_checked_solve(self, name):
+        # the path is the BLAS-3 solve's column, bit for bit, and agrees with
+        # LAPACK's checked single-vector solve to rounding
         from scipy.linalg import solve_triangular
+        from scipy.linalg.blas import dtrsm
         spec = design(name, master_seed=1).spec
         for seed in (11, 12, 13):
             cfg = SimConfig(spec=spec, n=1080, seed=seed)
             M, sigma = _dl_tables(spec, cfg.n, cfg.grid_exponent)
             z = np.random.default_rng(np.random.SeedSequence(seed)).standard_normal(cfg.n)
-            expect = solve_triangular(M, sigma * z, lower=True, unit_diagonal=True)
-            assert np.array_equal(simulate(cfg), expect)
+            b = np.asfortranarray((sigma * z)[:, None])
+            column = dtrsm(1.0, M.T, b, lower=0, trans_a=1, diag=1)[:, 0]
+            x = simulate(cfg)
+            assert np.array_equal(x, column)
+            checked = solve_triangular(M, sigma * z, lower=True, unit_diagonal=True)
+            assert np.max(np.abs(x - checked)) <= 1e-14 * np.max(np.abs(x))
 
     def test_non_finite_draw_rejected(self, quarterly_spec):
-        class NanRng:
-            def standard_normal(self, size):
-                out = np.zeros(size)
-                out[3] = np.nan
-                return out
-
         with pytest.raises(NumericError) as exc:
             simulate(SimConfig(spec=quarterly_spec, n=64, seed=1), rng=NanRng())
         assert exc.value.code == "non-finite-draw"
+
+
+class TestBlockDraw:
+    """Paths drawn together in one solve equal the paths drawn one by one."""
+
+    N = 1080
+
+    @pytest.fixture(scope="class")
+    def table2(self):
+        spec = design("table2", master_seed=1).spec
+        return spec, SimConfig(spec=spec, n=self.N, seed=0).grid_exponent
+
+    def _block(self, table2, seeds):
+        spec, g = table2
+        return _dl_paths(spec, self.N, g, [_seed_rng(seed) for seed in seeds])
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 64])
+    def test_columns_do_not_depend_on_block_width(self, table2, width):
+        seeds = [derive_rep_seed(5, rep) for rep in range(width)]
+        block = self._block(table2, seeds)
+        assert block.shape == (self.N, width) and block.flags.f_contiguous
+        for j, seed in enumerate(seeds):
+            assert np.array_equal(block[:, j], self._block(table2, [seed])[:, 0])
+
+    def test_columns_do_not_depend_on_offset(self, table2):
+        seeds = [derive_rep_seed(6, rep) for rep in range(64)]
+        full = self._block(table2, seeds)
+        for lo, hi in ((5, 12), (57, 64), (1, 64)):
+            assert np.array_equal(self._block(table2, seeds[lo:hi]), full[:, lo:hi])
+
+    def test_nan_inside_block_rejected(self, table2):
+        spec, g = table2
+        rngs = [_seed_rng(1), _seed_rng(2), NanRng(), _seed_rng(3)]
+        with pytest.raises(NumericError) as exc:
+            _dl_paths(spec, self.N, g, rngs)
+        assert exc.value.code == "non-finite-draw"
+
+    def test_blas_thread_count_does_not_change_paths(self):
+        import os
+        import subprocess
+        import sys
+        import sarfima
+        script = (
+            "import hashlib\n"
+            "from sarfima import SimConfig, derive_rep_seed, design\n"
+            "from sarfima.simulate import _dl_paths, _seed_rng\n"
+            "spec = design('table2', master_seed=1).spec\n"
+            "for n in (1080, 2048):\n"
+            "    g = SimConfig(spec=spec, n=n, seed=0).grid_exponent\n"
+            "    for width in (1, 64):\n"
+            "        rngs = [_seed_rng(derive_rep_seed(8, rep)) for rep in range(width)]\n"
+            "        print(hashlib.sha256(_dl_paths(spec, n, g, rngs).tobytes()).hexdigest())\n")
+        src = os.path.dirname(os.path.dirname(sarfima.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+            run = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                 capture_output=True, text=True, timeout=300)
+            digests.append(run.stdout.split())
+        assert len(digests[0]) == 4 and digests[0] == digests[1]
 
 
 def _mc_config(spec, **kwargs):

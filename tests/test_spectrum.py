@@ -37,7 +37,7 @@ class TestPeriodogram:
         pg = periodogram(x)
         assert int(np.argmax(pg.ordinates)) + 1 == j0
         # a unit cosine at an exact Fourier frequency carries n/(8 pi) per side
-        assert pg.ordinate(j0) == pytest.approx(n / (8 * np.pi), rel=1e-10)
+        assert pg.ordinates[j0 - 1] == pytest.approx(n / (8 * np.pi), rel=1e-10)
         others = np.delete(pg.ordinates, [j0 - 1, n - j0 - 1])
         assert np.max(others) < 1e-12
 
@@ -51,7 +51,7 @@ class TestPeriodogram:
         n = 100
         pg = periodogram(rng.standard_normal(n))
         for j in (1, 7, 33):
-            assert pg.ordinate(j) == pytest.approx(pg.ordinate(n - j), rel=1e-12)
+            assert pg.ordinates[j - 1] == pytest.approx(pg.ordinates[n - j - 1], rel=1e-12)
 
     def test_frequencies(self, rng):
         pg = periodogram(rng.standard_normal(64))
@@ -78,7 +78,7 @@ class TestPeriodogram:
         j, lam, val = lines[6].split(",")
         assert int(j) == 6
         assert float(lam) == pg.frequencies[5]
-        assert float(val) == pg.ordinate(6)
+        assert float(val) == pg.ordinates[5]
 
 
 class TestTruncatedBandwidth:
