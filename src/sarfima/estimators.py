@@ -15,11 +15,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import ArmaFactor, SarfimaSpec, SeasonalComponent, enumerate_poles
+from .model import SarfimaSpec, SeasonalComponent, enumerate_poles, _roots_outside_unit_circle
 from .spectrum import (Periodogram, BandPlan, build_band_plan, periodogram, _check_bandwidth,
                        _check_period_pair)
 
@@ -136,14 +137,16 @@ def _band_design(plan: BandPlan, regressor_periods: tuple):
 def gph_estimate(pgram: Periodogram, plan: BandPlan, s1: int, s2: int) -> MemoryEstimate:
     """Multi-band log-periodogram regression, one memory per distinct period.
 
-    Within every band around a harmonic of s' the response log I and the
+    Every band around a harmonic of s' has its own intercept: the
     regressors z_i = -2 log|2 sin(s_i lambda / 2)| are centered by their band
-    means (absorbing the band intercepts), then pooled into one no-intercept
+    means, which absorbs the intercepts (by Frisch-Waugh the response log I
+    need not be centered as well), then pooled into one no-intercept
     least-squares fit.  d_hat is reported in the caller's (s1, s2) order with
     asymptotic covariance (pi^2/6m) Q^-1.  With s1 == s2 (a one-period plan)
     the fit has the single regressor, d_hat = (z.y)/(z.z), and the variance
     pi^2 / (24 s m).  Only the response is built per call: the regressors
-    depend on the plan alone and are shared.
+    depend on the plan alone and are shared.  This is the one-row case of
+    the block regression a Monte Carlo run applies to its paths.
     """
     if {s1, s2} != {plan.s_prime, plan.s_small}:
         raise ValidationError("plan-mismatch",
@@ -152,35 +155,54 @@ def gph_estimate(pgram: Periodogram, plan: BandPlan, s1: int, s2: int) -> Memory
         raise ValidationError("plan-mismatch",
                               f"plan was built for n={plan.n}, periodogram has n={pgram.n}")
     periods = (s1,) if s1 == s2 else (s1, s2)
+    d_hat, errors = _gph_fits(pgram.ordinates[None, :], plan, periods)
+    if errors[0] is not None:
+        raise errors[0]
+    return MemoryEstimate(d_hat=d_hat[0], asymptotic_cov=asymptotic_cov_matrix(s1, s2, plan.m),
+                          m=plan.m, method="gph_single" if len(periods) == 1 else "gph_multi",
+                          band_count=len(plan.bands), periods=periods)
+
+
+def _row_means(a: np.ndarray) -> np.ndarray:
+    """The mean of each row: the bits of ``a.mean(axis=1)`` without its Python overhead."""
+    return a.sum(axis=1) / a.shape[1]
+
+
+def _gph_fits(ordinates: np.ndarray, plan: BandPlan, periods: tuple):
+    """The band regression of every row of a block of periodogram ordinates.
+
+    Returns (d_hat, errors): one row of memories per ordinate row, and per
+    row None or the error it raised.  A row with a non-positive ordinate
+    fails alone, as a NaN row; a degenerate design raises for the block.
+    Each row is reduced on its own, so its bits do not depend on the block.
+    """
     positions, slices, zs = _band_design(plan, periods)
-    I = pgram.ordinates[positions]
-    if np.any(I <= 0):
-        band = next(b for b, sl in zip(plan.bands, slices) if np.any(I[sl] <= 0))
-        raise ValidationError("zero-ordinate",
-                              f"non-positive periodogram ordinate in band k={band.k}")
-    y = np.log(I)
-    for sl in slices:
-        y[sl] -= y[sl].mean()
+    I = np.ascontiguousarray(ordinates[:, positions])
+    errors = [None] * len(I)
+    bad = np.any(I <= 0, axis=1)
+    for r in np.flatnonzero(bad):
+        band = next(b for b, sl in zip(plan.bands, slices) if np.any(I[r, sl] <= 0))
+        errors[r] = ValidationError("zero-ordinate", f"non-positive periodogram ordinate in band k={band.k}")
+    y = np.log(np.where(bad[:, None], 1.0, I))   # a failed row is fitted to nothing, then blanked
     if len(periods) == 1:
         z = zs[0]
         g = z @ z
         if g <= 0:
             raise ValidationError("rank-deficient", "degenerate regressor in single-period fit")
-        d_hat = [(z @ y) / g]
+        d_hat = ((y * z).sum(axis=1) / g)[:, None]
     else:
         z1, z2 = zs
         g11, g22, g12 = z1 @ z1, z2 @ z2, z1 @ z2
         if 1.0 - g12 * g12 / (g11 * g22) < COLLINEARITY_TOL:
             raise ValidationError(
                 "rank-deficient",
-                f"regressors collinear for periods {(s1, s2)} over {len(plan.bands)} bands "
+                f"regressors collinear for periods {periods} over {len(plan.bands)} bands "
                 f"(s'={plan.s_prime}); cannot separate d1 from d2")
-        rhs1, rhs2 = z1 @ y, z2 @ y
+        rhs1, rhs2 = (y * z1).sum(axis=1), (y * z2).sum(axis=1)
         det = g11 * g22 - g12 * g12
-        d_hat = [(g22 * rhs1 - g12 * rhs2) / det, (g11 * rhs2 - g12 * rhs1) / det]
-    return MemoryEstimate(d_hat=np.array(d_hat), asymptotic_cov=asymptotic_cov_matrix(s1, s2, plan.m),
-                          m=plan.m, method="gph_single" if len(periods) == 1 else "gph_multi",
-                          band_count=len(plan.bands), periods=periods)
+        d_hat = np.stack([(g22 * rhs1 - g12 * rhs2) / det, (g11 * rhs2 - g12 * rhs1) / det], axis=1)
+    d_hat[bad] = np.nan
+    return d_hat, errors
 
 
 def gph_single(pgram: Periodogram, s: int, m: int, allow_overlap: bool = False) -> MemoryEstimate:
@@ -241,29 +263,40 @@ WHITTLE_MAX_STEPS = 100
 WHITTLE_TOL = 2e-15
 
 
-def _gph_start(pg: Periodogram, template: WhittleTemplate):
-    """Starting memories from the band OLS estimator; zeros when unusable."""
+def _gph_start(ordinates: np.ndarray, n: int, template: WhittleTemplate) -> np.ndarray:
+    """Starting memories of every row from the band OLS estimator; zeros where it fails."""
     periods = template.spec.periods
-    m = max(2, int(pg.n ** 0.5))
+    start = np.zeros((len(ordinates), len(periods)))
     try:
-        plan = build_band_plan(pg.n, periods[0], periods[-1], m)
-        return [float(v) for v in gph_estimate(pg, plan, periods[0], periods[-1]).d_hat]
+        plan = build_band_plan(n, periods[0], periods[-1], max(2, int(n ** 0.5)))
+        d_hat, errors = _gph_fits(ordinates, plan, periods)
     except ValidationError:
-        return [0.0] * len(periods)
+        return start
+    ok = np.array([e is None for e in errors], dtype=bool)
+    start[ok] = d_hat[ok]
+    return start
 
 
-@functools.lru_cache(maxsize=16)
-def _whittle_design(n: int, template: WhittleTemplate):
-    """The data-free half of a Whittle fit, once per (n, template): the mask
-    of usable Fourier indices, the Jacobian jac_d of log g in the free
-    memories, the fixed part ``base`` of log g, each free factor's
-    (sign, slice of theta, z, lag), the factors' starting coefficients and
-    the box |theta| <= box.  The arrays are read-only.
+class _WhittleDesign(NamedTuple):
+    """The data-free half of a Whittle fit at one (n, template); the arrays are read-only.
 
-    log g = base + jac_d @ d + sum of sign * ln|t|^2 over the free factors,
+    log g = base + d . jac_d + sum of sign * ln|t|^2 over the free factors,
     t = 1 - sum_p c_p z_p with z_p = exp(-i lambda p lag), sign -1 for AR
     and +1 for MA; base holds -ln(2 pi) and every fixed parameter.
     """
+
+    keep: np.ndarray    # the usable Fourier indices j = 1..n-1, as a mask
+    jac_d: np.ndarray   # (free memories, usable frequencies): d log g / d d_i
+    base: np.ndarray
+    factors: tuple      # per free factor: (sign, its slice of theta, (Re z, Im z) as (2, q, K), lag)
+    arma0: tuple        # the free factors' starting coefficients
+    box: np.ndarray     # |theta| <= box
+
+
+@functools.lru_cache(maxsize=16)
+def _whittle_design(n: int, template: WhittleTemplate) -> _WhittleDesign:
+    """The Whittle problem of a length-n series, once per (n, template): the
+    frequencies left after pole exclusion and the pieces of log g there."""
     spec0 = template.spec
     j = np.arange(1, n)
     lam = 2 * np.pi * j / n
@@ -276,24 +309,244 @@ def _whittle_design(n: int, template: WhittleTemplate):
         raise ValidationError("series-too-short", "too few usable Fourier frequencies after pole exclusion")
     free_d = np.array(template.free_d)
     memory_jac = -2 * np.log(np.abs(2 * np.sin(np.outer(lam_u, spec0.periods) / 2)))
-    jac_d = memory_jac[:, free_d]
+    jac_d = np.ascontiguousarray(memory_jac[:, free_d].T)
     base = memory_jac[:, ~free_d] @ np.array(spec0.memories)[~free_d] - math.log(2 * math.pi)
-    nd = jac_d.shape[1]
-    free_factors, arma0 = [], []
-    for sign, flags, factors in ((-1.0, template.free_ar, spec0.ar_factors),
-                                 (1.0, template.free_ma, spec0.ma_factors)):
-        for flag, f in zip(flags, factors):
+    nd = len(jac_d)
+    factors, arma0 = [], []
+    for sign, flags, spec_factors in ((-1.0, template.free_ar, spec0.ar_factors),
+                                      (1.0, template.free_ma, spec0.ma_factors)):
+        for flag, f in zip(flags, spec_factors):
             if not flag:
                 base = base + sign * np.log(np.abs(f.transfer(lam_u)) ** 2)
                 continue
-            z = np.exp(-1j * np.outer(lam_u, f.lag * np.arange(1, len(f.coeffs) + 1)))
+            z = np.exp(-1j * np.outer(f.lag * np.arange(1, len(f.coeffs) + 1), lam_u))
             start = nd + len(arma0)
-            free_factors.append((sign, slice(start, start + len(f.coeffs)), _frozen(z), f.lag))
+            factors.append((sign, slice(start, start + len(f.coeffs)),
+                            _frozen(np.ascontiguousarray([z.real, z.imag])), f.lag))
             # a nonstationary or non-invertible start falls back to white noise
             arma0.extend(f.coeffs if f.roots_outside_unit_circle() else [0.0] * len(f.coeffs))
-    box = np.where(np.arange(nd + len(arma0)) < nd, template.d_box, np.inf)   # |theta| <= box
+    box = np.where(np.arange(nd + len(arma0)) < nd, template.d_box, np.inf)
     _frozen(keep, jac_d, base, box)
-    return keep, jac_d, base, tuple(free_factors), tuple(arma0), box
+    return _WhittleDesign(keep, jac_d, base, tuple(factors), tuple(arma0), box)
+
+
+def _rows_times(theta: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """theta @ basis for a block of rows, as products summed over the short
+    middle axis: a BLAS product could round a row differently with the
+    width of the block."""
+    return (theta[:, :, None] * basis).sum(axis=1)
+
+
+def _objective(design: _WhittleDesign, I_u: np.ndarray, theta: np.ndarray):
+    """The concentrated Whittle objective F at every row of theta.
+
+    Returns (feasible, state): feasible is False on a row whose free
+    factors leave the stationary region, and state is (F, sigma2_hat, w,
+    then per free factor Re and Im of z / t as a (rows, 2, q, K) array),
+    with w = I / g.  F is inf where sigma2_hat is 0 or overflows.
+    """
+    logg = _rows_times(theta[:, :len(design.jac_d)], design.jac_d)
+    logg += design.base
+    feasible = np.ones(len(theta), dtype=bool)
+    ratios = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):   # rows F cannot use
+        for sign, sl, z, lag in design.factors:
+            c = theta[:, sl]
+            feasible &= _roots_outside_unit_circle(lag, c)
+            tr, ti = 1.0 - _rows_times(c, z[0]), -_rows_times(c, z[1])
+            t2 = tr * tr + ti * ti
+            logg += sign * np.log(t2)
+            tr, ti = tr[:, None, :], ti[:, None, :]
+            ratios.append(np.stack([z[0] * tr + z[1] * ti, z[1] * tr - z[0] * ti], axis=1)
+                          / t2[:, None, None, :])
+        w = np.exp(np.negative(logg))
+        w *= I_u
+        s2 = _row_means(w)
+        F = np.where((s2 > 0) & (s2 < np.inf), np.log(s2) + _row_means(logg), np.inf)
+    return feasible, (F, s2, w, *ratios)
+
+
+def _derivatives(design: _WhittleDesign, state):
+    """Gradient mean((1 - w/W) J) of F at each row, its Hessian and Gauss-Newton
+    part, with W = mean(w) and J the Jacobian of log g, one (parameters, K)
+    slab per row.  The Gauss-Newton part is the w-weighted covariance of J;
+    the Hessian adds mean((1 - w/W) d2 log g).  Every sum runs along the
+    last axis, row by row."""
+    _, _, w, *ratios = state
+    wn = w / w.sum(axis=1, keepdims=True)
+    u = 1.0 / w.shape[1] - wn
+    jac = design.jac_d[None]
+    if ratios:
+        jac = np.concatenate([np.broadcast_to(jac, (len(w), *jac.shape[1:]))]
+                             + [-2 * sign * r[:, 0] for (sign, *_), r in zip(design.factors, ratios)],
+                             axis=1)
+    grad = (u[:, None, :] * jac).sum(axis=2)
+    p = grad.shape[1]
+    curvature = np.zeros((len(w), p, p))   # mean((1 - w/W) d2 log g)
+    for (sign, sl, *_), r in zip(design.factors, ratios):
+        ru = r * u[:, None, None, :]
+        curvature[:, sl, sl] = -2 * sign * (ru[:, 0, :, None, :] * r[:, 0, None, :, :]
+                                            - ru[:, 1, :, None, :] * r[:, 1, None, :, :]).sum(axis=3)
+    del u
+    centred = jac - (wn[:, None, :] * jac).sum(axis=2, keepdims=True)
+    gauss_newton = np.stack([(centred[:, i, None, :] * wn[:, None, :] * centred).sum(axis=2)
+                             for i in range(p)], axis=1)
+    return grad, gauss_newton + curvature, gauss_newton
+
+
+def _newton_steps(grad: np.ndarray, hess: np.ndarray, gauss_newton: np.ndarray,
+                  free: np.ndarray) -> np.ndarray:
+    """Each row's Newton step in its free parameters, zero in the held ones;
+    rows with the same free set share one stacked solve."""
+    if free.all():
+        return _pseudo_newton(grad, hess, gauss_newton)
+    keys = (free @ (1 << np.arange(free.shape[1]))).tolist()
+    step = np.zeros_like(grad)
+    for rows in (np.flatnonzero(np.equal(keys, key)) for key in set(keys)):
+        cols = np.flatnonzero(free[rows[0]])
+        if cols.size:
+            at, sub = np.ix_(rows, cols), np.ix_(rows, cols, cols)
+            step[at] = _pseudo_newton(grad[at], hess[sub], gauss_newton[sub])
+    return step
+
+
+def _pseudo_newton(grad: np.ndarray, hess: np.ndarray, gauss_newton: np.ndarray) -> np.ndarray:
+    """-H^+ g for each row, from one stacked eigendecomposition.  Where the
+    Hessian is not positive definite the Gauss-Newton matrix stands in, and
+    the inverse is a pseudo-inverse: an AR and an MA factor at one lag can
+    cancel out."""
+    e, v = np.linalg.eigh(hess)
+    flat = ~np.all(e > 0, axis=1)   # not convex here: Gauss-Newton
+    if flat.any():
+        e[flat], v[flat] = np.linalg.eigh(gauss_newton[flat])
+    e = np.where(e > 1e-12 * np.maximum(e.max(axis=1, keepdims=True), 0.0), e, np.inf)
+    coef = (v.transpose(0, 2, 1) * grad[:, None, :]).sum(axis=2) / e
+    return -(v * coef[:, None, :]).sum(axis=2)
+
+
+def _projected_newton(design: _WhittleDesign, I_u: np.ndarray, theta0: np.ndarray):
+    """Projected Newton descent of F from every row of theta0 at once.
+
+    Returns (theta, state, converged, steps), one row each.  Each row
+    keeps its own held set and line search, and stops on its own: when its
+    Newton decrement g'H^-1 g falls below WHITTLE_TOL, when its line search
+    fails, or after WHITTLE_MAX_STEPS steps.  A memory on its bound stays
+    there until the row's other parameters have converged, then leaves if
+    its gradient points into the box.  The working arrays hold the rows
+    still descending; a row is copied out when it stops.
+    """
+    box = design.box
+    theta = np.clip(theta0, -box, box)
+    _, state = _objective(design, I_u, theta)
+    held = np.abs(theta) >= box
+    steps = np.zeros(len(theta), dtype=int)
+    out = theta.copy(), [a.copy() for a in state], np.zeros(len(theta), dtype=bool), steps.copy()
+    rows = np.arange(len(theta))   # where each descending row goes in ``out``
+    while rows.size:
+        grad, hess, gauss_newton = _derivatives(design, state)
+        while True:
+            step = _newton_steps(grad, hess, gauss_newton, ~held)
+            # below the tolerance F cannot resolve the decrease: take the step as is
+            done = -(grad * step).sum(axis=1) <= WHITTLE_TOL
+            inward = held & (theta * grad > 0)
+            release = done & inward.any(axis=1)
+            if not release.any():
+                break
+            held &= ~(inward & release[:, None])
+        # backtracking line search; the rows still searching halve alpha together
+        moved = np.zeros(len(theta), dtype=bool)
+        searching, alpha = np.arange(len(theta)), 1.0
+        while searching.size and alpha > 1e-12:
+            whole = searching.size == len(theta)
+            at = slice(None) if whole else searching   # a view while every row searches
+            trial = np.clip(theta[at] + alpha * step[at], -box, box)
+            feasible, trial_state = _objective(design, I_u[at], trial)
+            decrease = (grad[at] * (trial - theta[at])).sum(axis=1)
+            ok = feasible & (done[at] | (trial_state[0] <= state[0][at] + 1e-4 * decrease))
+            if whole and ok.all():
+                theta, state, moved = trial, list(trial_state), ok
+                break
+            accepted = searching[ok]
+            theta[accepted] = trial[ok]
+            for a, b in zip(state, trial_state):
+                a[accepted] = b[ok]
+            moved[accepted] = True
+            searching, alpha = searching[~ok], alpha * 0.5
+        held |= np.abs(theta) >= box
+        steps += moved
+        stop = done | ~moved | (steps >= WHITTLE_MAX_STEPS)
+        if stop.any():
+            end = rows[stop]
+            for a, b in zip((out[0], *out[1], out[2], out[3]), (theta, *state, done & moved, steps)):
+                a[end] = b[stop]
+            go = ~stop
+            rows, theta, held, steps, I_u = rows[go], theta[go], held[go], steps[go], I_u[go]
+            state = [a[go] for a in state]
+    return out
+
+
+class _WhittleFits(NamedTuple):
+    """Fox-Taqqu fits of a block of periodograms, one row each.  A row that
+    raised has its error in ``errors``, NaN values and -1 steps."""
+
+    d_hat: np.ndarray
+    theta: np.ndarray
+    sigma2: np.ndarray
+    objective: np.ndarray
+    converged: np.ndarray
+    steps: np.ndarray
+    errors: list
+
+
+def _whittle_fits(ordinates: np.ndarray, n: int, template: WhittleTemplate) -> _WhittleFits:
+    """The Whittle fit of every row of a block of periodogram ordinates, by one
+    projected Newton descent over the block; see ``whittle_estimate``.  A
+    row's bits do not depend on the other rows."""
+    if n < 64:
+        raise ValidationError("series-too-short", f"Whittle fit needs n >= 64, got {n}")
+    design = _whittle_design(n, template)
+    I_u = np.ascontiguousarray(ordinates[:, design.keep])
+    # rescaled ordinates keep F of order one, whatever the scale of the series
+    scale = _row_means(I_u)
+    solved = (scale > 0) & (scale < np.inf)
+    errors = [None if ok else ValidationError("zero-periodogram",
+                                              "periodogram vanishes at every usable frequency")
+              for ok in solved]
+    rows = np.flatnonzero(solved)
+    scale, I_u = scale[rows], I_u[rows] / scale[rows, None]
+    free_d = np.array(template.free_d)
+    nd = len(design.jac_d)
+    theta0 = np.hstack([_gph_start(ordinates[rows], n, template)[:, free_d],
+                        np.tile(np.array(design.arma0, dtype=float), (len(rows), 1))])
+    theta, state, converged, steps = _projected_newton(design, I_u, theta0)
+    if design.factors:
+        # with free AR/MA factors F is not convex: a memory on the box may
+        # mark a local minimum, so descend once more from white noise
+        again = np.flatnonzero(np.any(np.abs(theta) >= design.box, axis=1))
+        if again.size:
+            other = _projected_newton(design, I_u[again], np.zeros((again.size, theta.shape[1])))
+            steps[again] += other[3]
+            better = other[1][0] < state[0][again]
+            swap = again[better]
+            theta[swap], converged[swap] = other[0][better], other[2][better]
+            for a, b in zip(state, other[1]):
+                a[swap] = b[better]
+    d_hat = np.tile(np.array(template.spec.memories, dtype=float), (len(rows), 1))
+    d_hat[:, free_d] = theta[:, :nd]
+    sigma2 = scale * state[1]
+    converged &= np.isfinite(sigma2) & np.all(np.isfinite(d_hat), axis=1)
+    objective = I_u.shape[1] * (state[0] + np.log(scale) + 1) / (2 * n)
+
+    def full(values, fill):
+        if len(values) == len(ordinates):
+            return values
+        out = np.full((len(ordinates), *values.shape[1:]), fill, dtype=values.dtype)
+        out[rows] = values
+        return out
+
+    return _WhittleFits(d_hat=full(d_hat, np.nan), theta=full(theta, np.nan),
+                        sigma2=full(sigma2, np.nan), objective=full(objective, np.nan),
+                        converged=full(converged, False), steps=full(steps, -1), errors=errors)
 
 
 def whittle_estimate(series, template: WhittleTemplate) -> WhittleFit:
@@ -309,119 +562,24 @@ def whittle_estimate(series, template: WhittleTemplate) -> WhittleFit:
     |d| <= d_box and the AR/MA roots outside the unit circle.  With free
     AR/MA factors F is not convex, so a fit that ends on the box is repeated
     from white noise.  ``iterations`` counts Newton steps; non-convergence is
-    reported in the returned fit, never silently discarded.
+    reported in the returned fit, never silently discarded.  This is the
+    one-row case of the block fit a Monte Carlo run applies to its paths.
     """
     x = np.asarray(series, dtype=float)
-    n = len(x)
-    if n < 64:
-        raise ValidationError("series-too-short", f"Whittle fit needs n >= 64, got {n}")
+    fits = _whittle_fits(periodogram(x).ordinates[None, :], len(x), template)
+    if fits.errors[0] is not None:
+        raise fits.errors[0]
     spec0 = template.spec
-    pg = periodogram(x)
-    keep, jac_d, base, free_factors, arma0, box = _whittle_design(n, template)
-    I_u = pg.ordinates[keep]
-    n_used = len(I_u)
-    # rescaled ordinates keep F of order one, whatever the scale of the series
-    scale = float(np.mean(I_u))
-    if not 0 < scale < math.inf:
-        raise ValidationError("zero-periodogram", "periodogram vanishes at every usable frequency")
-    I_u = I_u / scale
-    free_d = np.array(template.free_d)
-    theta0 = [d for d, flag in zip(_gph_start(pg, template), free_d) if flag] + list(arma0)
-    nd = jac_d.shape[1]
-
-    def evaluate(theta):
-        """(F, log g, each free factor's z/t) at theta; None outside the stationary region."""
-        logg = base + jac_d @ theta[:nd]
-        ratios = []
-        for sign, sl, z, lag in free_factors:
-            if not ArmaFactor(lag, theta[sl]).roots_outside_unit_circle():
-                return None
-            t = 1.0 - z @ theta[sl]
-            logg = logg + sign * np.log(t.real ** 2 + t.imag ** 2)
-            ratios.append(z / t[:, None])
-        s2 = float(np.mean(I_u * np.exp(-logg)))
-        return (math.log(s2) + float(np.mean(logg)) if 0 < s2 < math.inf else math.inf), logg, ratios
-
-    def derivatives(logg, ratios):
-        """Gradient mean((1 - w/W) J) of F, its Hessian and Gauss-Newton part, with
-        w = I / g, W = mean(w), J the Jacobian of log g.  The Gauss-Newton part is
-        the w-weighted covariance of J; the Hessian adds mean((1 - w/W) d2 log g)."""
-        w = I_u * np.exp(-logg)
-        wn = w / w.sum()
-        u = 1.0 / n_used - wn
-        jac = np.hstack([jac_d] + [-2 * sign * r.real for (sign, *_), r in zip(free_factors, ratios)]) \
-            if free_factors else jac_d
-        centred = jac - wn @ jac
-        gauss_newton = (centred * wn[:, None]).T @ centred
-        hess = gauss_newton.copy()
-        for (sign, sl, *_), r in zip(free_factors, ratios):
-            hess[sl, sl] -= 2 * sign * ((r * u[:, None]).T @ r).real
-        return u @ jac, hess, gauss_newton
-
-    def newton(theta):
-        """Projected Newton descent from theta: (theta, evaluate(theta), converged, steps).
-
-        A memory on its bound stays there until the other parameters have
-        converged, then leaves if its gradient points into the box.
-        """
-        theta = np.clip(theta, -box, box)
-        state = evaluate(theta)
-        held = np.abs(theta) >= box
-        steps = 0
-        while steps < WHITTLE_MAX_STEPS:
-            grad, hess, gauss_newton = derivatives(*state[1:])
-            free = ~held
-            e, v = np.linalg.eigh(hess[free][:, free])
-            if not np.all(e > 0):   # not convex here: Gauss-Newton
-                e, v = np.linalg.eigh(gauss_newton[free][:, free])
-            # pseudo-inverse: an AR and an MA factor at one lag can cancel out
-            step = np.zeros(len(theta))
-            step[free] = -v @ ((v.T @ grad[free]) / np.where(e > 1e-12 * e.max(initial=0.0), e, np.inf))
-            # below the tolerance F cannot resolve the decrease: take the step as is
-            done = -float(grad @ step) <= WHITTLE_TOL
-            inward = held & (theta * grad > 0)
-            if done and inward.any():
-                held &= ~inward
-                continue
-            alpha = 1.0
-            while alpha > 1e-12:
-                trial = np.clip(theta + alpha * step, -box, box)
-                trial_state = evaluate(trial)
-                if trial_state is not None and (
-                        done or trial_state[0] <= state[0] + 1e-4 * float(grad @ (trial - theta))):
-                    break
-                alpha *= 0.5
-            else:
-                break
-            theta, state = trial, trial_state
-            held |= np.abs(theta) >= box
-            steps += 1
-            if done:
-                return theta, state, True, steps
-        return theta, state, False, steps
-
-    theta, state, converged, steps = newton(np.array(theta0, dtype=float))
-    if free_factors and np.any(np.abs(theta) >= box):
-        # with free AR/MA factors F is not convex: a memory on the box may
-        # mark a local minimum, so descend once more from white noise
-        other = newton(np.zeros(len(theta0)))
-        steps += other[3]
-        if other[1][0] < state[0]:
-            theta, state, converged = other[:3]
-
-    d_hat = np.array(spec0.memories, dtype=float)
-    d_hat[free_d] = theta[:nd]
-    fitted = iter(theta[sl] for _, sl, *_ in free_factors)
+    theta = fits.theta[0]
+    fitted = iter(theta[sl] for _, sl, *_ in _whittle_design(len(x), template).factors)
     ar_out = [(f.lag, tuple(float(v) for v in (next(fitted) if flag else f.coeffs)))
               for flag, f in zip(template.free_ar, spec0.ar_factors)]
     ma_out = [(f.lag, tuple(float(v) for v in (next(fitted) if flag else f.coeffs)))
               for flag, f in zip(template.free_ma, spec0.ma_factors)]
-    sigma2 = scale * float(np.mean(I_u * np.exp(-state[1])))
-    converged = converged and math.isfinite(sigma2) and bool(np.all(np.isfinite(d_hat)))
-    return WhittleFit(d_hat=d_hat,
-                      short_memory={"ar": ar_out, "ma": ma_out, "sigma2": sigma2},
-                      objective=n_used * (state[0] + math.log(scale) + 1) / (2 * n), converged=converged,
-                      iterations=steps, periods=spec0.periods)
+    return WhittleFit(d_hat=fits.d_hat[0],
+                      short_memory={"ar": ar_out, "ma": ma_out, "sigma2": float(fits.sigma2[0])},
+                      objective=float(fits.objective[0]), converged=bool(fits.converged[0]),
+                      iterations=int(fits.steps[0]), periods=spec0.periods)
 
 
 # ---------------------------------------------------------------------------

@@ -87,11 +87,17 @@ class ArmaFactor:
         return 1.0 - np.exp(-1j * np.multiply.outer(lam, powers)) @ np.array(self.coeffs)
 
     def roots_outside_unit_circle(self) -> bool:
-        if len(self.coeffs) == 1:
-            # 1 - c z^lag = 0  =>  |z| = |c|^(-1/lag)
-            return abs(self.coeffs[0]) < 1.0
-        roots = np.roots(self.polynomial()[::-1])
-        return bool(np.all(np.abs(roots) > 1.0))
+        return bool(_roots_outside_unit_circle(self.lag, np.array([self.coeffs]))[0])
+
+
+def _roots_outside_unit_circle(lag: int, coeffs: np.ndarray) -> np.ndarray:
+    """Whether 1 - sum_p c_p z^(p lag) has every root outside the unit
+    circle, for each row c of ``coeffs``."""
+    if coeffs.shape[1] == 1:
+        # 1 - c z^lag = 0  =>  |z| = |c|^(-1/lag)
+        return np.abs(coeffs[:, 0]) < 1.0
+    return np.array([np.all(np.abs(np.roots(ArmaFactor(lag, c).polynomial()[::-1])) > 1.0)
+                     for c in coeffs], dtype=bool)
 
 
 @dataclass(frozen=True)

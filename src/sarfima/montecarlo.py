@@ -10,17 +10,19 @@ serial and parallel runs agree exactly.
 from __future__ import annotations
 
 import math
+import numbers
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import multiprocessing
 import numpy as np
 
 from .errors import SarfimaError, ValidationError
 from .model import ArmaFactor, SarfimaSpec, SeasonalComponent
-from .spectrum import BandPlan, build_band_plan, periodogram, resolve_bandwidth, write_csv
-from .estimators import WhittleTemplate, gph_estimate, whittle_estimate
+from .spectrum import BandPlan, build_band_plan, resolve_bandwidth, write_csv, _ordinates
+from .estimators import WhittleTemplate, _gph_fits, _whittle_fits
 from .simulate import (SimConfig, acvf_self_check, derive_rep_seed, simulate, _dl_paths,
                        _dl_tables, _seed_rng)
 
@@ -121,6 +123,7 @@ class McConfig:
         sampler = SimConfig(spec=self.spec, n=self.n, seed=0, method=self.method,
                             grid_exponent=self.grid_exponent)
         object.__setattr__(self, "grid_exponent", sampler.grid_exponent)
+        _resolve_workers(self.workers)
         names = [e.name for e in self.estimators]
         if len(set(names)) != len(names):
             raise ValidationError("bad-estimator", "estimator names must be unique")
@@ -148,41 +151,50 @@ def _true_d(e: EstimatorDef, spec: SarfimaSpec) -> np.ndarray:
     return np.array([lookup[s] for s in e.result_periods(spec)])
 
 
-def _apply_estimator(e: EstimatorDef, x: np.ndarray, pg, spec: SarfimaSpec):
-    """Estimate vector for one path, or None on a counted failure."""
+def _fit_block(e: EstimatorDef, ordinates: np.ndarray, n: int, spec: SarfimaSpec):
+    """Estimator ``e`` on a block of periodograms, one row per replication:
+    (estimates, each row's error code or None, each row's Newton steps for a
+    whittle fit).  A failed row, a fit that did not converge included, is a
+    NaN row with its code, and -1 steps where the fit raised."""
     try:
-        if e.kind != "whittle":
-            periods = e.result_periods(spec)
-            return gph_estimate(pg, e.band_plan(len(x), spec), periods[0], periods[-1]).d_hat
-        fit = whittle_estimate(x, e.template)
-        if not fit.converged:
-            return None
-        return fit.d_hat
-    except SarfimaError:
-        return None
+        if e.kind == "whittle":
+            fits = _whittle_fits(ordinates, n, e.template)
+            codes = [err.code if err else None if ok else "not-converged"
+                     for err, ok in zip(fits.errors, fits.converged)]
+            return np.where(fits.converged[:, None], fits.d_hat, np.nan), codes, fits.steps
+        d_hat, errors = _gph_fits(ordinates, e.band_plan(n, spec), e.result_periods(spec))
+        return d_hat, [err and err.code for err in errors], None
+    except SarfimaError as exc:
+        rows = len(ordinates)
+        return (np.full((rows, e.dimension(spec)), np.nan), [exc.code] * rows,
+                np.full(rows, -1) if e.kind == "whittle" else None)
 
 
 def _paths(config: McConfig, reps: range):
     """The sample paths of replications ``reps`` in order, each from its own
-    derived seed; exact_dl draws up to _PATH_BLOCK of them per solve."""
+    derived seed, as C-ordered blocks of up to _PATH_BLOCK rows; exact_dl
+    draws each block with one solve."""
     seeds = [derive_rep_seed(config.master_seed, rep) for rep in reps]
-    if config.method != "exact_dl":
-        for seed in seeds:
-            yield simulate(SimConfig(spec=config.spec, n=config.n, seed=seed,
-                                     method=config.method, grid_exponent=config.grid_exponent))
-        return
     for lo in range(0, len(seeds), _PATH_BLOCK):
-        rngs = [_seed_rng(seed) for seed in seeds[lo:lo + _PATH_BLOCK]]
-        yield from _dl_paths(config.spec, config.n, config.grid_exponent, rngs).T
+        block = seeds[lo:lo + _PATH_BLOCK]
+        if config.method == "exact_dl":
+            yield _dl_paths(config.spec, config.n, config.grid_exponent,
+                            [_seed_rng(seed) for seed in block]).T
+        else:
+            yield np.stack([simulate(SimConfig(spec=config.spec, n=config.n, seed=seed,
+                                               method=config.method,
+                                               grid_exponent=config.grid_exponent))
+                            for seed in block])
 
 
 def _run_reps(config: McConfig, start: int, stop: int):
-    out = []
-    reps = range(start, stop)
-    for rep, x in zip(reps, _paths(config, reps)):
-        pg = periodogram(x)
-        out.append((rep, [_apply_estimator(e, x, pg, config.spec) for e in config.estimators]))
-    return out
+    """Replications start..stop-1, one block of paths at a time: for each
+    estimator, its ``_fit_block`` parts in replication order."""
+    parts = [[] for _ in config.estimators]
+    for ordinates in map(_ordinates, _paths(config, range(start, stop))):
+        for e, part in zip(config.estimators, parts):
+            part.append(_fit_block(e, ordinates, config.n, config.spec))
+    return parts
 
 
 @dataclass(frozen=True)
@@ -194,6 +206,8 @@ class EstimatorResult:
     corr: float          # nan for 1-dim estimators
     failure_count: int
     estimates: np.ndarray  # (reps, dim); failed replications are NaN rows
+    failure_codes: dict = field(default_factory=dict)   # error code -> failed replications
+    iterations: np.ndarray = None   # whittle: Newton steps per replication, -1 where it raised
 
 
 @dataclass(frozen=True)
@@ -214,21 +228,21 @@ def run_mc(config: McConfig) -> McSummary:
     """Run the full replication study described by ``config``.
 
     Startup runs the quadrature doubling self-check, then each replication
-    simulates with its derived seed (exact_dl paths drawn in blocks that
-    share one triangular solve) and applies every estimator to the same
-    path.  Failed estimator applications (guard violations, optimizer
-    non-convergence) are excluded from the moments and counted.  The summary
-    is identical for any worker count.
+    simulates with its derived seed and every estimator is applied to the
+    same path.  Paths come in blocks of up to _PATH_BLOCK (exact_dl draws a
+    block with one triangular solve), and each estimator fits a whole block
+    at once: one transform, one band regression and one Whittle descent.
+    A replication's estimates do not depend on the block it shares.  Failed
+    estimator applications (guard violations, optimizer non-convergence) are
+    excluded from the moments and counted by error code.  The summary is
+    identical for any worker count.
     """
+    workers = _resolve_workers(config.workers)
     if config.method == "exact_dl":
         if config.self_check:
             acvf_self_check(config.spec, config.grid_exponent)
         _dl_tables(config.spec, config.n, config.grid_exponent)  # warm before forking
 
-    dims = [e.dimension(config.spec) for e in config.estimators]
-    estimates = [np.full((config.reps, d), np.nan) for d in dims]
-
-    workers = _resolve_workers(config.workers)
     if workers <= 1 or config.reps < 2 * workers:
         chunks = [_run_reps(config, 0, config.reps)]
     else:
@@ -239,15 +253,12 @@ def run_mc(config: McConfig) -> McSummary:
             chunks = list(pool.map(_run_reps, [config] * len(spans),
                                    [a for a, _ in spans], [b for _, b in spans]))
 
-    for chunk in chunks:
-        for rep, values in chunk:
-            for slot, value in zip(estimates, values):
-                if value is not None:
-                    slot[rep] = value
-
     results = []
-    for e, slot in zip(config.estimators, estimates):
-        ok = ~np.isnan(slot[:, 0])
+    for i, e in enumerate(config.estimators):
+        parts = [part for chunk in chunks for part in chunk[i]]
+        slot = np.concatenate([values for values, _, _ in parts])
+        codes = [code for _, block_codes, _ in parts for code in block_codes]
+        ok = np.array([code is None for code in codes], dtype=bool)
         good = slot[ok]
         truth = _true_d(e, config.spec)
         if len(good):
@@ -258,19 +269,28 @@ def run_mc(config: McConfig) -> McSummary:
             mean = np.full(slot.shape[1], np.nan)
             mse = np.full(slot.shape[1], np.nan)
             corr = math.nan
-        results.append(EstimatorResult(name=e.name, periods=e.result_periods(config.spec),
-                                       mean=mean, mse=mse, corr=corr,
-                                       failure_count=int(config.reps - ok.sum()),
-                                       estimates=slot))
+        results.append(EstimatorResult(
+            name=e.name, periods=e.result_periods(config.spec), mean=mean, mse=mse, corr=corr,
+            failure_count=int(config.reps - ok.sum()), estimates=slot,
+            failure_codes=dict(sorted(Counter(code for code in codes if code).items())),
+            iterations=np.concatenate([s for _, _, s in parts]) if e.kind == "whittle" else None))
     return McSummary(results=tuple(results), reps=config.reps, n=config.n,
                      master_seed=config.master_seed)
 
 
 def _resolve_workers(workers) -> int:
+    """The worker count: ``workers``, else SARFIMA_THREADS, else 1.  Anything
+    but a positive integer is rejected, not coerced."""
     if workers is None:
-        env = os.environ.get("SARFIMA_THREADS", "")
-        workers = int(env) if env.isdigit() and int(env) > 0 else 1
-    return max(int(workers), 1)
+        env = os.environ.get("SARFIMA_THREADS")
+        if env is None:
+            return 1
+        if not (env.isascii() and env.isdigit() and int(env) > 0):
+            raise ValidationError("bad-workers", f"SARFIMA_THREADS must be a positive integer, got {env!r}")
+        return int(env)
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValidationError("bad-workers", f"workers must be a positive integer, got {workers!r}")
+    return int(workers)
 
 
 def standardized_sample(estimates, component: int = 0):

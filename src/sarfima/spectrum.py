@@ -43,13 +43,20 @@ def periodogram(series, subtract_mean: bool = True) -> Periodogram:
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or len(x) < 8:
         raise ValidationError("series-too-short", f"need a 1-d series with n >= 8, got n={x.size}")
-    if not np.all(np.isfinite(x)):
+    return Periodogram(n=len(x), ordinates=_ordinates(x[None, :], subtract_mean)[0])
+
+
+def _ordinates(paths: np.ndarray, subtract_mean: bool = True) -> np.ndarray:
+    """Periodogram ordinates of every row of ``paths``, as a C-ordered block
+    with one row per path; a row's bits do not depend on the other rows."""
+    if not np.all(np.isfinite(paths)):
         raise ValidationError("non-finite-input", "series contains NaN or infinite values")
-    n = len(x)
-    if subtract_mean:
-        x = x - x.mean()
-    I = (np.abs(np.fft.fft(x)) ** 2 / (2 * np.pi * n))[1:]
-    return Periodogram(n=n, ordinates=I)
+    n = paths.shape[1]
+    x = np.ascontiguousarray(paths)
+    I = np.abs(np.fft.fft(x - x.mean(axis=1, keepdims=True) if subtract_mean else x, axis=1)[:, 1:])
+    I **= 2
+    I /= 2 * np.pi * n
+    return I
 
 
 @dataclass(frozen=True)

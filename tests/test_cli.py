@@ -437,6 +437,19 @@ class TestRejectedInputs:
         self.assert_one_error(capsys, code)
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads,env", [(["--threads", "-3"], None),
+                                             (["--threads", "0"], None),
+                                             ([], "abc")])
+    def test_mc_bad_workers(self, tmp_path, capsys, monkeypatch, threads, env):
+        if env is not None:
+            monkeypatch.setenv("SARFIMA_THREADS", env)
+        out = tmp_path / "m.csv"
+        rc = cli.dispatch(["mc", "--design", "table2", "--seed", "1", "--reps", "2", *threads,
+                           "--out", str(out)])
+        assert rc == 1
+        self.assert_one_error(capsys, "bad-workers")
+        assert not out.exists()
+
     def test_mc_too_large(self, tmp_path, capsys):
         rc = cli.dispatch(["mc", "--design", "table2", "--seed", "1", "--reps", "2",
                            "--n", "10000000", "--out", str(tmp_path / "m.csv")])

@@ -166,7 +166,7 @@ class TestBlockBoundary:
 
         from sarfima.montecarlo import _paths
         cfg = replace(small_config(reps=70), n=n)
-        paths = list(_paths(cfg, range(cfg.reps)))
+        paths = np.concatenate(list(_paths(cfg, range(cfg.reps))))
         summary = run_mc(cfg)
         template = cfg.estimators[1].template
         for rep in (0, 1, 63, 64, 69):
@@ -177,6 +177,144 @@ class TestBlockBoundary:
                                   gph_estimate(periodogram(x), plan, 1, 4).d_hat)
             assert np.array_equal(summary.by_name("ft").estimates[rep],
                                   whittle_estimate(x, template).d_hat)
+
+
+#: series lengths of the replay checks: 256 where the design accepts it, else
+#: 568, the shortest series whose n^0.5 bands fit between the harmonics of 12
+REPLAY_N = {"table1": 256, "table2": 256, "table3": 568, "table4": 256, "table5": 568}
+
+
+def assert_same_summary(a, b):
+    for x, y in zip(a.results, b.results, strict=True):
+        assert x.estimates.tobytes() == y.estimates.tobytes()
+        assert np.asarray(x.mean).tobytes() == np.asarray(y.mean).tobytes()
+        assert np.asarray(x.mse).tobytes() == np.asarray(y.mse).tobytes()
+        assert np.float64(x.corr).tobytes() == np.float64(y.corr).tobytes()
+        assert (x.failure_count, x.failure_codes) == (y.failure_count, y.failure_codes)
+        assert np.array_equal(x.iterations, y.iterations) if x.iterations is not None \
+            else y.iterations is None
+
+
+@pytest.fixture(scope="module", params=DESIGN_NAMES)
+def replayed(request):
+    from dataclasses import replace
+    config = replace(design(request.param, master_seed=20101125, reps=70, n=REPLAY_N[request.param]),
+                     self_check=False)
+    return config, run_mc(config)
+
+
+class TestBlockFit:
+    """Each block of paths is fitted at once; a replication's estimates and
+    Newton steps are those of the public per-series calls, whatever its block."""
+
+    def test_replications_match_the_public_calls(self, replayed):
+        config, summary = replayed
+        for rep in (0, 1, 63, 64, 69):
+            x = simulate(SimConfig(spec=config.spec, n=config.n,
+                                   seed=derive_rep_seed(config.master_seed, rep)))
+            pg = periodogram(x)
+            for e, res in zip(config.estimators, summary.results):
+                if e.kind == "whittle":
+                    fit = whittle_estimate(x, e.template)
+                    assert fit.iterations == res.iterations[rep]
+                    want = fit.d_hat if fit.converged else np.full(len(fit.d_hat), np.nan)
+                else:
+                    periods = e.result_periods(config.spec)
+                    want = gph_estimate(pg, e.band_plan(config.n, config.spec),
+                                        periods[0], periods[-1]).d_hat
+                assert res.estimates[rep].tobytes() == want.tobytes(), (e.name, rep)
+
+    @pytest.mark.parametrize("width", [1, 7, 32])
+    def test_block_width_invariance(self, replayed, width, monkeypatch):
+        from sarfima import montecarlo
+        config, summary = replayed   # run in blocks of 64
+        assert montecarlo._PATH_BLOCK == 64
+        monkeypatch.setattr(montecarlo, "_PATH_BLOCK", width)
+        assert_same_summary(run_mc(config), summary)
+
+    def test_worker_count_invariance(self, replayed):
+        from dataclasses import replace
+        config, summary = replayed
+        assert_same_summary(run_mc(replace(config, workers=3)), summary)
+
+
+class TestFailureCodes:
+    def test_failed_row_fails_alone(self, monkeypatch):
+        """A constant path in the middle of a block fails with its own codes;
+        every other replication keeps its bits."""
+        from sarfima import montecarlo
+        bad = 4
+        config = small_config(reps=10)
+        clean = run_mc(config)
+        draw = montecarlo._paths
+
+        def with_constant_path(config, reps):
+            lo = reps.start
+            for block in draw(config, reps):
+                block = np.array(block)
+                if lo <= bad < lo + len(block):
+                    block[bad - lo] = 1.0
+                lo += len(block)
+                yield block
+
+        monkeypatch.setattr(montecarlo, "_paths", with_constant_path)
+        serial = run_mc(config)
+        from dataclasses import replace
+        assert_same_summary(run_mc(replace(config, workers=3)), serial)
+        gph, ft = serial.by_name("gph"), serial.by_name("ft")
+        assert (gph.failure_count, gph.failure_codes) == (1, {"zero-ordinate": 1})
+        assert (ft.failure_count, ft.failure_codes) == (1, {"zero-periodogram": 1})
+        assert ft.iterations[bad] == -1
+        keep = np.arange(config.reps) != bad
+        for res, ref in zip(serial.results, clean.results):
+            assert np.all(np.isnan(res.estimates[bad]))
+            assert res.estimates[keep].tobytes() == ref.estimates[keep].tobytes()
+        assert np.array_equal(ft.iterations[keep], clean.by_name("ft").iterations[keep])
+
+    def test_nonconvergence_is_counted(self, monkeypatch):
+        from dataclasses import replace
+
+        from sarfima import estimators
+        monkeypatch.setattr(estimators, "WHITTLE_MAX_STEPS", 1)
+        config = small_config(reps=8)
+        serial = run_mc(config)
+        ft = serial.by_name("ft")
+        assert ft.failure_count > 0
+        assert ft.failure_codes == {"not-converged": ft.failure_count}
+        assert np.all(ft.iterations == 1)
+        assert np.isnan(ft.estimates[:, 0]).sum() == ft.failure_count
+        assert_same_summary(run_mc(replace(config, workers=3)), serial)
+
+    def test_clean_run_has_no_codes(self):
+        summary = run_mc(small_config())
+        assert [r.failure_codes for r in summary.results] == [{}, {}]
+        assert summary.by_name("gph").iterations is None
+        assert np.all(summary.by_name("ft").iterations > 0)
+
+
+class TestWorkerCount:
+    """A worker count is a positive integer; anything else is rejected, not coerced."""
+
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.7, "2"])
+    def test_bad_argument(self, workers):
+        with pytest.raises(ValidationError) as exc:
+            small_config(workers=workers)
+        assert exc.value.code == "bad-workers"
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "2.5", ""])
+    def test_bad_environment(self, value, monkeypatch):
+        monkeypatch.setenv("SARFIMA_THREADS", value)
+        with pytest.raises(ValidationError) as exc:
+            small_config(workers=None)
+        assert exc.value.code == "bad-workers"
+
+    def test_good_values(self, monkeypatch):
+        from sarfima.montecarlo import _resolve_workers
+        monkeypatch.delenv("SARFIMA_THREADS", raising=False)
+        assert _resolve_workers(None) == 1
+        assert _resolve_workers(np.int64(2)) == 2
+        monkeypatch.setenv("SARFIMA_THREADS", "2")
+        assert _resolve_workers(None) == 2
 
 
 class TestStandardizedSample:
