@@ -10,12 +10,9 @@ Prints two SHA-256 digests:
   code.
 
 Run it on two checkouts with the same arguments; equal digests mean equal bits.
-``--workers`` runs the replications in that many processes; the digests do
-not depend on it.
 
     python scripts/digest.py
     python scripts/digest.py --reps 2      # a quick smoke run
-    python scripts/digest.py --workers 2
 """
 
 from __future__ import annotations
@@ -33,17 +30,17 @@ from sarfima import DESIGN_NAMES, design, run_mc, spec_to_json
 from sarfima.cli import dispatch
 
 
-def mc_digest(master_seed: int, reps: int, n: int, workers: int = 1) -> str:
+def mc_digest(master_seed: int, reps: int, n: int) -> str:
     h = hashlib.sha256()
     for name in DESIGN_NAMES:
-        summary = run_mc(design(name, master_seed=master_seed, reps=reps, n=n, workers=workers))
+        summary = run_mc(design(name, master_seed=master_seed, reps=reps, n=n))
         for res in summary.results:
             h.update(f"{name}/{res.name}/{res.estimates.shape}".encode())
             h.update(res.estimates.tobytes())
     return h.hexdigest()
 
 
-def cli_calls(seed: int, reps: int, n: int, workers: int = 1):
+def cli_calls(seed: int, reps: int, n: int):
     """The verb chain, as argument lists run in a fresh working directory."""
     return [
         ["simulate", "--spec", "spec.json", "--n", str(n), "--seed", str(seed), "--out", "series.csv"],
@@ -59,18 +56,18 @@ def cli_calls(seed: int, reps: int, n: int, workers: int = 1):
          "--out", "scan.csv"],
         ["acf", "--in", "resid.csv", "--max-lag", "48", "--out", "acf.csv"],
         ["mc", "--design", "table4", "--seed", str(seed), "--reps", str(reps), "--n", str(n),
-         "--threads", str(workers), "--out", "mc.csv", "--dump-estimates", "mc_estimates.csv"],
+         "--out", "mc.csv", "--dump-estimates", "mc_estimates.csv"],
     ]
 
 
-def cli_digest(seed: int, reps: int, n: int, workers: int = 1) -> str:
+def cli_digest(seed: int, reps: int, n: int) -> str:
     spec = design("table4", master_seed=seed, reps=1, n=n).spec
     template = {"spec": json.loads(spec_to_json(spec)), "free_d": [True, True], "free_ar": [True]}
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         Path("spec.json").write_text(spec_to_json(spec))
         Path("template.json").write_text(json.dumps(template))
-        for argv in cli_calls(seed, reps, n, workers):
+        for argv in cli_calls(seed, reps, n):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = dispatch(argv)
             h.update(f"{argv[0]} -> {code}\n".encode())
@@ -85,12 +82,10 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=20101125, help="master seed")
     ap.add_argument("--reps", type=int, default=100, help="replications per design")
     ap.add_argument("--n", type=int, default=1080, help="series length")
-    ap.add_argument("--workers", type=int, default=1, help="worker processes of each Monte Carlo run")
     args = ap.parse_args(argv)
-    print(f"run_mc {mc_digest(args.seed, args.reps, args.n, args.workers)}  table1-5, "
-          f"seed {args.seed}, n {args.n}, {args.reps} reps")
-    print(f"cli    {cli_digest(args.seed, args.reps, args.n, args.workers)}  "
-          f"{len(cli_calls(0, 0, 0))} verb calls")
+    print(f"run_mc {mc_digest(args.seed, args.reps, args.n)}  table1-5, seed {args.seed}, "
+          f"n {args.n}, {args.reps} reps")
+    print(f"cli    {cli_digest(args.seed, args.reps, args.n)}  {len(cli_calls(0, 0, 0))} verb calls")
     return 0
 
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -266,37 +266,29 @@ WHITTLE_TOL = 2e-15
 def _gph_start(ordinates: np.ndarray, n: int, template: WhittleTemplate) -> np.ndarray:
     """Starting memories of every row from the band OLS estimator; zeros where it fails."""
     periods = template.spec.periods
-    start = np.zeros((len(ordinates), len(periods)))
     try:
         plan = build_band_plan(n, periods[0], periods[-1], max(2, int(n ** 0.5)))
-        d_hat, errors = _gph_fits(ordinates, plan, periods)
     except ValidationError:
-        return start
-    ok = np.array([e is None for e in errors], dtype=bool)
-    start[ok] = d_hat[ok]
-    return start
+        return np.zeros((len(ordinates), len(periods)))
+    return np.nan_to_num(_gph_fits(ordinates, plan, periods)[0], nan=0.0)
 
 
-class _WhittleDesign(NamedTuple):
-    """The data-free half of a Whittle fit at one (n, template); the arrays are read-only.
+_WhittleDesign = namedtuple("_WhittleDesign", "keep jac_d base factors arma0 box")
+
+
+@functools.lru_cache(maxsize=16)
+def _whittle_design(n: int, template: WhittleTemplate) -> _WhittleDesign:
+    """The data-free half of a Whittle fit, once per (n, template): the mask
+    ``keep`` of usable Fourier indices j = 1..n-1, the (free memories,
+    usable frequencies) Jacobian ``jac_d`` of log g, the fixed part ``base``
+    of log g, each free factor's (sign, slice of theta, (Re z, Im z) as a
+    (2, q, K) array, lag), the factors' starting coefficients ``arma0`` and
+    the ``box`` |theta| <= box.  The arrays are read-only.
 
     log g = base + d . jac_d + sum of sign * ln|t|^2 over the free factors,
     t = 1 - sum_p c_p z_p with z_p = exp(-i lambda p lag), sign -1 for AR
     and +1 for MA; base holds -ln(2 pi) and every fixed parameter.
     """
-
-    keep: np.ndarray    # the usable Fourier indices j = 1..n-1, as a mask
-    jac_d: np.ndarray   # (free memories, usable frequencies): d log g / d d_i
-    base: np.ndarray
-    factors: tuple      # per free factor: (sign, its slice of theta, (Re z, Im z) as (2, q, K), lag)
-    arma0: tuple        # the free factors' starting coefficients
-    box: np.ndarray     # |theta| <= box
-
-
-@functools.lru_cache(maxsize=16)
-def _whittle_design(n: int, template: WhittleTemplate) -> _WhittleDesign:
-    """The Whittle problem of a length-n series, once per (n, template): the
-    frequencies left after pole exclusion and the pieces of log g there."""
     spec0 = template.spec
     j = np.arange(1, n)
     lam = 2 * np.pi * j / n
@@ -464,6 +456,7 @@ def _projected_newton(design: _WhittleDesign, I_u: np.ndarray, theta0: np.ndarra
             decrease = (grad[at] * (trial - theta[at])).sum(axis=1)
             ok = feasible & (done[at] | (trial_state[0] <= state[0][at] + 1e-4 * decrease))
             if whole and ok.all():
+                # the common case: keep the trial arrays rather than copy every row back
                 theta, state, moved = trial, list(trial_state), ok
                 break
             accepted = searching[ok]
@@ -485,17 +478,9 @@ def _projected_newton(design: _WhittleDesign, I_u: np.ndarray, theta0: np.ndarra
     return out
 
 
-class _WhittleFits(NamedTuple):
-    """Fox-Taqqu fits of a block of periodograms, one row each.  A row that
-    raised has its error in ``errors``, NaN values and -1 steps."""
-
-    d_hat: np.ndarray
-    theta: np.ndarray
-    sigma2: np.ndarray
-    objective: np.ndarray
-    converged: np.ndarray
-    steps: np.ndarray
-    errors: list
+#: Fox-Taqqu fits of a block of periodograms, one row each; a row that
+#: raised has its error in ``errors``, NaN values and -1 steps
+_WhittleFits = namedtuple("_WhittleFits", "d_hat theta sigma2 objective converged steps errors")
 
 
 def _whittle_fits(ordinates: np.ndarray, n: int, template: WhittleTemplate) -> _WhittleFits:
@@ -512,12 +497,13 @@ def _whittle_fits(ordinates: np.ndarray, n: int, template: WhittleTemplate) -> _
     errors = [None if ok else ValidationError("zero-periodogram",
                                               "periodogram vanishes at every usable frequency")
               for ok in solved]
-    rows = np.flatnonzero(solved)
-    scale, I_u = scale[rows], I_u[rows] / scale[rows, None]
+    # a failed row is fitted to a flat periodogram, then blanked
+    scale = np.where(solved, scale, 1.0)
+    I_u = np.where(solved[:, None], I_u / scale[:, None], 1.0)
     free_d = np.array(template.free_d)
     nd = len(design.jac_d)
-    theta0 = np.hstack([_gph_start(ordinates[rows], n, template)[:, free_d],
-                        np.tile(np.array(design.arma0, dtype=float), (len(rows), 1))])
+    theta0 = np.hstack([_gph_start(np.where(solved[:, None], ordinates, 1.0), n, template)[:, free_d],
+                        np.tile(np.array(design.arma0, dtype=float), (len(I_u), 1))])
     theta, state, converged, steps = _projected_newton(design, I_u, theta0)
     if design.factors:
         # with free AR/MA factors F is not convex: a memory on the box may
@@ -531,22 +517,15 @@ def _whittle_fits(ordinates: np.ndarray, n: int, template: WhittleTemplate) -> _
             theta[swap], converged[swap] = other[0][better], other[2][better]
             for a, b in zip(state, other[1]):
                 a[swap] = b[better]
-    d_hat = np.tile(np.array(template.spec.memories, dtype=float), (len(rows), 1))
+    d_hat = np.tile(np.array(template.spec.memories, dtype=float), (len(I_u), 1))
     d_hat[:, free_d] = theta[:, :nd]
     sigma2 = scale * state[1]
     converged &= np.isfinite(sigma2) & np.all(np.isfinite(d_hat), axis=1)
     objective = I_u.shape[1] * (state[0] + np.log(scale) + 1) / (2 * n)
-
-    def full(values, fill):
-        if len(values) == len(ordinates):
-            return values
-        out = np.full((len(ordinates), *values.shape[1:]), fill, dtype=values.dtype)
-        out[rows] = values
-        return out
-
-    return _WhittleFits(d_hat=full(d_hat, np.nan), theta=full(theta, np.nan),
-                        sigma2=full(sigma2, np.nan), objective=full(objective, np.nan),
-                        converged=full(converged, False), steps=full(steps, -1), errors=errors)
+    for a in (d_hat, theta, sigma2, objective):
+        a[~solved] = np.nan
+    converged[~solved], steps[~solved] = False, -1
+    return _WhittleFits(d_hat, theta, sigma2, objective, converged, steps, errors)
 
 
 def whittle_estimate(series, template: WhittleTemplate) -> WhittleFit:

@@ -153,21 +153,26 @@ def _true_d(e: EstimatorDef, spec: SarfimaSpec) -> np.ndarray:
 
 def _fit_block(e: EstimatorDef, ordinates: np.ndarray, n: int, spec: SarfimaSpec):
     """Estimator ``e`` on a block of periodograms, one row per replication:
-    (estimates, each row's error code or None, each row's Newton steps for a
+    (estimates, each row's error code or "", each row's Newton steps for a
     whittle fit).  A failed row, a fit that did not converge included, is a
     NaN row with its code, and -1 steps where the fit raised."""
     try:
         if e.kind == "whittle":
             fits = _whittle_fits(ordinates, n, e.template)
-            codes = [err.code if err else None if ok else "not-converged"
+            codes = [err.code if err else "" if ok else "not-converged"
                      for err, ok in zip(fits.errors, fits.converged)]
-            return np.where(fits.converged[:, None], fits.d_hat, np.nan), codes, fits.steps
+            return np.where(fits.converged[:, None], fits.d_hat, np.nan), np.array(codes), fits.steps
         d_hat, errors = _gph_fits(ordinates, e.band_plan(n, spec), e.result_periods(spec))
-        return d_hat, [err and err.code for err in errors], None
+        return d_hat, np.array([err.code if err else "" for err in errors]), None
     except SarfimaError as exc:
         rows = len(ordinates)
-        return (np.full((rows, e.dimension(spec)), np.nan), [exc.code] * rows,
+        return (np.full((rows, e.dimension(spec)), np.nan), np.full(rows, exc.code),
                 np.full(rows, -1) if e.kind == "whittle" else None)
+
+
+def _joined(parts):
+    """Consecutive blocks' ``_fit_block`` parts, end to end."""
+    return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
 
 
 def _paths(config: McConfig, reps: range):
@@ -189,12 +194,12 @@ def _paths(config: McConfig, reps: range):
 
 def _run_reps(config: McConfig, start: int, stop: int):
     """Replications start..stop-1, one block of paths at a time: for each
-    estimator, its ``_fit_block`` parts in replication order."""
+    estimator, its ``_fit_block`` parts joined in replication order."""
     parts = [[] for _ in config.estimators]
     for ordinates in map(_ordinates, _paths(config, range(start, stop))):
         for e, part in zip(config.estimators, parts):
             part.append(_fit_block(e, ordinates, config.n, config.spec))
-    return parts
+    return [_joined(part) for part in parts]
 
 
 @dataclass(frozen=True)
@@ -254,11 +259,9 @@ def run_mc(config: McConfig) -> McSummary:
                                    [a for a, _ in spans], [b for _, b in spans]))
 
     results = []
-    for i, e in enumerate(config.estimators):
-        parts = [part for chunk in chunks for part in chunk[i]]
-        slot = np.concatenate([values for values, _, _ in parts])
-        codes = [code for _, block_codes, _ in parts for code in block_codes]
-        ok = np.array([code is None for code in codes], dtype=bool)
+    for e, *parts in zip(config.estimators, *chunks):
+        slot, codes, steps = _joined(parts)
+        ok = codes == ""
         good = slot[ok]
         truth = _true_d(e, config.spec)
         if len(good):
@@ -272,8 +275,7 @@ def run_mc(config: McConfig) -> McSummary:
         results.append(EstimatorResult(
             name=e.name, periods=e.result_periods(config.spec), mean=mean, mse=mse, corr=corr,
             failure_count=int(config.reps - ok.sum()), estimates=slot,
-            failure_codes=dict(sorted(Counter(code for code in codes if code).items())),
-            iterations=np.concatenate([s for _, _, s in parts]) if e.kind == "whittle" else None))
+            failure_codes=dict(sorted(Counter(codes[~ok].tolist()).items())), iterations=steps))
     return McSummary(results=tuple(results), reps=config.reps, n=config.n,
                      master_seed=config.master_seed)
 

@@ -271,6 +271,28 @@ class TestFailureCodes:
             assert res.estimates[keep].tobytes() == ref.estimates[keep].tobytes()
         assert np.array_equal(ft.iterations[keep], clean.by_name("ft").iterations[keep])
 
+    @pytest.mark.parametrize("fill", [0.0, np.inf])
+    def test_failed_row_of_an_ar_fit_fails_alone(self, fill):
+        """With a free AR factor the block also restarts from white noise
+        (row 0 of these paths ends on the box).  A vanishing or an
+        overflowing periodogram fails with zero-periodogram, and every other
+        row is bitwise its one-row fit."""
+        from sarfima.estimators import _whittle_fits
+        config = design("table4", master_seed=3, reps=1, n=256)
+        template = config.estimators[1].template
+        xs = [simulate(SimConfig(spec=config.spec, n=256, seed=seed)) for seed in range(5)]
+        ordinates = np.array([periodogram(x).ordinates for x in xs])
+        ordinates[2] = fill
+        fits = _whittle_fits(ordinates, 256, template)
+        assert fits.errors[2].code == "zero-periodogram"
+        assert (fits.steps[2], fits.converged[2]) == (-1, False)
+        assert np.all(np.isnan(fits.theta[2])) and np.all(np.isnan(fits.d_hat[2]))
+        for r in (0, 1, 3, 4):
+            one = whittle_estimate(xs[r], template)
+            assert fits.errors[r] is None
+            assert fits.d_hat[r].tobytes() == one.d_hat.tobytes()
+            assert (fits.steps[r], fits.converged[r]) == (one.iterations, one.converged)
+
     def test_nonconvergence_is_counted(self, monkeypatch):
         from dataclasses import replace
 

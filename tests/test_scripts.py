@@ -37,13 +37,3 @@ def test_digest_prints_two_stable_digests(capsys):
     assert runs[0] == runs[1]
     assert [line.split()[0] for line in runs[0]] == ["run_mc", "cli"]
     assert all(re.fullmatch("[0-9a-f]{64}", line.split()[1]) for line in runs[0])
-
-
-def test_digest_does_not_depend_on_the_worker_count(capsys):
-    # 4 replications, not fewer: run_mc keeps a run of fewer than 2 per worker in one process
-    digest = load("digest")
-    runs = []
-    for workers in ("1", "2"):
-        assert digest.main(["--reps", "4", "--workers", workers]) == 0
-        runs.append(capsys.readouterr().out.splitlines())
-    assert runs[0] == runs[1]
