@@ -9,6 +9,7 @@ optimizer non-convergence.  Every randomized verb requires an explicit
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -38,11 +39,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_series(path) -> np.ndarray:
-    try:
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise ValidationError("io-error", f"cannot read {path}: {exc}") from exc
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
     if len(lines) < 2:
         raise ValidationError("malformed-csv", f"{path}: need a header line and at least one value")
     if any("," in ln for ln in lines):
@@ -53,9 +51,12 @@ def _read_series(path) -> np.ndarray:
     except ValueError:
         pass
     try:
-        return np.array([float(ln) for ln in lines[1:]])
+        x = np.array([float(ln) for ln in lines[1:]])
     except ValueError as exc:
         raise ValidationError("malformed-csv", f"{path}: non-numeric value ({exc})") from exc
+    if not np.isfinite(x).all():
+        raise ValidationError("non-finite-input", f"{path}: series contains NaN or infinite values")
+    return x
 
 
 def _write_series(path, x):
@@ -63,25 +64,16 @@ def _write_series(path, x):
 
 
 def _load_spec(path):
-    try:
-        with open(path) as fh:
-            return spec_from_json(fh.read())
-    except OSError as exc:
-        raise ValidationError("io-error", f"cannot read {path}: {exc}") from exc
+    with open(path) as fh:
+        return spec_from_json(fh.read())
 
 
-def _int_list(text, flag):
+def _comma_list(text, flag, kind):
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ValidationError("bad-arguments", f"{flag} must be a comma list of integers") from exc
-
-
-def _float_list(text, flag):
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ValidationError("bad-arguments", f"{flag} must be a comma list of numbers") from exc
+        raise ValidationError("bad-arguments", f"{flag} must be a comma list of "
+                              f"{'integers' if kind is int else 'numbers'}") from exc
 
 
 def _emit(text, out_path):
@@ -100,10 +92,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--spec", required=True, help="model spec JSON file")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--method", choices=["exact_dl", "truncated_ma"], default="exact_dl")
+    sp.add_argument("--method", choices=["exact_dl", "circulant"], default="exact_dl")
     sp.add_argument("--grid-exponent", type=int, default=None)
-    sp.add_argument("--ma-truncation", type=int, default=None)
-    sp.add_argument("--burn-in", type=int, default=5000)
     sp.add_argument("--out", required=True)
 
     pp = sub.add_parser("periodogram", help="periodogram ordinates to CSV")
@@ -167,21 +157,11 @@ def build_parser() -> _Parser:
 def _cmd_simulate(args) -> int:
     spec = _load_spec(args.spec)
     cfg = SimConfig(spec=spec, n=args.n, seed=args.seed, method=args.method,
-                    grid_exponent=args.grid_exponent,
-                    ma_truncation=args.ma_truncation, burn_in=args.burn_in)
-    x = simulate(cfg)
-    _write_series(args.out, x)
-    meta = {
-        "spec": json.loads(spec_to_json(spec)),
-        "n": cfg.n,
-        "seed": cfg.seed,
-        "method": cfg.method,
-        "grid_exponent": cfg.grid_exponent,
-        "ma_truncation": cfg.ma_truncation,
-        "burn_in": cfg.burn_in,
-    }
-    with open(args.out + ".meta.json", "w") as fh:
-        fh.write(json.dumps(meta, indent=2) + "\n")
+                    grid_exponent=args.grid_exponent)
+    _write_series(args.out, simulate(cfg))
+    # the sidecar is the config, with the spec as its JSON document
+    meta = dict(dataclasses.asdict(cfg), spec=json.loads(spec_to_json(spec)))
+    _emit(json.dumps(meta, indent=2) + "\n", args.out + ".meta.json")
     return 0
 
 
@@ -213,8 +193,6 @@ def _load_template(path) -> WhittleTemplate:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        raise ValidationError("io-error", f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError("bad-json", f"template is not valid JSON: {exc}") from exc
     try:
@@ -239,7 +217,7 @@ def _cmd_estimate_whittle(args) -> int:
     if args.template:
         template = _load_template(args.template)
     else:
-        template = WhittleTemplate.pure(_int_list(args.periods, "--periods"), d_box=args.box)
+        template = WhittleTemplate.pure(_comma_list(args.periods, "--periods", int), d_box=args.box)
     fit = whittle_estimate(x, template)
     _emit(whittle_fit_to_json(fit) + "\n", args.out)
     if not fit.converged:
@@ -250,15 +228,15 @@ def _cmd_estimate_whittle(args) -> int:
 
 def _cmd_filter(args) -> int:
     x = _read_series(args.infile)
-    residuals = fractional_filter(x, _float_list(args.d, "--d"),
-                                  _int_list(args.periods, "--periods"))
+    residuals = fractional_filter(x, _comma_list(args.d, "--d", float),
+                                  _comma_list(args.periods, "--periods", int))
     _write_series(args.out, residuals)
     return 0
 
 
 def _cmd_scan(args) -> int:
     x = _read_series(args.infile)
-    scan = bandwidth_scan(x, args.s1, args.s2, _float_list(args.alphas, "--alphas"))
+    scan = bandwidth_scan(x, args.s1, args.s2, _comma_list(args.alphas, "--alphas", float))
     scan_to_csv(scan, args.out)
     if all(r.estimate is None for r in scan.rows):
         raise ValidationError(scan.rows[0].error, "no bandwidth gave an estimate: " +
@@ -302,6 +280,9 @@ def dispatch(argv) -> int:
         return _HANDLERS[args.verb](args)
     except _CliArgError as exc:
         print(f"error: bad-arguments: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:   # a file that cannot be read or written
+        print(f"error: io-error: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:
         print(f"error: {exc.code}: {exc.message}", file=sys.stderr)

@@ -130,19 +130,6 @@ class SarfimaSpec:
     def memories(self) -> tuple:
         return tuple(c.memory for c in self.components)
 
-    def ar_polynomial(self) -> np.ndarray:
-        return _multiply_factors(self.ar_factors)
-
-    def ma_polynomial(self) -> np.ndarray:
-        return _multiply_factors(self.ma_factors)
-
-
-def _multiply_factors(factors) -> np.ndarray:
-    poly = np.array([1.0])
-    for f in factors:
-        poly = np.convolve(poly, f.polynomial())
-    return poly
-
 
 @dataclass(frozen=True)
 class ValidityReport:
@@ -226,9 +213,9 @@ def combined_filter_coefficients(spec: SarfimaSpec, max_lag: int) -> np.ndarray:
 def _convolve_head(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """The first len(x) terms of the linear convolution x * coeffs, by FFT.
 
-    The arithmetic of ``scipy.signal.fftconvolve`` for real 1-d inputs (rfft
-    at the next fast real length of the full convolution), so the result is
-    bitwise the same without importing scipy.signal.
+    The arithmetic of SciPy's ``fftconvolve`` for real 1-d inputs (rfft at
+    the next fast real length of the full convolution), so the result is
+    bitwise the same without importing SciPy's signal module.
     """
     from scipy.fft import irfft, next_fast_len, rfft   # keeps scipy.fft off the import path
     size = next_fast_len(len(x) + len(coeffs) - 1, True)

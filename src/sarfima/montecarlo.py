@@ -23,15 +23,15 @@ from .errors import SarfimaError, ValidationError
 from .model import ArmaFactor, SarfimaSpec, SeasonalComponent
 from .spectrum import BandPlan, build_band_plan, resolve_bandwidth, write_csv, _ordinates
 from .estimators import WhittleTemplate, _gph_fits, _whittle_fits
-from .simulate import (SimConfig, acvf_self_check, derive_rep_seed, simulate, _dl_paths,
+from .simulate import (SimConfig, acvf_self_check, derive_rep_seed, _DRAWERS, _circulant_roots,
                        _dl_tables, _seed_rng)
 
 __all__ = ["EstimatorDef", "McConfig", "EstimatorResult", "McSummary", "run_mc",
            "standardized_sample", "design", "DESIGN_NAMES", "summary_to_csv",
            "estimates_to_csv"]
 
-#: most replications whose exact_dl paths share one triangular solve; at
-#: n = 4096 their innovation block is 2 MB
+#: most replications whose paths are drawn together, in one triangular solve
+#: (exact_dl) or one batch of FFTs; at n = 4096 an exact_dl block is 2 MB
 _PATH_BLOCK = 64
 
 
@@ -119,8 +119,8 @@ class McConfig:
             raise ValidationError("bad-reps", f"need reps >= 1, got {self.reps}")
         if not self.estimators:
             raise ValidationError("bad-estimator", "need at least one estimator")
-        # the sampler's own checks (n, method, table size, grid exponent), before any acvf work
-        sampler = SimConfig(spec=self.spec, n=self.n, seed=0, method=self.method,
+        # the sampler's own checks (n, seed, method, table size, grid exponent), before any acvf work
+        sampler = SimConfig(spec=self.spec, n=self.n, seed=self.master_seed, method=self.method,
                             grid_exponent=self.grid_exponent)
         object.__setattr__(self, "grid_exponent", sampler.grid_exponent)
         _resolve_workers(self.workers)
@@ -177,19 +177,12 @@ def _joined(parts):
 
 def _paths(config: McConfig, reps: range):
     """The sample paths of replications ``reps`` in order, each from its own
-    derived seed, as C-ordered blocks of up to _PATH_BLOCK rows; exact_dl
-    draws each block with one solve."""
+    derived seed, as blocks of up to _PATH_BLOCK rows, each drawn at once."""
+    draw = _DRAWERS[config.method]
     seeds = [derive_rep_seed(config.master_seed, rep) for rep in reps]
     for lo in range(0, len(seeds), _PATH_BLOCK):
-        block = seeds[lo:lo + _PATH_BLOCK]
-        if config.method == "exact_dl":
-            yield _dl_paths(config.spec, config.n, config.grid_exponent,
-                            [_seed_rng(seed) for seed in block]).T
-        else:
-            yield np.stack([simulate(SimConfig(spec=config.spec, n=config.n, seed=seed,
-                                               method=config.method,
-                                               grid_exponent=config.grid_exponent))
-                            for seed in block])
+        yield draw(config.spec, config.n, config.grid_exponent,
+                   [_seed_rng(seed) for seed in seeds[lo:lo + _PATH_BLOCK]]).T
 
 
 def _run_reps(config: McConfig, start: int, stop: int):
@@ -235,18 +228,19 @@ def run_mc(config: McConfig) -> McSummary:
     Startup runs the quadrature doubling self-check, then each replication
     simulates with its derived seed and every estimator is applied to the
     same path.  Paths come in blocks of up to _PATH_BLOCK (exact_dl draws a
-    block with one triangular solve), and each estimator fits a whole block
-    at once: one transform, one band regression and one Whittle descent.
+    block with one triangular solve, circulant with one batch of FFTs), and
+    each estimator fits a whole block at once: one transform, one band
+    regression and one Whittle descent.
     A replication's estimates do not depend on the block it shares.  Failed
     estimator applications (guard violations, optimizer non-convergence) are
     excluded from the moments and counted by error code.  The summary is
     identical for any worker count.
     """
     workers = _resolve_workers(config.workers)
-    if config.method == "exact_dl":
-        if config.self_check:
-            acvf_self_check(config.spec, config.grid_exponent)
-        _dl_tables(config.spec, config.n, config.grid_exponent)  # warm before forking
+    if config.self_check:
+        acvf_self_check(config.spec, config.grid_exponent)
+    tables = _dl_tables if config.method == "exact_dl" else _circulant_roots
+    tables(config.spec, config.n, config.grid_exponent)  # warm before forking
 
     if workers <= 1 or config.reps < 2 * workers:
         chunks = [_run_reps(config, 0, config.reps)]

@@ -2,10 +2,10 @@
 
 The autocovariance sequence is obtained by numerical integration of the
 theoretical spectral density (gamma(h) = 2 int_0^pi f cos(h lambda) dlambda),
-then a Durbin-Levinson decomposition turns i.i.d. normals into exact sample
-paths: the innovations of a block of paths fill the columns of one matrix,
-and one triangular solve against the decomposition whitens them all.  A
-truncated MA(infinity) generator is provided as an independent cross-check.
+then turned into exact sample paths in blocks: by one triangular solve
+against its Durbin-Levinson decomposition (exact_dl), or by one real FFT per
+path through the eigenvalues of its circulant embedding (circulant; Davies &
+Harte 1987, Wood & Chan 1994), in O(n log n) time and O(n) memory.
 """
 from __future__ import annotations
 
@@ -18,9 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ValidationError, NumericError
-from .model import (SarfimaSpec, SeasonalComponent, arma_spectral_density,
-                    combined_filter_coefficients, enumerate_poles, require_stationary,
-                    _convolve_head)
+from .model import SarfimaSpec, arma_spectral_density, enumerate_poles, require_stationary
 
 __all__ = ["SimConfig", "acvf_numeric", "acvf_self_check", "simulate",
            "durbin_levinson_decompose", "derive_rep_seed", "default_grid_exponent",
@@ -52,13 +50,11 @@ class SimConfig:
     seed: int
     method: str = "exact_dl"
     grid_exponent: int = None
-    ma_truncation: int = None
-    burn_in: int = 5000
 
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError("bad-n", f"need n >= 1, got {self.n}")
-        if self.method not in ("exact_dl", "truncated_ma"):
+        if self.method not in _DRAWERS:
             raise ValidationError("bad-method", f"unknown simulation method {self.method!r}")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
             raise ValidationError("bad-seed", "seed must be an unsigned 64-bit integer")
@@ -69,24 +65,17 @@ class SimConfig:
             if need > have:
                 raise ValidationError("too-large",
                                       f"exact_dl at n={self.n} needs a {need / 2 ** 30:.3g} GiB "
-                                      f"table; physical memory is {have / 2 ** 30:.3g} GiB")
+                                      f"table; physical memory is {have / 2 ** 30:.3g} GiB; "
+                                      "use --method circulant")
         g = self.grid_exponent
         if g is None:
             object.__setattr__(self, "grid_exponent", default_grid_exponent(self.n))
         elif not (type(g) is int and 0 <= g <= MAX_GRID_EXPONENT):
             raise ValidationError("bad-grid-exponent",
                                   f"grid exponent must be an integer in 0..{MAX_GRID_EXPONENT}, got {g!r}")
-        if self.method == "exact_dl" and 2 ** self.grid_exponent < 64 * self.n:
+        if 2 ** self.grid_exponent < 64 * self.n:
             raise ValidationError("grid-too-small",
                                   f"need 2^grid_exponent >= 64 n; got 2^{self.grid_exponent} < {64 * self.n}")
-        max_period = max(c.period for c in self.spec.components)
-        if self.ma_truncation is None:
-            object.__setattr__(self, "ma_truncation", max(5000, 50 * max_period))
-        if self.method == "truncated_ma" and self.ma_truncation < 50 * max_period:
-            raise ValidationError("truncation-too-small",
-                                  f"ma_truncation must be >= 50 * max period = {50 * max_period}")
-        if self.burn_in < 0:
-            raise ValidationError("bad-burn-in", "burn_in must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +276,16 @@ def _seed_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
+def _normals(rngs, size: int) -> np.ndarray:
+    """Each generator's next ``size`` standard normals, one row each, checked finite."""
+    z = np.empty((len(rngs), size))
+    for j, rng in enumerate(rngs):
+        z[j] = rng.standard_normal(size)
+    if not np.isfinite(z).all():
+        raise NumericError("non-finite-draw", "innovations contain NaN or infinite values")
+    return z
+
+
 def _dl_paths(spec: SarfimaSpec, n: int, grid_exponent: int, rngs) -> np.ndarray:
     """Exact Durbin-Levinson paths, one column per generator, as an n x R
     Fortran-order array.
@@ -299,39 +298,70 @@ def _dl_paths(spec: SarfimaSpec, n: int, grid_exponent: int, rngs) -> np.ndarray
     """
     from scipy.linalg.blas import dtrsm   # keeps scipy.linalg off the import path
     M, sig = _dl_tables(spec, n, grid_exponent)
-    B = np.empty((n, len(rngs)), order="F")
-    for j, rng in enumerate(rngs):
-        B[:, j] = sig * rng.standard_normal(n)
-    if not np.isfinite(B).all():
-        raise NumericError("non-finite-draw", "innovations contain NaN or infinite values")
-    # M was checked finite when the cached table was built, and M.T is an
-    # F-contiguous view of it, so the n x n table is neither scanned nor copied
-    return dtrsm(1.0, M.T, B, lower=0, trans_a=1, diag=1, overwrite_b=1)
+    B = _normals(rngs, n)
+    B *= sig
+    # M was checked finite when the cached table was built; M.T and B.T are
+    # F-contiguous views, so neither the n x n table nor the block is copied
+    return dtrsm(1.0, M.T, B.T, lower=0, trans_a=1, diag=1, overwrite_b=1)
+
+
+@functools.lru_cache(maxsize=4)
+def _circulant_roots(spec: SarfimaSpec, n: int, grid_exponent: int) -> np.ndarray:
+    """Square roots of the eigenvalues of the circulant embedding of
+    gamma(0..N), scaled for ``_circulant_paths``; read-only.
+
+    The half-length N is n - 1 rounded up to a multiple of the lcm of the
+    periods and ARMA lags: table5's minimal embedding has eigenvalues down to
+    -0.085 of the largest.  The eigenvalues are checked, never clipped.
+    """
+    step = math.lcm(*spec.periods, *(f.lag for f in spec.ar_factors + spec.ma_factors))
+    half = step * max(1, -(-(n - 1) // step))
+    gamma = acvf_numeric(spec, half, grid_exponent)
+    eig = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+    if not (np.isfinite(eig).all() and eig.min() >= 0):
+        raise NumericError("negative-eigenvalue",
+                           f"circulant embedding of half-length {half} has eigenvalue "
+                           f"{eig.min():.3g} ({eig.min() / eig.max():.3g} of the largest); "
+                           "use exact_dl")
+    # frequencies 0 and pi take a real normal, the others a complex one whose
+    # real and imaginary parts each carry half of the eigenvalue
+    scale = np.full(half + 1, float(half))
+    scale[[0, half]] = 2.0 * half
+    root = np.sqrt(scale * eig)
+    root.setflags(write=False)
+    return root
+
+
+def _circulant_paths(spec: SarfimaSpec, n: int, grid_exponent: int, rngs) -> np.ndarray:
+    """Exact circulant-embedding paths (Davies-Harte), one column per
+    generator, as an n x R array.
+
+    Of the next 2N normals of rngs[j], the first N + 1 are the real parts of
+    the spectrum at frequencies 0..N and the rest the imaginary parts at
+    1..N-1; scaled by the roots, one real inverse FFT per row gives a
+    sequence of length 2N whose first n values are the path.  Every row goes
+    through the same arithmetic, so a column's bits depend on its generator
+    only.
+    """
+    root = _circulant_roots(spec, n, grid_exponent)
+    half = len(root) - 1
+    z = _normals(rngs, 2 * half)
+    spectrum = np.zeros((len(rngs), half + 1), dtype=complex)
+    spectrum.real = z[:, :half + 1]
+    spectrum.imag[:, 1:half] = z[:, half + 1:]
+    return np.fft.irfft(spectrum * root, 2 * half, axis=1)[:, :n].T
+
+
+#: the path drawers by method name
+_DRAWERS = {"exact_dl": _dl_paths, "circulant": _circulant_paths}
 
 
 def simulate(config: SimConfig, rng: np.random.Generator = None) -> np.ndarray:
-    """One zero-mean Gaussian sample path of length n.
-
-    exact_dl draws through the Durbin-Levinson decomposition of the
-    quadrature autocovariances (exact up to quadrature error), as a block of
-    one path: the result is bitwise the column a Monte Carlo run draws for
-    the same seed.  truncated_ma runs the ARMA recursion on fresh normals and
-    applies the MA(infinity) fractional expansion truncated at ma_truncation,
-    discarding burn_in values.  Byte-identical output for equal (config, seed).
+    """One zero-mean Gaussian sample path of length n, exact up to the
+    quadrature error of the autocovariance.  A block of one: the result is
+    bitwise the column a Monte Carlo run draws for the same seed and method.
     """
     require_stationary(config.spec, "simulation")
     if rng is None:
         rng = _seed_rng(config.seed)
-    if config.method == "exact_dl":
-        return _dl_paths(config.spec, config.n, config.grid_exponent, [rng])[:, 0]
-
-    from scipy.signal import lfilter   # its only caller; keeps scipy.signal off the import path
-
-    spec = config.spec
-    total = config.burn_in + config.n
-    eps = rng.standard_normal(total) * math.sqrt(spec.innovation_variance)
-    nu = lfilter(spec.ma_polynomial(), spec.ar_polynomial(), eps)
-    inverted = SarfimaSpec(
-        components=tuple(SeasonalComponent(c.period, -c.memory) for c in spec.components))
-    psi = combined_filter_coefficients(inverted, config.ma_truncation)
-    return _convolve_head(nu, psi)[config.burn_in:]
+    return _DRAWERS[config.method](config.spec, config.n, config.grid_exponent, [rng])[:, 0]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -134,7 +135,12 @@ def resolve_bandwidth(n: int, s_prime: int, alpha: float = None, m: int = None,
     if gph_T:
         return max((n - 1) // s_prime, 1) if uncapped else gph_T_bandwidth(n, s_prime)
     if alpha is not None:
-        return int(n ** alpha)
+        try:
+            if math.isfinite(alpha):
+                return int(n ** alpha)
+        except OverflowError:   # n^alpha beyond the float range
+            pass
+        raise ValidationError("bad-bandwidth", f"need a finite alpha with a finite n^alpha, got {alpha!r}")
     return m
 
 

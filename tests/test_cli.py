@@ -44,6 +44,7 @@ class TestSimulateVerb:
         x = simulate(SimConfig(spec=two_period_spec, n=200, seed=505))
         assert lines[1:] == [repr(float(v)) for v in x]
         meta = json.loads((tmp_path / "sim.csv.meta.json").read_text())
+        assert sorted(meta) == ["grid_exponent", "method", "n", "seed", "spec"]
         assert meta["seed"] == 505 and meta["n"] == 200
         assert meta["method"] == "exact_dl"
         assert meta["grid_exponent"] is not None
@@ -450,6 +451,64 @@ class TestRejectedInputs:
         self.assert_one_error(capsys, "bad-workers")
         assert not out.exists()
 
+    def test_circulant_negative_eigenvalue_exits_2(self, tmp_path, capsys):
+        from sarfima import design
+        spec = tmp_path / "table5.json"
+        spec.write_text(spec_to_json(design("table5", master_seed=1).spec))
+        out = tmp_path / "y.csv"
+        rc = cli.dispatch(["simulate", "--spec", str(spec), "--n", "64", "--seed", "1",
+                           "--method", "circulant", "--out", str(out)])
+        assert rc == 2
+        self.assert_one_error(capsys, "negative-eigenvalue")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha(self, series_file, capsys, alpha):
+        path, _ = series_file
+        rc = cli.dispatch(["estimate-gph", "--in", path, "--s1", "4", "--alpha", alpha])
+        assert rc == 1
+        self.assert_one_error(capsys, "bad-bandwidth")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("verb", [["acf", "--max-lag", "4"], ["filter", "--d", "0.3", "--periods", "4"]])
+    def test_non_finite_series(self, tmp_path, capsys, verb, value):
+        p = tmp_path / "x.csv"
+        p.write_text("x\n" + "".join(f"{v}\n" for v in range(20)) + f"{value}\n")
+        out = tmp_path / "o.csv"
+        assert cli.dispatch([verb[0], "--in", str(p), *verb[1:], "--out", str(out)]) == 1
+        self.assert_one_error(capsys, "non-finite-input")
+        assert not out.exists()
+
+    def test_mc_negative_seed(self, tmp_path, capsys):
+        rc = cli.dispatch(["mc", "--design", "table1", "--seed", "-1", "--reps", "2",
+                           "--out", str(tmp_path / "m.csv")])
+        assert rc == 1
+        self.assert_one_error(capsys, "bad-seed")
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "64", "--seed", "1", "--out", "{bad}"],
+        ["simulate", "--n", "64", "--seed", "1", "--out", "{sidecar}"],
+        ["periodogram", "--out", "{bad}"],
+        ["estimate-gph", "--s1", "4", "--alpha", "0.5", "--out", "{bad}"],
+        ["estimate-whittle", "--periods", "1,4", "--out", "{bad}"],
+        ["filter", "--d", "0.3", "--periods", "4", "--out", "{bad}"],
+        ["scan", "--s1", "1", "--s2", "4", "--alphas", "0.5", "--out", "{bad}"],
+        ["acf", "--max-lag", "4", "--out", "{bad}"],
+        ["mc", "--design", "table1", "--seed", "1", "--reps", "2", "--out", "{bad}"],
+        ["mc", "--design", "table1", "--seed", "1", "--reps", "2", "--out", "{ok}",
+         "--dump-estimates", "{bad}"],
+    ])
+    def test_unwritable_output(self, tmp_path, spec_file, series_file, capsys, argv):
+        # the sidecar case: the CSV is writable, but <out>.meta.json is a directory
+        (tmp_path / "s.csv.meta.json").mkdir()
+        paths = {"bad": str(tmp_path / "missing" / "o.csv"), "sidecar": str(tmp_path / "s.csv"),
+                 "ok": str(tmp_path / "ok.csv")}
+        source = ["--spec", spec_file] if argv[0] == "simulate" else \
+            [] if argv[0] == "mc" else ["--in", series_file[0]]
+        rc = cli.dispatch([argv[0], *source, *(a.format(**paths) for a in argv[1:])])
+        assert rc == 1
+        self.assert_one_error(capsys, "io-error")
+
     def test_mc_too_large(self, tmp_path, capsys):
         rc = cli.dispatch(["mc", "--design", "table2", "--seed", "1", "--reps", "2",
                            "--n", "10000000", "--out", str(tmp_path / "m.csv")])
@@ -457,14 +516,14 @@ class TestRejectedInputs:
         self.assert_one_error(capsys, "too-large")
 
 
-def test_simulate_truncated_ma(tmp_path, spec_file, two_period_spec):
-    out = tmp_path / "ma.csv"
+def test_simulate_circulant(tmp_path, spec_file, two_period_spec):
+    out = tmp_path / "ce.csv"
     rc = cli.dispatch(["simulate", "--spec", spec_file, "--n", "300", "--seed", "8",
-                       "--method", "truncated_ma", "--out", str(out)])
+                       "--method", "circulant", "--out", str(out)])
     assert rc == 0
-    x = simulate(SimConfig(spec=two_period_spec, n=300, seed=8, method="truncated_ma"))
+    x = simulate(SimConfig(spec=two_period_spec, n=300, seed=8, method="circulant"))
     assert out.read_text().splitlines()[1:] == [repr(float(v)) for v in x]
-    assert json.loads((tmp_path / "ma.csv.meta.json").read_text())["method"] == "truncated_ma"
+    assert json.loads((tmp_path / "ce.csv.meta.json").read_text())["method"] == "circulant"
 
 
 def test_python_m_sarfima_runs_the_cli():

@@ -41,6 +41,12 @@ class TestEstimatorDef:
                                 allow_overlap=True)
         assert uncapped.bandwidth(1080, 4) == 269
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValidationError) as exc:
+            EstimatorDef(name="x", kind="gph_multi", alpha=alpha).bandwidth(1080, 4)
+        assert exc.value.code == "bad-bandwidth"
+
     def test_overlap_needs_gph_T(self):
         with pytest.raises(ValidationError) as exc:
             EstimatorDef(name="x", kind="gph_single", alpha=0.8, allow_overlap=True)
@@ -73,6 +79,14 @@ class TestMcConfigValidation:
         with pytest.raises(ValidationError) as exc:
             McConfig(spec=spec, estimators=ests, reps=5, n=256, master_seed=1)
         assert exc.value.code == "bad-bandwidth"
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, None])
+    def test_master_seed_is_unsigned_64_bit(self, seed):
+        spec = SarfimaSpec(components=(SeasonalComponent(4, 0.3),))
+        ests = (EstimatorDef(name="g", kind="gph_single", m=10),)
+        with pytest.raises(ValidationError) as exc:
+            McConfig(spec=spec, estimators=ests, reps=5, n=256, master_seed=seed)
+        assert exc.value.code == "bad-seed"
 
     def test_template_periods_must_match_spec(self):
         spec = SarfimaSpec(components=(SeasonalComponent(4, 0.3),))
@@ -177,6 +191,40 @@ class TestBlockBoundary:
                                   gph_estimate(periodogram(x), plan, 1, 4).d_hat)
             assert np.array_equal(summary.by_name("ft").estimates[rep],
                                   whittle_estimate(x, template).d_hat)
+
+
+class TestCirculantRun:
+    """run_mc with method="circulant" keeps the determinism contract: a row is
+    the standalone ``simulate`` path, whatever its block width or worker."""
+
+    @staticmethod
+    def config(reps=70, workers=1):
+        from dataclasses import replace
+        return replace(small_config(reps=reps, workers=workers), method="circulant")
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        return run_mc(self.config())
+
+    @pytest.mark.parametrize("width", [1, 7, 64])
+    def test_rows_equal_simulate(self, serial, width, monkeypatch):
+        from sarfima import montecarlo
+        monkeypatch.setattr(montecarlo, "_PATH_BLOCK", width)
+        cfg = self.config()
+        paths = np.concatenate(list(montecarlo._paths(cfg, range(cfg.reps))))
+        for rep in (0, 1, 6, 7, 63, 64, 69):
+            x = simulate(SimConfig(spec=cfg.spec, n=cfg.n, method="circulant",
+                                   seed=derive_rep_seed(cfg.master_seed, rep)))
+            assert paths[rep].tobytes() == x.tobytes()
+        assert_same_summary(run_mc(cfg), serial)
+
+    def test_worker_count_invariance(self, serial):
+        assert_same_summary(run_mc(self.config(workers=3)), serial)
+
+    @pytest.mark.parametrize("reps", [1, 64, 65])
+    def test_prefix_property(self, serial, reps):
+        for a, b in zip(run_mc(self.config(reps=reps)).results, serial.results):
+            assert a.estimates.tobytes() == b.estimates[:reps].tobytes()
 
 
 #: series lengths of the replay checks: 256 where the design accepts it, else

@@ -101,7 +101,7 @@ class TestSampleAcfPacf:
         phi = 0.7
         spec = SarfimaSpec(components=(SeasonalComponent(1, 0.0),),
                            ar_factors=(ArmaFactor(1, (phi,)),))
-        x = simulate(SimConfig(spec=spec, n=20000, seed=4, method="truncated_ma"))
+        x = simulate(SimConfig(spec=spec, n=20000, seed=4, method="circulant"))
         res = sample_acf_pacf(x, 6)
         assert res.acf[0] == pytest.approx(phi, abs=0.03)
         assert res.pacf[0] == pytest.approx(phi, abs=0.03)

@@ -11,7 +11,8 @@ from sarfima import (ArmaFactor, NumericError, SarfimaSpec, SeasonalComponent,
                      default_grid_exponent, derive_rep_seed,
                      durbin_levinson_decompose, simulate)
 from sarfima import McConfig, design
-from sarfima.simulate import MAX_GRID_EXPONENT, _dl_paths, _dl_tables, _seed_rng
+from sarfima.simulate import (MAX_GRID_EXPONENT, _circulant_paths, _circulant_roots, _dl_paths,
+                              _dl_tables, _seed_rng)
 
 
 def arfima_acvf(d, sigma2, lags):
@@ -197,8 +198,6 @@ class TestSimConfig:
     def test_defaults_fill_in(self, quarterly_spec):
         cfg = SimConfig(spec=quarterly_spec, n=1080, seed=1)
         assert cfg.grid_exponent == default_grid_exponent(1080)
-        assert cfg.burn_in == 5000
-        assert cfg.ma_truncation >= 5000
 
     def test_default_grid_exponent_floor(self):
         assert default_grid_exponent(1) == 17
@@ -211,7 +210,6 @@ class TestSimConfig:
         (dict(n=10, seed=2 ** 64), "bad-seed"),
         (dict(n=10, seed=1, method="bogus"), "bad-method"),
         (dict(n=10 ** 4, seed=1, grid_exponent=10), "grid-too-small"),
-        (dict(n=10, seed=1, method="truncated_ma", burn_in=-1), "bad-burn-in"),
     ])
     def test_invalid_configs(self, quarterly_spec, kwargs, code):
         with pytest.raises(ValidationError) as exc:
@@ -238,18 +236,34 @@ class TestSimulate:
               for s in range(40)]
         assert np.mean(vs) == pytest.approx(g0, rel=0.08)
 
-    def test_exact_matches_truncated_ma_acf(self, two_period_spec):
-        n = 4096
-        a = simulate(SimConfig(spec=two_period_spec, n=n, seed=31))
-        b = simulate(SimConfig(spec=two_period_spec, n=n, seed=31, method="truncated_ma"))
+    def test_circulant_matches_exact_dl(self):
+        # single paths of these long-memory designs differ in sample ACF by up
+        # to 0.13 at seed 31 (independent draws), so each sampler's mean
+        # sample ACF over 128 paths is compared
+        n, reps, lags = 4096, 128, range(1, 9)
 
-        def sample_acf(x, lags):
-            x = x - x.mean()
-            c0 = x @ x / len(x)
-            return np.array([x[: len(x) - h] @ x[h:] / len(x) / c0 for h in lags])
+        def mean_sample_acf(X):
+            X = X - X.mean(axis=0)
+            c0 = np.sum(X * X, axis=0)
+            return np.array([np.mean(np.sum(X[: n - h] * X[h:], axis=0) / c0) for h in lags])
 
-        lags = range(1, 9)
-        assert np.max(np.abs(sample_acf(a, lags) - sample_acf(b, lags))) < 0.06
+        try:
+            for name in ("table1", "table2", "table3", "table4", "table5"):
+                spec = design(name, master_seed=1).spec
+                g = SimConfig(spec=spec, n=n, seed=31).grid_exponent
+                # the embedding's eigenvalues give back the autocovariance
+                root = _circulant_roots(spec, n, g)
+                half = len(root) - 1
+                scale = np.full(half + 1, float(half))
+                scale[[0, half]] = 2.0 * half
+                gamma = acvf_numeric(spec, n - 1, g)
+                back = np.fft.irfft(root ** 2 / scale, 2 * half)[:n]
+                assert np.max(np.abs(back - gamma)) < 1e-12 * gamma[0], name
+                a, b = (draw(spec, n, g, [_seed_rng(derive_rep_seed(31, rep)) for rep in range(reps)])
+                        for draw in (_dl_paths, _circulant_paths))
+                assert np.max(np.abs(mean_sample_acf(a) - mean_sample_acf(b))) < 0.06, name
+        finally:
+            _dl_tables.cache_clear()   # five 134 MB tables
 
     def test_white_noise_path_is_iid_normals(self):
         spec = SarfimaSpec(components=(SeasonalComponent(1, 0.0),))
@@ -427,7 +441,58 @@ class TestSamplerGuards:
             with pytest.raises(ValidationError) as exc:
                 make()
             assert exc.value.code == "too-large"
+            assert "--method circulant" in exc.value.message
 
-    def test_truncated_ma_has_no_table(self, quarterly_spec):
-        cfg = SimConfig(spec=quarterly_spec, n=10 ** 7, seed=1, method="truncated_ma")
+    def test_circulant_has_no_table(self, quarterly_spec):
+        cfg = SimConfig(spec=quarterly_spec, n=10 ** 7, seed=1, method="circulant")
         assert cfg.n == 10 ** 7
+
+
+class TestCirculant:
+    """Circulant-embedding paths: exact covariance, checked eigenvalues."""
+
+    class UnitRng:
+        """A generator whose normals are the i-th unit vector."""
+
+        def __init__(self, i):
+            self.i = i
+
+        def standard_normal(self, size):
+            out = np.zeros(size)
+            out[self.i] = 1.0
+            return out
+
+    @pytest.mark.parametrize("name, n", [("table1", 64), ("table3", 100), ("table4", 257),
+                                         ("table5", 200)])
+    def test_path_covariance_is_the_toeplitz_matrix(self, name, n):
+        # a path is a linear map A of the normals, so its covariance is A A^T
+        from scipy.linalg import toeplitz
+        spec = design(name, master_seed=1).spec
+        g = SimConfig(spec=spec, n=n, seed=0).grid_exponent
+        half = len(_circulant_roots(spec, n, g)) - 1
+        A = _circulant_paths(spec, n, g, [self.UnitRng(i) for i in range(2 * half)])
+        gamma = acvf_numeric(spec, n - 1, g)
+        assert np.max(np.abs(A @ A.T - toeplitz(gamma))) < 1e-12 * gamma[0]
+
+    @pytest.mark.parametrize("name, n, half", [("table3", 1080, 1080), ("table5", 4096, 4104),
+                                               ("table4", 63, 64), ("table1", 1, 4)])
+    def test_half_length_is_padded_to_the_lcm(self, name, n, half):
+        spec = design(name, master_seed=1).spec
+        assert len(_circulant_roots(spec, n, default_grid_exponent(n))) == half + 1
+
+    def test_negative_eigenvalue_is_a_coded_error(self):
+        spec = design("table5", master_seed=1).spec
+        with pytest.raises(NumericError) as exc:
+            simulate(SimConfig(spec=spec, n=64, seed=1, method="circulant"))
+        assert exc.value.code == "negative-eigenvalue"
+        assert "-0.000769 of the largest" in exc.value.message
+
+    def test_roots_are_read_only(self, quarterly_spec):
+        root = _circulant_roots(quarterly_spec, 64, default_grid_exponent(64))
+        with pytest.raises(ValueError):
+            root[0] = 1.0
+
+    def test_non_finite_draw_rejected(self, quarterly_spec):
+        with pytest.raises(NumericError) as exc:
+            simulate(SimConfig(spec=quarterly_spec, n=64, seed=1, method="circulant"), rng=NanRng())
+        assert exc.value.code == "non-finite-draw"

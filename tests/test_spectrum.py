@@ -214,6 +214,14 @@ def test_non_integer_bandwidth_rejected(m):
     assert exc.value.code == "bad-bandwidth"
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf"), 1e300])
+def test_non_finite_alpha_rejected(alpha):
+    from sarfima.spectrum import resolve_bandwidth
+    with pytest.raises(ValidationError) as exc:
+        resolve_bandwidth(1080, 4, alpha=alpha)
+    assert exc.value.code == "bad-bandwidth"
+
+
 def test_numpy_integer_bandwidth_accepted():
     assert build_band_plan(1080, 1, 4, np.int64(20)) == build_band_plan(1080, 1, 4, 20)
 
