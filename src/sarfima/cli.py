@@ -98,7 +98,6 @@ def build_parser() -> _Parser:
 
     pp = sub.add_parser("periodogram", help="periodogram ordinates to CSV")
     pp.add_argument("--in", dest="infile", required=True)
-    pp.add_argument("--no-subtract-mean", action="store_true")
     pp.add_argument("--out", required=True)
 
     ge = sub.add_parser("estimate-gph", help="band log-periodogram regression")
@@ -167,7 +166,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_periodogram(args) -> int:
     x = _read_series(args.infile)
-    pg = periodogram(x, subtract_mean=not args.no_subtract_mean)
+    pg = periodogram(x)
     pg.to_csv(args.out)
     return 0
 

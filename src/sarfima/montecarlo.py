@@ -15,6 +15,7 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import multiprocessing
 import numpy as np
@@ -23,15 +24,15 @@ from .errors import SarfimaError, ValidationError
 from .model import ArmaFactor, SarfimaSpec, SeasonalComponent
 from .spectrum import BandPlan, build_band_plan, resolve_bandwidth, write_csv, _ordinates
 from .estimators import WhittleTemplate, _gph_fits, _whittle_fits
-from .simulate import (SimConfig, acvf_self_check, derive_rep_seed, _DRAWERS, _circulant_roots,
-                       _dl_tables, _seed_rng)
+from .simulate import SimConfig, acvf_self_check, derive_rep_seed, _paths
 
 __all__ = ["EstimatorDef", "McConfig", "EstimatorResult", "McSummary", "run_mc",
            "standardized_sample", "design", "DESIGN_NAMES", "summary_to_csv",
            "estimates_to_csv"]
 
-#: most replications whose paths are drawn together, in one triangular solve
-#: (exact_dl) or one batch of FFTs; at n = 4096 an exact_dl block is 2 MB
+#: replications per block, the unit of work: a block's paths are drawn
+#: together, in one triangular solve (exact_dl) or one batch of FFTs, and
+#: fitted together; at n = 4096 an exact_dl block is 2 MB
 _PATH_BLOCK = 64
 
 
@@ -40,11 +41,11 @@ class EstimatorDef:
     """One estimator to run per replication.
 
     kind: gph_multi (two-parameter band OLS over the spec's two periods),
-    gph_single (one-parameter band OLS at ``period``), or whittle (Fox-Taqqu
-    fit of ``template``).  Bandwidth comes from exactly one of ``alpha``
-    (m = floor(n^alpha)), ``m`` (fixed), or ``use_gph_T`` (the capped
-    truncated bandwidth; ``allow_overlap`` switches to the uncapped variant
-    and is rejected without ``use_gph_T``).
+    gph_single (one-parameter band OLS at a one-component spec's period), or
+    whittle (Fox-Taqqu fit of ``template``).  Bandwidth comes from exactly
+    one of ``alpha`` (m = floor(n^alpha)), ``m`` (fixed), or ``use_gph_T``
+    (the capped truncated bandwidth; ``allow_overlap`` switches to the
+    uncapped variant and is rejected without ``use_gph_T``).
     """
 
     name: str
@@ -53,7 +54,6 @@ class EstimatorDef:
     m: int = None
     use_gph_T: bool = False
     allow_overlap: bool = False
-    period: int = None            # gph_single only
     template: WhittleTemplate = None
 
     def __post_init__(self):
@@ -86,19 +86,11 @@ class EstimatorDef:
         return len(self.result_periods(spec))
 
     def result_periods(self, spec: SarfimaSpec) -> tuple:
-        if self.kind == "gph_multi":
-            return spec.periods
-        if self.kind == "gph_single":
-            return (self._single_period(spec),)
-        return self.template.spec.periods
-
-    def _single_period(self, spec: SarfimaSpec) -> int:
-        if self.period is not None:
-            return self.period
-        if len(spec.components) == 1:
-            return spec.periods[0]
-        raise ValidationError("bad-estimator",
-                              f"{self.name}: gph_single needs an explicit period for a two-component spec")
+        if self.kind == "whittle":
+            return self.template.spec.periods
+        if self.kind == "gph_single" and len(spec.components) != 1:
+            raise ValidationError("bad-estimator", f"{self.name}: gph_single needs a one-component spec")
+        return spec.periods
 
 
 @dataclass(frozen=True)
@@ -141,8 +133,6 @@ def _validate_estimator(e: EstimatorDef, n: int, spec: SarfimaSpec):
         return
     if e.kind == "gph_multi" and len(periods) != 2:
         raise ValidationError("bad-estimator", f"{e.name}: gph_multi needs a two-component spec")
-    if e.kind == "gph_single" and e._single_period(spec) not in periods:
-        raise ValidationError("bad-estimator", f"{e.name}: period {e.period} not in the spec")
     e.band_plan(n, spec)
 
 
@@ -175,24 +165,14 @@ def _joined(parts):
     return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
 
 
-def _paths(config: McConfig, reps: range):
-    """The sample paths of replications ``reps`` in order, each from its own
-    derived seed, as blocks of up to _PATH_BLOCK rows, each drawn at once."""
-    draw = _DRAWERS[config.method]
-    seeds = [derive_rep_seed(config.master_seed, rep) for rep in reps]
-    for lo in range(0, len(seeds), _PATH_BLOCK):
-        yield draw(config.spec, config.n, config.grid_exponent,
-                   [_seed_rng(seed) for seed in seeds[lo:lo + _PATH_BLOCK]]).T
-
-
-def _run_reps(config: McConfig, start: int, stop: int):
-    """Replications start..stop-1, one block of paths at a time: for each
-    estimator, its ``_fit_block`` parts joined in replication order."""
-    parts = [[] for _ in config.estimators]
-    for ordinates in map(_ordinates, _paths(config, range(start, stop))):
-        for e, part in zip(config.estimators, parts):
-            part.append(_fit_block(e, ordinates, config.n, config.spec))
-    return [_joined(part) for part in parts]
+def _run_block(config: McConfig, start: int):
+    """The block of replications from ``start``, up to _PATH_BLOCK of them:
+    their paths, each from its own derived seed, drawn at once, then each
+    estimator's ``_fit_block`` parts."""
+    seeds = [derive_rep_seed(config.master_seed, rep)
+             for rep in range(start, min(start + _PATH_BLOCK, config.reps))]
+    ordinates = _ordinates(_paths(config.spec, config.n, config.grid_exponent, config.method, seeds))
+    return [_fit_block(e, ordinates, config.n, config.spec) for e in config.estimators]
 
 
 @dataclass(frozen=True)
@@ -227,10 +207,11 @@ def run_mc(config: McConfig) -> McSummary:
 
     Startup runs the quadrature doubling self-check, then each replication
     simulates with its derived seed and every estimator is applied to the
-    same path.  Paths come in blocks of up to _PATH_BLOCK (exact_dl draws a
-    block with one triangular solve, circulant with one batch of FFTs), and
-    each estimator fits a whole block at once: one transform, one band
-    regression and one Whittle descent.
+    same path.  The unit of work is a block of up to _PATH_BLOCK replications
+    (exact_dl draws its paths with one triangular solve, circulant with one
+    batch of FFTs), and each estimator fits a whole block at once: one
+    transform, one band regression and one Whittle descent.  Block 0 runs
+    in this process and the rest in order, or on a pool of forked workers.
     A replication's estimates do not depend on the block it shares.  Failed
     estimator applications (guard violations, optimizer non-convergence) are
     excluded from the moments and counted by error code.  The summary is
@@ -239,21 +220,19 @@ def run_mc(config: McConfig) -> McSummary:
     workers = _resolve_workers(config.workers)
     if config.self_check:
         acvf_self_check(config.spec, config.grid_exponent)
-    tables = _dl_tables if config.method == "exact_dl" else _circulant_roots
-    tables(config.spec, config.n, config.grid_exponent)  # warm before forking
-
-    if workers <= 1 or config.reps < 2 * workers:
-        chunks = [_run_reps(config, 0, config.reps)]
+    # block 0 caches the sampler's table or roots and the estimators'
+    # designs, so forked workers inherit them
+    blocks = [_run_block(config, 0)]
+    rest = range(_PATH_BLOCK, config.reps, _PATH_BLOCK)
+    if workers == 1:
+        blocks += map(_run_block, repeat(config), rest)
     else:
-        bounds = np.linspace(0, config.reps, workers * 4 + 1).astype(int)
-        spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            chunks = list(pool.map(_run_reps, [config] * len(spans),
-                                   [a for a, _ in spans], [b for _, b in spans]))
+            blocks += pool.map(_run_block, repeat(config), rest)
 
     results = []
-    for e, *parts in zip(config.estimators, *chunks):
+    for e, *parts in zip(config.estimators, *blocks):
         slot, codes, steps = _joined(parts)
         ok = codes == ""
         good = slot[ok]

@@ -58,15 +58,16 @@ class SimConfig:
             raise ValidationError("bad-method", f"unknown simulation method {self.method!r}")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
             raise ValidationError("bad-seed", "seed must be an unsigned 64-bit integer")
-        if self.method == "exact_dl":
-            # checked before any acvf work: the predictor table is n x n doubles
-            need = 8 * self.n ** 2
-            have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-            if need > have:
-                raise ValidationError("too-large",
-                                      f"exact_dl at n={self.n} needs a {need / 2 ** 30:.3g} GiB "
-                                      f"table; physical memory is {have / 2 ** 30:.3g} GiB; "
-                                      "use --method circulant")
+        # checked before any acvf work: the exact_dl predictor table is n x n
+        # doubles; the quadrature behind the circulant roots holds up to eight
+        # arrays of its 0.85 pi n nodes (6.1 to 8.3 measured on table1, 2, 5)
+        need = 8 * self.n ** 2 if self.method == "exact_dl" else 64 * math.ceil(0.85 * math.pi * self.n)
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            hint = "; use --method circulant" if self.method == "exact_dl" else ""
+            raise ValidationError("too-large",
+                                  f"{self.method} at n={self.n} needs {need / 2 ** 30:.3g} GiB; "
+                                  f"physical memory is {have / 2 ** 30:.3g} GiB{hint}")
         g = self.grid_exponent
         if g is None:
             object.__setattr__(self, "grid_exponent", default_grid_exponent(self.n))
@@ -138,15 +139,8 @@ def acvf_numeric(spec: SarfimaSpec, max_lag: int, grid_exponent: int = 17) -> np
     require_stationary(spec, "autocovariance")
     if max_lag < 0:
         raise ValidationError("bad-lag", "max_lag must be >= 0")
-    poles = enumerate_poles(spec)
-    for pole in poles:
-        if pole.local_exponent >= 0.5:
-            raise ValidationError("nonstationary-spec",
-                                  f"pole exponent {pole.local_exponent} >= 1/2 at frequency "
-                                  f"{float(pole.fraction)} cycles: not integrable")
-
     xs, qs = [], []
-    for a, b, pole, pole_left in _segments(poles):
+    for a, b, pole, pole_left in _segments(enumerate_poles(spec)):
         width = b - a
         beta = -2.0 * pole.local_exponent
         # the lag term resolves the oscillation of cos(h lambda), so only the
@@ -254,15 +248,24 @@ def durbin_levinson_decompose(gamma: np.ndarray):
     return M, np.sqrt(v)
 
 
-@functools.lru_cache(maxsize=4)
+#: the one resident Durbin-Levinson table, by (spec, n, grid_exponent):
+#: ``too-large`` vouches for one 8 n^2-byte table, not for several
+_DL_TABLE = {}
+
+
 def _dl_tables(spec: SarfimaSpec, n: int, grid_exponent: int):
     """(M, sigma) for ``spec`` at length n, read-only so that the finiteness
-    check made when they were built holds for every later path."""
-    gamma = acvf_numeric(spec, n - 1 if n > 1 else 0, grid_exponent)
-    tables = durbin_levinson_decompose(gamma)
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    check made when they were built holds for every later path.  Only the
+    last table stays cached, and it is released before the next is built."""
+    key = (spec, n, grid_exponent)
+    if key not in _DL_TABLE:
+        _DL_TABLE.clear()
+        gamma = acvf_numeric(spec, n - 1 if n > 1 else 0, grid_exponent)
+        tables = durbin_levinson_decompose(gamma)
+        for table in tables:
+            table.setflags(write=False)
+        _DL_TABLE[key] = tables
+    return _DL_TABLE[key]
 
 
 def derive_rep_seed(master_seed: int, rep_index: int) -> int:
@@ -356,12 +359,16 @@ def _circulant_paths(spec: SarfimaSpec, n: int, grid_exponent: int, rngs) -> np.
 _DRAWERS = {"exact_dl": _dl_paths, "circulant": _circulant_paths}
 
 
-def simulate(config: SimConfig, rng: np.random.Generator = None) -> np.ndarray:
+def _paths(spec: SarfimaSpec, n: int, grid_exponent: int, method: str, seeds) -> np.ndarray:
+    """The paths of ``seeds`` drawn at once by ``method``, one row each; a
+    row's bits depend on its seed only, not on the other rows."""
+    return _DRAWERS[method](spec, n, grid_exponent, [_seed_rng(seed) for seed in seeds]).T
+
+
+def simulate(config: SimConfig) -> np.ndarray:
     """One zero-mean Gaussian sample path of length n, exact up to the
     quadrature error of the autocovariance.  A block of one: the result is
-    bitwise the column a Monte Carlo run draws for the same seed and method.
+    bitwise the row a Monte Carlo run draws for the same seed and method.
     """
     require_stationary(config.spec, "simulation")
-    if rng is None:
-        rng = _seed_rng(config.seed)
-    return _DRAWERS[config.method](config.spec, config.n, config.grid_exponent, [rng])[:, 0]
+    return _paths(config.spec, config.n, config.grid_exponent, config.method, [config.seed])[0]

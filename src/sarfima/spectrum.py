@@ -30,31 +30,26 @@ class Periodogram:
                   zip(range(1, self.n), self.frequencies.tolist(), self.ordinates.tolist()))
 
 
-def periodogram(series, subtract_mean: bool = True) -> Periodogram:
-    """Raw periodogram I(lambda_j) = (2 pi n)^-1 |sum_t x_t e^(i lambda_j t)|^2,
-    computed by FFT.
-
-    Parameters
-    ----------
-    series : array-like
-        Observed series, length >= 8.
-    subtract_mean : bool
-        Remove the sample mean first (the j=0 ordinate is dropped either way).
+def periodogram(series) -> Periodogram:
+    """Raw periodogram I(lambda_j) = (2 pi n)^-1 |sum_t x_t e^(i lambda_j t)|^2
+    of a series of length >= 8, computed by FFT after removing the sample
+    mean: the ordinates j = 1..n-1 do not depend on the mean, and removing
+    it keeps a large one from costing precision.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or len(x) < 8:
         raise ValidationError("series-too-short", f"need a 1-d series with n >= 8, got n={x.size}")
-    return Periodogram(n=len(x), ordinates=_ordinates(x[None, :], subtract_mean)[0])
+    return Periodogram(n=len(x), ordinates=_ordinates(x[None, :])[0])
 
 
-def _ordinates(paths: np.ndarray, subtract_mean: bool = True) -> np.ndarray:
+def _ordinates(paths: np.ndarray) -> np.ndarray:
     """Periodogram ordinates of every row of ``paths``, as a C-ordered block
     with one row per path; a row's bits do not depend on the other rows."""
     if not np.all(np.isfinite(paths)):
         raise ValidationError("non-finite-input", "series contains NaN or infinite values")
     n = paths.shape[1]
     x = np.ascontiguousarray(paths)
-    I = np.abs(np.fft.fft(x - x.mean(axis=1, keepdims=True) if subtract_mean else x, axis=1)[:, 1:])
+    I = np.abs(np.fft.fft(x - x.mean(axis=1, keepdims=True), axis=1)[:, 1:])
     I **= 2
     I /= 2 * np.pi * n
     return I

@@ -429,6 +429,7 @@ class TestRejectedInputs:
     @pytest.mark.parametrize("extra,code", [
         (["--n", "1080", "--grid-exponent", "9999"], "bad-grid-exponent"),
         (["--n", "10000000"], "too-large"),
+        (["--n", "10000000000", "--method", "circulant"], "too-large"),
     ])
     def test_simulate_guards(self, tmp_path, spec_file, capsys, extra, code):
         out = tmp_path / "y.csv"

@@ -88,6 +88,13 @@ class TestMcConfigValidation:
             McConfig(spec=spec, estimators=ests, reps=5, n=256, master_seed=seed)
         assert exc.value.code == "bad-seed"
 
+    def test_gph_single_needs_one_component(self):
+        spec = SarfimaSpec(components=(SeasonalComponent(1, 0.1), SeasonalComponent(4, 0.3)))
+        ests = (EstimatorDef(name="g", kind="gph_single", m=10),)
+        with pytest.raises(ValidationError) as exc:
+            McConfig(spec=spec, estimators=ests, reps=5, n=256, master_seed=1)
+        assert exc.value.code == "bad-estimator"
+
     def test_template_periods_must_match_spec(self):
         spec = SarfimaSpec(components=(SeasonalComponent(4, 0.3),))
         ests = (EstimatorDef(name="w", kind="whittle",
@@ -156,6 +163,22 @@ class TestRunMc:
         assert len(elines) == 1 + 2 * 6 * 2
 
 
+def recorded_run(cfg, monkeypatch):
+    """``run_mc(cfg)`` in one worker, and the paths it drew, one row per replication."""
+    from dataclasses import replace
+
+    from sarfima import montecarlo
+    draw, blocks = montecarlo._paths, []
+
+    def recorded(*args):
+        blocks.append(draw(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(montecarlo, "_paths", recorded)
+    summary = run_mc(replace(cfg, workers=1))
+    return np.concatenate(blocks), summary
+
+
 class TestBlockBoundary:
     """70 replications cross the boundary of the 64-path solve block."""
 
@@ -175,13 +198,10 @@ class TestBlockBoundary:
             assert np.array_equal(a.estimates, b.estimates)
 
     @pytest.mark.parametrize("n", [256, 257])
-    def test_paths_and_estimates_equal_standalone(self, n):
+    def test_paths_and_estimates_equal_standalone(self, n, monkeypatch):
         from dataclasses import replace
-
-        from sarfima.montecarlo import _paths
         cfg = replace(small_config(reps=70), n=n)
-        paths = np.concatenate(list(_paths(cfg, range(cfg.reps))))
-        summary = run_mc(cfg)
+        paths, summary = recorded_run(cfg, monkeypatch)
         template = cfg.estimators[1].template
         for rep in (0, 1, 63, 64, 69):
             x = simulate(SimConfig(spec=cfg.spec, n=n, seed=derive_rep_seed(cfg.master_seed, rep)))
@@ -211,12 +231,12 @@ class TestCirculantRun:
         from sarfima import montecarlo
         monkeypatch.setattr(montecarlo, "_PATH_BLOCK", width)
         cfg = self.config()
-        paths = np.concatenate(list(montecarlo._paths(cfg, range(cfg.reps))))
+        paths, summary = recorded_run(cfg, monkeypatch)
         for rep in (0, 1, 6, 7, 63, 64, 69):
             x = simulate(SimConfig(spec=cfg.spec, n=cfg.n, method="circulant",
                                    seed=derive_rep_seed(cfg.master_seed, rep)))
             assert paths[rep].tobytes() == x.tobytes()
-        assert_same_summary(run_mc(cfg), serial)
+        assert_same_summary(summary, serial)
 
     def test_worker_count_invariance(self, serial):
         assert_same_summary(run_mc(self.config(workers=3)), serial)
@@ -295,15 +315,12 @@ class TestFailureCodes:
         config = small_config(reps=10)
         clean = run_mc(config)
         draw = montecarlo._paths
+        bad_seed = derive_rep_seed(config.master_seed, bad)
 
-        def with_constant_path(config, reps):
-            lo = reps.start
-            for block in draw(config, reps):
-                block = np.array(block)
-                if lo <= bad < lo + len(block):
-                    block[bad - lo] = 1.0
-                lo += len(block)
-                yield block
+        def with_constant_path(spec, n, grid_exponent, method, seeds):
+            block = np.array(draw(spec, n, grid_exponent, method, seeds))
+            block[[seed == bad_seed for seed in seeds]] = 1.0
+            return block
 
         monkeypatch.setattr(montecarlo, "_paths", with_constant_path)
         serial = run_mc(config)

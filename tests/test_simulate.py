@@ -11,8 +11,8 @@ from sarfima import (ArmaFactor, NumericError, SarfimaSpec, SeasonalComponent,
                      default_grid_exponent, derive_rep_seed,
                      durbin_levinson_decompose, simulate)
 from sarfima import McConfig, design
-from sarfima.simulate import (MAX_GRID_EXPONENT, _circulant_paths, _circulant_roots, _dl_paths,
-                              _dl_tables, _seed_rng)
+from sarfima.simulate import (MAX_GRID_EXPONENT, _DL_TABLE, _circulant_paths, _circulant_roots,
+                              _dl_paths, _dl_tables, _seed_rng)
 
 
 def arfima_acvf(d, sigma2, lags):
@@ -36,6 +36,11 @@ class NanRng:
         out = np.zeros(size)
         out[3] = np.nan
         return out
+
+
+def simulate_module():
+    import importlib
+    return importlib.import_module("sarfima.simulate")   # the package attribute is the function
 
 
 class TestAcvfNumeric:
@@ -263,7 +268,7 @@ class TestSimulate:
                         for draw in (_dl_paths, _circulant_paths))
                 assert np.max(np.abs(mean_sample_acf(a) - mean_sample_acf(b))) < 0.06, name
         finally:
-            _dl_tables.cache_clear()   # five 134 MB tables
+            _DL_TABLE.clear()   # a 134 MB table
 
     def test_white_noise_path_is_iid_normals(self):
         spec = SarfimaSpec(components=(SeasonalComponent(1, 0.0),))
@@ -273,16 +278,6 @@ class TestSimulate:
         # gamma comes from quadrature, so the DL table is the identity only
         # to the quadrature tolerance
         assert np.max(np.abs(x - z)) < 1e-9
-
-    def test_explicit_rng_overrides_seed(self, quarterly_spec):
-        cfg = SimConfig(spec=quarterly_spec, n=128, seed=5)
-        r1 = np.random.default_rng(1234)
-        r2 = np.random.default_rng(1234)
-        a = simulate(cfg, rng=r1)
-        b = simulate(cfg, rng=r2)
-        c = simulate(cfg)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
 
 
 class TestRepSeeds:
@@ -336,10 +331,31 @@ class TestDlTableChecks:
             checked = solve_triangular(M, sigma * z, lower=True, unit_diagonal=True)
             assert np.max(np.abs(x - checked)) <= 1e-14 * np.max(np.abs(x))
 
-    def test_non_finite_draw_rejected(self, quarterly_spec):
+    def test_non_finite_draw_rejected(self, quarterly_spec, monkeypatch):
+        monkeypatch.setattr(simulate_module(), "_seed_rng", lambda seed: NanRng())
         with pytest.raises(NumericError) as exc:
-            simulate(SimConfig(spec=quarterly_spec, n=64, seed=1), rng=NanRng())
+            simulate(SimConfig(spec=quarterly_spec, n=64, seed=1))
         assert exc.value.code == "non-finite-draw"
+
+    def test_one_table_resident(self, quarterly_spec, two_period_spec, monkeypatch):
+        # the first spec's table is released before the second one's is built
+        import gc
+        import weakref
+        sim = simulate_module()
+        g = default_grid_exponent(64)
+        first = weakref.ref(_dl_tables(quarterly_spec, 64, g)[0])
+        decompose = sim.durbin_levinson_decompose
+        released = []
+
+        def checked(gamma):
+            gc.collect()   # a caught exception's traceback may still hold the table
+            released.append(first() is None)
+            return decompose(gamma)
+
+        monkeypatch.setattr(sim, "durbin_levinson_decompose", checked)
+        _dl_tables(two_period_spec, 64, g)
+        assert released == [True]
+        assert list(_DL_TABLE) == [(two_period_spec, 64, g)]
 
 
 class TestBlockDraw:
@@ -428,20 +444,30 @@ class TestSamplerGuards:
         for n in (1, 1080, 4096, 10 ** 5, 10 ** 7, n_max):
             assert 0 <= default_grid_exponent(n) <= MAX_GRID_EXPONENT
 
-    def test_huge_table_rejected_before_any_work(self, quarterly_spec, monkeypatch):
-        import importlib
-        sim = importlib.import_module("sarfima.simulate")   # the package attribute is the function
-
+    @staticmethod
+    def forbid_acvf(monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("acvf work started")
 
-        monkeypatch.setattr(sim, "acvf_numeric", forbidden)
+        monkeypatch.setattr(simulate_module(), "acvf_numeric", forbidden)
+
+    def test_huge_table_rejected_before_any_work(self, quarterly_spec, monkeypatch):
+        self.forbid_acvf(monkeypatch)
         for make in (lambda: SimConfig(spec=quarterly_spec, n=10 ** 7, seed=1),
                      lambda: _mc_config(quarterly_spec, n=10 ** 7)):
             with pytest.raises(ValidationError) as exc:
                 make()
             assert exc.value.code == "too-large"
             assert "--method circulant" in exc.value.message
+
+    def test_huge_circulant_rejected_before_any_work(self, quarterly_spec, monkeypatch):
+        # the quadrature behind the roots holds arrays of 0.85 pi n nodes
+        self.forbid_acvf(monkeypatch)
+        for make in (lambda: SimConfig(spec=quarterly_spec, n=10 ** 10, seed=1, method="circulant"),
+                     lambda: _mc_config(quarterly_spec, n=10 ** 10, method="circulant")):
+            with pytest.raises(ValidationError) as exc:
+                make()
+            assert exc.value.code == "too-large"
 
     def test_circulant_has_no_table(self, quarterly_spec):
         cfg = SimConfig(spec=quarterly_spec, n=10 ** 7, seed=1, method="circulant")
@@ -492,7 +518,8 @@ class TestCirculant:
         with pytest.raises(ValueError):
             root[0] = 1.0
 
-    def test_non_finite_draw_rejected(self, quarterly_spec):
+    def test_non_finite_draw_rejected(self, quarterly_spec, monkeypatch):
+        monkeypatch.setattr(simulate_module(), "_seed_rng", lambda seed: NanRng())
         with pytest.raises(NumericError) as exc:
-            simulate(SimConfig(spec=quarterly_spec, n=64, seed=1, method="circulant"), rng=NanRng())
+            simulate(SimConfig(spec=quarterly_spec, n=64, seed=1, method="circulant"))
         assert exc.value.code == "non-finite-draw"
