@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Fingerprint every estimate the package computes, to check a change is bitwise neutral.
 
-Prints two SHA-256 digests:
+Prints three SHA-256 digests:
 
 * ``run_mc``: the per-replication estimates of the canned designs table1-5
   (fixed master seed, one process), as raw float64 bytes;
 * ``cli``: the bytes of every file a fixed chain of CLI verbs writes (simulate,
   periodogram, both estimators, filter, scan, acf, mc), with each verb's exit
-  code.
+  code;
+* ``circulant``: as ``run_mc``, with the paths drawn by circulant embedding.
 
 Run it on two checkouts with the same arguments; equal digests mean equal bits.
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -30,10 +32,11 @@ from sarfima import DESIGN_NAMES, design, run_mc, spec_to_json
 from sarfima.cli import dispatch
 
 
-def mc_digest(master_seed: int, reps: int, n: int) -> str:
+def mc_digest(master_seed: int, reps: int, n: int, method: str = "exact_dl") -> str:
     h = hashlib.sha256()
     for name in DESIGN_NAMES:
-        summary = run_mc(design(name, master_seed=master_seed, reps=reps, n=n))
+        config = design(name, master_seed=master_seed, reps=reps, n=n)
+        summary = run_mc(dataclasses.replace(config, method=method))
         for res in summary.results:
             h.update(f"{name}/{res.name}/{res.estimates.shape}".encode())
             h.update(res.estimates.tobytes())
@@ -86,6 +89,8 @@ def main(argv=None) -> int:
     print(f"run_mc {mc_digest(args.seed, args.reps, args.n)}  table1-5, seed {args.seed}, "
           f"n {args.n}, {args.reps} reps")
     print(f"cli    {cli_digest(args.seed, args.reps, args.n)}  {len(cli_calls(0, 0, 0))} verb calls")
+    print(f"circulant {mc_digest(args.seed, args.reps, args.n, 'circulant')}  table1-5, seed {args.seed}, "
+          f"n {args.n}, {args.reps} reps")
     return 0
 
 

@@ -16,7 +16,7 @@ from .spectrum import (Band, BandPlan, Periodogram, build_band_plan,
                        gph_T_bandwidth, periodogram)
 from .estimators import (MemoryEstimate, WhittleFit, WhittleTemplate,
                          asymptotic_cov_matrix, estimate_to_json, gph_estimate,
-                         gph_single, whittle_estimate, whittle_fit_to_json)
+                         whittle_estimate, whittle_fit_to_json)
 from .simulate import (SimConfig, acvf_numeric, acvf_self_check,
                        default_grid_exponent, derive_rep_seed,
                        durbin_levinson_decompose, simulate)
@@ -42,7 +42,7 @@ __all__ = [
     "combined_filter_coefficients", "default_grid_exponent", "derive_rep_seed",
     "design", "durbin_levinson_decompose", "enumerate_poles",
     "estimate_to_json", "estimates_to_csv", "fractional_filter",
-    "gph_T_bandwidth", "gph_estimate", "gph_single", "periodogram",
+    "gph_T_bandwidth", "gph_estimate", "periodogram",
     "pi_coefficients", "require_stationary", "run_mc", "sample_acf_pacf",
     "scan_to_csv", "simulate", "spec_from_json", "spec_to_json",
     "spectral_density", "standardized_sample", "summary_to_csv",

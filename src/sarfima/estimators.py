@@ -25,7 +25,7 @@ from .spectrum import (Periodogram, BandPlan, build_band_plan, periodogram, _che
                        _check_period_pair)
 
 __all__ = ["MemoryEstimate", "WhittleFit", "WhittleTemplate", "gph_estimate",
-           "gph_single", "asymptotic_cov_matrix", "whittle_estimate",
+           "asymptotic_cov_matrix", "whittle_estimate",
            "estimate_to_json", "whittle_fit_to_json"]
 
 #: regressors more collinear than this abort the two-parameter regression
@@ -113,12 +113,16 @@ def _frozen(*arrays):
 # log-periodogram OLS
 # ---------------------------------------------------------------------------
 
+_BandDesign = namedtuple("_BandDesign", "positions slices zs gram")
+
+
 @functools.lru_cache(maxsize=64)
-def _band_design(plan: BandPlan, regressor_periods: tuple):
+def _band_design(plan: BandPlan, regressor_periods: tuple) -> _BandDesign:
     """The data-free half of the band regression, once per (plan, periods):
     zero-based ordinate positions pooled across bands, each band's slice of
-    them, and the regressors z_i = -2 log|2 sin(s_i lambda / 2)| centred by
-    their band means.  The arrays are read-only."""
+    them, the regressors z_i = -2 log|2 sin(s_i lambda / 2)| centred by
+    their band means, and the Gram entries (z1.z1[, z2.z2, z1.z2]), checked
+    for rank.  The arrays are read-only."""
     positions = np.concatenate([band.fourier_indices for band in plan.bands]) - 1
     ends = np.cumsum([len(band.fourier_indices) for band in plan.bands]).tolist()
     slices = tuple(slice(a, b) for a, b in zip([0] + ends[:-1], ends))
@@ -130,8 +134,19 @@ def _band_design(plan: BandPlan, regressor_periods: tuple):
             x = np.log(np.abs(2 * np.sin(s * lam / 2)))
             xs.append(x - x.mean())
         zs.append(-2.0 * np.concatenate(xs))
+    if len(zs) == 1:
+        gram = (zs[0] @ zs[0],)
+        full_rank = gram[0] > 0
+    else:
+        z1, z2 = zs
+        gram = g11, g22, g12 = z1 @ z1, z2 @ z2, z1 @ z2
+        full_rank = 1.0 - g12 * g12 / (g11 * g22) >= COLLINEARITY_TOL
+    if not full_rank:
+        raise ValidationError("rank-deficient",
+                              f"regressors degenerate or collinear for periods {regressor_periods} over "
+                              f"{len(plan.bands)} bands (s'={plan.s_prime}); cannot fit the memories")
     _frozen(positions, *zs)
-    return positions, slices, tuple(zs)
+    return _BandDesign(positions, slices, tuple(zs), gram)
 
 
 def gph_estimate(pgram: Periodogram, plan: BandPlan, s1: int, s2: int) -> MemoryEstimate:
@@ -172,11 +187,11 @@ def _gph_fits(ordinates: np.ndarray, plan: BandPlan, periods: tuple):
     """The band regression of every row of a block of periodogram ordinates.
 
     Returns (d_hat, errors): one row of memories per ordinate row, and per
-    row None or the error it raised.  A row with a non-positive ordinate
-    fails alone, as a NaN row; a degenerate design raises for the block.
-    Each row is reduced on its own, so its bits do not depend on the block.
+    row None or the error it raised: a row with a non-positive ordinate
+    fails alone, as a NaN row.  Each row is reduced on its own, so its bits
+    do not depend on the block.
     """
-    positions, slices, zs = _band_design(plan, periods)
+    positions, slices, zs, gram = _band_design(plan, periods)
     I = np.ascontiguousarray(ordinates[:, positions])
     errors = [None] * len(I)
     bad = np.any(I <= 0, axis=1)
@@ -185,30 +200,14 @@ def _gph_fits(ordinates: np.ndarray, plan: BandPlan, periods: tuple):
         errors[r] = ValidationError("zero-ordinate", f"non-positive periodogram ordinate in band k={band.k}")
     y = np.log(np.where(bad[:, None], 1.0, I))   # a failed row is fitted to nothing, then blanked
     if len(periods) == 1:
-        z = zs[0]
-        g = z @ z
-        if g <= 0:
-            raise ValidationError("rank-deficient", "degenerate regressor in single-period fit")
-        d_hat = ((y * z).sum(axis=1) / g)[:, None]
+        d_hat = ((y * zs[0]).sum(axis=1) / gram[0])[:, None]
     else:
-        z1, z2 = zs
-        g11, g22, g12 = z1 @ z1, z2 @ z2, z1 @ z2
-        if 1.0 - g12 * g12 / (g11 * g22) < COLLINEARITY_TOL:
-            raise ValidationError(
-                "rank-deficient",
-                f"regressors collinear for periods {periods} over {len(plan.bands)} bands "
-                f"(s'={plan.s_prime}); cannot separate d1 from d2")
+        (z1, z2), (g11, g22, g12) = zs, gram
         rhs1, rhs2 = (y * z1).sum(axis=1), (y * z2).sum(axis=1)
         det = g11 * g22 - g12 * g12
         d_hat = np.stack([(g22 * rhs1 - g12 * rhs2) / det, (g11 * rhs2 - g12 * rhs1) / det], axis=1)
     d_hat[bad] = np.nan
     return d_hat, errors
-
-
-def gph_single(pgram: Periodogram, s: int, m: int, allow_overlap: bool = False) -> MemoryEstimate:
-    """Single-parameter band regression around the harmonics of one period s:
-    ``gph_estimate`` on the one-period plan."""
-    return gph_estimate(pgram, build_band_plan(pgram.n, s, s, m, allow_overlap=allow_overlap), s, s)
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +262,7 @@ WHITTLE_MAX_STEPS = 100
 WHITTLE_TOL = 2e-15
 
 
-def _gph_start(ordinates: np.ndarray, n: int, template: WhittleTemplate) -> np.ndarray:
-    """Starting memories of every row from the band OLS estimator; zeros where it fails."""
-    periods = template.spec.periods
-    try:
-        plan = build_band_plan(n, periods[0], periods[-1], max(2, int(n ** 0.5)))
-    except ValidationError:
-        return np.zeros((len(ordinates), len(periods)))
-    return np.nan_to_num(_gph_fits(ordinates, plan, periods)[0], nan=0.0)
-
-
-_WhittleDesign = namedtuple("_WhittleDesign", "keep jac_d base factors arma0 box")
+_WhittleDesign = namedtuple("_WhittleDesign", "keep jac_d base factors arma0 box start")
 
 
 @functools.lru_cache(maxsize=16)
@@ -282,13 +271,17 @@ def _whittle_design(n: int, template: WhittleTemplate) -> _WhittleDesign:
     ``keep`` of usable Fourier indices j = 1..n-1, the (free memories,
     usable frequencies) Jacobian ``jac_d`` of log g, the fixed part ``base``
     of log g, each free factor's (sign, slice of theta, (Re z, Im z) as a
-    (2, q, K) array, lag), the factors' starting coefficients ``arma0`` and
-    the ``box`` |theta| <= box.  The arrays are read-only.
+    (2, q, K) array, lag), the factors' starting coefficients ``arma0``, the
+    ``box`` |theta| <= box, and the band plan ``start`` of the starting
+    memories, or None.  The arrays are read-only.  n must be >= 64, with
+    >= 8 usable frequencies.
 
     log g = base + d . jac_d + sum of sign * ln|t|^2 over the free factors,
     t = 1 - sum_p c_p z_p with z_p = exp(-i lambda p lag), sign -1 for AR
     and +1 for MA; base holds -ln(2 pi) and every fixed parameter.
     """
+    if n < 64:
+        raise ValidationError("series-too-short", f"Whittle fit needs n >= 64, got {n}")
     spec0 = template.spec
     j = np.arange(1, n)
     lam = 2 * np.pi * j / n
@@ -319,7 +312,13 @@ def _whittle_design(n: int, template: WhittleTemplate) -> _WhittleDesign:
             arma0.extend(f.coeffs if f.roots_outside_unit_circle() else [0.0] * len(f.coeffs))
     box = np.where(np.arange(nd + len(arma0)) < nd, template.d_box, np.inf)
     _frozen(keep, jac_d, base, box)
-    return _WhittleDesign(keep, jac_d, base, tuple(factors), tuple(arma0), box)
+    periods = spec0.periods
+    try:   # the band OLS memories are the start where the periods admit a plan at this n
+        start = build_band_plan(n, periods[0], periods[-1], max(2, int(n ** 0.5)))
+        _band_design(start, periods)
+    except ValidationError:
+        start = None
+    return _WhittleDesign(keep, jac_d, base, tuple(factors), tuple(arma0), box, start)
 
 
 def _rows_times(theta: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -487,8 +486,6 @@ def _whittle_fits(ordinates: np.ndarray, n: int, template: WhittleTemplate) -> _
     """The Whittle fit of every row of a block of periodogram ordinates, by one
     projected Newton descent over the block; see ``whittle_estimate``.  A
     row's bits do not depend on the other rows."""
-    if n < 64:
-        raise ValidationError("series-too-short", f"Whittle fit needs n >= 64, got {n}")
     design = _whittle_design(n, template)
     I_u = np.ascontiguousarray(ordinates[:, design.keep])
     # rescaled ordinates keep F of order one, whatever the scale of the series
@@ -502,8 +499,11 @@ def _whittle_fits(ordinates: np.ndarray, n: int, template: WhittleTemplate) -> _
     I_u = np.where(solved[:, None], I_u / scale[:, None], 1.0)
     free_d = np.array(template.free_d)
     nd = len(design.jac_d)
-    theta0 = np.hstack([_gph_start(np.where(solved[:, None], ordinates, 1.0), n, template)[:, free_d],
-                        np.tile(np.array(design.arma0, dtype=float), (len(I_u), 1))])
+    d0 = np.zeros((len(I_u), len(free_d)))   # the band OLS memories, zeros where they fail
+    if design.start is not None:
+        d0 = np.nan_to_num(_gph_fits(np.where(solved[:, None], ordinates, 1.0), design.start,
+                                     template.spec.periods)[0], nan=0.0)
+    theta0 = np.hstack([d0[:, free_d], np.tile(np.array(design.arma0, dtype=float), (len(I_u), 1))])
     theta, state, converged, steps = _projected_newton(design, I_u, theta0)
     if design.factors:
         # with free AR/MA factors F is not convex: a memory on the box may

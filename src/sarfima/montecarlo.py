@@ -20,10 +20,10 @@ from itertools import repeat
 import multiprocessing
 import numpy as np
 
-from .errors import SarfimaError, ValidationError
+from .errors import ValidationError
 from .model import ArmaFactor, SarfimaSpec, SeasonalComponent
 from .spectrum import BandPlan, build_band_plan, resolve_bandwidth, write_csv, _ordinates
-from .estimators import WhittleTemplate, _gph_fits, _whittle_fits
+from .estimators import WhittleTemplate, _band_design, _gph_fits, _whittle_design, _whittle_fits
 from .simulate import SimConfig, acvf_self_check, derive_rep_seed, _paths
 
 __all__ = ["EstimatorDef", "McConfig", "EstimatorResult", "McSummary", "run_mc",
@@ -88,8 +88,9 @@ class EstimatorDef:
     def result_periods(self, spec: SarfimaSpec) -> tuple:
         if self.kind == "whittle":
             return self.template.spec.periods
-        if self.kind == "gph_single" and len(spec.components) != 1:
-            raise ValidationError("bad-estimator", f"{self.name}: gph_single needs a one-component spec")
+        count = 1 if self.kind == "gph_single" else 2
+        if len(spec.components) != count:
+            raise ValidationError("bad-estimator", f"{self.name}: {self.kind} needs {count} spec components")
         return spec.periods
 
 
@@ -124,16 +125,14 @@ class McConfig:
 
 
 def _validate_estimator(e: EstimatorDef, n: int, spec: SarfimaSpec):
-    periods = spec.periods
-    if e.kind == "whittle":
-        for s in e.template.spec.periods:
-            if s not in periods:
-                raise ValidationError("bad-estimator",
-                                      f"{e.name}: template period {s} absent from the data spec")
+    """Build ``e``'s design at length n: each rule not depending on the data is checked here, once."""
+    if e.kind != "whittle":
+        _band_design(e.band_plan(n, spec), e.result_periods(spec))
         return
-    if e.kind == "gph_multi" and len(periods) != 2:
-        raise ValidationError("bad-estimator", f"{e.name}: gph_multi needs a two-component spec")
-    e.band_plan(n, spec)
+    absent = sorted(set(e.template.spec.periods) - set(spec.periods))
+    if absent:
+        raise ValidationError("bad-estimator", f"{e.name}: template periods {absent} absent from the data spec")
+    _whittle_design(n, e.template)
 
 
 def _true_d(e: EstimatorDef, spec: SarfimaSpec) -> np.ndarray:
@@ -146,18 +145,13 @@ def _fit_block(e: EstimatorDef, ordinates: np.ndarray, n: int, spec: SarfimaSpec
     (estimates, each row's error code or "", each row's Newton steps for a
     whittle fit).  A failed row, a fit that did not converge included, is a
     NaN row with its code, and -1 steps where the fit raised."""
-    try:
-        if e.kind == "whittle":
-            fits = _whittle_fits(ordinates, n, e.template)
-            codes = [err.code if err else "" if ok else "not-converged"
-                     for err, ok in zip(fits.errors, fits.converged)]
-            return np.where(fits.converged[:, None], fits.d_hat, np.nan), np.array(codes), fits.steps
-        d_hat, errors = _gph_fits(ordinates, e.band_plan(n, spec), e.result_periods(spec))
-        return d_hat, np.array([err.code if err else "" for err in errors]), None
-    except SarfimaError as exc:
-        rows = len(ordinates)
-        return (np.full((rows, e.dimension(spec)), np.nan), np.full(rows, exc.code),
-                np.full(rows, -1) if e.kind == "whittle" else None)
+    if e.kind == "whittle":
+        fits = _whittle_fits(ordinates, n, e.template)
+        codes = [err.code if err else "" if ok else "not-converged"
+                 for err, ok in zip(fits.errors, fits.converged)]
+        return np.where(fits.converged[:, None], fits.d_hat, np.nan), np.array(codes), fits.steps
+    d_hat, errors = _gph_fits(ordinates, e.band_plan(n, spec), e.result_periods(spec))
+    return d_hat, np.array([err.code if err else "" for err in errors]), None
 
 
 def _joined(parts):
@@ -212,16 +206,17 @@ def run_mc(config: McConfig) -> McSummary:
     batch of FFTs), and each estimator fits a whole block at once: one
     transform, one band regression and one Whittle descent.  Block 0 runs
     in this process and the rest in order, or on a pool of forked workers.
-    A replication's estimates do not depend on the block it shares.  Failed
-    estimator applications (guard violations, optimizer non-convergence) are
-    excluded from the moments and counted by error code.  The summary is
-    identical for any worker count.
+    A replication's estimates do not depend on the block it shares.  The
+    config checked each estimator's design, so only replications fail
+    (zero-ordinate, zero-periodogram, not-converged); they are excluded
+    from the moments and counted by error code.  The summary is identical
+    for any worker count.
     """
     workers = _resolve_workers(config.workers)
     if config.self_check:
         acvf_self_check(config.spec, config.grid_exponent)
-    # block 0 caches the sampler's table or roots and the estimators'
-    # designs, so forked workers inherit them
+    # block 0 caches the sampler's table or roots, so forked workers
+    # inherit them along with the estimators' designs
     blocks = [_run_block(config, 0)]
     rest = range(_PATH_BLOCK, config.reps, _PATH_BLOCK)
     if workers == 1:

@@ -179,17 +179,21 @@ def acvf_numeric(spec: SarfimaSpec, max_lag: int, grid_exponent: int = 17) -> np
     return 2.0 * out.T.ravel()[:max_lag + 1]
 
 
-def acvf_self_check(spec: SarfimaSpec, grid_exponent: int, lags: int = 50,
-                    tol: float = 1e-6) -> float:
-    """Doubling check: gamma(h<=lags) must move by less than tol when the
-    resolution doubles.  Returns the observed maximum shift; raises on
-    failure."""
-    g1 = acvf_numeric(spec, lags, grid_exponent)
-    g2 = acvf_numeric(spec, lags, grid_exponent + 1)
+#: lags and tolerance of the quadrature doubling check
+_SELF_CHECK_LAGS = 50
+_SELF_CHECK_TOL = 1e-6
+
+
+def acvf_self_check(spec: SarfimaSpec, grid_exponent: int) -> float:
+    """Doubling check: gamma(h <= _SELF_CHECK_LAGS) must move by less than
+    _SELF_CHECK_TOL when the resolution doubles.  Returns the observed
+    maximum shift; raises ``quadrature-unstable`` on failure."""
+    g1 = acvf_numeric(spec, _SELF_CHECK_LAGS, grid_exponent)
+    g2 = acvf_numeric(spec, _SELF_CHECK_LAGS, grid_exponent + 1)
     shift = float(np.max(np.abs(g1 - g2)))
-    if not shift < tol:
+    if not shift < _SELF_CHECK_TOL:
         raise NumericError("quadrature-unstable",
-                           f"acvf changed by {shift:.3g} >= {tol:.3g} under grid doubling")
+                           f"acvf changed by {shift:.3g} >= {_SELF_CHECK_TOL:.3g} under grid doubling")
     return shift
 
 
@@ -290,14 +294,13 @@ def _normals(rngs, size: int) -> np.ndarray:
 
 
 def _dl_paths(spec: SarfimaSpec, n: int, grid_exponent: int, rngs) -> np.ndarray:
-    """Exact Durbin-Levinson paths, one column per generator, as an n x R
-    Fortran-order array.
+    """Exact Durbin-Levinson paths, one row per generator, as an R x n array.
 
-    Column j starts as the innovations sigma * z_j, with z_j the next n
+    Row j starts as the innovations sigma * z_j, with z_j the next n
     standard normals of rngs[j]; one BLAS-3 solve M X = B against the cached
-    table then whitens the whole block.  The solve treats every column
-    alike, so a column's bits depend on its generator only, not on the
-    block's width or on the column's place in it.
+    table then whitens the whole block, its paths the columns of X = B.T.
+    The solve treats every column alike, so a row's bits depend on its
+    generator only, not on the block's width or on the row's place in it.
     """
     from scipy.linalg.blas import dtrsm   # keeps scipy.linalg off the import path
     M, sig = _dl_tables(spec, n, grid_exponent)
@@ -305,7 +308,7 @@ def _dl_paths(spec: SarfimaSpec, n: int, grid_exponent: int, rngs) -> np.ndarray
     B *= sig
     # M was checked finite when the cached table was built; M.T and B.T are
     # F-contiguous views, so neither the n x n table nor the block is copied
-    return dtrsm(1.0, M.T, B.T, lower=0, trans_a=1, diag=1, overwrite_b=1)
+    return dtrsm(1.0, M.T, B.T, lower=0, trans_a=1, diag=1, overwrite_b=1).T
 
 
 @functools.lru_cache(maxsize=4)
@@ -336,14 +339,14 @@ def _circulant_roots(spec: SarfimaSpec, n: int, grid_exponent: int) -> np.ndarra
 
 
 def _circulant_paths(spec: SarfimaSpec, n: int, grid_exponent: int, rngs) -> np.ndarray:
-    """Exact circulant-embedding paths (Davies-Harte), one column per
-    generator, as an n x R array.
+    """Exact circulant-embedding paths (Davies-Harte), one row per
+    generator, as an R x n array.
 
     Of the next 2N normals of rngs[j], the first N + 1 are the real parts of
     the spectrum at frequencies 0..N and the rest the imaginary parts at
     1..N-1; scaled by the roots, one real inverse FFT per row gives a
     sequence of length 2N whose first n values are the path.  Every row goes
-    through the same arithmetic, so a column's bits depend on its generator
+    through the same arithmetic, so a row's bits depend on its generator
     only.
     """
     root = _circulant_roots(spec, n, grid_exponent)
@@ -352,7 +355,7 @@ def _circulant_paths(spec: SarfimaSpec, n: int, grid_exponent: int, rngs) -> np.
     spectrum = np.zeros((len(rngs), half + 1), dtype=complex)
     spectrum.real = z[:, :half + 1]
     spectrum.imag[:, 1:half] = z[:, half + 1:]
-    return np.fft.irfft(spectrum * root, 2 * half, axis=1)[:, :n].T
+    return np.fft.irfft(spectrum * root, 2 * half, axis=1)[:, :n]
 
 
 #: the path drawers by method name
@@ -362,7 +365,7 @@ _DRAWERS = {"exact_dl": _dl_paths, "circulant": _circulant_paths}
 def _paths(spec: SarfimaSpec, n: int, grid_exponent: int, method: str, seeds) -> np.ndarray:
     """The paths of ``seeds`` drawn at once by ``method``, one row each; a
     row's bits depend on its seed only, not on the other rows."""
-    return _DRAWERS[method](spec, n, grid_exponent, [_seed_rng(seed) for seed in seeds]).T
+    return _DRAWERS[method](spec, n, grid_exponent, [_seed_rng(seed) for seed in seeds])
 
 
 def simulate(config: SimConfig) -> np.ndarray:

@@ -17,7 +17,7 @@ from sarfima import (ArmaFactor, EstimatorDef, McConfig, Periodogram, SarfimaSpe
                      SeasonalComponent, SimConfig, WhittleTemplate,
                      asymptotic_cov_matrix, build_band_plan,
                      combined_filter_coefficients, design, fractional_filter,
-                     gph_estimate, gph_single, gph_T_bandwidth,
+                     gph_estimate, gph_T_bandwidth,
                      periodogram, pi_coefficients, run_mc, simulate,
                      spectral_density, standardized_sample)
 
@@ -214,7 +214,7 @@ def test_criterion_9_property_suite():
     # seasonal period present the omitted regressor biases the slope
     ideal_single = Periodogram(n=N, ordinates=np.array(
         [spectral_density(spec, la) for la in folded]))
-    single = gph_single(ideal_single, 4, 40)
+    single = gph_estimate(ideal_single, build_band_plan(N, 4, 4, 40), 4, 4)
     rec_err = max(rec_err, abs(single.d_hat[0] - 0.3))
     if rec_err > 1e-10:
         failures.append(f"noise-free recovery {rec_err:.2e}")

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -509,6 +510,24 @@ class TestRejectedInputs:
         rc = cli.dispatch([argv[0], *source, *(a.format(**paths) for a in argv[1:])])
         assert rc == 1
         self.assert_one_error(capsys, "io-error")
+
+    def test_mc_series_too_short_for_whittle(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        rc = cli.dispatch(["mc", "--design", "table2", "--seed", "1", "--reps", "5",
+                           "--n", "60", "--out", str(out)])
+        assert rc == 1
+        self.assert_one_error(capsys, "series-too-short")
+        assert not out.exists()
+
+    def test_mc_unstable_quadrature_exits_2(self, tmp_path, capsys, monkeypatch):
+        simulate_module = importlib.import_module("sarfima.simulate")   # the package attribute is the function
+        monkeypatch.setattr(simulate_module, "_SELF_CHECK_TOL", 0.0)
+        out = tmp_path / "m.csv"
+        rc = cli.dispatch(["mc", "--design", "table2", "--seed", "1", "--reps", "2",
+                           "--out", str(out)])
+        assert rc == 2
+        self.assert_one_error(capsys, "quadrature-unstable")
+        assert not out.exists()
 
     def test_mc_too_large(self, tmp_path, capsys):
         rc = cli.dispatch(["mc", "--design", "table2", "--seed", "1", "--reps", "2",

@@ -10,7 +10,7 @@ from sarfima import (ArmaFactor, Periodogram, SarfimaSpec, SeasonalComponent,
                      SimConfig, ValidationError, WhittleTemplate,
                      asymptotic_cov_matrix, build_band_plan, derive_rep_seed,
                      design, enumerate_poles, estimate_to_json, gph_estimate,
-                     gph_single, periodogram, simulate, spectral_density,
+                     periodogram, simulate, spectral_density,
                      whittle_estimate, whittle_fit_to_json)
 
 
@@ -83,7 +83,7 @@ class TestGphNoiseFree:
     def test_single_period_exact_recovery(self):
         spec = SarfimaSpec(components=(SeasonalComponent(4, 0.27),))
         pg = synthetic_periodogram(spec, 1080)
-        est = gph_single(pg, 4, 100)
+        est = gph_estimate(pg, build_band_plan(pg.n, 4, 4, 100), 4, 4)
         assert abs(est.d_hat[0] - 0.27) < 1e-10
 
     def test_local_centering_absorbs_smooth_factors(self):
@@ -91,7 +91,7 @@ class TestGphNoiseFree:
         spec = SarfimaSpec(components=(SeasonalComponent(4, 0.3),),
                            ar_factors=(ArmaFactor(1, (0.5,)),))
         pg = synthetic_periodogram(spec, 2160)
-        est = gph_single(pg, 4, 20)
+        est = gph_estimate(pg, build_band_plan(pg.n, 4, 4, 20), 4, 4)
         assert abs(est.d_hat[0] - 0.3) < 5e-3
 
 
@@ -130,20 +130,28 @@ class TestGphSampling:
         assert exc.value.code == "plan-mismatch"
 
     def test_one_period_plan_gives_the_single_fit(self, quarterly_path):
+        # d_hat = (z.y)/(z.z), with z the band-centred regressor and y = log I
         pg = periodogram(quarterly_path)
-        via_plan = gph_estimate(pg, build_band_plan(pg.n, 4, 4, 50), 4, 4)
-        single = gph_single(pg, 4, 50)
-        assert via_plan.method == single.method == "gph_single" and via_plan.periods == (4,)
-        assert np.array_equal(via_plan.d_hat, single.d_hat)
-        assert np.array_equal(via_plan.asymptotic_cov, single.asymptotic_cov)
+        plan = build_band_plan(pg.n, 4, 4, 50)
+        est = gph_estimate(pg, plan, 4, 4)
+        assert est.method == "gph_single" and est.periods == (4,)
+        z, y = [], []
+        for band in plan.bands:
+            x = -2 * np.log(np.abs(2 * np.sin(4 * np.pi * band.fourier_indices / pg.n)))
+            z.append(x - x.mean())
+            y.append(np.log(pg.ordinates[band.fourier_indices - 1]))
+        z, y = np.concatenate(z), np.concatenate(y)
+        assert est.d_hat[0] == pytest.approx(z @ y / (z @ z), rel=1e-12)
+        assert np.array_equal(est.asymptotic_cov, asymptotic_cov_matrix(4, None, 50))
 
     def test_single_near_truth_on_long_path(self, quarterly_path):
         pg = periodogram(quarterly_path)
-        est = gph_single(pg, 4, 134)
+        est = gph_estimate(pg, build_band_plan(pg.n, 4, 4, 134), 4, 4)
         assert abs(est.d_hat[0] - 0.3) < 4 * est.standard_errors()[0]
 
     def test_json_fields(self, quarterly_path):
-        est = gph_single(periodogram(quarterly_path), 4, 50)
+        pg = periodogram(quarterly_path)
+        est = gph_estimate(pg, build_band_plan(pg.n, 4, 4, 50), 4, 4)
         doc = json.loads(estimate_to_json(est))
         assert list(doc) == ["method", "d_hat", "cov", "m", "band_count", "periods"]
         assert doc["periods"] == [4]
@@ -372,8 +380,8 @@ class TestDesignCache:
         from sarfima.estimators import _band_design
         plan = build_band_plan(1080, 1, 4, 32)
         gph_estimate(periodogram(two_period_path), plan, 1, 4)
-        positions, _, zs = _band_design(plan, (1, 4))
-        for array in (positions, *zs):
+        band = _band_design(plan, (1, 4))
+        for array in (band.positions, *band.zs):
             with pytest.raises(ValueError):
                 array[0] = 0
 
@@ -383,8 +391,8 @@ class TestDesignCache:
                            ar_factors=(ArmaFactor(4, (0.5,)),), ma_factors=(ArmaFactor(1, (0.2,)),))
         template = WhittleTemplate(spec=spec, free_ma=(False,))
         whittle_estimate(two_period_path, template)
-        keep, jac_d, base, free_factors, _, box = _whittle_design(1080, template)
-        for array in (keep, jac_d, base, box, *(z for _, _, z, _ in free_factors)):
+        wd = _whittle_design(1080, template)
+        for array in (wd.keep, wd.jac_d, wd.base, wd.box, *(z for _, _, z, _ in wd.factors)):
             with pytest.raises(ValueError):
                 array[0] = 0
 

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -95,6 +96,28 @@ class TestMcConfigValidation:
             McConfig(spec=spec, estimators=ests, reps=5, n=256, master_seed=1)
         assert exc.value.code == "bad-estimator"
 
+    def test_short_whittle_series_rejected_before_any_draw(self, monkeypatch):
+        # the Whittle design holds the n >= 64 rule; table2's band OLS designs pass at n = 60
+        simulate_module = importlib.import_module("sarfima.simulate")   # the package attribute is the function
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("acvf work started")
+
+        monkeypatch.setattr(simulate_module, "acvf_numeric", forbidden)
+        with pytest.raises(ValidationError) as exc:
+            design("table2", master_seed=1, reps=5, n=60)
+        assert exc.value.code == "series-too-short"
+        assert exc.value.message == "Whittle fit needs n >= 64, got 60"
+
+    def test_collinear_band_design_rejected_up_front(self, monkeypatch):
+        # the band design holds the rank rule; any tolerance above 1 fails every design
+        from sarfima import estimators
+        monkeypatch.setattr(estimators, "COLLINEARITY_TOL", 2.0)
+        estimators._band_design.cache_clear()
+        with pytest.raises(ValidationError) as exc:
+            small_config()
+        assert exc.value.code == "rank-deficient"
+
     def test_template_periods_must_match_spec(self):
         spec = SarfimaSpec(components=(SeasonalComponent(4, 0.3),))
         ests = (EstimatorDef(name="w", kind="whittle",
@@ -143,6 +166,16 @@ class TestRunMc:
         c = run_mc(small_config(seed=12))
         assert np.array_equal(a.by_name("gph").estimates, b.by_name("gph").estimates)
         assert not np.array_equal(a.by_name("gph").estimates, c.by_name("gph").estimates)
+
+    def test_unstable_quadrature_is_a_coded_error(self, monkeypatch):
+        from dataclasses import replace
+
+        from sarfima import NumericError
+        simulate_module = importlib.import_module("sarfima.simulate")   # the package attribute is the function
+        monkeypatch.setattr(simulate_module, "_SELF_CHECK_TOL", 0.0)
+        with pytest.raises(NumericError) as exc:
+            run_mc(replace(small_config(), self_check=True))
+        assert exc.value.code == "quadrature-unstable"
 
     def test_failure_counts_zero_on_clean_run(self):
         summary = run_mc(small_config())

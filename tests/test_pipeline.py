@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from sarfima import (ArmaFactor, SarfimaSpec, SeasonalComponent, SimConfig,
                      ValidationError, acf_to_csv, bandwidth_scan,
-                     combined_filter_coefficients, fractional_filter,
-                     gph_single, periodogram, sample_acf_pacf, scan_to_csv,
+                     build_band_plan, combined_filter_coefficients, fractional_filter,
+                     gph_estimate, periodogram, sample_acf_pacf, scan_to_csv,
                      simulate)
 
 
@@ -37,7 +37,7 @@ class TestFractionalFilter:
         residuals = fractional_filter(two_period_path, [0.1, 0.3], [1, 4])
         # discard start-up, residual memory should be near zero
         pg = periodogram(residuals[40:])
-        est = gph_single(pg, 4, 32)
+        est = gph_estimate(pg, build_band_plan(pg.n, 4, 4, 32), 4, 4)
         assert abs(est.d_hat[0]) < 3 * est.standard_errors()[0]
 
     def test_length_mismatch_rejected(self, rng):

@@ -28,12 +28,12 @@ def test_demo_workflow_writes_its_outputs(tmp_path, capsys):
     assert f"{outside} of 48 outside" in out
 
 
-def test_digest_prints_two_stable_digests(capsys):
+def test_digest_prints_stable_digests(capsys):
     digest = load("digest")
     runs = []
     for _ in range(2):
         assert digest.main(["--reps", "2"]) == 0
         runs.append(capsys.readouterr().out.splitlines())
     assert runs[0] == runs[1]
-    assert [line.split()[0] for line in runs[0]] == ["run_mc", "cli"]
+    assert [line.split()[0] for line in runs[0]] == ["run_mc", "cli", "circulant"]
     assert all(re.fullmatch("[0-9a-f]{64}", line.split()[1]) for line in runs[0])

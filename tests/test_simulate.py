@@ -248,9 +248,9 @@ class TestSimulate:
         n, reps, lags = 4096, 128, range(1, 9)
 
         def mean_sample_acf(X):
-            X = X - X.mean(axis=0)
-            c0 = np.sum(X * X, axis=0)
-            return np.array([np.mean(np.sum(X[: n - h] * X[h:], axis=0) / c0) for h in lags])
+            X = X - X.mean(axis=1, keepdims=True)
+            c0 = np.sum(X * X, axis=1)
+            return np.array([np.mean(np.sum(X[:, : n - h] * X[:, h:], axis=1) / c0) for h in lags])
 
         try:
             for name in ("table1", "table2", "table3", "table4", "table5"):
@@ -359,7 +359,8 @@ class TestDlTableChecks:
 
 
 class TestBlockDraw:
-    """Paths drawn together in one solve equal the paths drawn one by one."""
+    """Paths drawn together in one solve equal the paths drawn one by one.
+    Each path is a column of the solve, and a row of the returned block."""
 
     N = 1080
 
@@ -376,15 +377,15 @@ class TestBlockDraw:
     def test_columns_do_not_depend_on_block_width(self, table2, width):
         seeds = [derive_rep_seed(5, rep) for rep in range(width)]
         block = self._block(table2, seeds)
-        assert block.shape == (self.N, width) and block.flags.f_contiguous
+        assert block.shape == (width, self.N) and block.flags.c_contiguous
         for j, seed in enumerate(seeds):
-            assert np.array_equal(block[:, j], self._block(table2, [seed])[:, 0])
+            assert np.array_equal(block[j], self._block(table2, [seed])[0])
 
     def test_columns_do_not_depend_on_offset(self, table2):
         seeds = [derive_rep_seed(6, rep) for rep in range(64)]
         full = self._block(table2, seeds)
         for lo, hi in ((5, 12), (57, 64), (1, 64)):
-            assert np.array_equal(self._block(table2, seeds[lo:hi]), full[:, lo:hi])
+            assert np.array_equal(self._block(table2, seeds[lo:hi]), full[lo:hi])
 
     def test_nan_inside_block_rejected(self, table2):
         spec, g = table2
@@ -491,14 +492,15 @@ class TestCirculant:
     @pytest.mark.parametrize("name, n", [("table1", 64), ("table3", 100), ("table4", 257),
                                          ("table5", 200)])
     def test_path_covariance_is_the_toeplitz_matrix(self, name, n):
-        # a path is a linear map A of the normals, so its covariance is A A^T
+        # a path is a linear map A of the normals, so its covariance is A A^T;
+        # row i of the block is the path of the i-th unit vector, column i of A
         from scipy.linalg import toeplitz
         spec = design(name, master_seed=1).spec
         g = SimConfig(spec=spec, n=n, seed=0).grid_exponent
         half = len(_circulant_roots(spec, n, g)) - 1
         A = _circulant_paths(spec, n, g, [self.UnitRng(i) for i in range(2 * half)])
         gamma = acvf_numeric(spec, n - 1, g)
-        assert np.max(np.abs(A @ A.T - toeplitz(gamma))) < 1e-12 * gamma[0]
+        assert np.max(np.abs(A.T @ A - toeplitz(gamma))) < 1e-12 * gamma[0]
 
     @pytest.mark.parametrize("name, n, half", [("table3", 1080, 1080), ("table5", 4096, 4104),
                                                ("table4", 63, 64), ("table1", 1, 4)])
