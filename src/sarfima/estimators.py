@@ -15,7 +15,6 @@ import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -68,9 +67,10 @@ def asymptotic_cov_matrix(s1: int, s2, m: int) -> np.ndarray:
     """Asymptotic covariance (pi^2 / 6m) Q^-1 of the band OLS estimator.
 
     Q = 4 [[sum_k delta_k, sum_{k in I} delta_k], [sym., sum_{k in I} delta_k]]
-    where I = {0} u {k : k s2 = 0 mod s'}; the inverse is carried out in
-    exact rational arithmetic before the pi^2/(6m) scaling.  A single-period
-    call (s2 = None or s2 = s1) returns the 1x1 matrix [[pi^2 / (24 s m)]].
+    where I = {0} u {k : k s2 = 0 mod s'}; each entry of the inverse is a
+    quotient of Python ints, which is the exact rational correctly rounded,
+    before the pi^2/(6m) scaling.  A single-period call (s2 = None or
+    s2 = s1) returns the 1x1 matrix [[pi^2 / (24 s m)]].
     Built once per argument tuple; the shared matrix is read-only.
     """
     _check_bandwidth(m)
@@ -92,11 +92,7 @@ def _asymptotic_cov(s1: int, s2, m: int) -> np.ndarray:
     det = q11 * q22 - q12 * q12
     if det == 0:
         raise ValidationError("singular-q", "Q matrix singular (equal periods?)")
-    inv = [[Fraction(q22, det), Fraction(-q12, det)],
-           [Fraction(-q12, det), Fraction(q11, det)]]
-    scale = math.pi ** 2 / (6 * m)
-    cov = np.array([[scale * float(inv[0][0]), scale * float(inv[0][1])],
-                    [scale * float(inv[1][0]), scale * float(inv[1][1])]])
+    cov = math.pi ** 2 / (6 * m) * np.array([[q22 / det, -q12 / det], [-q12 / det, q11 / det]])
     if s1 < s2:  # caller listed the smaller period first
         cov = cov[::-1, ::-1]
     return _frozen(cov)

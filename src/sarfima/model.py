@@ -304,8 +304,8 @@ def enumerate_poles(spec: SarfimaSpec) -> tuple:
     Harmonics are exact fractions j / s_i, so a frequency shared by the two
     periods is merged by rational comparison, never by floating point, and
     its owners are exactly the components whose period it divides into.
-    The spectral density, the asymptotic autocovariance, the quadrature
-    segments and the Whittle pole exclusion all read this table.  Cached per
+    The spectral density, the asymptotic autocovariance, the acvf pole
+    corrections and the Whittle pole exclusion all read this table.  Cached per
     spec: spectral_density looks up one frequency per call.
     """
     fractions = sorted({Fraction(j, c.period) for c in spec.components

@@ -189,17 +189,11 @@ class McSummary:
     n: int
     master_seed: int
 
-    def by_name(self, name: str) -> EstimatorResult:
-        for r in self.results:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
 
 def run_mc(config: McConfig) -> McSummary:
     """Run the full replication study described by ``config``.
 
-    Startup runs the quadrature doubling self-check, then each replication
+    Startup runs the acvf grid-doubling self-check, then each replication
     simulates with its derived seed and every estimator is applied to the
     same path.  The unit of work is a block of up to _PATH_BLOCK replications
     (exact_dl draws its paths with one triangular solve, circulant with one

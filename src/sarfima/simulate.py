@@ -1,11 +1,12 @@
 """Exact Gaussian simulation of stationary seasonal fractional processes.
 
-The autocovariance sequence is obtained by numerical integration of the
-theoretical spectral density (gamma(h) = 2 int_0^pi f cos(h lambda) dlambda),
-then turned into exact sample paths in blocks: by one triangular solve
-against its Durbin-Levinson decomposition (exact_dl), or by one real FFT per
-path through the eigenvalues of its circulant embedding (circulant; Davies &
-Harte 1987, Wood & Chan 1994), in O(n log n) time and O(n) memory.
+The autocovariance gamma(h) = int_{-pi}^{pi} f e^(i h lambda) dlambda is one
+FFT of the spectral density f on a uniform grid, corrected at each pole by
+zeta-function terms, then turned into exact sample paths in blocks: by one
+triangular solve against its Durbin-Levinson decomposition (exact_dl), or by
+one real FFT per path through the eigenvalues of its circulant embedding
+(circulant; Davies & Harte 1987, Wood & Chan 1994), in O(n log n) time and
+O(n) memory.
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -24,15 +24,30 @@ __all__ = ["SimConfig", "acvf_numeric", "acvf_self_check", "simulate",
            "durbin_levinson_decompose", "derive_rep_seed", "default_grid_exponent",
            "MAX_GRID_EXPONENT"]
 
-#: cap on the 2^(g-6) resolution floor's nodes per segment; the lag term is not capped
-_MAX_NODES_PER_SEGMENT = 30000
+#: the trapezoid grid: M = lcm(periods) 2^k nodes, the smallest such M with
+#: at least _MIN_NODES, _NODES_PER_LAG per lag, _NODES_PER_RADIUS within the
+#: Chebyshev fit's radius and 2^min(g - 3, 18) for the grid exponent g
+_MIN_NODES = 8192
+_NODES_PER_LAG = 8
+_NODES_PER_RADIUS = 8
 
-#: nodes per quadrature panel; a segment of N nodes is cut into ceil(N / 24) panels
-_PANEL_ORDER = 24
+#: the pole corrections' last term is Delta^(beta + 13); the derivatives
+#: come from a Chebyshev fit of _FIT_POINTS about the pole, of radius at most
+#: _FIT_RADIUS, which AR roots nearer the unit circle than _MIN_AR_RADIUS
+#: shrink no further (so that they need at most about half a million nodes)
+_CORRECTION_ORDER = 12
+_FIT_POINTS = 48
+_FIT_RADIUS = 0.02
+_MIN_AR_RADIUS = 1e-4
 
-#: largest accepted grid exponent.  The 2^(g-6) resolution floor exceeds
-#: _MAX_NODES_PER_SEGMENT from g = 21, so no larger value changes a node
-#: count, and huge ones overflow the float node-count arithmetic
+#: grid nodes per call of the density, and the grid's peak memory per node:
+#: fresh processes peaked at 37.4 bytes on table5 at n = 2^20 (12.6 million
+#: nodes), 32.7 of them above the interpreter's own
+_DENSITY_CHUNK = 1 << 16
+_BYTES_PER_NODE = 40
+
+#: largest accepted grid exponent.  The resolution floor stops at 2^18 from
+#: g = 21, so no larger value changes the grid
 MAX_GRID_EXPONENT = 40
 
 
@@ -58,16 +73,6 @@ class SimConfig:
             raise ValidationError("bad-method", f"unknown simulation method {self.method!r}")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
             raise ValidationError("bad-seed", "seed must be an unsigned 64-bit integer")
-        # checked before any acvf work: the exact_dl predictor table is n x n
-        # doubles; the quadrature behind the circulant roots holds up to eight
-        # arrays of its 0.85 pi n nodes (6.1 to 8.3 measured on table1, 2, 5)
-        need = 8 * self.n ** 2 if self.method == "exact_dl" else 64 * math.ceil(0.85 * math.pi * self.n)
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > have:
-            hint = "; use --method circulant" if self.method == "exact_dl" else ""
-            raise ValidationError("too-large",
-                                  f"{self.method} at n={self.n} needs {need / 2 ** 30:.3g} GiB; "
-                                  f"physical memory is {have / 2 ** 30:.3g} GiB{hint}")
         g = self.grid_exponent
         if g is None:
             object.__setattr__(self, "grid_exponent", default_grid_exponent(self.n))
@@ -77,117 +82,115 @@ class SimConfig:
         if 2 ** self.grid_exponent < 64 * self.n:
             raise ValidationError("grid-too-small",
                                   f"need 2^grid_exponent >= 64 n; got 2^{self.grid_exponent} < {64 * self.n}")
+        # checked before any acvf work: the exact_dl predictor table is n x n
+        # doubles; the circulant roots come from the autocovariance's grid
+        need = 8 * self.n ** 2 if self.method == "exact_dl" else \
+            _BYTES_PER_NODE * _grid_nodes(self.spec, _embedding_half(self.spec, self.n), self.grid_exponent)
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            hint = "; use --method circulant" if self.method == "exact_dl" else ""
+            raise ValidationError("too-large",
+                                  f"{self.method} at n={self.n} needs {need / 2 ** 30:.3g} GiB; "
+                                  f"physical memory is {have / 2 ** 30:.3g} GiB{hint}")
 
 
 # ---------------------------------------------------------------------------
-# autocovariance by quadrature
+# autocovariance by the corrected trapezoid rule
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
-def _panel_rule(beta: float):
-    """_PANEL_ORDER-point Gauss rule on [-1, 1] for the weight (1 + t)^beta;
-    beta = 0 is the Gauss-Legendre rule."""
-    from scipy.special import roots_jacobi   # keeps scipy.special off the import path
-    return roots_jacobi(_PANEL_ORDER, 0.0, beta)
+def _fit_radius(spec: SarfimaSpec) -> float:
+    """The Chebyshev fit's radius, inside G_p's nearest singularities: half
+    the pole spacing 2 pi / lcm(periods), and log|z| / lag, the distance
+    from the real axis of those each AR factor's roots z^lag put in f."""
+    margin = math.inf
+    for factor in spec.ar_factors:
+        roots = np.roots(np.append(-np.array(factor.coeffs[::-1]), 1.0))
+        margin = min([margin, *np.log(np.abs(roots)) / factor.lag])
+    return min(_FIT_RADIUS, math.pi / math.lcm(*spec.periods), max(margin, _MIN_AR_RADIUS))
 
 
-def _segments(poles):
-    """Split [0, pi] at inter-pole midpoints: (a, b, pole, pole_at_left) per
-    piece, each piece touching exactly one pole of the sorted table."""
-    segs = []
-    for left, right in zip(poles, poles[1:]):
-        mid = 0.5 * (left.frequency + right.frequency)
-        segs += [(left.frequency, mid, left, True), (mid, right.frequency, right, False)]
-    last = poles[-1]
-    if last.fraction < Fraction(1, 2):
-        segs.append((last.frequency, math.pi, last, True))
-    return segs
+def _grid_nodes(spec: SarfimaSpec, max_lag: int, grid_exponent: int) -> int:
+    """M, the node count of ``acvf_numeric``'s grid; every pole is a node."""
+    step = math.lcm(*spec.periods)
+    need = max(_MIN_NODES, _NODES_PER_LAG * (max_lag + 1), 2 ** min(grid_exponent - 3, 18),
+               math.ceil(2 * math.pi * _NODES_PER_RADIUS / _fit_radius(spec)))
+    return step << (-(-need // step) - 1).bit_length()
 
 
-def _regularized_density(spec: SarfimaSpec, lam: np.ndarray, pole):
-    """f(lam) * |lam - pole|^(2 e) with the vanishing sin factors normalized.
-
-    Each component owning the pole contributes |2 sin(lam s/2) / (lam-pole)|^(-2d),
-    a smooth ratio even immediately next to the pole.
-    """
-    g = arma_spectral_density(spec, lam).copy()
+def _regularized_density(spec: SarfimaSpec, lam: np.ndarray, pole=None):
+    """f(lam); given a pole, f(lam) * |lam - pole|^(2 e), each owner of the
+    pole contributing the ratio |2 sin(lam s/2) / (lam-pole)|^(-2d), smooth
+    even immediately next to the pole."""
+    g = arma_spectral_density(spec, lam)
     for comp in spec.components:
         arg = np.abs(2 * np.sin(lam * comp.period / 2))
-        if comp in pole.owners:
-            g *= (arg / np.abs(lam - pole.frequency)) ** (-2 * comp.memory)
-        else:
-            g *= arg ** (-2 * comp.memory)
+        if pole is not None and comp in pole.owners:
+            arg /= np.abs(lam - pole.frequency)
+        g *= arg ** (-2 * comp.memory)
     return g
 
 
 def acvf_numeric(spec: SarfimaSpec, max_lag: int, grid_exponent: int = 17) -> np.ndarray:
-    """gamma(0..max_lag) from the spectral density.
+    """gamma(0..max_lag) = int_{-pi}^{pi} f(lambda) e^(i h lambda) dlambda.
 
-    The integrand f(lambda) cos(h lambda) has an integrable power singularity
-    |lambda - lambda_p|^(-2 e_p) at each seasonal harmonic.  [0, pi] is split
-    at the midpoints between the poles of the spec's pole table
-    (``enumerate_poles``), and every piece is cut into equal panels of
-    _PANEL_ORDER nodes.  The panel touching the pole uses a Gauss-Jacobi rule
-    whose weight absorbs the singularity exactly, so no node ever lands on a
-    pole; the others use a Gauss-Legendre rule with the singular factor folded
-    into its weights, the nearest one a whole panel away from the pole.  Node
-    counts scale with max_lag (to resolve the cos(h lambda) oscillation) and
-    with the 2^grid_exponent resolution floor.  The cosine sum runs in blocks
-    of lags by angle addition, so only the first block's cosines are formed
-    per node.
+    The trapezoid rule on the M = ``_grid_nodes`` nodes 2 pi j / M, with
+    the poles of ``enumerate_poles`` left out, is one inverse real FFT of f.
+    Near a pole, f = |lambda - lambda_p|^beta G_p with beta = -2 (local
+    exponent) and G_p smooth, and the rule errs by 2 sum_{m even}
+    zeta(-beta - m) phi^(m)(0) Delta^(beta + m + 1) / m!, with Delta = 2 pi / M
+    and phi(x) = G_p(lambda_p + x) e^(i h (lambda_p + x)) (Navot 1961; Sidi
+    2012).  The terms to m = _CORRECTION_ORDER are subtracted, a polynomial in
+    i h Delta, with G_p's derivatives from a Chebyshev fit; an interior pole
+    counts twice, for its mirror, and the poles at 0 and pi once.
     """
+    from numpy.polynomial import chebyshev, polynomial
+    from scipy.special import zeta   # keeps scipy.special off the import path
     require_stationary(spec, "autocovariance")
     if max_lag < 0:
         raise ValidationError("bad-lag", "max_lag must be >= 0")
-    xs, qs = [], []
-    for a, b, pole, pole_left in _segments(enumerate_poles(spec)):
-        width = b - a
+    nodes = _grid_nodes(spec, max_lag, grid_exponent)
+    delta = 2 * math.pi / nodes
+    poles = enumerate_poles(spec)
+    off = np.ones(nodes // 2 + 1, bool)
+    off[[int(nodes * pole.fraction) for pole in poles]] = False
+    # complex, as the inverse FFT takes it, and filled in chunks, so that
+    # neither a cast nor the density's temporaries span the whole grid
+    f = np.zeros(len(off), complex)
+    for start in range(0, len(f), _DENSITY_CHUNK):
+        j = start + np.flatnonzero(off[start:start + _DENSITY_CHUNK])
+        f.real[j] = _regularized_density(spec, delta * j)
+    gamma = 2 * math.pi * np.fft.irfft(f, nodes)[:max_lag + 1]
+
+    radius = _fit_radius(spec)
+    h = np.arange(max_lag + 1)
+    t = delta * h
+    order = np.arange(_CORRECTION_ORDER + 1)
+    for pole in poles:
+        fit = chebyshev.chebinterpolate(
+            lambda y: _regularized_density(spec, pole.frequency + radius * y, pole), _FIT_POINTS - 1)
+        # Delta^k G_p^(k)(lambda_p) / k!, and the m-th term's factor (0 for odd m)
+        taylor = chebyshev.cheb2poly(fit)[:len(order)] * (delta / radius) ** order
         beta = -2.0 * pole.local_exponent
-        # the lag term resolves the oscillation of cos(h lambda), so only the
-        # floor is capped: a cap on both errs by 9e-3 gamma(0) at 32767 lags
-        nodes = max(256,
-                    int(0.85 * (max_lag + 1) * width) + 64,
-                    min(math.ceil(2 ** (grid_exponent - 6) * width / math.pi), _MAX_NODES_PER_SEGMENT))
-        panels = math.ceil(nodes / _PANEL_ORDER)
-        half = width / panels / 2
-        # u is the distance from the pole: panel 0 is [0, 2 half], panel j
-        # is centred at (2j + 1) half
-        t, w = _panel_rule(beta)
-        x, v = _panel_rule(0.0)
-        u_far = (half * (2 * np.arange(1, panels)[:, None] + 1 + x)).ravel()
-        u = np.concatenate([half * (t + 1), u_far])
-        weights = np.concatenate([half ** (beta + 1) * w,
-                                  half * np.tile(v, panels - 1) * u_far ** beta])
-        lam = a + u if pole_left else b - u
-        xs.append(lam)
-        qs.append(weights * _regularized_density(spec, lam, pole))
-    lam = np.concatenate(xs)
-    q = np.concatenate(qs)
-
-    # cos((h0 + k) lam) = cos(h0 lam) cos(k lam) - sin(h0 lam) sin(k lam), for
-    # block starts h0 and offsets k < block: each term is a GEMM.  The nodes
-    # go through in chunks: temporaries as wide as all nodes (11 MB at
-    # n = 4096) stayed resident after the call and added ~6 MB to the
-    # sampler's peak memory
-    block, chunk = min(128, max_lag + 1), 128
-    k, h0 = np.arange(block), np.arange(0, max_lag + 1, block)
-    out = np.zeros((block, len(h0)))
-    for c in range(0, len(lam), chunk):
-        lc, qc = lam[c:c + chunk], q[c:c + chunk, None]
-        out += np.cos(np.outer(k, lc)) @ (qc * np.cos(np.outer(lc, h0)))
-        out -= np.sin(np.outer(k, lc)) @ (qc * np.sin(np.outer(lc, h0)))
-    return 2.0 * out.T.ravel()[:max_lag + 1]
+        zeta_terms = 2 * zeta(-beta - order) * delta ** (beta + 1) * (order % 2 == 0)
+        # phi^(m)(0) / m! sums G_p^(k) / k! (i h)^j / j! over k + j = m
+        # and i^j = (-1)^(j // 2) i^(j % 2) splits the sum in (i t)^j, t = h Delta
+        c = (-1.0) ** (order // 2) * [zeta_terms[j:] @ taylor[:len(order) - j] / math.factorial(j)
+                                      for j in order]
+        even, odd = polynomial.polyval(t * t, c[0::2]), t * polynomial.polyval(t * t, c[1::2])
+        weight = 1 if pole.boundary else 2
+        gamma -= weight * (np.cos(pole.frequency * h) * even - np.sin(pole.frequency * h) * odd)
+    return gamma
 
 
-#: lags and tolerance of the quadrature doubling check
+#: lags and tolerance of the grid doubling check
 _SELF_CHECK_LAGS = 50
 _SELF_CHECK_TOL = 1e-6
 
 
 def acvf_self_check(spec: SarfimaSpec, grid_exponent: int) -> float:
     """Doubling check: gamma(h <= _SELF_CHECK_LAGS) must move by less than
-    _SELF_CHECK_TOL when the resolution doubles.  Returns the observed
-    maximum shift; raises ``quadrature-unstable`` on failure."""
+    _SELF_CHECK_TOL when the grid exponent, and below 21 the grid, doubles.
+    Returns the observed maximum shift; raises ``quadrature-unstable``."""
     g1 = acvf_numeric(spec, _SELF_CHECK_LAGS, grid_exponent)
     g2 = acvf_numeric(spec, _SELF_CHECK_LAGS, grid_exponent + 1)
     shift = float(np.max(np.abs(g1 - g2)))
@@ -311,17 +314,22 @@ def _dl_paths(spec: SarfimaSpec, n: int, grid_exponent: int, rngs) -> np.ndarray
     return dtrsm(1.0, M.T, B.T, lower=0, trans_a=1, diag=1, overwrite_b=1).T
 
 
+def _embedding_half(spec: SarfimaSpec, n: int) -> int:
+    """The circulant embedding's half-length: n - 1 rounded up to a multiple
+    of the lcm of the periods and ARMA lags."""
+    step = math.lcm(*spec.periods, *(f.lag for f in spec.ar_factors + spec.ma_factors))
+    return step * max(1, -(-(n - 1) // step))
+
+
 @functools.lru_cache(maxsize=4)
 def _circulant_roots(spec: SarfimaSpec, n: int, grid_exponent: int) -> np.ndarray:
     """Square roots of the eigenvalues of the circulant embedding of
     gamma(0..N), scaled for ``_circulant_paths``; read-only.
 
-    The half-length N is n - 1 rounded up to a multiple of the lcm of the
-    periods and ARMA lags: table5's minimal embedding has eigenvalues down to
-    -0.085 of the largest.  The eigenvalues are checked, never clipped.
+    The half-length N is ``_embedding_half``: table5's minimal embedding has
+    eigenvalues down to -0.085 of the largest.  They are checked, never clipped.
     """
-    step = math.lcm(*spec.periods, *(f.lag for f in spec.ar_factors + spec.ma_factors))
-    half = step * max(1, -(-(n - 1) // step))
+    half = _embedding_half(spec, n)
     gamma = acvf_numeric(spec, half, grid_exponent)
     eig = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
     if not (np.isfinite(eig).all() and eig.min() >= 0):

@@ -46,8 +46,7 @@ def test_criterion_1_single_period_replication():
     summary = run_mc(design("table1", master_seed=MASTER, reps=500))
     elapsed = time.time() - t0
 
-    gph_t = summary.by_name("gph_T")
-    ft = summary.by_name("ft")
+    gph_t, _, _, ft = summary.results
     mean_ok = 0.28 <= gph_t.mean[0] <= 0.32
     mse_ok = 0.0012 / 2.5 <= gph_t.mse[0] <= 0.0012 * 2.5
     ft_ok = 0.27 <= ft.mean[0] <= 0.31
@@ -61,7 +60,7 @@ def test_criterion_1_single_period_replication():
 
 
 def test_criterion_2_two_period_correlation(annual_quarterly_gph_2000):
-    est = annual_quarterly_gph_2000.by_name("gph").estimates[:500]
+    est = annual_quarterly_gph_2000.results[0].estimates[:500]
     means = est.mean(axis=0)
     corr = float(np.corrcoef(est.T)[0, 1])
     corr_ok = -0.70 <= corr <= -0.30
@@ -85,7 +84,7 @@ def test_criterion_3_misspecification_direction():
                    estimators=(EstimatorDef(name="ft_misspec", kind="whittle",
                                             template=template),),
                    reps=300, n=N, master_seed=MASTER)
-    res = run_mc(cfg).by_name("ft_misspec")
+    (res,) = run_mc(cfg).results
     d2_ok = res.mean[1] > 0.8
     d1_ok = abs(res.mean[0] - 0.1) <= 0.05
     ok = d2_ok and d1_ok
@@ -109,9 +108,9 @@ def test_criterion_4_band_variance_law():
                    reps=1000, n=N, master_seed=MASTER)
     summary = run_mc(cfg)
     ratios = {}
-    for name, m in (("m_sqrt", m_sqrt), ("m_T", m_t)):
-        est = summary.by_name(name).estimates[:, 0]
-        ratios[name] = float(np.var(est)) / (math.pi ** 2 / (24 * 4 * m))
+    for res, m in zip(summary.results, (m_sqrt, m_t)):
+        est = res.estimates[:, 0]
+        ratios[res.name] = float(np.var(est)) / (math.pi ** 2 / (24 * 4 * m))
     ok = all(0.75 <= r <= 1.25 for r in ratios.values())
     record_acceptance(
         4, "band variance law", ok,
@@ -137,7 +136,7 @@ def test_criterion_5_covariance_matrix_exact():
 
 
 def test_criterion_6_normality_shape(annual_quarterly_gph_2000):
-    est = annual_quarterly_gph_2000.by_name("gph").estimates
+    est = annual_quarterly_gph_2000.results[0].estimates
     stats = []
     ok = True
     for comp in (0, 1):
@@ -248,7 +247,7 @@ def test_criterion_9_property_suite():
                       estimators=(EstimatorDef(name="g", kind="gph_single", m=16),),
                       reps=4, n=256, master_seed=77, self_check=False)
     a, b = run_mc(mc_cfg), run_mc(mc_cfg)
-    mc_ok = np.array_equal(a.by_name("g").estimates, b.by_name("g").estimates)
+    mc_ok = np.array_equal(a.results[0].estimates, b.results[0].estimates)
     if not (sim_ok and mc_ok):
         failures.append("bit-reproducibility")
 

@@ -130,7 +130,7 @@ class TestRunMc:
     def test_moment_decomposition(self):
         # mse = bias^2 + population variance, exactly
         summary = run_mc(small_config())
-        res = summary.by_name("gph")
+        res = summary.results[0]
         est = res.estimates
         for i, true in enumerate((0.1, 0.3)):
             bias = est[:, i].mean() - true
@@ -140,14 +140,14 @@ class TestRunMc:
 
     def test_correlation_matches_numpy(self):
         summary = run_mc(small_config())
-        res = summary.by_name("gph")
+        res = summary.results[0]
         assert res.corr == pytest.approx(np.corrcoef(res.estimates.T)[0, 1], rel=1e-12)
 
     def test_parallel_equals_serial(self):
         a = run_mc(small_config(reps=8, workers=1))
         b = run_mc(small_config(reps=8, workers=3))
-        for name in ("gph", "ft"):
-            assert np.array_equal(a.by_name(name).estimates, b.by_name(name).estimates)
+        for ra, rb in zip(a.results, b.results):
+            assert np.array_equal(ra.estimates, rb.estimates)
 
     def test_rep_rows_reproducible_standalone(self):
         cfg = small_config(reps=5)
@@ -158,14 +158,14 @@ class TestRunMc:
                                grid_exponent=cfg.grid_exponent))
         plan = build_band_plan(cfg.n, 4, 1, int(cfg.n ** 0.5))
         est = gph_estimate(periodogram(x), plan, 1, 4)
-        assert np.array_equal(summary.by_name("gph").estimates[rep], est.d_hat)
+        assert np.array_equal(summary.results[0].estimates[rep], est.d_hat)
 
     def test_same_seed_same_summary(self):
         a = run_mc(small_config(seed=11))
         b = run_mc(small_config(seed=11))
         c = run_mc(small_config(seed=12))
-        assert np.array_equal(a.by_name("gph").estimates, b.by_name("gph").estimates)
-        assert not np.array_equal(a.by_name("gph").estimates, c.by_name("gph").estimates)
+        assert np.array_equal(a.results[0].estimates, b.results[0].estimates)
+        assert not np.array_equal(a.results[0].estimates, c.results[0].estimates)
 
     def test_unstable_quadrature_is_a_coded_error(self, monkeypatch):
         from dataclasses import replace
@@ -240,9 +240,9 @@ class TestBlockBoundary:
             x = simulate(SimConfig(spec=cfg.spec, n=n, seed=derive_rep_seed(cfg.master_seed, rep)))
             assert np.array_equal(paths[rep], x)
             plan = build_band_plan(n, 4, 1, int(n ** 0.5))
-            assert np.array_equal(summary.by_name("gph").estimates[rep],
+            assert np.array_equal(summary.results[0].estimates[rep],
                                   gph_estimate(periodogram(x), plan, 1, 4).d_hat)
-            assert np.array_equal(summary.by_name("ft").estimates[rep],
+            assert np.array_equal(summary.results[1].estimates[rep],
                                   whittle_estimate(x, template).d_hat)
 
 
@@ -359,7 +359,7 @@ class TestFailureCodes:
         serial = run_mc(config)
         from dataclasses import replace
         assert_same_summary(run_mc(replace(config, workers=3)), serial)
-        gph, ft = serial.by_name("gph"), serial.by_name("ft")
+        gph, ft = serial.results
         assert (gph.failure_count, gph.failure_codes) == (1, {"zero-ordinate": 1})
         assert (ft.failure_count, ft.failure_codes) == (1, {"zero-periodogram": 1})
         assert ft.iterations[bad] == -1
@@ -367,7 +367,7 @@ class TestFailureCodes:
         for res, ref in zip(serial.results, clean.results):
             assert np.all(np.isnan(res.estimates[bad]))
             assert res.estimates[keep].tobytes() == ref.estimates[keep].tobytes()
-        assert np.array_equal(ft.iterations[keep], clean.by_name("ft").iterations[keep])
+        assert np.array_equal(ft.iterations[keep], clean.results[1].iterations[keep])
 
     @pytest.mark.parametrize("fill", [0.0, np.inf])
     def test_failed_row_of_an_ar_fit_fails_alone(self, fill):
@@ -398,7 +398,7 @@ class TestFailureCodes:
         monkeypatch.setattr(estimators, "WHITTLE_MAX_STEPS", 1)
         config = small_config(reps=8)
         serial = run_mc(config)
-        ft = serial.by_name("ft")
+        ft = serial.results[1]
         assert ft.failure_count > 0
         assert ft.failure_codes == {"not-converged": ft.failure_count}
         assert np.all(ft.iterations == 1)
@@ -408,8 +408,9 @@ class TestFailureCodes:
     def test_clean_run_has_no_codes(self):
         summary = run_mc(small_config())
         assert [r.failure_codes for r in summary.results] == [{}, {}]
-        assert summary.by_name("gph").iterations is None
-        assert np.all(summary.by_name("ft").iterations > 0)
+        gph, ft = summary.results
+        assert gph.iterations is None
+        assert np.all(ft.iterations > 0)
 
 
 class TestWorkerCount:
@@ -500,7 +501,7 @@ class TestDesigns:
 
     def test_design_estimates_plausible(self):
         summary = run_mc(design("table2", master_seed=77, reps=12))
-        ft = summary.by_name("ft")
+        ft = summary.results[2]
         assert abs(ft.mean[0] - 0.1) < 0.15
         assert abs(ft.mean[1] - 0.3) < 0.15
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import roots_jacobi
 
 from sarfima import (ArmaFactor, NumericError, SarfimaSpec, SeasonalComponent,
                      SimConfig, ValidationError, acvf_numeric, acvf_self_check,
@@ -128,26 +127,45 @@ class TestAcvfNumeric:
         finer = acvf_numeric(spec, n - 1, g + 2)
         assert np.max(np.abs(got - finer)) < 1e-10 * got[0]
 
-    def test_rule_cost_does_not_grow_with_n(self, two_period_spec, monkeypatch):
-        import importlib
+    # frozen to 17 digits from a Gauss-Jacobi panel quadrature of the same
+    # integral; the seasonal AR factor's roots lie at radius 0.8^(-1/lag),
+    # beside the period-lag poles, and table5's odd lags are 0 up to its error
+    FROZEN_AR = {
+        "table4": {0: 17.968315243189956, 1: 7.3581837942524526, 4: 17.42829059757867,
+                   11: 7.0759534029334219, 12: 15.955851681108893, 13: 7.0212579375184898,
+                   100: 8.8517635790114113, 1079: 3.4104951665885044},
+        "table5": {0: 19.514401464060899, 1: -9.6543044825897484e-12, 4: 8.9683224460906175,
+                   11: -9.6506713211097495e-12, 12: 18.974128442986675,
+                   13: -9.6556083441223794e-12, 100: 7.8008185978564901,
+                   1079: -9.6836781587970443e-12},
+    }
 
-        import scipy.special
-        sim = importlib.import_module("sarfima.simulate")   # the package attribute is the function
-        orders = []
+    @pytest.mark.parametrize("name", ["table4", "table5"])
+    def test_seasonal_ar_design_matches_frozen_values(self, name):
+        got = acvf_numeric(design(name, 1, reps=1).spec, 1079, default_grid_exponent(1080))
+        frozen = self.FROZEN_AR[name]
+        for h, val in frozen.items():
+            assert abs(got[h] - val) < 1e-10 * frozen[0]
 
-        def counting_rule(order, alpha, beta):
-            orders.append(order)
-            return roots_jacobi(order, alpha, beta)
+    # poles 2 pi / 365 apart, and AR roots 0.0019 and 0.0025 from the real
+    # axis: each is nearer a pole than the default Chebyshev fit radius
+    @pytest.mark.parametrize("period, d, ar", [(365, 0.3, ()), (1, 0.0, (ArmaFactor(365, (0.5,)),)),
+                                               (1, 0.0, (ArmaFactor(12, (0.97,)),))])
+    def test_long_seasons_match_closed_forms(self, period, d, ar):
+        # (1 - B^s)^-d noise has gamma(s k) = gamma_ARFIMA(k), and
+        # X_t = phi X_{t-L} + e_t has gamma(L k) = phi^k / (1 - phi^2), 0 between
+        spec = SarfimaSpec(components=(SeasonalComponent(period, d),), ar_factors=ar)
+        got = acvf_numeric(spec, 1079, default_grid_exponent(1080))
+        step = ar[0].lag if ar else period
+        expect = np.zeros(1080)
+        k = np.arange(len(expect[::step]))
+        expect[::step] = ar[0].coeffs[0] ** k / (1 - ar[0].coeffs[0] ** 2) if ar else arfima_acvf(d, 1.0, k)
+        assert np.max(np.abs(got - expect)) < 1e-10 * expect[0]
 
-        # _panel_rule imports the rule from scipy.special when it runs
-        monkeypatch.setattr(scipy.special, "roots_jacobi", counting_rule)
-        sim._panel_rule.cache_clear()
-        acvf_numeric(two_period_spec, 1079, default_grid_exponent(1080))
-        built = len(orders)
-        acvf_numeric(two_period_spec, 4095, default_grid_exponent(4096))
-        # one rule per pole exponent plus Gauss-Legendre (beta = 0), all of
-        # the fixed panel order, and none new for the longer sequence
-        assert built <= 3 and orders == [sim._PANEL_ORDER] * built
+    @pytest.mark.parametrize("name", ["table1", "table2", "table3", "table5"])
+    def test_grid_exponent_above_21_changes_nothing(self, name):
+        spec = design(name, 1, reps=1).spec
+        assert np.array_equal(acvf_numeric(spec, 50, 21), acvf_numeric(spec, 50, MAX_GRID_EXPONENT))
 
     def test_self_check_passes_on_stationary_spec(self, two_period_spec):
         acvf_self_check(two_period_spec, grid_exponent=17)
@@ -462,7 +480,7 @@ class TestSamplerGuards:
             assert "--method circulant" in exc.value.message
 
     def test_huge_circulant_rejected_before_any_work(self, quarterly_spec, monkeypatch):
-        # the quadrature behind the roots holds arrays of 0.85 pi n nodes
+        # the trapezoid grid behind the roots has at least 8 n nodes
         self.forbid_acvf(monkeypatch)
         for make in (lambda: SimConfig(spec=quarterly_spec, n=10 ** 10, seed=1, method="circulant"),
                      lambda: _mc_config(quarterly_spec, n=10 ** 10, method="circulant")):
