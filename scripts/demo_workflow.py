@@ -17,6 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
+# this checkout's package, installed or not
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
 from sarfima import (
     SarfimaSpec,
     SeasonalComponent,

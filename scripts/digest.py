@@ -28,6 +28,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+# this checkout's package, installed or not
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
 from sarfima import DESIGN_NAMES, design, run_mc, spec_to_json
 from sarfima.cli import dispatch
 

@@ -174,11 +174,6 @@ def gph_estimate(pgram: Periodogram, plan: BandPlan, s1: int, s2: int) -> Memory
                           band_count=len(plan.bands), periods=periods)
 
 
-def _row_means(a: np.ndarray) -> np.ndarray:
-    """The mean of each row: the bits of ``a.mean(axis=1)`` without its Python overhead."""
-    return a.sum(axis=1) / a.shape[1]
-
-
 def _gph_fits(ordinates: np.ndarray, plan: BandPlan, periods: tuple):
     """The band regression of every row of a block of periodogram ordinates.
 
@@ -258,19 +253,24 @@ WHITTLE_MAX_STEPS = 100
 WHITTLE_TOL = 2e-15
 
 
-_WhittleDesign = namedtuple("_WhittleDesign", "keep jac_d base factors arma0 box start")
+_WhittleDesign = namedtuple("_WhittleDesign", "keep weight total jac_d base factors arma0 box start")
 
 
 @functools.lru_cache(maxsize=16)
 def _whittle_design(n: int, template: WhittleTemplate) -> _WhittleDesign:
-    """The data-free half of a Whittle fit, once per (n, template): the mask
-    ``keep`` of usable Fourier indices j = 1..n-1, the (free memories,
-    usable frequencies) Jacobian ``jac_d`` of log g, the fixed part ``base``
-    of log g, each free factor's (sign, slice of theta, (Re z, Im z) as a
-    (2, q, K) array, lag), the factors' starting coefficients ``arma0``, the
-    ``box`` |theta| <= box, and the band plan ``start`` of the starting
-    memories, or None.  The arrays are read-only.  n must be >= 64, with
-    >= 8 usable frequencies.
+    """The data-free half of a Whittle fit, once per (n, template).
+
+    The sum over the Fourier indices j = 1..n-1 is evaluated as a weighted
+    sum over j <= n/2: the periodogram and g are even, so j and n - j give
+    the same term.  ``keep`` masks the usable indices j = 1..floor(n/2),
+    ``weight`` is 2 at each usable j and 1 at j = n/2, and ``total``, its
+    sum, is the number of usable indices in 1..n-1.  Then come the (free
+    memories, usable frequencies) Jacobian ``jac_d`` of log g, the fixed
+    part ``base`` of log g, each free factor's (sign, slice of theta,
+    (Re z, Im z) as a (2, q, K) array, lag), the factors' starting
+    coefficients ``arma0``, the ``box`` |theta| <= box, and the band plan
+    ``start`` of the starting memories, or None.  The arrays are read-only.
+    n must be >= 64, with total >= 8.
 
     log g = base + d . jac_d + sum of sign * ln|t|^2 over the free factors,
     t = 1 - sum_p c_p z_p with z_p = exp(-i lambda p lag), sign -1 for AR
@@ -279,14 +279,15 @@ def _whittle_design(n: int, template: WhittleTemplate) -> _WhittleDesign:
     if n < 64:
         raise ValidationError("series-too-short", f"Whittle fit needs n >= 64, got {n}")
     spec0 = template.spec
-    j = np.arange(1, n)
+    j = np.arange(1, n // 2 + 1)
     lam = 2 * np.pi * j / n
-    folded = 2 * np.pi * np.minimum(j, n - j) / n
-    keep = np.ones(n - 1, dtype=bool)
+    keep = np.ones(len(j), dtype=bool)
     for pole in enumerate_poles(spec0):
-        keep &= np.abs(folded - pole.frequency) >= np.pi / n - 1e-12
+        keep &= np.abs(lam - pole.frequency) >= np.pi / n - 1e-12
     lam_u = lam[keep]
-    if len(lam_u) < 8:
+    weight = np.where(2 * j[keep] == n, 1.0, 2.0)
+    total = float(weight.sum())
+    if total < 8:
         raise ValidationError("series-too-short", "too few usable Fourier frequencies after pole exclusion")
     free_d = np.array(template.free_d)
     memory_jac = -2 * np.log(np.abs(2 * np.sin(np.outer(lam_u, spec0.periods) / 2)))
@@ -307,14 +308,14 @@ def _whittle_design(n: int, template: WhittleTemplate) -> _WhittleDesign:
             # a nonstationary or non-invertible start falls back to white noise
             arma0.extend(f.coeffs if f.roots_outside_unit_circle() else [0.0] * len(f.coeffs))
     box = np.where(np.arange(nd + len(arma0)) < nd, template.d_box, np.inf)
-    _frozen(keep, jac_d, base, box)
+    _frozen(keep, weight, jac_d, base, box)
     periods = spec0.periods
     try:   # the band OLS memories are the start where the periods admit a plan at this n
         start = build_band_plan(n, periods[0], periods[-1], max(2, int(n ** 0.5)))
         _band_design(start, periods)
     except ValidationError:
         start = None
-    return _WhittleDesign(keep, jac_d, base, tuple(factors), tuple(arma0), box, start)
+    return _WhittleDesign(keep, weight, total, jac_d, base, tuple(factors), tuple(arma0), box, start)
 
 
 def _rows_times(theta: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -330,7 +331,8 @@ def _objective(design: _WhittleDesign, I_u: np.ndarray, theta: np.ndarray):
     Returns (feasible, state): feasible is False on a row whose free
     factors leave the stationary region, and state is (F, sigma2_hat, w,
     then per free factor Re and Im of z / t as a (rows, 2, q, K) array),
-    with w = I / g.  F is inf where sigma2_hat is 0 or overflows.
+    with w = I / g; I_u carries the design's weights, so w does too.  F is
+    inf where sigma2_hat is 0 or overflows.
     """
     logg = _rows_times(theta[:, :len(design.jac_d)], design.jac_d)
     logg += design.base
@@ -348,20 +350,22 @@ def _objective(design: _WhittleDesign, I_u: np.ndarray, theta: np.ndarray):
                           / t2[:, None, None, :])
         w = np.exp(np.negative(logg))
         w *= I_u
-        s2 = _row_means(w)
-        F = np.where((s2 > 0) & (s2 < np.inf), np.log(s2) + _row_means(logg), np.inf)
+        s2 = w.sum(axis=1) / design.total
+        mean_logg = (logg * design.weight).sum(axis=1) / design.total
+        F = np.where((s2 > 0) & (s2 < np.inf), np.log(s2) + mean_logg, np.inf)
     return feasible, (F, s2, w, *ratios)
 
 
 def _derivatives(design: _WhittleDesign, state):
     """Gradient mean((1 - w/W) J) of F at each row, its Hessian and Gauss-Newton
     part, with W = mean(w) and J the Jacobian of log g, one (parameters, K)
-    slab per row.  The Gauss-Newton part is the w-weighted covariance of J;
-    the Hessian adds mean((1 - w/W) d2 log g).  Every sum runs along the
+    slab per row; the means are weighted by the design's weights, which w
+    already carries.  The Gauss-Newton part is the w-weighted covariance of
+    J; the Hessian adds mean((1 - w/W) d2 log g).  Every sum runs along the
     last axis, row by row."""
     _, _, w, *ratios = state
     wn = w / w.sum(axis=1, keepdims=True)
-    u = 1.0 / w.shape[1] - wn
+    u = design.weight / design.total - wn
     jac = design.jac_d[None]
     if ratios:
         jac = np.concatenate([np.broadcast_to(jac, (len(w), *jac.shape[1:]))]
@@ -483,16 +487,19 @@ def _whittle_fits(ordinates: np.ndarray, n: int, template: WhittleTemplate) -> _
     projected Newton descent over the block; see ``whittle_estimate``.  A
     row's bits do not depend on the other rows."""
     design = _whittle_design(n, template)
-    I_u = np.ascontiguousarray(ordinates[:, design.keep])
+    # weighted, so that w = I / g carries the weights; C-ordered, because the
+    # masked slice comes out F-ordered and its row sums would then round
+    # differently with the width of the block
+    I_u = np.ascontiguousarray(ordinates[:, :n // 2][:, design.keep]) * design.weight
     # rescaled ordinates keep F of order one, whatever the scale of the series
-    scale = _row_means(I_u)
+    scale = I_u.sum(axis=1) / design.total
     solved = (scale > 0) & (scale < np.inf)
     errors = [None if ok else ValidationError("zero-periodogram",
                                               "periodogram vanishes at every usable frequency")
               for ok in solved]
     # a failed row is fitted to a flat periodogram, then blanked
     scale = np.where(solved, scale, 1.0)
-    I_u = np.where(solved[:, None], I_u / scale[:, None], 1.0)
+    I_u = np.where(solved[:, None], I_u / scale[:, None], design.weight)
     free_d = np.array(template.free_d)
     nd = len(design.jac_d)
     d0 = np.zeros((len(I_u), len(free_d)))   # the band OLS memories, zeros where they fail
@@ -517,7 +524,7 @@ def _whittle_fits(ordinates: np.ndarray, n: int, template: WhittleTemplate) -> _
     d_hat[:, free_d] = theta[:, :nd]
     sigma2 = scale * state[1]
     converged &= np.isfinite(sigma2) & np.all(np.isfinite(d_hat), axis=1)
-    objective = I_u.shape[1] * (state[0] + np.log(scale) + 1) / (2 * n)
+    objective = design.total * (state[0] + np.log(scale) + 1) / (2 * n)
     for a in (d_hat, theta, sigma2, objective):
         a[~solved] = np.nan
     converged[~solved], steps[~solved] = False, -1
@@ -528,9 +535,10 @@ def whittle_estimate(series, template: WhittleTemplate) -> WhittleFit:
     """Fox-Taqqu fit: minimize (2n)^-1 sum_j [ln f(lambda_j) + I_j / f(lambda_j)].
 
     The sum runs over Fourier indices j = 1..n-1, excluding frequencies that
-    fold onto a template pole within half a Fourier spacing (pi/n).  The
-    innovation variance is profiled out analytically: with f = sigma^2 g,
-    sigma^2_hat = mean(I_j / g_j) and the concentrated objective
+    fold onto a template pole within half a Fourier spacing (pi/n); it is
+    evaluated as a weighted sum over j <= n/2, since j and n - j give the
+    same term.  The innovation variance is profiled out analytically: with
+    f = sigma^2 g, sigma^2_hat = mean(I_j / g_j) and the concentrated objective
     F = ln sigma^2_hat + mean(ln g_j) is minimized over the free shape
     parameters by projected Newton steps (analytic gradient and Hessian)
     from the band OLS memories, with the free memories held in the box

@@ -24,7 +24,7 @@ from .errors import ValidationError
 from .model import ArmaFactor, SarfimaSpec, SeasonalComponent
 from .spectrum import BandPlan, build_band_plan, resolve_bandwidth, write_csv, _ordinates
 from .estimators import WhittleTemplate, _band_design, _gph_fits, _whittle_design, _whittle_fits
-from .simulate import SimConfig, acvf_self_check, derive_rep_seed, _paths
+from .simulate import SimConfig, acvf_self_check, derive_rep_seed, _check_memory, _paths
 
 __all__ = ["EstimatorDef", "McConfig", "EstimatorResult", "McSummary", "run_mc",
            "standardized_sample", "design", "DESIGN_NAMES", "summary_to_csv",
@@ -34,6 +34,11 @@ __all__ = ["EstimatorDef", "McConfig", "EstimatorResult", "McSummary", "run_mc",
 #: together, in one triangular solve (exact_dl) or one batch of FFTs, and
 #: fitted together; at n = 4096 an exact_dl block is 2 MB
 _PATH_BLOCK = 64
+
+#: bytes per path and point that a block holds from its draw to its fits:
+#: a 64-path block peaked at 59-111 on table1-5 (circulant, n = 16 384 and
+#: 65 536), the most with a free-AR Whittle fit
+_BLOCK_BYTES_PER_POINT = 128
 
 
 @dataclass(frozen=True)
@@ -116,7 +121,10 @@ class McConfig:
         sampler = SimConfig(spec=self.spec, n=self.n, seed=self.master_seed, method=self.method,
                             grid_exponent=self.grid_exponent)
         object.__setattr__(self, "grid_exponent", sampler.grid_exponent)
-        _resolve_workers(self.workers)
+        # each worker's block of paths is in flight next to the sampler's table or roots
+        in_flight = min(self.reps, _PATH_BLOCK * _resolve_workers(self.workers))
+        _check_memory(self.spec, self.n, self.method, self.grid_exponent,
+                      in_flight * _BLOCK_BYTES_PER_POINT * self.n)
         names = [e.name for e in self.estimators]
         if len(set(names)) != len(names):
             raise ValidationError("bad-estimator", "estimator names must be unique")

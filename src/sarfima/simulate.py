@@ -82,16 +82,22 @@ class SimConfig:
         if 2 ** self.grid_exponent < 64 * self.n:
             raise ValidationError("grid-too-small",
                                   f"need 2^grid_exponent >= 64 n; got 2^{self.grid_exponent} < {64 * self.n}")
-        # checked before any acvf work: the exact_dl predictor table is n x n
-        # doubles; the circulant roots come from the autocovariance's grid
-        need = 8 * self.n ** 2 if self.method == "exact_dl" else \
-            _BYTES_PER_NODE * _grid_nodes(self.spec, _embedding_half(self.spec, self.n), self.grid_exponent)
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > have:
-            hint = "; use --method circulant" if self.method == "exact_dl" else ""
-            raise ValidationError("too-large",
-                                  f"{self.method} at n={self.n} needs {need / 2 ** 30:.3g} GiB; "
-                                  f"physical memory is {have / 2 ** 30:.3g} GiB{hint}")
+        _check_memory(self.spec, self.n, self.method, self.grid_exponent)
+
+
+def _check_memory(spec: SarfimaSpec, n: int, method: str, grid_exponent: int, block_bytes: int = 0):
+    """Raise ``too-large`` unless the sampler's table or grid, plus
+    ``block_bytes`` for the paths in flight, fit in physical memory; checked
+    before any acvf work.  The exact_dl predictor table is n x n doubles;
+    the circulant roots come from the autocovariance's grid."""
+    need = block_bytes + (8 * n ** 2 if method == "exact_dl" else
+                          _BYTES_PER_NODE * _grid_nodes(spec, _embedding_half(spec, n), grid_exponent))
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        hint = "; use --method circulant" if method == "exact_dl" else ""
+        raise ValidationError("too-large",
+                              f"{method} at n={n} needs {need / 2 ** 30:.3g} GiB; "
+                              f"physical memory is {have / 2 ** 30:.3g} GiB{hint}")
 
 
 # ---------------------------------------------------------------------------

@@ -44,15 +44,18 @@ def periodogram(series) -> Periodogram:
 
 def _ordinates(paths: np.ndarray) -> np.ndarray:
     """Periodogram ordinates of every row of ``paths``, as a C-ordered block
-    with one row per path; a row's bits do not depend on the other rows."""
+    with one row per path; a row's bits do not depend on the other rows.
+    One real FFT gives j = 1..floor(n/2), mirrored onto j = n - 1 down to
+    floor(n/2) + 1, so that I_j and I_(n-j) are the same bits."""
     if not np.all(np.isfinite(paths)):
         raise ValidationError("non-finite-input", "series contains NaN or infinite values")
     n = paths.shape[1]
+    half = n // 2
     x = np.ascontiguousarray(paths)
-    I = np.abs(np.fft.fft(x - x.mean(axis=1, keepdims=True), axis=1)[:, 1:])
+    I = np.abs(np.fft.rfft(x - x.mean(axis=1, keepdims=True), axis=1)[:, 1:half + 1])
     I **= 2
     I /= 2 * np.pi * n
-    return I
+    return np.concatenate([I, I[:, :n - 1 - half][:, ::-1]], axis=1)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from sarfima import (ArmaFactor, Periodogram, SarfimaSpec, SeasonalComponent,
                      SimConfig, ValidationError, WhittleTemplate,
                      asymptotic_cov_matrix, build_band_plan, derive_rep_seed,
                      design, enumerate_poles, estimate_to_json, gph_estimate,
-                     periodogram, simulate, spectral_density,
-                     whittle_estimate, whittle_fit_to_json)
+                     periodogram, run_mc, simulate, spectral_density,
+                     whittle_estimate, whittle_fit_to_json, DESIGN_NAMES)
 
 
 def synthetic_periodogram(spec, n):
@@ -299,6 +300,18 @@ def design_path(name, master, rep):
     return x, next(e.template for e in cfg.estimators if e.name == "ft")
 
 
+def full_spectrum_mask(n, periods):
+    """The usable Fourier indices j = 1..n-1: those that fold onto no pole
+    of ``periods`` within half a Fourier spacing."""
+    lam = 2 * np.pi * np.arange(1, n) / n
+    fold = np.minimum(lam, 2 * np.pi - lam)
+    keep = np.ones(n - 1, bool)
+    pole_spec = SarfimaSpec(components=tuple(SeasonalComponent(s, 0.0) for s in periods))
+    for p in enumerate_poles(pole_spec):
+        keep &= np.abs(fold - p.frequency) >= np.pi / n - 1e-12
+    return keep
+
+
 def profiled_whittle(x, periods, memories, ar_factors=()):
     """(2n)^-1 sum [ln f + I/f] over the fit's frequencies, sigma^2 profiled out.
 
@@ -306,19 +319,90 @@ def profiled_whittle(x, periods, memories, ar_factors=()):
     """
     n = len(x)
     pg = periodogram(x)
-    lam = pg.frequencies
-    fold = np.minimum(lam, 2 * np.pi - lam)
-    keep = np.ones(n - 1, bool)
-    pole_spec = SarfimaSpec(components=tuple(SeasonalComponent(s, 0.0) for s in periods))
-    for p in enumerate_poles(pole_spec):
-        keep &= np.abs(fold - p.frequency) >= np.pi / n - 1e-12
-    lam, I = lam[keep], pg.ordinates[keep]
+    keep = full_spectrum_mask(n, periods)
+    lam, I = pg.frequencies[keep], pg.ordinates[keep]
     log_g = sum(-2 * d * np.log(np.abs(2 * np.sin(s * lam / 2))) for s, d in zip(periods, memories))
     for lag, coeffs in ar_factors:
         t = 1 - sum(c * np.exp(-1j * lam * lag * p) for p, c in enumerate(coeffs, start=1))
         log_g = log_g - np.log(np.abs(t) ** 2)
     s2 = np.mean(I * np.exp(-log_g))
     return float(np.sum(np.log(s2) + log_g + I * np.exp(-log_g) / s2) / (2 * n))
+
+
+def full_spectrum_derivatives(I, n, periods, theta, ar_lag=None):
+    """F = ln mean(I/g) + mean(ln g), its gradient, Hessian and Gauss-Newton
+    part at theta = (memories, then an AR coefficient at ``ar_lag``), summed
+    over every usable j = 1..n-1 from the closed-form derivatives of ln g."""
+    keep = full_spectrum_mask(n, periods)
+    lam, I = 2 * np.pi * np.arange(1, n)[keep] / n, I[keep]
+    jac = [-2 * np.log(np.abs(2 * np.sin(s * lam / 2))) for s in periods]
+    log_g = sum(d * j for d, j in zip(theta, jac)) - math.log(2 * math.pi)
+    second = np.zeros((len(theta), len(theta), len(lam)))
+    if ar_lag is not None:
+        c, cos = theta[-1], np.cos(ar_lag * lam)
+        t2 = 1 - 2 * c * cos + c * c          # |1 - c e^(-i lag lambda)|^2
+        log_g = log_g - np.log(t2)
+        jac.append((2 * cos - 2 * c) / t2)
+        second[-1, -1] = -2 / t2 + (2 * c - 2 * cos) ** 2 / t2 ** 2
+    jac = np.array(jac)
+    w = I * np.exp(-log_g)
+    wn = w / w.sum()
+    F = math.log(w.mean()) + log_g.mean()
+    grad = ((1 / len(w) - wn) * jac).sum(axis=1)
+    centred = jac - (wn * jac).sum(axis=1, keepdims=True)
+    gauss_newton = (centred[:, None, :] * wn * centred[None, :, :]).sum(axis=2)
+    hess = gauss_newton + ((1 / len(w) - wn) * second).sum(axis=2)
+    return F, grad, hess, gauss_newton
+
+
+class TestHalfSpectrumFold:
+    """The Whittle sums over j = 1..n-1 run as weighted sums over j <= n/2."""
+
+    # table2's and table4's templates have a pole at pi; periods (1, 3) have
+    # none, so an even n keeps j = n/2, the one index of weight 1
+    @pytest.mark.parametrize("n", [1079, 1080, 4096])
+    @pytest.mark.parametrize("name", ["table2", "table4", "periods13"])
+    def test_objective_and_derivatives_match_the_full_sums(self, name, n):
+        from sarfima.estimators import _derivatives, _objective, _whittle_design
+        template = WhittleTemplate.pure((1, 3)) if name == "periods13" else \
+            next(e.template for e in design(name, 1).estimators if e.name == "ft")
+        ar_lag = template.spec.ar_factors[0].lag if template.spec.ar_factors else None
+        periods = template.spec.periods
+        wd = _whittle_design(n, template)
+        rng = np.random.default_rng(n)
+        I = periodogram(rng.standard_normal(n)).ordinates
+        I_u = (I[:n // 2][wd.keep] * wd.weight)[None, :]
+        for _ in range(4):
+            theta = rng.uniform(-0.45, 0.45, len(wd.box))
+            if ar_lag is not None:
+                theta[-1] = rng.uniform(-0.9, 0.9)
+            feasible, state = _objective(wd, I_u, theta[None, :])
+            assert feasible[0]
+            got = (state[0][0], *(a[0] for a in _derivatives(wd, state)))
+            for g, want in zip(got, full_spectrum_derivatives(I, n, periods, theta, ar_lag)):
+                assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [255, 1079, 1080, 4096])
+    @pytest.mark.parametrize("periods", [(1, 4), (4, 12), (5,), (2,)])
+    def test_weights_count_the_usable_frequencies(self, n, periods):
+        from sarfima.estimators import _whittle_design
+        wd = _whittle_design(n, WhittleTemplate.pure(periods))
+        j = np.arange(1, n // 2 + 1)[wd.keep]
+        assert wd.weight.tolist() == [1.0 if 2 * k == n else 2.0 for k in j]
+        assert wd.total == wd.weight.sum() == full_spectrum_mask(n, periods).sum()
+
+    # the canned designs' fits by the unfolded sums over j = 1..n-1, to 17 digits
+    FROZEN = json.loads((Path(__file__).parent / "data" / "whittle_frozen_n1080.json").read_text())
+
+    @pytest.mark.parametrize("name", DESIGN_NAMES)
+    def test_designs_match_frozen_values(self, name):
+        from dataclasses import replace
+        config = replace(design(name, master_seed=20101125, reps=16, n=1080), self_check=False)
+        for e, res in zip(config.estimators, run_mc(config).results):
+            if e.kind == "whittle":
+                frozen = self.FROZEN[f"{name}/{e.name}"]
+                assert res.iterations.tolist() == frozen["steps"]
+                assert np.max(np.abs(res.estimates - np.array(frozen["d_hat"]))) < 1e-10
 
 
 class TestWhittleOptimum:
@@ -392,7 +476,7 @@ class TestDesignCache:
         template = WhittleTemplate(spec=spec, free_ma=(False,))
         whittle_estimate(two_period_path, template)
         wd = _whittle_design(1080, template)
-        for array in (wd.keep, wd.jac_d, wd.base, wd.box, *(z for _, _, z, _ in wd.factors)):
+        for array in (wd.keep, wd.weight, wd.jac_d, wd.base, wd.box, *(z for _, _, z, _ in wd.factors)):
             with pytest.raises(ValueError):
                 array[0] = 0
 

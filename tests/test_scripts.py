@@ -1,6 +1,9 @@
 """Smoke test of the scripts under scripts/."""
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -37,3 +40,12 @@ def test_digest_prints_stable_digests(capsys):
     assert runs[0] == runs[1]
     assert [line.split()[0] for line in runs[0]] == ["run_mc", "cli", "circulant"]
     assert all(re.fullmatch("[0-9a-f]{64}", line.split()[1]) for line in runs[0])
+
+
+def test_digest_runs_from_a_plain_checkout(tmp_path):
+    # no PYTHONPATH and another working directory: the script finds its own src/
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run([sys.executable, str(SCRIPTS / "digest.py"), "--reps", "1"], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert [line.split()[0] for line in run.stdout.splitlines()] == ["run_mc", "cli", "circulant"]

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -106,7 +107,7 @@ class TestAcvfNumeric:
         got = acvf_numeric(spec, 1000, grid_exponent=17)
         assert got[1000] == pytest.approx(asymptotic_acvf(spec, 1000), rel=1e-3)
 
-    # 32767 lags need more nodes per segment than the grid floor's cap allows
+    # at 32767 lags, 8 nodes per lag fill the grid exponent's 2^18-node floor
     @pytest.mark.parametrize("period, d, n", [(period, d, n) for period in (1, 4)
                                               for d in (0.1, 0.3, 0.45) for n in (1080, 4096)]
                              + [(1, 0.45, 32768)])
@@ -487,6 +488,19 @@ class TestSamplerGuards:
             with pytest.raises(ValidationError) as exc:
                 make()
             assert exc.value.code == "too-large"
+
+    def test_circulant_block_rejected_before_any_work(self, quarterly_spec, monkeypatch):
+        # with 16 GiB of memory, one path's grid fits at n = 10^7, but not
+        # 64 paths in flight beside it
+        self.forbid_acvf(monkeypatch)
+        pages = 16 * 2 ** 30 // os.sysconf("SC_PAGE_SIZE")
+        sysconf = os.sysconf
+        monkeypatch.setattr(os, "sysconf", lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name))
+        SimConfig(spec=quarterly_spec, n=10 ** 7, seed=1, method="circulant")
+        with pytest.raises(ValidationError) as exc:
+            McConfig(spec=quarterly_spec, estimators=design("table1", 1).estimators, reps=64,
+                     n=10 ** 7, master_seed=1, method="circulant")
+        assert exc.value.code == "too-large"
 
     def test_circulant_has_no_table(self, quarterly_spec):
         cfg = SimConfig(spec=quarterly_spec, n=10 ** 7, seed=1, method="circulant")

@@ -53,6 +53,22 @@ class TestPeriodogram:
         for j in (1, 7, 33):
             assert pg.ordinates[j - 1] == pytest.approx(pg.ordinates[n - j - 1], rel=1e-12)
 
+    @pytest.mark.parametrize("n", [8, 9, 100, 1079, 1080])
+    def test_mirror_symmetry_is_exact(self, rng, n):
+        I = periodogram(rng.standard_normal(n)).ordinates
+        j = np.arange(1, n)
+        assert I.tobytes() == I[n - j - 1].tobytes()
+
+    @pytest.mark.parametrize("n", [8, 9, 1079, 1080])
+    def test_every_ordinate_matches_the_direct_sum(self, rng, n):
+        # the O(n^2) sum, with each angle reduced exactly: j t mod n
+        x = rng.standard_normal(n)
+        xc = x - x.mean()
+        angle = 2 * np.pi * (np.outer(np.arange(1, n), np.arange(n)) % n) / n
+        direct = ((np.cos(angle) @ xc) ** 2 + (np.sin(angle) @ xc) ** 2) / (2 * np.pi * n)
+        got = periodogram(x).ordinates
+        assert np.max(np.abs(got - direct) / direct) < 1e-12
+
     def test_frequencies(self, rng):
         pg = periodogram(rng.standard_normal(64))
         assert np.allclose(pg.frequencies, 2 * np.pi * np.arange(1, 64) / 64)
