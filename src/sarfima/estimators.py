@@ -253,7 +253,8 @@ WHITTLE_MAX_STEPS = 100
 WHITTLE_TOL = 2e-15
 
 
-_WhittleDesign = namedtuple("_WhittleDesign", "keep weight total jac_d base factors arma0 box start")
+_WhittleDesign = namedtuple("_WhittleDesign",
+                            "keep weight total jac_d jac_stack jac_mean base factors arma0 box start")
 
 
 @functools.lru_cache(maxsize=16)
@@ -265,7 +266,9 @@ def _whittle_design(n: int, template: WhittleTemplate) -> _WhittleDesign:
     the same term.  ``keep`` masks the usable indices j = 1..floor(n/2),
     ``weight`` is 2 at each usable j and 1 at j = n/2, and ``total``, its
     sum, is the number of usable indices in 1..n-1.  Then come the (free
-    memories, usable frequencies) Jacobian ``jac_d`` of log g, the fixed
+    memories, usable frequencies) Jacobian ``jac_d`` of log g, its rows and
+    their products, ``jac_stack`` = (J_i, then J_i J_j row-major), and the
+    weighted mean ``jac_mean`` of J, the fixed
     part ``base`` of log g, each free factor's (sign, slice of theta,
     (Re z, Im z) as a (2, q, K) array, lag), the factors' starting
     coefficients ``arma0``, the ``box`` |theta| <= box, and the band plan
@@ -308,14 +311,17 @@ def _whittle_design(n: int, template: WhittleTemplate) -> _WhittleDesign:
             # a nonstationary or non-invertible start falls back to white noise
             arma0.extend(f.coeffs if f.roots_outside_unit_circle() else [0.0] * len(f.coeffs))
     box = np.where(np.arange(nd + len(arma0)) < nd, template.d_box, np.inf)
-    _frozen(keep, weight, jac_d, base, box)
+    jac_stack = np.concatenate([jac_d, (jac_d[:, None, :] * jac_d).reshape(nd * nd, len(lam_u))])
+    jac_mean = (weight / total * jac_d).sum(axis=1)
+    _frozen(keep, weight, jac_d, jac_stack, jac_mean, base, box)
     periods = spec0.periods
     try:   # the band OLS memories are the start where the periods admit a plan at this n
         start = build_band_plan(n, periods[0], periods[-1], max(2, int(n ** 0.5)))
         _band_design(start, periods)
     except ValidationError:
         start = None
-    return _WhittleDesign(keep, weight, total, jac_d, base, tuple(factors), tuple(arma0), box, start)
+    return _WhittleDesign(keep, weight, total, jac_d, jac_stack, jac_mean, base, tuple(factors),
+                          tuple(arma0), box, start)
 
 
 def _rows_times(theta: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -332,56 +338,76 @@ def _objective(design: _WhittleDesign, I_u: np.ndarray, theta: np.ndarray):
     factors leave the stationary region, and state is (F, sigma2_hat, w,
     then per free factor Re and Im of z / t as a (rows, 2, q, K) array),
     with w = I / g; I_u carries the design's weights, so w does too.  F is
-    inf where sigma2_hat is 0 or overflows.
+    inf where sigma2_hat is 0 or overflows.  -log g is formed directly:
+    negation is exact, so F has the bits it would have from log g.  The
+    caller silences the floating-point warnings of the rows F cannot use.
     """
-    logg = _rows_times(theta[:, :len(design.jac_d)], design.jac_d)
-    logg += design.base
+    neg_logg = _rows_times(np.negative(theta[:, :len(design.jac_d)]), design.jac_d)
+    neg_logg -= design.base
     feasible = np.ones(len(theta), dtype=bool)
     ratios = []
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):   # rows F cannot use
-        for sign, sl, z, lag in design.factors:
-            c = theta[:, sl]
-            feasible &= _roots_outside_unit_circle(lag, c)
-            tr, ti = 1.0 - _rows_times(c, z[0]), -_rows_times(c, z[1])
-            t2 = tr * tr + ti * ti
-            logg += sign * np.log(t2)
-            tr, ti = tr[:, None, :], ti[:, None, :]
-            ratios.append(np.stack([z[0] * tr + z[1] * ti, z[1] * tr - z[0] * ti], axis=1)
-                          / t2[:, None, None, :])
-        w = np.exp(np.negative(logg))
-        w *= I_u
-        s2 = w.sum(axis=1) / design.total
-        mean_logg = (logg * design.weight).sum(axis=1) / design.total
-        F = np.where((s2 > 0) & (s2 < np.inf), np.log(s2) + mean_logg, np.inf)
+    for sign, sl, z, lag in design.factors:
+        c = theta[:, sl]
+        feasible &= _roots_outside_unit_circle(lag, c)
+        tr, ti = 1.0 - _rows_times(c, z[0]), -_rows_times(c, z[1])
+        t2 = tr * tr + ti * ti
+        neg_logg -= sign * np.log(t2)
+        tr, ti = tr[:, None, :], ti[:, None, :]
+        ratios.append(np.stack([z[0] * tr + z[1] * ti, z[1] * tr - z[0] * ti], axis=1)
+                      / t2[:, None, None, :])
+    mean_neg_logg = (neg_logg * design.weight).sum(axis=1) / design.total
+    w = np.exp(neg_logg, out=neg_logg)
+    w *= I_u
+    s2 = w.sum(axis=1) / design.total
+    F = np.where((s2 > 0) & (s2 < np.inf), np.log(s2) - mean_neg_logg, np.inf)
     return feasible, (F, s2, w, *ratios)
 
 
 def _derivatives(design: _WhittleDesign, state):
-    """Gradient mean((1 - w/W) J) of F at each row, its Hessian and Gauss-Newton
-    part, with W = mean(w) and J the Jacobian of log g, one (parameters, K)
-    slab per row; the means are weighted by the design's weights, which w
-    already carries.  The Gauss-Newton part is the w-weighted covariance of
-    J; the Hessian adds mean((1 - w/W) d2 log g).  Every sum runs along the
-    last axis, row by row."""
+    """Gradient c - m of F at each row, its Hessian and Gauss-Newton part,
+    in uncentred moment form: with J the Jacobian of log g, one (parameters,
+    K) slab per row, wn = w / sum(w) (w carries the design's weights),
+    m = sum(wn J) and c = sum((weight / total) J), the Gauss-Newton part
+    is sum(wn J J') - m m' and the Hessian adds
+    sum((weight / total - wn) d2 log g).  The memories' J, their
+    products J_i J_j and their c are the design's, so a pure template takes
+    one product and one row sum.  A free factor's columns of J depend on
+    theta and are built per step: their gradient entries are
+    sum((weight / total - wn) J), the weights of their curvature term, and
+    their rows of sum(wn J J') are formed one parameter at a time.  Every
+    sum runs along the last axis, row by row."""
     _, _, w, *ratios = state
     wn = w / w.sum(axis=1, keepdims=True)
-    u = design.weight / design.total - wn
-    jac = design.jac_d[None]
+    nd = len(design.jac_d)
+    moments = (wn[:, None, :] * design.jac_stack).sum(axis=2)
+    m = moments[:, :nd]
+    grad = design.jac_mean - m
+    second = moments[:, nd:].reshape(len(w), nd, nd)   # sum(wn J J')
+    curvature = 0.0   # sum((weight / total - wn) d2 log g)
     if ratios:
-        jac = np.concatenate([np.broadcast_to(jac, (len(w), *jac.shape[1:]))]
-                             + [-2 * sign * r[:, 0] for (sign, *_), r in zip(design.factors, ratios)],
-                             axis=1)
-    grad = (u[:, None, :] * jac).sum(axis=2)
-    p = grad.shape[1]
-    curvature = np.zeros((len(w), p, p))   # mean((1 - w/W) d2 log g)
-    for (sign, sl, *_), r in zip(design.factors, ratios):
-        ru = r * u[:, None, None, :]
-        curvature[:, sl, sl] = -2 * sign * (ru[:, 0, :, None, :] * r[:, 0, None, :, :]
-                                            - ru[:, 1, :, None, :] * r[:, 1, None, :, :]).sum(axis=3)
-    del u
-    centred = jac - (wn[:, None, :] * jac).sum(axis=2, keepdims=True)
-    gauss_newton = np.stack([(centred[:, i, None, :] * wn[:, None, :] * centred).sum(axis=2)
-                             for i in range(p)], axis=1)
+        p = len(design.box)
+        jac = np.empty((len(w), p, w.shape[1]))
+        jac[:, :nd] = design.jac_d
+        for (sign, sl, *_), r in zip(design.factors, ratios):
+            np.multiply(r[:, 0], -2 * sign, out=jac[:, sl])
+        free = jac[:, nd:]
+        u = design.weight / design.total - wn
+        grad = np.concatenate([grad, (u[:, None, :] * free).sum(axis=2)], axis=1)
+        w_free = wn[:, None, :] * free
+        m = np.concatenate([m, w_free.sum(axis=2)], axis=1)
+        full = np.empty((len(w), p, p))
+        full[:, :nd, :nd] = second
+        second = full
+        for k in range(nd, p):   # row and column k, up to the diagonal
+            second[:, k, :k + 1] = second[:, :k + 1, k] = (w_free[:, k - nd, None, :]
+                                                           * jac[:, :k + 1]).sum(axis=2)
+        del jac, free, w_free
+        curvature = np.zeros((len(w), p, p))
+        for (sign, sl, *_), r in zip(design.factors, ratios):
+            ru = r * u[:, None, None, :]
+            curvature[:, sl, sl] = -2 * sign * (ru[:, 0, :, None, :] * r[:, 0, None, :, :]
+                                                - ru[:, 1, :, None, :] * r[:, 1, None, :, :]).sum(axis=3)
+    gauss_newton = second - m[:, :, None] * m[:, None, :]
     return grad, gauss_newton + curvature, gauss_newton
 
 
@@ -406,15 +432,16 @@ def _pseudo_newton(grad: np.ndarray, hess: np.ndarray, gauss_newton: np.ndarray)
     Hessian is not positive definite the Gauss-Newton matrix stands in, and
     the inverse is a pseudo-inverse: an AR and an MA factor at one lag can
     cancel out."""
-    e, v = np.linalg.eigh(hess)
-    flat = ~np.all(e > 0, axis=1)   # not convex here: Gauss-Newton
+    e, v = np.linalg.eigh(hess)   # eigenvalues ascending
+    flat = ~(e[:, 0] > 0)   # not convex here: Gauss-Newton
     if flat.any():
         e[flat], v[flat] = np.linalg.eigh(gauss_newton[flat])
-    e = np.where(e > 1e-12 * np.maximum(e.max(axis=1, keepdims=True), 0.0), e, np.inf)
+    e = np.where(e > 1e-12 * np.maximum(e[:, -1:], 0.0), e, np.inf)
     coef = (v.transpose(0, 2, 1) * grad[:, None, :]).sum(axis=2) / e
     return -(v * coef[:, None, :]).sum(axis=2)
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _projected_newton(design: _WhittleDesign, I_u: np.ndarray, theta0: np.ndarray):
     """Projected Newton descent of F from every row of theta0 at once.
 
@@ -424,7 +451,9 @@ def _projected_newton(design: _WhittleDesign, I_u: np.ndarray, theta0: np.ndarra
     fails, or after WHITTLE_MAX_STEPS steps.  A memory on its bound stays
     there until the row's other parameters have converged, then leaves if
     its gradient points into the box.  The working arrays hold the rows
-    still descending; a row is copied out when it stops.
+    still descending; a row is copied out when it stops.  Floating-point
+    warnings are silenced once for the whole descent: rows F cannot use
+    overflow or divide by zero, and the line search rejects them.
     """
     box = design.box
     theta = np.clip(theta0, -box, box)

@@ -36,7 +36,7 @@ __all__ = ["EstimatorDef", "McConfig", "EstimatorResult", "McSummary", "run_mc",
 _PATH_BLOCK = 64
 
 #: bytes per path and point that a block holds from its draw to its fits:
-#: a 64-path block peaked at 59-111 on table1-5 (circulant, n = 16 384 and
+#: a 64-path block peaked at 40-88 on table1-5 (circulant, n = 16 384 and
 #: 65 536), the most with a free-AR Whittle fit
 _BLOCK_BYTES_PER_POINT = 128
 

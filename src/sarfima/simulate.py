@@ -296,7 +296,7 @@ def _normals(rngs, size: int) -> np.ndarray:
     """Each generator's next ``size`` standard normals, one row each, checked finite."""
     z = np.empty((len(rngs), size))
     for j, rng in enumerate(rngs):
-        z[j] = rng.standard_normal(size)
+        rng.standard_normal(size, out=z[j])
     if not np.isfinite(z).all():
         raise NumericError("non-finite-draw", "innovations contain NaN or infinite values")
     return z
@@ -361,7 +361,8 @@ def _circulant_paths(spec: SarfimaSpec, n: int, grid_exponent: int, rngs) -> np.
     1..N-1; scaled by the roots, one real inverse FFT per row gives a
     sequence of length 2N whose first n values are the path.  Every row goes
     through the same arithmetic, so a row's bits depend on its generator
-    only.
+    only.  The normals are released before the transform and the paths
+    copied out of it, so neither outlives its use.
     """
     root = _circulant_roots(spec, n, grid_exponent)
     half = len(root) - 1
@@ -369,7 +370,9 @@ def _circulant_paths(spec: SarfimaSpec, n: int, grid_exponent: int, rngs) -> np.
     spectrum = np.zeros((len(rngs), half + 1), dtype=complex)
     spectrum.real = z[:, :half + 1]
     spectrum.imag[:, 1:half] = z[:, half + 1:]
-    return np.fft.irfft(spectrum * root, 2 * half, axis=1)[:, :n]
+    del z
+    spectrum *= root
+    return np.fft.irfft(spectrum, 2 * half, axis=1)[:, :n].copy()
 
 
 #: the path drawers by method name

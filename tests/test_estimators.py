@@ -405,6 +405,39 @@ class TestHalfSpectrumFold:
                 assert np.max(np.abs(res.estimates - np.array(frozen["d_hat"]))) < 1e-10
 
 
+def misaligned(row):
+    """A fresh copy of ``row`` as a one-row block whose data start 8 bytes
+    past a 64-byte boundary."""
+    buf = np.empty(row.size + 8)
+    start = (8 - buf.ctypes.data) % 64 // 8
+    out = buf[start:start + row.size]
+    out[:] = row
+    return out[None, :]
+
+
+class TestRowInvariance:
+    """A one-row Whittle fit is bitwise its row of a block fit."""
+
+    # past 8192 frequencies (numpy's buffer size) a reduction that is not
+    # numpy's pairwise row sum, such as an einsum, can round a lone row
+    # differently from its block row
+    @pytest.mark.parametrize("n", [20000, 40000])
+    @pytest.mark.parametrize("name", ["table2", "table4", "table5"])
+    def test_one_row_fit_is_its_block_row_at_large_n(self, name, n):
+        from sarfima.estimators import _whittle_fits
+        from sarfima.simulate import _paths, default_grid_exponent
+        from sarfima.spectrum import _ordinates
+        config = design(name, master_seed=20101125)
+        template = next(e.template for e in config.estimators if e.name == "ft")
+        seeds = [derive_rep_seed(20101125, rep) for rep in range(6)]
+        ordinates = _ordinates(_paths(config.spec, n, default_grid_exponent(n), "circulant", seeds))
+        block = _whittle_fits(ordinates, n, template)
+        for r, row in enumerate(ordinates):
+            one = _whittle_fits(misaligned(row), n, template)
+            assert one.theta[0].tobytes() == block.theta[r].tobytes()
+            assert one.steps[0] == block.steps[r]
+
+
 class TestWhittleOptimum:
     @pytest.mark.parametrize("master, rep, on_box", [
         (777000011, 1, True),
@@ -476,7 +509,8 @@ class TestDesignCache:
         template = WhittleTemplate(spec=spec, free_ma=(False,))
         whittle_estimate(two_period_path, template)
         wd = _whittle_design(1080, template)
-        for array in (wd.keep, wd.weight, wd.jac_d, wd.base, wd.box, *(z for _, _, z, _ in wd.factors)):
+        for array in (wd.keep, wd.weight, wd.jac_d, wd.jac_stack, wd.jac_mean, wd.base, wd.box,
+                      *(z for _, _, z, _ in wd.factors)):
             with pytest.raises(ValueError):
                 array[0] = 0
 

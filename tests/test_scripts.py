@@ -42,6 +42,25 @@ def test_digest_prints_stable_digests(capsys):
     assert all(re.fullmatch("[0-9a-f]{64}", line.split()[1]) for line in runs[0])
 
 
+def test_digest_against_its_own_record_finds_no_difference(tmp_path, capsys):
+    digest = load("digest")
+    record = tmp_path / "record.npz"
+    assert digest.main(["--reps", "2", "--n", "256", "--save", str(record)]) == 0
+    saved = capsys.readouterr().out.splitlines()
+    assert digest.main(["--reps", "2", "--n", "256", "--against", str(record)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == saved
+    rows = lines[3:]
+    # the 10 estimators of table1, 2 and 4 and the band-overlap of table3 and 5, per sampler
+    assert len(rows) == 2 * (10 + 2)
+    for row in rows:
+        fields = row.split()
+        if fields[1] == "error":
+            assert fields[2:] == ["band-overlap", "->", "band-overlap"]
+        else:
+            assert fields[1:] == ["max|dd|", "0", "steps", "0", "codes", "0"]
+
+
 def test_digest_runs_from_a_plain_checkout(tmp_path):
     # no PYTHONPATH and another working directory: the script finds its own src/
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}

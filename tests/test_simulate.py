@@ -32,8 +32,8 @@ def arfima_acvf(d, sigma2, lags):
 class NanRng:
     """A generator whose normals hold a NaN."""
 
-    def standard_normal(self, size):
-        out = np.zeros(size)
+    def standard_normal(self, size, out):
+        out[:] = 0.0
         out[3] = np.nan
         return out
 
@@ -516,8 +516,8 @@ class TestCirculant:
         def __init__(self, i):
             self.i = i
 
-        def standard_normal(self, size):
-            out = np.zeros(size)
+        def standard_normal(self, size, out):
+            out[:] = 0.0
             out[self.i] = 1.0
             return out
 
