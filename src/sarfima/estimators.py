@@ -327,40 +327,48 @@ def _whittle_design(n: int, template: WhittleTemplate) -> _WhittleDesign:
 def _rows_times(theta: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """theta @ basis for a block of rows, as products summed over the short
     middle axis: a BLAS product could round a row differently with the
-    width of the block."""
+    width of the block.  One column needs no sum, and has its bits."""
+    if theta.shape[1] == 1:
+        return theta * basis[0]
     return (theta[:, :, None] * basis).sum(axis=1)
 
 
-def _objective(design: _WhittleDesign, I_u: np.ndarray, theta: np.ndarray):
-    """The concentrated Whittle objective F at every row of theta.
+def _stationary(design: _WhittleDesign, theta: np.ndarray) -> np.ndarray:
+    """Whether each row of theta leaves every free factor's roots outside
+    the unit circle: F is defined only there."""
+    ok = np.ones(len(theta), dtype=bool)
+    for _, sl, _, lag in design.factors:
+        ok &= _roots_outside_unit_circle(lag, theta[:, sl])
+    return ok
 
-    Returns (feasible, state): feasible is False on a row whose free
-    factors leave the stationary region, and state is (F, sigma2_hat, w,
-    then per free factor Re and Im of z / t as a (rows, 2, q, K) array),
-    with w = I / g; I_u carries the design's weights, so w does too.  F is
-    inf where sigma2_hat is 0 or overflows.  -log g is formed directly:
-    negation is exact, so F has the bits it would have from log g.  The
-    caller silences the floating-point warnings of the rows F cannot use.
+
+def _objective(design: _WhittleDesign, I_u: np.ndarray, theta: np.ndarray):
+    """The concentrated Whittle objective F at every row of theta, whose
+    free factors the caller has checked ``_stationary``.
+
+    Returns the state (F, sigma2_hat, w, then per free factor Re and Im of
+    t = 1 - sum_p c_p z_p as a (rows, 2, K) array), with w = I / g; I_u
+    carries the design's weights, so w does too.  F is inf where sigma2_hat
+    is 0 or overflows.  -log g is formed directly: negation is exact, so F
+    has the bits it would have from log g.  The caller silences the
+    floating-point warnings of the rows F cannot use.
     """
     neg_logg = _rows_times(np.negative(theta[:, :len(design.jac_d)]), design.jac_d)
     neg_logg -= design.base
-    feasible = np.ones(len(theta), dtype=bool)
-    ratios = []
-    for sign, sl, z, lag in design.factors:
+    ts = []
+    for sign, sl, z, _ in design.factors:
         c = theta[:, sl]
-        feasible &= _roots_outside_unit_circle(lag, c)
-        tr, ti = 1.0 - _rows_times(c, z[0]), -_rows_times(c, z[1])
-        t2 = tr * tr + ti * ti
-        neg_logg -= sign * np.log(t2)
-        tr, ti = tr[:, None, :], ti[:, None, :]
-        ratios.append(np.stack([z[0] * tr + z[1] * ti, z[1] * tr - z[0] * ti], axis=1)
-                      / t2[:, None, None, :])
+        t = np.empty((len(theta), 2, z.shape[2]))
+        np.subtract(1.0, _rows_times(c, z[0]), out=t[:, 0])
+        np.negative(_rows_times(c, z[1]), out=t[:, 1])
+        neg_logg -= sign * np.log(t[:, 0] * t[:, 0] + t[:, 1] * t[:, 1])
+        ts.append(t)
     mean_neg_logg = (neg_logg * design.weight).sum(axis=1) / design.total
     w = np.exp(neg_logg, out=neg_logg)
     w *= I_u
     s2 = w.sum(axis=1) / design.total
     F = np.where((s2 > 0) & (s2 < np.inf), np.log(s2) - mean_neg_logg, np.inf)
-    return feasible, (F, s2, w, *ratios)
+    return F, s2, w, *ts
 
 
 def _derivatives(design: _WhittleDesign, state):
@@ -372,11 +380,20 @@ def _derivatives(design: _WhittleDesign, state):
     sum((weight / total - wn) d2 log g).  The memories' J, their
     products J_i J_j and their c are the design's, so a pure template takes
     one product and one row sum.  A free factor's columns of J depend on
-    theta and are built per step: their gradient entries are
+    theta and are built per step, from the ratios z / t that are formed
+    here, once per iterate, not at every trial of the line search: their
+    gradient entries are
     sum((weight / total - wn) J), the weights of their curvature term, and
     their rows of sum(wn J J') are formed one parameter at a time.  Every
     sum runs along the last axis, row by row."""
-    _, _, w, *ratios = state
+    _, _, w, *ts = state
+    ratios = []   # Re and Im of z / t, per free factor a (rows, 2, q, K) array
+    for (_, _, z, _), t in zip(design.factors, ts):
+        tr, ti = t[:, 0], t[:, 1]
+        t2 = tr * tr + ti * ti
+        tr, ti = tr[:, None, :], ti[:, None, :]
+        ratios.append(np.stack([z[0] * tr + z[1] * ti, z[1] * tr - z[0] * ti], axis=1)
+                      / t2[:, None, None, :])
     wn = w / w.sum(axis=1, keepdims=True)
     nd = len(design.jac_d)
     moments = (wn[:, None, :] * design.jac_stack).sum(axis=2)
@@ -442,25 +459,33 @@ def _pseudo_newton(grad: np.ndarray, hess: np.ndarray, gauss_newton: np.ndarray)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _projected_newton(design: _WhittleDesign, I_u: np.ndarray, theta0: np.ndarray):
+def _projected_newton(design: _WhittleDesign, I_u: np.ndarray, theta0: np.ndarray, restart: bool):
     """Projected Newton descent of F from every row of theta0 at once.
 
-    Returns (theta, state, converged, steps), one row each.  Each row
-    keeps its own held set and line search, and stops on its own: when its
-    Newton decrement g'H^-1 g falls below WHITTLE_TOL, when its line search
-    fails, or after WHITTLE_MAX_STEPS steps.  A memory on its bound stays
-    there until the row's other parameters have converged, then leaves if
-    its gradient points into the box.  The working arrays hold the rows
-    still descending; a row is copied out when it stops.  Floating-point
-    warnings are silenced once for the whole descent: rows F cannot use
-    overflow or divide by zero, and the line search rejects them.
+    Returns (theta, F, sigma2_hat, converged, steps), one row each.  Each
+    row keeps its own held set and line search, and stops on its own: when
+    its Newton decrement g'H^-1 g falls below WHITTLE_TOL, when its line
+    search fails, or after WHITTLE_MAX_STEPS steps.  A memory on its bound
+    stays there until the row's other parameters have converged, then
+    leaves if its gradient points into the box.  The line search evaluates
+    F only at the trial points where ``_stationary`` holds.  With
+    ``restart``, a row that stops with a memory on its box descends once
+    more from white noise (theta = 0), in place next to the other rows and
+    with WHITTLE_MAX_STEPS of its own; it keeps the descent that ends with
+    the lower F, the first on a tie, and counts the steps of both.  The
+    working arrays hold the rows still descending; a row is copied out
+    when it stops.  Floating-point warnings are silenced once for the
+    whole descent: rows F cannot use overflow or divide by zero, and the
+    line search rejects them.
     """
     box = design.box
     theta = np.clip(theta0, -box, box)
-    _, state = _objective(design, I_u, theta)
+    state = _objective(design, I_u, theta)
     held = np.abs(theta) >= box
     steps = np.zeros(len(theta), dtype=int)
-    out = theta.copy(), [a.copy() for a in state], np.zeros(len(theta), dtype=bool), steps.copy()
+    first = np.ones(len(theta), dtype=bool)   # in its first descent
+    out = (np.empty_like(theta), np.empty(len(theta)), np.empty(len(theta)),
+           np.zeros(len(theta), dtype=bool), np.zeros(len(theta), dtype=int))
     rows = np.arange(len(theta))   # where each descending row goes in ``out``
     while rows.size:
         grad, hess, gauss_newton = _derivatives(design, state)
@@ -480,29 +505,45 @@ def _projected_newton(design: _WhittleDesign, I_u: np.ndarray, theta0: np.ndarra
             whole = searching.size == len(theta)
             at = slice(None) if whole else searching   # a view while every row searches
             trial = np.clip(theta[at] + alpha * step[at], -box, box)
-            feasible, trial_state = _objective(design, I_u[at], trial)
-            decrease = (grad[at] * (trial - theta[at])).sum(axis=1)
-            ok = feasible & (done[at] | (trial_state[0] <= state[0][at] + 1e-4 * decrease))
-            if whole and ok.all():
-                # the common case: keep the trial arrays rather than copy every row back
-                theta, state, moved = trial, list(trial_state), ok
-                break
-            accepted = searching[ok]
-            theta[accepted] = trial[ok]
-            for a, b in zip(state, trial_state):
-                a[accepted] = b[ok]
-            moved[accepted] = True
+            ok = _stationary(design, trial)
+            if ok.any():
+                if not ok.all():   # F only at the stationary trial points
+                    whole, at, trial = False, searching[ok], trial[ok]
+                trial_state = _objective(design, I_u[at], trial)
+                decrease = (grad[at] * (trial - theta[at])).sum(axis=1)
+                better = done[at] | (trial_state[0] <= state[0][at] + 1e-4 * decrease)
+                if whole and better.all():
+                    # the common case: keep the trial arrays rather than copy every row back
+                    theta, state, moved = trial, list(trial_state), better
+                    break
+                ok[ok] = better
+                accepted = searching[ok]
+                theta[accepted] = trial[better]
+                for a, b in zip(state, trial_state):
+                    a[accepted] = b[better]
+                moved[accepted] = True
             searching, alpha = searching[~ok], alpha * 0.5
         held |= np.abs(theta) >= box
         steps += moved
         stop = done | ~moved | (steps >= WHITTLE_MAX_STEPS)
         if stop.any():
-            end = rows[stop]
-            for a, b in zip((out[0], *out[1], out[2], out[3]), (theta, *state, done & moved, steps)):
-                a[end] = b[stop]
+            # a second descent is kept only where it ends lower than the first
+            keep = stop & (first | (state[0] < out[1][rows])) if restart else stop
+            end = rows[keep]
+            for a, b in zip(out, (theta, state[0], state[1], done & moved)):
+                a[end] = b[keep]
+            out[4][rows[stop]] += steps[stop]
             go = ~stop
-            rows, theta, held, steps, I_u = rows[go], theta[go], held[go], steps[go], I_u[go]
-            state = [a[go] for a in state]
+            if restart:
+                again = stop & first & np.any(np.abs(theta) >= box, axis=1)
+                if again.any():
+                    theta[again] = 0.0
+                    for a, b in zip(state, _objective(design, I_u[again], theta[again])):
+                        a[again] = b
+                    held[again], steps[again], first[again], go[again] = False, 0, False, True
+            if not go.all():
+                rows, theta, held, steps, first, I_u = (a[go] for a in (rows, theta, held, steps, first, I_u))
+                state = [a[go] for a in state]
     return out
 
 
@@ -536,24 +577,14 @@ def _whittle_fits(ordinates: np.ndarray, n: int, template: WhittleTemplate) -> _
         d0 = np.nan_to_num(_gph_fits(np.where(solved[:, None], ordinates, 1.0), design.start,
                                      template.spec.periods)[0], nan=0.0)
     theta0 = np.hstack([d0[:, free_d], np.tile(np.array(design.arma0, dtype=float), (len(I_u), 1))])
-    theta, state, converged, steps = _projected_newton(design, I_u, theta0)
-    if design.factors:
-        # with free AR/MA factors F is not convex: a memory on the box may
-        # mark a local minimum, so descend once more from white noise
-        again = np.flatnonzero(np.any(np.abs(theta) >= design.box, axis=1))
-        if again.size:
-            other = _projected_newton(design, I_u[again], np.zeros((again.size, theta.shape[1])))
-            steps[again] += other[3]
-            better = other[1][0] < state[0][again]
-            swap = again[better]
-            theta[swap], converged[swap] = other[0][better], other[2][better]
-            for a, b in zip(state, other[1]):
-                a[swap] = b[better]
+    # with free AR/MA factors F is not convex: a memory on the box may mark
+    # a local minimum, so such a row descends once more from white noise
+    theta, F, s2, converged, steps = _projected_newton(design, I_u, theta0, restart=bool(design.factors))
     d_hat = np.tile(np.array(template.spec.memories, dtype=float), (len(I_u), 1))
     d_hat[:, free_d] = theta[:, :nd]
-    sigma2 = scale * state[1]
+    sigma2 = scale * s2
     converged &= np.isfinite(sigma2) & np.all(np.isfinite(d_hat), axis=1)
-    objective = design.total * (state[0] + np.log(scale) + 1) / (2 * n)
+    objective = design.total * (F + np.log(scale) + 1) / (2 * n)
     for a in (d_hat, theta, sigma2, objective):
         a[~solved] = np.nan
     converged[~solved], steps[~solved] = False, -1

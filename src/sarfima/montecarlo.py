@@ -9,6 +9,8 @@ serial and parallel runs agree exactly.
 """
 from __future__ import annotations
 
+import ctypes
+import importlib.util
 import math
 import numbers
 import os
@@ -16,6 +18,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
+from pathlib import Path
 
 import multiprocessing
 import numpy as np
@@ -207,12 +210,12 @@ def run_mc(config: McConfig) -> McSummary:
     (exact_dl draws its paths with one triangular solve, circulant with one
     batch of FFTs), and each estimator fits a whole block at once: one
     transform, one band regression and one Whittle descent.  Block 0 runs
-    in this process and the rest in order, or on a pool of forked workers.
-    A replication's estimates do not depend on the block it shares.  The
-    config checked each estimator's design, so only replications fail
-    (zero-ordinate, zero-periodogram, not-converged); they are excluded
-    from the moments and counted by error code.  The summary is identical
-    for any worker count.
+    in this process and the rest in order, or on a pool of forked workers
+    that run one BLAS thread each.  A replication's estimates do not depend
+    on the block it shares.  The config checked each estimator's design, so
+    only replications fail (zero-ordinate, zero-periodogram,
+    not-converged); they are excluded from the moments and counted by error
+    code.  The summary is identical for any worker count.
     """
     workers = _resolve_workers(config.workers)
     if config.self_check:
@@ -224,8 +227,7 @@ def run_mc(config: McConfig) -> McSummary:
     if workers == 1:
         blocks += map(_run_block, repeat(config), rest)
     else:
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        with _worker_pool(workers) as pool:
             blocks += pool.map(_run_block, repeat(config), rest)
 
     results = []
@@ -248,6 +250,44 @@ def run_mc(config: McConfig) -> McSummary:
             failure_codes=dict(sorted(Counter(codes[~ok].tolist()).items())), iterations=steps))
     return McSummary(results=tuple(results), reps=config.reps, n=config.n,
                      master_seed=config.master_seed)
+
+
+#: the OpenBLAS builds bundled with numpy's and scipy's wheels, by package,
+#: with the suffix of their symbols (numpy's has 64-bit integers)
+_BUNDLED_OPENBLAS = (("numpy", "64_"), ("scipy", ""))
+
+
+def _loaded_openblas():
+    """(library, symbol suffix) of each bundled OpenBLAS that this process
+    has loaded; a library it has not loaded is not loaded here."""
+    found = []
+    for package, suffix in _BUNDLED_OPENBLAS:
+        spec = importlib.util.find_spec(package)
+        if spec is None or spec.origin is None:
+            continue
+        for path in sorted((Path(spec.origin).parent.parent / f"{package}.libs").glob("libscipy_openblas*")):
+            try:
+                found.append((ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD), suffix))
+            except OSError:
+                pass
+    return found
+
+
+def _one_blas_thread():
+    """Pin this process's OpenBLAS libraries to one thread each.  A forked
+    worker would otherwise keep the default, one thread per CPU, and two
+    workers on two CPUs would run four threads, slower than one worker."""
+    for lib, suffix in _loaded_openblas():
+        setter = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """``workers`` forked processes, each running one BLAS thread."""
+    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_one_blas_thread)
 
 
 def _resolve_workers(workers) -> int:

@@ -363,7 +363,7 @@ class TestHalfSpectrumFold:
     @pytest.mark.parametrize("n", [1079, 1080, 4096])
     @pytest.mark.parametrize("name", ["table2", "table4", "periods13"])
     def test_objective_and_derivatives_match_the_full_sums(self, name, n):
-        from sarfima.estimators import _derivatives, _objective, _whittle_design
+        from sarfima.estimators import _derivatives, _objective, _stationary, _whittle_design
         template = WhittleTemplate.pure((1, 3)) if name == "periods13" else \
             next(e.template for e in design(name, 1).estimators if e.name == "ft")
         ar_lag = template.spec.ar_factors[0].lag if template.spec.ar_factors else None
@@ -376,7 +376,7 @@ class TestHalfSpectrumFold:
             theta = rng.uniform(-0.45, 0.45, len(wd.box))
             if ar_lag is not None:
                 theta[-1] = rng.uniform(-0.9, 0.9)
-            feasible, state = _objective(wd, I_u, theta[None, :])
+            feasible, state = _stationary(wd, theta[None, :]), _objective(wd, I_u, theta[None, :])
             assert feasible[0]
             got = (state[0][0], *(a[0] for a in _derivatives(wd, state)))
             for g, want in zip(got, full_spectrum_derivatives(I, n, periods, theta, ar_lag)):
@@ -488,6 +488,127 @@ class TestWhittleOptimum:
                 value = profiled_whittle(x, periods, nudged[:len(periods)],
                                          [(ar[0][0], nudged[len(periods):])] if ar else ())
                 assert value >= fit.objective - 1e-12, (i, h, value - fit.objective)
+
+
+#: a free AR(2) factor at lag 1, whose stationarity takes the roots of its
+#: polynomial: the canned designs' factors have one coefficient
+AR2_SPEC = SarfimaSpec(components=(SeasonalComponent(4, 0.3),), ar_factors=(ArmaFactor(1, (1.2, -0.5)),))
+AR2_TEMPLATE = WhittleTemplate(spec=SarfimaSpec(components=(SeasonalComponent(4, 0.0),),
+                                                ar_factors=(ArmaFactor(1, (0.0, 0.0)),)))
+
+
+def ft_block(name, n, method, master, reps):
+    """The ``ft`` template of a canned design (or ``AR2_TEMPLATE`` for "ar2")
+    and the periodograms of the first ``reps`` replications' paths."""
+    from sarfima.simulate import _paths, default_grid_exponent
+    from sarfima.spectrum import _ordinates
+    if name == "ar2":
+        spec, template = AR2_SPEC, AR2_TEMPLATE
+    else:
+        config = design(name, master_seed=master)
+        spec, template = config.spec, next(e.template for e in config.estimators if e.name == "ft")
+    seeds = [derive_rep_seed(master, rep) for rep in range(reps)]
+    return template, _ordinates(_paths(spec, n, default_grid_exponent(n), method, seeds))
+
+
+def two_descents(wd, I_u, theta0):
+    """A free-factor fit as two separate descents: one from theta0, then one
+    from white noise on the rows that stopped with a memory on the box,
+    keeping the lower F (the first on a tie) and the steps of both.  Returns
+    the descent's (theta, F, sigma2, converged, steps), the rows that
+    restarted and, for each of them, whether the second descent won."""
+    from sarfima.estimators import _projected_newton
+    theta, F, s2, converged, steps = _projected_newton(wd, I_u, theta0, restart=False)
+    again = np.flatnonzero(np.any(np.abs(theta) >= wd.box, axis=1))
+    other = _projected_newton(wd, I_u[again], np.zeros((again.size, theta.shape[1])), restart=False)
+    steps[again] += other[4]
+    better = other[1] < F[again]
+    for a, b in zip((theta, F, s2, converged), other):
+        a[again[better]] = b[better]
+    return (theta, F, s2, converged, steps), again, better
+
+
+def stationary_rows(wd, theta):
+    """Per row of theta, whether every free factor's companion matrix has
+    its eigenvalues inside the unit circle: written independently of the
+    estimator's root test."""
+    ok = np.ones(len(theta), dtype=bool)
+    for _, sl, _, _ in wd.factors:
+        for r, c in enumerate(theta[:, sl]):
+            companion = np.eye(len(c), k=-1)
+            companion[0] = c
+            ok[r] &= np.max(np.abs(np.linalg.eigvals(companion))) < 1
+    return ok
+
+
+class TestFreeFactorDescent:
+    """With free AR/MA factors the restart from white noise runs inside the
+    one descent, and the line search evaluates F at stationary points only."""
+
+    # (design, n, sampler, master seed, rows where the restart wins, where it loses)
+    @pytest.mark.parametrize("name, n, method, master, wins, losses", [
+        ("table4", 1080, "exact_dl", 20101125, [4], [2, 11, 12]),
+        ("table5", 1080, "exact_dl", 20101125, [3, 5, 12, 13], [14]),
+        ("table4", 4096, "circulant", 3, [], []),   # no memory ends on the box here
+        ("table5", 4096, "circulant", 3, [12], [10]),
+    ])
+    def test_restart_in_place_is_two_separate_descents(self, name, n, method, master, wins, losses,
+                                                       monkeypatch):
+        from sarfima import estimators
+        seen = []
+        real = estimators._projected_newton
+
+        def spy(wd, I_u, theta0, restart):
+            result = real(wd, I_u, theta0, restart)
+            seen.append((wd, I_u, theta0, restart, [a.copy() for a in result]))
+            return result
+
+        monkeypatch.setattr(estimators, "_projected_newton", spy)
+        template, ordinates = ft_block(name, n, method, master, 16)
+        fits = estimators._whittle_fits(ordinates, n, template)
+        monkeypatch.undo()
+        (wd, I_u, theta0, restart, result), = seen
+        assert restart
+        want, again, better = two_descents(wd, I_u, theta0)
+        for got, expected in zip(result, want):
+            assert got.tobytes() == expected.tobytes()
+        assert again[better].tolist() == wins
+        assert again[~better].tolist() == losses
+        assert fits.theta.tobytes() == want[0].tobytes()
+        assert fits.steps.tolist() == want[4].tolist()
+
+    @pytest.mark.parametrize("name", ["table4", "table5", "ar2"])
+    def test_objective_sees_only_stationary_rows(self, name, monkeypatch):
+        from sarfima import estimators
+        evaluated, rejected = [], []
+        objective, stationary = estimators._objective, estimators._stationary
+
+        def objective_spy(wd, I_u, theta):
+            evaluated.append(stationary_rows(wd, theta))
+            return objective(wd, I_u, theta)
+
+        def stationary_spy(wd, theta):
+            ok = stationary(wd, theta)
+            rejected.append(int(np.sum(~ok)))
+            return ok
+
+        monkeypatch.setattr(estimators, "_objective", objective_spy)
+        monkeypatch.setattr(estimators, "_stationary", stationary_spy)
+        template, ordinates = ft_block(name, 1080, "exact_dl", 20101125, 16)
+        estimators._whittle_fits(ordinates, 1080, template)
+        assert all(ok.all() for ok in evaluated)
+        assert sum(rejected) > 0   # the line search did try points outside the region
+
+    @pytest.mark.parametrize("n, method", [(1080, "exact_dl"), (20000, "circulant")])
+    def test_ar2_one_row_fit_is_its_block_row(self, n, method):
+        from sarfima.estimators import _whittle_fits
+        template, ordinates = ft_block("ar2", n, method, 20101125, 6)
+        block = _whittle_fits(ordinates, n, template)
+        assert block.converged.all()
+        for r, row in enumerate(ordinates):
+            one = _whittle_fits(misaligned(row), n, template)
+            assert one.theta[0].tobytes() == block.theta[r].tobytes()
+            assert one.steps[0] == block.steps[r]
 
 
 class TestDesignCache:

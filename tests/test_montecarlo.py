@@ -413,8 +413,25 @@ class TestFailureCodes:
         assert np.all(ft.iterations > 0)
 
 
+def blas_threads():
+    """The thread count each loaded bundled OpenBLAS reports, by symbol suffix."""
+    from sarfima.montecarlo import _loaded_openblas
+    return {suffix: getattr(lib, "scipy_openblas_get_num_threads" + suffix)()
+            for lib, suffix in _loaded_openblas() if hasattr(lib, "scipy_openblas_get_num_threads" + suffix)}
+
+
 class TestWorkerCount:
     """A worker count is a positive integer; anything else is rejected, not coerced."""
+
+    def test_workers_run_one_blas_thread(self):
+        import scipy.linalg.blas   # noqa: F401 -- loads scipy's OpenBLAS, as an exact_dl run does
+        from sarfima.montecarlo import _worker_pool
+        if not blas_threads():
+            pytest.skip("no bundled OpenBLAS with a thread-count symbol is loaded")
+        with _worker_pool(2) as pool:
+            counts = pool.submit(blas_threads).result()
+        assert counts.keys() == blas_threads().keys()
+        assert set(counts.values()) == {1}
 
     @pytest.mark.parametrize("workers", [0, -3, True, 2.7, "2"])
     def test_bad_argument(self, workers):

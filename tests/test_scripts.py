@@ -68,3 +68,15 @@ def test_digest_runs_from_a_plain_checkout(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     assert [line.split()[0] for line in run.stdout.splitlines()] == ["run_mc", "cli", "circulant"]
+
+
+def test_fit_ab_against_this_checkout(capsys):
+    fit_ab = load("fit_ab")
+    argv = ["--against", str(SCRIPTS.parent), "--rounds", "2", "--reps", "2", "--n", "256"]
+    assert fit_ab.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["table4, n 256, 2 reps per run; CPU seconds", "round      this   against   ratio"]
+    assert [int(line.split()[0]) for line in lines[2:-1]] == [0, 1]
+    # the same code on both sides gives the same bits
+    assert re.fullmatch(r"median this/against \d+\.\d{3}  this faster in [0-2] of 2 rounds  "
+                        r"estimates equal: yes", lines[-1])
