@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -53,8 +52,7 @@ def mc_runs(master_seed: int, reps: int, n: int, method: str) -> dict:
     runs = {}
     for name in DESIGN_NAMES:
         try:
-            config = design(name, master_seed=master_seed, reps=reps, n=n)
-            runs[name] = run_mc(dataclasses.replace(config, method=method))
+            runs[name] = run_mc(design(name, master_seed=master_seed, reps=reps, n=n, method=method))
         except SarfimaError as exc:
             runs[name] = exc.code
     return runs

@@ -247,8 +247,10 @@ class WhittleTemplate:
         return cls(spec=SarfimaSpec(components=comps), d_box=d_box)
 
 
-#: Newton steps allowed before a Whittle fit is reported as not converged
-WHITTLE_MAX_STEPS = 100
+#: Newton steps allowed before a Whittle fit is reported as not converged: a
+#: row whose memory leaves the box where the Hessian is indefinite crawls on
+#: Gauss-Newton steps that grow ~5% a step, and may need more than 100
+WHITTLE_MAX_STEPS = 1000
 #: bound on the Newton decrement g'H^-1 g of a converged fit: a few ulps of F ~ 1
 WHITTLE_TOL = 2e-15
 

@@ -27,15 +27,15 @@ from .errors import ValidationError
 from .model import ArmaFactor, SarfimaSpec, SeasonalComponent
 from .spectrum import BandPlan, build_band_plan, resolve_bandwidth, write_csv, _ordinates
 from .estimators import WhittleTemplate, _band_design, _gph_fits, _whittle_design, _whittle_fits
-from .simulate import SimConfig, acvf_self_check, derive_rep_seed, _check_memory, _paths
+from .simulate import DEFAULT_METHOD, SimConfig, acvf_self_check, derive_rep_seed, _check_memory, _paths
 
 __all__ = ["EstimatorDef", "McConfig", "EstimatorResult", "McSummary", "run_mc",
            "standardized_sample", "design", "DESIGN_NAMES", "summary_to_csv",
            "estimates_to_csv"]
 
 #: replications per block, the unit of work: a block's paths are drawn
-#: together, in one triangular solve (exact_dl) or one batch of FFTs, and
-#: fitted together; at n = 4096 an exact_dl block is 2 MB
+#: together, in one batch of FFTs (circulant) or one triangular solve
+#: (exact_dl), and fitted together; at n = 4096 a block's paths are 2 MB
 _PATH_BLOCK = 64
 
 #: bytes per path and point that a block holds from its draw to its fits:
@@ -109,7 +109,7 @@ class McConfig:
     reps: int
     n: int
     master_seed: int
-    method: str = "exact_dl"
+    method: str = DEFAULT_METHOD
     grid_exponent: int = None
     workers: int = 1
     self_check: bool = True
@@ -207,8 +207,8 @@ def run_mc(config: McConfig) -> McSummary:
     Startup runs the acvf grid-doubling self-check, then each replication
     simulates with its derived seed and every estimator is applied to the
     same path.  The unit of work is a block of up to _PATH_BLOCK replications
-    (exact_dl draws its paths with one triangular solve, circulant with one
-    batch of FFTs), and each estimator fits a whole block at once: one
+    (circulant draws its paths with one batch of FFTs, exact_dl with one
+    triangular solve), and each estimator fits a whole block at once: one
     transform, one band regression and one Whittle descent.  Block 0 runs
     in this process and the rest in order, or on a pool of forked workers
     that run one BLAS thread each.  A replication's estimates do not depend
@@ -343,7 +343,7 @@ def _whittle_with_free_ar(periods, ar_lag: int) -> WhittleTemplate:
 
 
 def design(name: str, master_seed: int, reps: int = 2000, n: int = 1080,
-           workers: int = 1) -> McConfig:
+           workers: int = 1, method: str = DEFAULT_METHOD) -> McConfig:
     """Benchmark designs behind the ``mc --design`` shorthand.
 
     table1: single seasonal period 4, d = 0.3, white ARMA part; truncated-
@@ -390,7 +390,7 @@ def design(name: str, master_seed: int, reps: int = 2000, n: int = 1080,
     else:
         raise ValidationError("bad-design", f"unknown design {name!r}; pick one of {DESIGN_NAMES}")
     return McConfig(spec=spec, estimators=ests, reps=reps, n=n,
-                    master_seed=master_seed, workers=workers)
+                    master_seed=master_seed, method=method, workers=workers)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 The autocovariance gamma(h) = int_{-pi}^{pi} f e^(i h lambda) dlambda is one
 FFT of the spectral density f on a uniform grid, corrected at each pole by
-zeta-function terms, then turned into exact sample paths in blocks: by one
-triangular solve against its Durbin-Levinson decomposition (exact_dl), or by
-one real FFT per path through the eigenvalues of its circulant embedding
-(circulant; Davies & Harte 1987, Wood & Chan 1994), in O(n log n) time and
-O(n) memory.
+zeta-function terms, then turned into exact sample paths in blocks: by
+default with one real FFT per path through the eigenvalues of its circulant
+embedding (circulant; Davies & Harte 1987, Wood & Chan 1994), in O(n log n)
+time and O(n) memory, or by one triangular solve against its Durbin-Levinson
+decomposition (exact_dl), in O(n^2).
 """
 from __future__ import annotations
 
@@ -46,6 +46,9 @@ _MIN_AR_RADIUS = 1e-4
 _DENSITY_CHUNK = 1 << 16
 _BYTES_PER_NODE = 40
 
+#: the sampler used unless a method is named
+DEFAULT_METHOD = "circulant"
+
 #: largest accepted grid exponent.  The resolution floor stops at 2^18 from
 #: g = 21, so no larger value changes the grid
 MAX_GRID_EXPONENT = 40
@@ -63,7 +66,7 @@ class SimConfig:
     spec: SarfimaSpec
     n: int
     seed: int
-    method: str = "exact_dl"
+    method: str = DEFAULT_METHOD
     grid_exponent: int = None
 
     def __post_init__(self):
@@ -85,13 +88,15 @@ class SimConfig:
         _check_memory(self.spec, self.n, self.method, self.grid_exponent)
 
 
-def _check_memory(spec: SarfimaSpec, n: int, method: str, grid_exponent: int, block_bytes: int = 0):
+def _check_memory(spec: SarfimaSpec, n: int, method: str, grid_exponent: int, block_bytes: int = 0,
+                  half: int = None):
     """Raise ``too-large`` unless the sampler's table or grid, plus
     ``block_bytes`` for the paths in flight, fit in physical memory; checked
     before any acvf work.  The exact_dl predictor table is n x n doubles;
-    the circulant roots come from the autocovariance's grid."""
+    the circulant roots come from the autocovariance's grid to lag ``half``,
+    the embedding's half-length (by default the unpadded one)."""
     need = block_bytes + (8 * n ** 2 if method == "exact_dl" else
-                          _BYTES_PER_NODE * _grid_nodes(spec, _embedding_half(spec, n), grid_exponent))
+                          _BYTES_PER_NODE * _grid_nodes(spec, half or _embedding_half(spec, n), grid_exponent))
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         hint = "; use --method circulant" if method == "exact_dl" else ""
@@ -327,22 +332,37 @@ def _embedding_half(spec: SarfimaSpec, n: int) -> int:
     return step * max(1, -(-(n - 1) // step))
 
 
+#: doublings of the embedding's half-length tried before a negative
+#: eigenvalue is an error: x16; the canned designs need at most x8
+_MAX_PADDING_DOUBLINGS = 4
+
+
 @functools.lru_cache(maxsize=4)
 def _circulant_roots(spec: SarfimaSpec, n: int, grid_exponent: int) -> np.ndarray:
     """Square roots of the eigenvalues of the circulant embedding of
     gamma(0..N), scaled for ``_circulant_paths``; read-only.
 
-    The half-length N is ``_embedding_half``: table5's minimal embedding has
-    eigenvalues down to -0.085 of the largest.  They are checked, never clipped.
+    The half-length N starts at ``_embedding_half``.  Short series of
+    seasonal AR designs have negative eigenvalues there (table5 at n = 16:
+    down to -0.0014 of the largest), so N doubles, staying a multiple of the
+    lcm, until every eigenvalue is non-negative (Wood & Chan 1994), at most
+    _MAX_PADDING_DOUBLINGS times; each larger grid is checked against
+    physical memory first.  Eigenvalues are never clipped.
     """
     half = _embedding_half(spec, n)
-    gamma = acvf_numeric(spec, half, grid_exponent)
-    eig = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
-    if not (np.isfinite(eig).all() and eig.min() >= 0):
+    for doubling in range(_MAX_PADDING_DOUBLINGS + 1):
+        if doubling:
+            half *= 2
+            _check_memory(spec, n, "circulant", grid_exponent, half=half)
+        gamma = acvf_numeric(spec, half, grid_exponent)
+        eig = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+        if np.isfinite(eig).all() and eig.min() >= 0:
+            break
+    else:
         raise NumericError("negative-eigenvalue",
                            f"circulant embedding of half-length {half} has eigenvalue "
-                           f"{eig.min():.3g} ({eig.min() / eig.max():.3g} of the largest); "
-                           "use exact_dl")
+                           f"{eig.min():.3g} ({eig.min() / eig.max():.3g} of the largest) "
+                           f"after {_MAX_PADDING_DOUBLINGS} doublings; use exact_dl")
     # frequencies 0 and pi take a real normal, the others a complex one whose
     # real and imaginary parts each carry half of the eigenvalue
     scale = np.full(half + 1, float(half))

@@ -47,7 +47,7 @@ class TestSimulateVerb:
         meta = json.loads((tmp_path / "sim.csv.meta.json").read_text())
         assert sorted(meta) == ["grid_exponent", "method", "n", "seed", "spec"]
         assert meta["seed"] == 505 and meta["n"] == 200
-        assert meta["method"] == "exact_dl"
+        assert meta["method"] == "circulant"
         assert meta["grid_exponent"] is not None
         assert meta["spec"]["components"][0]["period"] == 1
 
@@ -359,6 +359,17 @@ class TestMcVerb:
         assert dlines[0] == "rep,estimator,param,value"
         assert len(dlines) == 1 + 4 * 4
 
+    @pytest.mark.parametrize("method", [None, "circulant", "exact_dl"])
+    def test_method_reaches_the_config(self, tmp_path, method):
+        from sarfima import design, run_mc, summary_to_csv
+        out, ref = tmp_path / "mc.csv", tmp_path / "ref.csv"
+        flag = [] if method is None else ["--method", method]
+        assert cli.dispatch(["mc", "--design", "table2", "--seed", "7", "--reps", "3", "--n", "256",
+                             *flag, "--out", str(out)]) == 0
+        summary_to_csv(run_mc(design("table2", master_seed=7, reps=3, n=256,
+                                     method=method or "circulant")), ref)
+        assert out.read_text() == ref.read_text()
+
     def test_unknown_design(self, tmp_path, capsys):
         rc = cli.dispatch(["mc", "--design", "table7", "--seed", "1",
                            "--out", str(tmp_path / "x.csv")])
@@ -429,8 +440,8 @@ class TestRejectedInputs:
 
     @pytest.mark.parametrize("extra,code", [
         (["--n", "1080", "--grid-exponent", "9999"], "bad-grid-exponent"),
-        (["--n", "10000000"], "too-large"),
-        (["--n", "10000000000", "--method", "circulant"], "too-large"),
+        (["--n", "10000000", "--method", "exact_dl"], "too-large"),
+        (["--n", "10000000000"], "too-large"),
     ])
     def test_simulate_guards(self, tmp_path, spec_file, capsys, extra, code):
         out = tmp_path / "y.csv"
@@ -453,8 +464,13 @@ class TestRejectedInputs:
         self.assert_one_error(capsys, "bad-workers")
         assert not out.exists()
 
-    def test_circulant_negative_eigenvalue_exits_2(self, tmp_path, capsys):
+    def test_circulant_negative_eigenvalue_exits_2(self, tmp_path, capsys, monkeypatch):
+        # table5 at n = 64 draws at x2; with no doubling allowed it has none
         from sarfima import design
+        from sarfima.simulate import _circulant_roots
+        simulate_module = importlib.import_module("sarfima.simulate")   # the package attribute is the function
+        monkeypatch.setattr(simulate_module, "_MAX_PADDING_DOUBLINGS", 0)
+        _circulant_roots.cache_clear()
         spec = tmp_path / "table5.json"
         spec.write_text(spec_to_json(design("table5", master_seed=1).spec))
         out = tmp_path / "y.csv"
@@ -530,8 +546,20 @@ class TestRejectedInputs:
         assert not out.exists()
 
     def test_mc_too_large(self, tmp_path, capsys):
+        # the 8 n^2-byte Durbin-Levinson table
         rc = cli.dispatch(["mc", "--design", "table2", "--seed", "1", "--reps", "2",
-                           "--n", "10000000", "--out", str(tmp_path / "m.csv")])
+                           "--n", "10000000", "--method", "exact_dl", "--out", str(tmp_path / "m.csv")])
+        assert rc == 1
+        self.assert_one_error(capsys, "too-large")
+
+    def test_mc_circulant_too_large_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # the default sampler's grid has at least 8 n nodes
+        def forbidden(*args, **kwargs):
+            raise AssertionError("acvf work started")
+
+        monkeypatch.setattr(importlib.import_module("sarfima.simulate"), "acvf_numeric", forbidden)
+        rc = cli.dispatch(["mc", "--design", "table2", "--seed", "1", "--reps", "2",
+                           "--n", "10000000000", "--out", str(tmp_path / "m.csv")])
         assert rc == 1
         self.assert_one_error(capsys, "too-large")
 

@@ -18,7 +18,7 @@ def load(name):
 
 def test_demo_workflow_writes_its_outputs(tmp_path, capsys):
     demo = load("demo_workflow")
-    # with seed 23 the lag-1 residual autocorrelation lies outside the band
+    # with seed 23 five residual autocorrelations (lags 12, 13, 28, 45 and 46) lie outside the band
     assert demo.main(["--out-dir", str(tmp_path), "--seed", "23"]) == 0
     assert (tmp_path / "scan.csv").read_text().startswith("alpha,m,d1_hat,d2_hat,var_d1,var_d2,error\n")
     assert (tmp_path / "residual_acf.csv").read_text().startswith("lag,acf,pacf,band\n")
@@ -80,3 +80,37 @@ def test_fit_ab_against_this_checkout(capsys):
     # the same code on both sides gives the same bits
     assert re.fullmatch(r"median this/against \d+\.\d{3}  this faster in [0-2] of 2 rounds  "
                         r"estimates equal: yes", lines[-1])
+
+
+def test_seed_sweep_reproduces_the_acceptance_values(capsys):
+    sweep = load("seed_sweep")
+    assert sweep.main(["--seeds", "20260826,1", "--method", "exact_dl"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines[1:3]]
+    assert [r[:2] for r in rows] == [["20260826", "exact_dl"], ["1", "exact_dl"]]
+    # the values tier-1's acceptance lines print at 20260826: criteria 4, 6 and 7
+    assert rows[0][2:] == ["1.363", "1.445", "0.954", "1.022", "-0.051", "0.041", "-0.180", "0.216",
+                           "88.5%", ".P."]
+    assert re.fullmatch(r"2 seeds, \d+\.\d s", lines[3])
+    assert lines[4].startswith("passes exact_dl  criterion 4: 0/2  criterion 6: ")
+    assert lines[5].startswith("regression variance ratio exact_dl  0.954-")
+    assert len(lines) == 6
+
+
+def test_seed_sweep_compares_two_samplers(capsys, monkeypatch):
+    # the pass counts of criterion 6 over seeds 1-40: 24 under exact_dl, 21 under circulant
+    sweep = load("seed_sweep")
+
+    def fake(seed, method):
+        six = seed <= (24 if method == "exact_dl" else 21)
+        return {"4": {"ratios": [1.4, 1.4], "regression": [1.0, 1.0], "pass": False},
+                "6": {"moments": [(-0.1, 0.1), (-0.1, 0.1)], "pass": six},
+                "7": {"coverage": 0.85, "pass": False}}
+
+    monkeypatch.setattr(sweep, "sweep_one", fake)
+    assert sweep.main(["--seeds", "1-40", "--method", "exact_dl", "--against", "circulant"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + 80 + 6
+    assert lines[82:85] == ["passes exact_dl  criterion 4: 0/40  criterion 6: 24/40  criterion 7: 0/40",
+                            "passes circulant criterion 4: 0/40  criterion 6: 21/40  criterion 7: 0/40",
+                            "fisher p         criterion 4: 1  criterion 6: 0.652  criterion 7: 1"]

@@ -12,7 +12,7 @@ from sarfima import (ArmaFactor, NumericError, SarfimaSpec, SeasonalComponent,
                      durbin_levinson_decompose, simulate)
 from sarfima import McConfig, design
 from sarfima.simulate import (MAX_GRID_EXPONENT, _DL_TABLE, _circulant_paths, _circulant_roots,
-                              _dl_paths, _dl_tables, _seed_rng)
+                              _dl_paths, _dl_tables, _embedding_half, _seed_rng)
 
 
 def arfima_acvf(d, sigma2, lags):
@@ -291,7 +291,7 @@ class TestSimulate:
 
     def test_white_noise_path_is_iid_normals(self):
         spec = SarfimaSpec(components=(SeasonalComponent(1, 0.0),))
-        cfg = SimConfig(spec=spec, n=64, seed=7)
+        cfg = SimConfig(spec=spec, n=64, seed=7, method="exact_dl")
         x = simulate(cfg)
         z = np.random.default_rng(np.random.SeedSequence(7)).standard_normal(64)
         # gamma comes from quadrature, so the DL table is the identity only
@@ -340,7 +340,7 @@ class TestDlTableChecks:
         from scipy.linalg.blas import dtrsm
         spec = design(name, master_seed=1).spec
         for seed in (11, 12, 13):
-            cfg = SimConfig(spec=spec, n=1080, seed=seed)
+            cfg = SimConfig(spec=spec, n=1080, seed=seed, method="exact_dl")
             M, sigma = _dl_tables(spec, cfg.n, cfg.grid_exponent)
             z = np.random.default_rng(np.random.SeedSequence(seed)).standard_normal(cfg.n)
             b = np.asfortranarray((sigma * z)[:, None])
@@ -473,8 +473,8 @@ class TestSamplerGuards:
 
     def test_huge_table_rejected_before_any_work(self, quarterly_spec, monkeypatch):
         self.forbid_acvf(monkeypatch)
-        for make in (lambda: SimConfig(spec=quarterly_spec, n=10 ** 7, seed=1),
-                     lambda: _mc_config(quarterly_spec, n=10 ** 7)):
+        for make in (lambda: SimConfig(spec=quarterly_spec, n=10 ** 7, seed=1, method="exact_dl"),
+                     lambda: _mc_config(quarterly_spec, n=10 ** 7, method="exact_dl")):
             with pytest.raises(ValidationError) as exc:
                 make()
             assert exc.value.code == "too-large"
@@ -521,8 +521,10 @@ class TestCirculant:
             out[self.i] = 1.0
             return out
 
+    # table4 at n = 16 and table5 at n = 24 and 64 draw from padded embeddings
     @pytest.mark.parametrize("name, n", [("table1", 64), ("table3", 100), ("table4", 257),
-                                         ("table5", 200)])
+                                         ("table5", 200), ("table4", 16), ("table5", 24),
+                                         ("table5", 64)])
     def test_path_covariance_is_the_toeplitz_matrix(self, name, n):
         # a path is a linear map A of the normals, so its covariance is A A^T;
         # row i of the block is the path of the i-th unit vector, column i of A
@@ -540,7 +542,37 @@ class TestCirculant:
         spec = design(name, master_seed=1).spec
         assert len(_circulant_roots(spec, n, default_grid_exponent(n))) == half + 1
 
-    def test_negative_eigenvalue_is_a_coded_error(self):
+    # the doublings each short series of a canned design needs; none from n = 256
+    PADDING = {"table4": {8: 8, 16: 4, 24: 2, 32: 2, 40: 2, 48: 1, 128: 1},
+               "table5": {8: 1, 16: 8, 24: 8, 32: 4, 48: 4, 64: 2, 100: 2, 128: 2, 200: 1}}
+
+    @pytest.mark.parametrize("name", ["table1", "table2", "table3", "table4", "table5"])
+    def test_padding_factors(self, name):
+        spec = design(name, master_seed=1).spec
+        sizes = self.PADDING.get(name, {n: 1 for n in (8, 16, 64, 128)})
+        for n in [*sizes, 256, 1080]:
+            root = _circulant_roots(spec, n, default_grid_exponent(n))
+            assert (len(root) - 1) / _embedding_half(spec, n) == sizes.get(n, 1), n
+
+    def test_each_doubling_checks_memory_first(self, monkeypatch):
+        # table4 at n = 16 starts at N = 16 and draws at x4
+        spec = design("table4", master_seed=1).spec
+        sim = simulate_module()
+        checked, check = [], sim._check_memory
+
+        def spy(*args, half=None, **kwargs):
+            checked.append(half)
+            return check(*args, half=half, **kwargs)
+
+        monkeypatch.setattr(sim, "_check_memory", spy)
+        _circulant_roots.cache_clear()
+        assert len(_circulant_roots(spec, 16, default_grid_exponent(16))) == 64 + 1
+        assert checked == [32, 64]
+
+    def test_negative_eigenvalue_is_a_coded_error(self, monkeypatch):
+        # table5 at n = 64 draws at x2; with no doubling allowed it has none
+        monkeypatch.setattr(simulate_module(), "_MAX_PADDING_DOUBLINGS", 0)
+        _circulant_roots.cache_clear()
         spec = design("table5", master_seed=1).spec
         with pytest.raises(NumericError) as exc:
             simulate(SimConfig(spec=spec, n=64, seed=1, method="circulant"))
