@@ -7,10 +7,11 @@ design on the two (default: table4, n = 1080, 8 replications, one block),
 swapping which side goes first every round.  Round k uses master seed
 ``--seed`` + k on both sides.  One untimed run per side builds the caches
 first, and the acvf self-check is skipped, so each timed run is the draw and
-fits of its block.  Each round prints both CPU times and their ratio; the
-last line gives the median ratio this/against, the rounds in which this
-checkout was faster, and whether the two sides' estimates were bitwise
-equal in every round.
+fits of its block.  Both sides draw their paths by circulant embedding, so
+a checkout without that sampler fails with its own ``bad-method``.  Each
+round prints both CPU times and their ratio; the last line gives the median
+ratio this/against, the rounds in which this checkout was faster, and
+whether the two sides' estimates were bitwise equal in every round.
 
 On a shared host, back-to-back processes can differ by more than a change
 being measured; alternating in one process puts both sides under the same
@@ -49,8 +50,10 @@ def load_package(checkout: Path, name: str):
 
 
 def timed_run(package, name: str, seed: int, reps: int, n: int):
-    """(CPU seconds, estimates) of one run_mc of the design on ``package``."""
-    config = dataclasses.replace(package.design(name, master_seed=seed, reps=reps, n=n), self_check=False)
+    """(CPU seconds, estimates) of one run_mc of the design on ``package``,
+    with circulant paths whatever that checkout's default sampler."""
+    config = dataclasses.replace(package.design(name, master_seed=seed, reps=reps, n=n),
+                                 method="circulant", self_check=False)
     start = time.process_time()
     summary = package.run_mc(config)
     return time.process_time() - start, [res.estimates.tobytes() for res in summary.results]

@@ -272,7 +272,7 @@ def _whittle_design(n: int, template: WhittleTemplate) -> _WhittleDesign:
     their products, ``jac_stack`` = (J_i, then J_i J_j row-major), and the
     weighted mean ``jac_mean`` of J, the fixed
     part ``base`` of log g, each free factor's (sign, slice of theta,
-    (Re z, Im z) as a (2, q, K) array, lag), the factors' starting
+    (Re z, Im z) as a (2, q, K) array), the factors' starting
     coefficients ``arma0``, the ``box`` |theta| <= box, and the band plan
     ``start`` of the starting memories, or None.  The arrays are read-only.
     n must be >= 64, with total >= 8.
@@ -309,7 +309,7 @@ def _whittle_design(n: int, template: WhittleTemplate) -> _WhittleDesign:
             z = np.exp(-1j * np.outer(f.lag * np.arange(1, len(f.coeffs) + 1), lam_u))
             start = nd + len(arma0)
             factors.append((sign, slice(start, start + len(f.coeffs)),
-                            _frozen(np.ascontiguousarray([z.real, z.imag])), f.lag))
+                            _frozen(np.ascontiguousarray([z.real, z.imag]))))
             # a nonstationary or non-invertible start falls back to white noise
             arma0.extend(f.coeffs if f.roots_outside_unit_circle() else [0.0] * len(f.coeffs))
     box = np.where(np.arange(nd + len(arma0)) < nd, template.d_box, np.inf)
@@ -339,8 +339,8 @@ def _stationary(design: _WhittleDesign, theta: np.ndarray) -> np.ndarray:
     """Whether each row of theta leaves every free factor's roots outside
     the unit circle: F is defined only there."""
     ok = np.ones(len(theta), dtype=bool)
-    for _, sl, _, lag in design.factors:
-        ok &= _roots_outside_unit_circle(lag, theta[:, sl])
+    for _, sl, _ in design.factors:
+        ok &= _roots_outside_unit_circle(theta[:, sl])
     return ok
 
 
@@ -358,7 +358,7 @@ def _objective(design: _WhittleDesign, I_u: np.ndarray, theta: np.ndarray):
     neg_logg = _rows_times(np.negative(theta[:, :len(design.jac_d)]), design.jac_d)
     neg_logg -= design.base
     ts = []
-    for sign, sl, z, _ in design.factors:
+    for sign, sl, z in design.factors:
         c = theta[:, sl]
         t = np.empty((len(theta), 2, z.shape[2]))
         np.subtract(1.0, _rows_times(c, z[0]), out=t[:, 0])
@@ -390,7 +390,7 @@ def _derivatives(design: _WhittleDesign, state):
     sum runs along the last axis, row by row."""
     _, _, w, *ts = state
     ratios = []   # Re and Im of z / t, per free factor a (rows, 2, q, K) array
-    for (_, _, z, _), t in zip(design.factors, ts):
+    for (_, _, z), t in zip(design.factors, ts):
         tr, ti = t[:, 0], t[:, 1]
         t2 = tr * tr + ti * ti
         tr, ti = tr[:, None, :], ti[:, None, :]
@@ -407,7 +407,7 @@ def _derivatives(design: _WhittleDesign, state):
         p = len(design.box)
         jac = np.empty((len(w), p, w.shape[1]))
         jac[:, :nd] = design.jac_d
-        for (sign, sl, *_), r in zip(design.factors, ratios):
+        for (sign, sl, _), r in zip(design.factors, ratios):
             np.multiply(r[:, 0], -2 * sign, out=jac[:, sl])
         free = jac[:, nd:]
         u = design.weight / design.total - wn
@@ -422,7 +422,7 @@ def _derivatives(design: _WhittleDesign, state):
                                                            * jac[:, :k + 1]).sum(axis=2)
         del jac, free, w_free
         curvature = np.zeros((len(w), p, p))
-        for (sign, sl, *_), r in zip(design.factors, ratios):
+        for (sign, sl, _), r in zip(design.factors, ratios):
             ru = r * u[:, None, None, :]
             curvature[:, sl, sl] = -2 * sign * (ru[:, 0, :, None, :] * r[:, 0, None, :, :]
                                                 - ru[:, 1, :, None, :] * r[:, 1, None, :, :]).sum(axis=3)
@@ -616,7 +616,7 @@ def whittle_estimate(series, template: WhittleTemplate) -> WhittleFit:
         raise fits.errors[0]
     spec0 = template.spec
     theta = fits.theta[0]
-    fitted = iter(theta[sl] for _, sl, *_ in _whittle_design(len(x), template).factors)
+    fitted = iter(theta[sl] for _, sl, _ in _whittle_design(len(x), template).factors)
     ar_out = [(f.lag, tuple(float(v) for v in (next(fitted) if flag else f.coeffs)))
               for flag, f in zip(template.free_ar, spec0.ar_factors)]
     ma_out = [(f.lag, tuple(float(v) for v in (next(fitted) if flag else f.coeffs)))

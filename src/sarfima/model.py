@@ -73,31 +73,26 @@ class ArmaFactor:
         if not all(math.isfinite(c) for c in self.coeffs):
             raise ValidationError("bad-arma-coeffs", "non-finite ARMA coefficient")
 
-    def polynomial(self) -> np.ndarray:
-        """Ascending coefficient array of 1 - sum_p c_p z^(p*lag)."""
-        p = np.zeros(len(self.coeffs) * self.lag + 1)
-        p[0] = 1.0
-        for i, c in enumerate(self.coeffs, start=1):
-            p[i * self.lag] = -c
-        return p
-
     def transfer(self, lam) -> np.ndarray:
         """Transfer 1 - sum_p c_p e^(-i lam p lag) at the frequencies lam."""
         powers = self.lag * np.arange(1, len(self.coeffs) + 1)
         return 1.0 - np.exp(-1j * np.multiply.outer(lam, powers)) @ np.array(self.coeffs)
 
     def roots_outside_unit_circle(self) -> bool:
-        return bool(_roots_outside_unit_circle(self.lag, np.array([self.coeffs]))[0])
+        return bool(_roots_outside_unit_circle(np.array([self.coeffs]))[0])
 
 
-def _roots_outside_unit_circle(lag: int, coeffs: np.ndarray) -> np.ndarray:
-    """Whether 1 - sum_p c_p z^(p lag) has every root outside the unit
-    circle, for each row c of ``coeffs``."""
-    if coeffs.shape[1] == 1:
-        # 1 - c z^lag = 0  =>  |z| = |c|^(-1/lag)
-        return np.abs(coeffs[:, 0]) < 1.0
-    return np.array([np.all(np.abs(np.roots(ArmaFactor(lag, c).polynomial()[::-1])) > 1.0)
-                     for c in coeffs], dtype=bool)
+def _roots_outside_unit_circle(coeffs: np.ndarray) -> np.ndarray:
+    """Whether 1 - sum_p c_p z^(p lag) has every root outside the unit circle, per row c of
+    ``coeffs``: the step-down (Schur-Cohn) recursion, the inverse of ``simulate.levinson``'s
+    update, finds every reflection coefficient in (-1, 1).  The lag drops out: |z| > 1 iff |z^lag| > 1."""
+    a = np.asarray(coeffs, dtype=float)
+    ok = np.abs(a[:, -1]) < 1.0
+    for j in range(a.shape[1] - 1, 0, -1):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):   # only in rejected rows
+            a = (a[:, :j] + a[:, j, None] * a[:, j - 1::-1]) / (1.0 - a[:, j, None] ** 2)
+        ok &= np.abs(a[:, -1]) < 1.0
+    return ok
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import ctypes
 import importlib.util
 import math
-import numbers
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -27,7 +26,8 @@ from .errors import ValidationError
 from .model import ArmaFactor, SarfimaSpec, SeasonalComponent
 from .spectrum import BandPlan, build_band_plan, resolve_bandwidth, write_csv, _ordinates
 from .estimators import WhittleTemplate, _band_design, _gph_fits, _whittle_design, _whittle_fits
-from .simulate import DEFAULT_METHOD, SimConfig, acvf_self_check, derive_rep_seed, _check_memory, _paths
+from .simulate import (DEFAULT_METHOD, SimConfig, acvf_self_check, derive_rep_seed, _check_memory,
+                       _is_integer, _paths)
 
 __all__ = ["EstimatorDef", "McConfig", "EstimatorResult", "McSummary", "run_mc",
            "standardized_sample", "design", "DESIGN_NAMES", "summary_to_csv",
@@ -116,8 +116,8 @@ class McConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        if self.reps < 1:
-            raise ValidationError("bad-reps", f"need reps >= 1, got {self.reps}")
+        if not (_is_integer(self.reps) and self.reps >= 1):
+            raise ValidationError("bad-reps", f"reps must be a positive integer, got {self.reps!r}")
         if not self.estimators:
             raise ValidationError("bad-estimator", "need at least one estimator")
         # the sampler's own checks (n, seed, method, table size, grid exponent), before any acvf work
@@ -300,7 +300,7 @@ def _resolve_workers(workers) -> int:
         if not (env.isascii() and env.isdigit() and int(env) > 0):
             raise ValidationError("bad-workers", f"SARFIMA_THREADS must be a positive integer, got {env!r}")
         return int(env)
-    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+    if not (_is_integer(workers) and workers >= 1):
         raise ValidationError("bad-workers", f"workers must be a positive integer, got {workers!r}")
     return int(workers)
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import SarfimaError, ValidationError
 from .model import SarfimaSpec, SeasonalComponent, combined_filter_coefficients, _convolve_head
-from .spectrum import build_band_plan, periodogram, write_csv, _check_period_pair
+from .spectrum import build_band_plan, periodogram, resolve_bandwidth, write_csv, _check_period_pair
 from .estimators import MemoryEstimate, gph_estimate
 from .simulate import levinson
 
@@ -50,7 +50,7 @@ def bandwidth_scan(series, s1: int, s2: int, alphas) -> BandwidthScan:
     n = len(x)
     rows = []
     for alpha in alphas:
-        m = int(n ** alpha)
+        m = resolve_bandwidth(n, max(s1, s2), alpha=alpha)
         try:
             plan = build_band_plan(n, s1, s2, m)
             est = gph_estimate(pg, plan, s1, s2)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -54,6 +55,10 @@ DEFAULT_METHOD = "circulant"
 MAX_GRID_EXPONENT = 40
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)   # not bool, float or str
+
+
 def default_grid_exponent(n: int) -> int:
     """Smallest exponent g with 2^g >= 64 n, floored at 17."""
     return max(17, math.ceil(math.log2(64 * max(n, 1))))
@@ -70,11 +75,11 @@ class SimConfig:
     grid_exponent: int = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("bad-n", f"need n >= 1, got {self.n}")
+        if not (_is_integer(self.n) and self.n >= 1):
+            raise ValidationError("bad-n", f"n must be a positive integer, got {self.n!r}")
         if self.method not in _DRAWERS:
             raise ValidationError("bad-method", f"unknown simulation method {self.method!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2 ** 64):
             raise ValidationError("bad-seed", "seed must be an unsigned 64-bit integer")
         g = self.grid_exponent
         if g is None:
@@ -95,7 +100,7 @@ def _check_memory(spec: SarfimaSpec, n: int, method: str, grid_exponent: int, bl
     before any acvf work.  The exact_dl predictor table is n x n doubles;
     the circulant roots come from the autocovariance's grid to lag ``half``,
     the embedding's half-length (by default the unpadded one)."""
-    need = block_bytes + (8 * n ** 2 if method == "exact_dl" else
+    need = block_bytes + (8 * int(n) ** 2 if method == "exact_dl" else
                           _BYTES_PER_NODE * _grid_nodes(spec, half or _embedding_half(spec, n), grid_exponent))
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:

@@ -493,8 +493,8 @@ class TestWhittleOptimum:
                 assert value >= fit.objective - 1e-12, (i, h, value - fit.objective)
 
 
-#: a free AR(2) factor at lag 1, whose stationarity takes the roots of its
-#: polynomial: the canned designs' factors have one coefficient
+#: a free AR(2) factor at lag 1, whose stationarity test runs two steps of
+#: the step-down recursion: the canned designs' factors have one coefficient
 AR2_SPEC = SarfimaSpec(components=(SeasonalComponent(4, 0.3),), ar_factors=(ArmaFactor(1, (1.2, -0.5)),))
 AR2_TEMPLATE = WhittleTemplate(spec=SarfimaSpec(components=(SeasonalComponent(4, 0.0),),
                                                 ar_factors=(ArmaFactor(1, (0.0, 0.0)),)))
@@ -536,7 +536,7 @@ def stationary_rows(wd, theta):
     its eigenvalues inside the unit circle: written independently of the
     estimator's root test."""
     ok = np.ones(len(theta), dtype=bool)
-    for _, sl, _, _ in wd.factors:
+    for _, sl, _ in wd.factors:
         for r, c in enumerate(theta[:, sl]):
             companion = np.eye(len(c), k=-1)
             companion[0] = c
@@ -644,7 +644,7 @@ class TestDesignCache:
         whittle_estimate(two_period_path, template)
         wd = _whittle_design(1080, template)
         for array in (wd.keep, wd.weight, wd.jac_d, wd.jac_stack, wd.jac_mean, wd.base, wd.box,
-                      *(z for _, _, z, _ in wd.factors)):
+                      *(z for _, _, z in wd.factors)):
             with pytest.raises(ValueError):
                 array[0] = 0
 

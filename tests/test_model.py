@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -163,6 +164,59 @@ class TestValidityRegion:
         spec = SarfimaSpec(components=(SeasonalComponent(1, 0.1),),
                            ar_factors=(ArmaFactor(4, (0.8,)),))
         assert check_stationary_invertible(spec).stationary
+
+
+def companion_stationary(lag, c):
+    """Per row of c, whether 1 - sum_p c_p z^(p lag) has its roots outside
+    the unit circle, by the eigenvalues of the companion matrix of the full
+    degree-(q lag) polynomial, and the rows' distance from the circle."""
+    q = c.shape[1]
+    moduli = []
+    for row in c:
+        companion = np.eye(q * lag, k=-1)
+        companion[0, lag - 1::lag] = row
+        moduli.append(np.abs(np.linalg.eigvals(companion)))
+    moduli = np.array(moduli)
+    return moduli.max(axis=1) < 1, np.abs(moduli - 1).min(axis=1)
+
+
+class TestStepDownRootTest:
+    """The reflection-coefficient test behind ``roots_outside_unit_circle``."""
+
+    @pytest.mark.parametrize("lag", [1, 4, 12])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_agrees_with_companion_eigenvalues(self, q, lag):
+        from sarfima.model import _roots_outside_unit_circle
+        rng = np.random.default_rng(1000 * q + lag)
+        # rows built from reciprocal roots r of 1 - sum_p c_p w^p: real, or in conjugate pairs
+        rows = []
+        for _ in range(200):
+            radius = rng.uniform(0.2, 1.6, size=(q + 1) // 2)
+            angle = rng.uniform(0, np.pi, size=radius.size)
+            if q % 2:
+                angle[0] = rng.choice([0.0, np.pi])
+            r = radius * np.exp(1j * angle)
+            r = np.concatenate([r, np.conj(r[1:] if q % 2 else r)])
+            rows.append(-np.poly(r)[1:].real)
+        c = np.array(rows)
+        expected, margin = companion_stationary(lag, c)
+        clear = margin > 1e-6
+        assert clear.sum() > 150 and 0 < expected[clear].sum() < clear.sum()
+        assert np.array_equal(_roots_outside_unit_circle(c)[clear], expected[clear])
+        assert [ArmaFactor(lag, tuple(row)).roots_outside_unit_circle() for row in c[clear]] \
+            == list(expected[clear])
+
+    @pytest.mark.parametrize("lag", [1, 12])
+    def test_one_coefficient_boundary(self, lag):
+        inside = np.nextafter(1.0, 0.0)
+        for c, ok in ((1.0, False), (-1.0, False), (inside, True), (-inside, True)):
+            assert ArmaFactor(lag, (c,)).roots_outside_unit_circle() is ok
+
+    def test_extreme_coefficients_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not ArmaFactor(1, (1e300, 1e300)).roots_outside_unit_circle()
+            assert ArmaFactor(1, (0.5, 1e-320)).roots_outside_unit_circle()
 
 
 class TestSpectralDensity:

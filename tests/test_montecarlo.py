@@ -81,13 +81,23 @@ class TestMcConfigValidation:
             McConfig(spec=spec, estimators=ests, reps=5, n=256, master_seed=1)
         assert exc.value.code == "bad-bandwidth"
 
-    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, None])
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, None, True])
     def test_master_seed_is_unsigned_64_bit(self, seed):
         spec = SarfimaSpec(components=(SeasonalComponent(4, 0.3),))
         ests = (EstimatorDef(name="g", kind="gph_single", m=10),)
         with pytest.raises(ValidationError) as exc:
             McConfig(spec=spec, estimators=ests, reps=5, n=256, master_seed=seed)
         assert exc.value.code == "bad-seed"
+
+    @pytest.mark.parametrize("reps, n, code", [(2.5, 256, "bad-reps"), (True, 256, "bad-reps"),
+                                               (0, 256, "bad-reps"), (5, 256.0, "bad-n"),
+                                               (5, True, "bad-n")])
+    def test_counts_are_integers(self, reps, n, code):
+        spec = SarfimaSpec(components=(SeasonalComponent(4, 0.3),))
+        ests = (EstimatorDef(name="g", kind="gph_single", m=10),)
+        with pytest.raises(ValidationError) as exc:
+            McConfig(spec=spec, estimators=ests, reps=reps, n=n, master_seed=1)
+        assert exc.value.code == code
 
     def test_gph_single_needs_one_component(self):
         spec = SarfimaSpec(components=(SeasonalComponent(1, 0.1), SeasonalComponent(4, 0.3)))

@@ -234,6 +234,10 @@ class TestSimConfig:
         (dict(n=10, seed=2 ** 64), "bad-seed"),
         (dict(n=10, seed=1, method="bogus"), "bad-method"),
         (dict(n=10 ** 4, seed=1, grid_exponent=10), "grid-too-small"),
+        (dict(n=1080.0, seed=1), "bad-n"),
+        (dict(n=True, seed=1), "bad-n"),
+        (dict(n=10, seed=True), "bad-seed"),
+        (dict(n=np.int64(2 ** 32), seed=1, method="exact_dl"), "too-large"),   # 8 n^2 wraps in int64
     ])
     def test_invalid_configs(self, quarterly_spec, kwargs, code):
         with pytest.raises(ValidationError) as exc:
