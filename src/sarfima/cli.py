@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -42,12 +43,21 @@ class _Parser(argparse.ArgumentParser):
         raise _CliArgError(message)
 
 
+def _read_text(path, code) -> str:
+    """The whole file, decoded as UTF-8; undecodable bytes end in ``code``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(code, f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def _read_series(path) -> np.ndarray:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    text = _read_text(path, "malformed-csv")
+    lines = [ln for ln in map(str.strip, text.split("\n")) if ln]
     if len(lines) < 2:
         raise ValidationError("malformed-csv", f"{path}: need a header line and at least one value")
-    if any("," in ln for ln in lines):
+    if "," in text:
         raise ValidationError("malformed-csv", f"{path}: need one column, found a line with several cells")
     try:
         float(lines[0])
@@ -55,7 +65,7 @@ def _read_series(path) -> np.ndarray:
     except ValueError:
         pass
     try:
-        x = np.array([float(ln) for ln in lines[1:]])
+        x = np.array(list(map(float, lines[1:])))
     except ValueError as exc:
         raise ValidationError("malformed-csv", f"{path}: non-numeric value ({exc})") from exc
     if not np.isfinite(x).all():
@@ -68,8 +78,7 @@ def _write_series(path, x):
 
 
 def _load_spec(path):
-    with open(path) as fh:
-        return spec_from_json(fh.read())
+    return spec_from_json(_read_text(path, "bad-json"))
 
 
 def _comma_list(text, flag, kind):
@@ -88,7 +97,11 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every verb, built on the first call; later calls return
+    the same object, which callers must not change.  Parsing leaves it
+    unchanged, so ``dispatch`` can reuse it for any number of calls."""
     p = _Parser(prog="sarfima", description=__doc__)
     sub = p.add_subparsers(dest="verb", required=True)
 
@@ -195,8 +208,7 @@ def _cmd_estimate_gph(args) -> int:
 
 def _load_template(path) -> WhittleTemplate:
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = json.loads(_read_text(path, "bad-json"))
     except json.JSONDecodeError as exc:
         raise ValidationError("bad-json", f"template is not valid JSON: {exc}") from exc
     try:
@@ -277,10 +289,11 @@ _HANDLERS = {
 
 
 def dispatch(argv) -> int:
-    """Parse and run; returns the process exit code."""
-    parser = build_parser()
+    """Parse and run one verb; returns the process exit code.  It can be
+    called any number of times in one process, and parses with the parser
+    its first call built."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return _HANDLERS[args.verb](args)
     except _CliArgError as exc:
         print(f"error: bad-arguments: {exc}", file=sys.stderr)

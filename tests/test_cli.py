@@ -17,6 +17,7 @@ from sarfima import (AcfPacf, BandwidthScan, EstimatorResult, McSummary, MemoryE
                      scan_to_csv, simulate, spec_to_json, summary_to_csv,
                      whittle_estimate, whittle_fit_to_json)
 from sarfima.pipeline import acf_to_csv
+from sarfima.spectrum import resolve_bandwidth
 
 
 @pytest.fixture()
@@ -105,7 +106,9 @@ class TestPeriodogramVerb:
 
 
     @pytest.mark.parametrize("text", ["x,y\n" + "".join(f"{v},{2 * v}\n" for v in range(20)),
-                                      "x\n" + "".join(f"{v}\n" for v in range(19)) + "19,0\n"])
+                                      "x\n" + "".join(f"{v}\n" for v in range(19)) + "19,0\n",
+                                      pytest.param("x\n\n  \n", id="header-only"),
+                                      pytest.param("x\n1.0\nabc\n2.0\n", id="non-numeric")])
     def test_extra_columns_rejected(self, tmp_path, capsys, text):
         p = tmp_path / "two.csv"
         p.write_text(text)
@@ -113,6 +116,21 @@ class TestPeriodogramVerb:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: malformed-csv:")
         assert not (tmp_path / "o.csv").exists()
+
+
+    @pytest.mark.parametrize("layout", [
+        pytest.param(lambda vals: "x\r\n" + "".join(f"{v}\r\n" for v in vals), id="crlf"),
+        pytest.param(lambda vals: "x\n\n" + "".join(f"{v}\n\n \n" for v in vals), id="blank-lines"),
+        pytest.param(lambda vals: " x\t\n" + "".join(f"  {v}\t \n" for v in vals), id="padded"),
+    ])
+    def test_tolerated_layouts(self, tmp_path, series_file, layout):
+        path, x = series_file
+        p = tmp_path / "layout.csv"
+        p.write_bytes(layout([repr(float(v)) for v in x]).encode())
+        out, golden = str(tmp_path / "pg.csv"), str(tmp_path / "golden.csv")
+        assert cli.dispatch(["periodogram", "--in", str(p), "--out", out]) == 0
+        periodogram(x).to_csv(golden)
+        assert open(out, "rb").read() == open(golden, "rb").read()
 
 
 class TestEstimateGphVerb:
@@ -389,9 +407,46 @@ class TestParsing:
         assert "error: bad-arguments:" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.dispatch(["--help"])
-        assert exc.value.code == 0
+        helps = []
+        for _ in range(2):   # the parser is reused: help must work on every call
+            with pytest.raises(SystemExit) as exc:
+                cli.dispatch(["--help"])
+            assert exc.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert "estimate-whittle" in helps[0] and helps[1] == helps[0]
+
+    def test_parser_built_once(self, tmp_path, series_file):
+        cli.build_parser.cache_clear()
+        for _ in range(3):
+            assert cli.dispatch(["periodogram", "--in", series_file[0],
+                                 "--out", str(tmp_path / "pg.csv")]) == 0
+        assert cli.build_parser.cache_info()[:2] == (2, 1)   # (hits, misses)
+
+    def test_failed_parse_leaves_the_parser_usable(self, tmp_path, series_file, capsys):
+        path, _ = series_file
+        out = tmp_path / "pg.csv"
+        argv = ["periodogram", "--in", path, "--out", str(out)]
+        assert cli.dispatch(argv) == 0
+        before = out.read_bytes()
+        out.unlink()
+        assert cli.dispatch(["periodogram", "--in", path, "--bogus", "--out", str(out)]) == 1
+        assert cli.dispatch(["estimate-gph", "--in", path, "--s1", "4", "--alpha", "abc"]) == 1
+        assert capsys.readouterr().err.count("error: bad-arguments:") == 2
+        assert not out.exists()
+        assert cli.dispatch(argv) == 0
+        assert out.read_bytes() == before
+
+    def test_no_value_leaks_between_calls(self, series_file, capsys):
+        path, x = series_file
+        assert cli.dispatch(["estimate-gph", "--in", path, "--s1", "1", "--s2", "4",
+                             "--alpha", "0.5"]) == 0
+        capsys.readouterr()
+        assert cli.dispatch(["estimate-gph", "--in", path, "--s1", "1", "--s2", "4",
+                             "--gph-T"]) == 0
+        m = resolve_bandwidth(1080, 4, gph_T=True)
+        est = gph_estimate(periodogram(x), build_band_plan(1080, 1, 4, m), 1, 4)
+        assert est.m == m != int(1080 ** 0.5)
+        assert capsys.readouterr().out == estimate_to_json(est) + "\n"
 
 
 class TestRejectedInputs:
@@ -495,6 +550,21 @@ class TestRejectedInputs:
         out = tmp_path / "o.csv"
         assert cli.dispatch([verb[0], "--in", str(p), *verb[1:], "--out", str(out)]) == 1
         self.assert_one_error(capsys, "non-finite-input")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content, argv, code", [
+        (b"x\n1.0\n\xff\n", ["periodogram", "--in", "BAD", "--out", "OUT"], "malformed-csv"),
+        (b'{"components": [{"period": 4, "d": 0.3}], "note": "\xff"}',
+         ["simulate", "--spec", "BAD", "--n", "100", "--seed", "1", "--out", "OUT"], "bad-json"),
+        (b'{"spec": {"components": [{"period": 4, "d": 0.3}]}, "note": "\xff"}',
+         ["estimate-whittle", "--in", "SERIES", "--template", "BAD", "--out", "OUT"], "bad-json"),
+    ], ids=["series", "spec", "template"])
+    def test_undecodable_input(self, tmp_path, series_file, capsys, content, argv, code):
+        bad, out = tmp_path / "bad", tmp_path / "out"
+        bad.write_bytes(content)
+        paths = {"BAD": str(bad), "OUT": str(out), "SERIES": series_file[0]}
+        assert cli.dispatch([paths.get(a, a) for a in argv]) == 1
+        self.assert_one_error(capsys, code)
         assert not out.exists()
 
     def test_mc_negative_seed(self, tmp_path, capsys):
