@@ -205,16 +205,28 @@ def combined_filter_coefficients(spec: SarfimaSpec, max_lag: int) -> np.ndarray:
     return out
 
 
+def _next_fast_len(target: int) -> int:
+    """The smallest 2^a 3^b 5^c >= target, the fast real FFT lengths."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _convolve_head(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """The first len(x) terms of the linear convolution x * coeffs, by FFT.
 
     The arithmetic of SciPy's ``fftconvolve`` for real 1-d inputs (rfft at
-    the next fast real length of the full convolution), so the result is
-    bitwise the same without importing SciPy's signal module.
+    the next fast real length of the full convolution), on numpy's FFT,
+    which gives the same bits as SciPy's.
     """
-    from scipy.fft import irfft, next_fast_len, rfft   # keeps scipy.fft off the import path
-    size = next_fast_len(len(x) + len(coeffs) - 1, True)
-    return irfft(rfft(x, size) * rfft(coeffs, size), size)[: len(x)]
+    size = _next_fast_len(len(x) + len(coeffs) - 1)
+    return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(coeffs, size), size)[: len(x)]
 
 
 # ---------------------------------------------------------------------------

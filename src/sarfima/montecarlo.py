@@ -14,12 +14,10 @@ import importlib.util
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 
-import multiprocessing
 import numpy as np
 
 from .errors import ValidationError
@@ -284,8 +282,11 @@ def _one_blas_thread():
             setter(1)
 
 
-def _worker_pool(workers: int) -> ProcessPoolExecutor:
-    """``workers`` forked processes, each running one BLAS thread."""
+def _worker_pool(workers: int):
+    """A ``ProcessPoolExecutor`` of ``workers`` forked processes, each running
+    one BLAS thread; the pool modules load only when a run needs workers."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_one_blas_thread)
 

@@ -120,9 +120,55 @@ def _fit_radius(spec: SarfimaSpec) -> float:
     from the real axis of those each AR factor's roots z^lag put in f."""
     margin = math.inf
     for factor in spec.ar_factors:
-        roots = np.roots(np.append(-np.array(factor.coeffs[::-1]), 1.0))
-        margin = min([margin, *np.log(np.abs(roots)) / factor.lag])
+        # the reciprocal roots, of z^q - c_1 z^(q-1) - ... - c_q: a subnormal
+        # c_q would overflow the companion matrix of the roots themselves
+        inverse = np.roots([1.0, *(-c for c in factor.coeffs)])
+        with np.errstate(divide="ignore", over="ignore"):
+            margin = min([margin, *np.log(1 / np.abs(inverse)) / factor.lag])
     return min(_FIT_RADIUS, math.pi / math.lcm(*spec.periods), max(margin, _MIN_AR_RADIUS))
+
+
+#: B_2, B_4, ..., B_24, the Euler-Maclaurin terms of ``_zeta_em``, which
+#: sums its first _ZETA_TERMS - 1 terms directly
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+              43867 / 798, -174611 / 330, 854513 / 138, -236364091 / 2730)
+_ZETA_TERMS = 8
+#: pi - float(pi), which corrects the powers of the rounded pi
+_PI_LOW = 1.2246467991473532e-16
+
+
+def _zeta_em(s: float, s_minus_1: float) -> float:
+    """zeta(s) for real s != 1 by Euler-Maclaurin summation: the terms
+    k^-s, k < N = _ZETA_TERMS, then N^(1-s)/(s-1) + N^-s/2 and the Bernoulli
+    terms B_2j/(2j)! s(s+1)...(s+2j-2) N^(1-s-2j), with s - 1 given exactly."""
+    n = _ZETA_TERMS
+    power = n ** -s
+    terms = [k ** -s for k in range(n - 1, 0, -1)] + [power / 2, power * n / s_minus_1]
+    rising = s / n
+    for j, bernoulli in enumerate(_BERNOULLI):
+        terms.append(power * bernoulli / math.factorial(2 * j + 2) * rising)
+        rising *= (s + 2 * j + 1) * (s + 2 * j + 2) / (n * n)
+    return math.fsum(terms)
+
+
+def _zeta(x: float) -> float:
+    """The Riemann zeta function at real x < 1, to within 2e-15 relative.
+
+    From 1/2 up, Euler-Maclaurin; below, the functional equation
+    zeta(x) = (2 pi)^x / pi sin(pi x / 2) Gamma(1 - x) zeta(1 - x), with
+    sin reduced by the nearest even integer, so that zeta(-2k) = 0 exactly,
+    Gamma(1 - x) = -x Gamma(-x) and 1 - x = s given s - 1 = -x exactly, so
+    that neither feels the rounding of 1 - x.  For |x| < 1e-17,
+    zeta(x) = -1/2 - x log(2 pi)/2 + ... rounds to -1/2.
+    """
+    if x >= 0.5:
+        return _zeta_em(x, x - 1)
+    if abs(x) < 1e-17:
+        return -0.5
+    q = round(x / 2)
+    sine = (-1) ** q * math.sin(math.pi / 2 * (x - 2 * q))
+    scale = math.tau ** x / math.pi * (1 + (x - 1) * _PI_LOW / math.pi)
+    return scale * sine * (-x * math.gamma(-x)) * _zeta_em(1 - x, -x)
 
 
 def _grid_nodes(spec: SarfimaSpec, max_lag: int, grid_exponent: int) -> int:
@@ -157,10 +203,11 @@ def acvf_numeric(spec: SarfimaSpec, max_lag: int, grid_exponent: int = 17) -> np
     and phi(x) = G_p(lambda_p + x) e^(i h (lambda_p + x)) (Navot 1961; Sidi
     2012).  The terms to m = _CORRECTION_ORDER are subtracted, a polynomial in
     i h Delta, with G_p's derivatives from a Chebyshev fit; an interior pole
-    counts twice, for its mirror, and the poles at 0 and pi once.
+    counts twice, for its mirror, and the poles at 0 and pi once.  The zeta
+    values come from ``_zeta``: Euler-Maclaurin summation, through Riemann's
+    functional equation below 1/2.
     """
     from numpy.polynomial import chebyshev, polynomial
-    from scipy.special import zeta   # keeps scipy.special off the import path
     require_stationary(spec, "autocovariance")
     if max_lag < 0:
         raise ValidationError("bad-lag", "max_lag must be >= 0")
@@ -187,7 +234,9 @@ def acvf_numeric(spec: SarfimaSpec, max_lag: int, grid_exponent: int = 17) -> np
         # Delta^k G_p^(k)(lambda_p) / k!, and the m-th term's factor (0 for odd m)
         taylor = chebyshev.cheb2poly(fit)[:len(order)] * (delta / radius) ** order
         beta = -2.0 * pole.local_exponent
-        zeta_terms = 2 * zeta(-beta - order) * delta ** (beta + 1) * (order % 2 == 0)
+        power = delta ** (beta + 1)
+        zeta_terms = np.zeros(len(order))
+        zeta_terms[::2] = [2 * _zeta(-beta - m) * power for m in range(0, len(order), 2)]
         # phi^(m)(0) / m! sums G_p^(k) / k! (i h)^j / j! over k + j = m
         # and i^j = (-1)^(j // 2) i^(j % 2) splits the sum in (i t)^j, t = h Delta
         c = (-1.0) ** (order // 2) * [zeta_terms[j:] @ taylor[:len(order) - j] / math.factorial(j)

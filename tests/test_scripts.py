@@ -114,3 +114,16 @@ def test_seed_sweep_compares_two_samplers(capsys, monkeypatch):
     assert lines[82:85] == ["passes exact_dl  criterion 4: 0/40  criterion 6: 24/40  criterion 7: 0/40",
                             "passes circulant criterion 4: 0/40  criterion 6: 21/40  criterion 7: 0/40",
                             "fisher p         criterion 4: 1  criterion 6: 0.652  criterion 7: 1"]
+
+
+def test_cold_start_times_each_command(capsys):
+    cold_start = load("cold_start")
+    assert cold_start.main(["--runs", "1", "--against", str(SCRIPTS.parent)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "cold start, 1 fresh processes per command; wall seconds"
+    assert lines[1].split() == ["command", "median", "min", "max", "against", "min", "max", "ratio"]
+    assert [line.split()[0] for line in lines[2:]] == ["import", "simulate", "mc", "filter", "periodogram"]
+    # one run: its median, minimum and maximum are the same time
+    for line in lines[2:]:
+        this, against = line.split()[1:4], line.split()[4:7]
+        assert len(set(this)) == 1 and len(set(against)) == 1

@@ -1,5 +1,6 @@
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from sarfima import (ArmaFactor, NumericError, SarfimaSpec, SeasonalComponent,
                      durbin_levinson_decompose, simulate)
 from sarfima import McConfig, design
 from sarfima.simulate import (MAX_GRID_EXPONENT, _DL_TABLE, _circulant_paths, _circulant_roots,
-                              _dl_paths, _dl_tables, _embedding_half, _seed_rng)
+                              _dl_paths, _dl_tables, _embedding_half, _seed_rng, _zeta)
 
 
 def arfima_acvf(d, sigma2, lags):
@@ -149,9 +150,11 @@ class TestAcvfNumeric:
             assert abs(got[h] - val) < 1e-10 * frozen[0]
 
     # poles 2 pi / 365 apart, and AR roots 0.0019 and 0.0025 from the real
-    # axis: each is nearer a pole than the default Chebyshev fit radius
+    # axis: each is nearer a pole than the default Chebyshev fit radius; an
+    # AR(1) with a subnormal second coefficient, whose roots overflow np.roots
     @pytest.mark.parametrize("period, d, ar", [(365, 0.3, ()), (1, 0.0, (ArmaFactor(365, (0.5,)),)),
-                                               (1, 0.0, (ArmaFactor(12, (0.97,)),))])
+                                               (1, 0.0, (ArmaFactor(12, (0.97,)),)),
+                                               (1, 0.0, (ArmaFactor(1, (0.5, 1e-320)),))])
     def test_long_seasons_match_closed_forms(self, period, d, ar):
         # (1 - B^s)^-d noise has gamma(s k) = gamma_ARFIMA(k), and
         # X_t = phi X_{t-L} + e_t has gamma(L k) = phi^k / (1 - phi^2), 0 between
@@ -175,6 +178,47 @@ class TestAcvfNumeric:
         spec = SarfimaSpec(components=(SeasonalComponent(4, 0.55),))
         with pytest.raises(ValidationError):
             acvf_numeric(spec, 10)
+
+
+class TestZeta:
+    """``_zeta`` at the arguments of the pole corrections, 2 e - m for local
+    exponents e in (-1/2, 1/2) and even m <= 12."""
+
+    #: B_2, ..., B_12
+    BERNOULLI = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66),
+                 Fraction(-691, 2730)]
+    #: over (-13, 1), 1e-3 clear of the trivial zeros, where a relative error
+    #: has no meaning; denser about 0 and 1/2, where the method changes
+    GRID = [x for x in np.concatenate([np.linspace(-13, 1, 2801)[1:-1], np.linspace(-0.01, 0.01, 201),
+                                       np.linspace(0.49, 0.51, 201)]).tolist()
+            if min(abs(x + 2 * k) for k in range(1, 7)) > 1e-3]
+
+    def test_exact_at_zero_and_the_trivial_zeros(self):
+        # a memory as small as 1e-310 is a valid spec; its 2 e must not overflow
+        assert [_zeta(x) for x in (0.0, 5e-324, -5e-324, 2e-310, 1e-300)] == [-0.5] * 5
+        assert [_zeta(-2.0 * k) for k in range(1, 7)] == [0.0] * 6
+
+    def test_negative_odd_integers_are_bernoulli_numbers(self):
+        # zeta(1 - 2k) = -B_2k / 2k
+        for k, b in enumerate(self.BERNOULLI, start=1):
+            exact = -b / (2 * k)
+            assert abs(Fraction(_zeta(1.0 - 2 * k)) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+
+    def test_one_half(self):
+        exact = Fraction("-1.46035450880958681288949915251529801246722933101258149054")
+        assert abs(Fraction(_zeta(0.5)) - exact) <= 2 * Fraction(math.ulp(float(exact)))
+
+    def test_matches_scipy(self):
+        from scipy.special import zeta
+        got = np.array([_zeta(x) for x in self.GRID])
+        assert np.max(np.abs(got / zeta(self.GRID) - 1)) < 1e-12
+
+    def test_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.zeta(mpmath.mpf(x))) for x in self.GRID])
+        got = np.array([_zeta(x) for x in self.GRID])
+        assert np.max(np.abs(got / ref - 1)) < 2e-15
 
 
 class TestDurbinLevinson:
