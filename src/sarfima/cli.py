@@ -52,8 +52,35 @@ def _read_text(path, code) -> str:
         raise ValidationError(code, f"{path}: not UTF-8 text ({exc})") from exc
 
 
+#: parsed series by file text, least recently used first: a process that runs
+#: many verbs on one file parses it once.  Only texts that parse are stored,
+#: and none longer than 2^20 characters (at most 2^19 values), so the four
+#: entries stay under 40 MB.
+_SERIES_MEMO = {}
+_SERIES_MEMO_SIZE = 4
+_SERIES_MEMO_MAX_CHARS = 1 << 20
+
+
 def _read_series(path) -> np.ndarray:
+    """The one-column series in ``path``, as a new array the caller may change."""
     text = _read_text(path, "malformed-csv")
+    x = _SERIES_MEMO.pop(text, None)
+    if x is None:
+        x = _parse_series(path, text)
+    _remember(text, x)
+    return x.copy()
+
+
+def _remember(text, x):
+    if len(text) > _SERIES_MEMO_MAX_CHARS:
+        return
+    x.setflags(write=False)
+    _SERIES_MEMO[text] = x
+    while len(_SERIES_MEMO) > _SERIES_MEMO_SIZE:
+        del _SERIES_MEMO[next(iter(_SERIES_MEMO))]
+
+
+def _parse_series(path, text) -> np.ndarray:
     lines = [ln for ln in map(str.strip, text.split("\n")) if ln]
     if len(lines) < 2:
         raise ValidationError("malformed-csv", f"{path}: need a header line and at least one value")
@@ -64,6 +91,11 @@ def _read_series(path) -> np.ndarray:
         raise ValidationError("malformed-csv", f"{path}: first line must be a header, not data")
     except ValueError:
         pass
+    # float() also reads digit-group underscores and non-ASCII digits ("1_000", "\u0663");
+    # the header is free text, so a hit in the whole text is checked line by line
+    if ("_" in text or not text.isascii()) and any("_" in ln or not ln.isascii() for ln in lines[1:]):
+        raise ValidationError("malformed-csv", f"{path}: values must be plain ASCII numbers, "
+                              "without '_' digit groups or non-ASCII digits")
     try:
         x = np.array(list(map(float, lines[1:])))
     except ValueError as exc:
@@ -74,7 +106,12 @@ def _read_series(path) -> np.ndarray:
 
 
 def _write_series(path, x):
-    write_csv(path, ("x",), zip(np.asarray(x, dtype=float).tolist()))
+    """Write the series; a finite one is remembered under the text written,
+    which reads back to the same bits (float(repr(v)) == v for finite v)."""
+    x = np.array(x, dtype=float)
+    text = write_csv(path, ("x",), zip(x.tolist()))
+    if x.ndim == 1 and x.size and np.isfinite(x).all():
+        _remember(text, x)
 
 
 def _load_spec(path):

@@ -23,11 +23,27 @@ class Periodogram:
 
     @property
     def frequencies(self) -> np.ndarray:
-        return 2 * np.pi * np.arange(1, self.n) / self.n
+        return _frequencies(self.n)
 
     def to_csv(self, path):
-        write_csv(path, ("j", "lambda", "ordinate"),
-                  zip(range(1, self.n), self.frequencies.tolist(), self.ordinates.tolist()))
+        cells = _frequency_cells if self.n <= _CACHED_CELLS_MAX_N else _frequency_cells.__wrapped__
+        write_csv(path, ("j", "lambda", "ordinate"), zip(*cells(self.n), self.ordinates.tolist()))
+
+
+#: the longest periodogram whose ``j`` and ``lambda`` cells are cached: four
+#: entries then hold at most ~20 MB
+_CACHED_CELLS_MAX_N = 1 << 15
+
+
+@functools.lru_cache(maxsize=4)
+def _frequency_cells(n: int) -> tuple:
+    """The ``j`` and ``lambda`` cells of a length-n periodogram's CSV rows,
+    which depend on n alone."""
+    return tuple(map(str, range(1, n))), tuple(map(repr, _frequencies(n).tolist()))
+
+
+def _frequencies(n: int) -> np.ndarray:
+    return 2 * np.pi * np.arange(1, n) / n
 
 
 def periodogram(series) -> Periodogram:
@@ -194,17 +210,23 @@ def _band_plan(n: int, s1: int, s2: int, m: int, allow_overlap: bool) -> BandPla
 # CSV output
 # ---------------------------------------------------------------------------
 
-def write_csv(path, header, rows):
-    """Write ``header`` and equal-length ``rows`` as CSV: None is a blank
-    cell, a float (numpy floats included) its shortest round-trip repr,
-    anything else str."""
+def write_csv(path, header, rows) -> str:
+    """Write ``header`` and equal-length ``rows`` as CSV and return the text
+    written: None is a blank cell, a float (numpy floats included) its
+    shortest round-trip repr, anything else str."""
     def cell(v):
         return "" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
 
-    # a column of plain Python floats and ints goes through repr in one C-level
-    # pass: calling cell() per value writes a 1080-row series ~40% slower
-    columns = [map(repr, col) if set(map(type, col)) <= {float, int} else map(cell, col)
-               for col in zip(*rows)]
+    def formatted(col):
+        # a column of plain Python floats and ints goes through repr, and one of
+        # str as it is, in one C-level pass; cell() per value is ~40% slower
+        kinds = set(map(type, col))
+        return col if kinds <= {str} else map(repr, col) if kinds <= {float, int} else map(cell, col)
+
+    columns = [formatted(col) for col in zip(*rows)]
+    lines = "\n".join(map(",".join, zip(*columns)))
+    # no rows writes the header alone; a single blank cell is still a line
+    text = ",".join(header) + "\n" + (lines + "\n" if columns else "")
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write("".join(line + "\n" for line in map(",".join, zip(*columns))))
+        fh.write(text)
+    return text

@@ -16,8 +16,9 @@ from sarfima import (AcfPacf, BandwidthScan, EstimatorResult, McSummary, MemoryE
                      estimates_to_csv, gph_estimate, periodogram, sample_acf_pacf,
                      scan_to_csv, simulate, spec_to_json, summary_to_csv,
                      whittle_estimate, whittle_fit_to_json)
+from sarfima.errors import ValidationError
 from sarfima.pipeline import acf_to_csv
-from sarfima.spectrum import resolve_bandwidth
+from sarfima.spectrum import resolve_bandwidth, write_csv
 
 
 @pytest.fixture()
@@ -108,10 +109,13 @@ class TestPeriodogramVerb:
     @pytest.mark.parametrize("text", ["x,y\n" + "".join(f"{v},{2 * v}\n" for v in range(20)),
                                       "x\n" + "".join(f"{v}\n" for v in range(19)) + "19,0\n",
                                       pytest.param("x\n\n  \n", id="header-only"),
-                                      pytest.param("x\n1.0\nabc\n2.0\n", id="non-numeric")])
+                                      pytest.param("x\n1.0\nabc\n2.0\n", id="non-numeric"),
+                                      # float() reads both; each series is otherwise long enough
+                                      pytest.param("x\n1_000\n" + "1.0\n" * 12, id="digit-group"),
+                                      pytest.param("x\n1.0\n\u0663\n" + "2.0\n" * 12, id="non-ascii-digit")])
     def test_extra_columns_rejected(self, tmp_path, capsys, text):
         p = tmp_path / "two.csv"
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
         rc = cli.dispatch(["periodogram", "--in", str(p), "--out", str(tmp_path / "o.csv")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: malformed-csv:")
@@ -122,6 +126,7 @@ class TestPeriodogramVerb:
         pytest.param(lambda vals: "x\r\n" + "".join(f"{v}\r\n" for v in vals), id="crlf"),
         pytest.param(lambda vals: "x\n\n" + "".join(f"{v}\n\n \n" for v in vals), id="blank-lines"),
         pytest.param(lambda vals: " x\t\n" + "".join(f"  {v}\t \n" for v in vals), id="padded"),
+        pytest.param(lambda vals: "d\u00e9bit_1\n" + "".join(f"{v}\n" for v in vals), id="free-text-header"),
     ])
     def test_tolerated_layouts(self, tmp_path, series_file, layout):
         path, x = series_file
@@ -131,6 +136,109 @@ class TestPeriodogramVerb:
         assert cli.dispatch(["periodogram", "--in", str(p), "--out", out]) == 0
         periodogram(x).to_csv(golden)
         assert open(out, "rb").read() == open(golden, "rb").read()
+
+
+@pytest.fixture()
+def parses(monkeypatch):
+    """An empty series memo; returns the list of paths whose text was parsed."""
+    monkeypatch.setattr(cli, "_SERIES_MEMO", {})
+    calls, parse = [], cli._parse_series
+
+    def counting(path, text):
+        calls.append(path)
+        return parse(path, text)
+
+    monkeypatch.setattr(cli, "_parse_series", counting)
+    return calls
+
+
+class TestSeriesMemo:
+    """``_read_series`` parses each distinct file text once per process."""
+
+    def test_identical_bytes_are_parsed_once(self, tmp_path, series_file, parses):
+        path, x = series_file
+        twin = tmp_path / "twin.csv"
+        twin.write_bytes(open(path, "rb").read())
+        reads = [cli._read_series(p) for p in (path, path, str(twin))]
+        assert parses == [path]
+        assert all(r.tobytes() == x.tobytes() for r in reads)
+
+    def test_changed_bytes_are_parsed_again(self, tmp_path, parses):
+        p = tmp_path / "x.csv"
+        p.write_text("x\n" + "1.0\n" * 10)
+        assert cli._read_series(str(p)).tolist() == [1.0] * 10
+        p.write_text("x\n" + "2.0\n" * 10)
+        assert cli._read_series(str(p)).tolist() == [2.0] * 10
+        assert parses == [str(p), str(p)]
+
+    def test_malformed_file_raises_every_time_naming_its_path(self, tmp_path, parses):
+        paths = [str(tmp_path / name) for name in ("a.csv", "b.csv")]
+        for path in paths:
+            open(path, "w").write("x\n1.0\nabc\n")
+        for path in paths + paths:
+            with pytest.raises(ValidationError) as err:
+                cli._read_series(path)
+            assert err.value.code == "malformed-csv" and err.value.message.startswith(path + ":")
+        assert parses == paths + paths and cli._SERIES_MEMO == {}
+
+    def test_arrays_are_writable_and_independent(self, series_file, parses):
+        path, x = series_file
+        first = cli._read_series(path)
+        first[:] = 0.0
+        second = cli._read_series(path)
+        assert second.flags.writeable and second.tobytes() == x.tobytes()
+        assert not np.shares_memory(first, second)
+
+    def test_memo_stays_bounded(self, tmp_path, parses):
+        for k in range(10):
+            p = tmp_path / f"s{k}.csv"
+            p.write_text("x\n" + f"{k}.5\n" * 10)
+            cli._read_series(str(p))
+            assert len(cli._SERIES_MEMO) <= cli._SERIES_MEMO_SIZE
+        assert cli._SERIES_MEMO_SIZE == 4 and len(parses) == 10
+        # the most recent texts are kept
+        cli._read_series(str(tmp_path / "s9.csv"))
+        assert len(parses) == 10
+
+    def test_long_texts_are_not_kept(self, tmp_path, parses, monkeypatch):
+        monkeypatch.setattr(cli, "_SERIES_MEMO_MAX_CHARS", 20)
+        short, long = tmp_path / "short.csv", tmp_path / "long.csv"
+        short.write_text("x\n" + "1.5\n" * 4)
+        long.write_text("x\n" + "1.5\n" * 5)
+        for p in (short, long, short, long):
+            assert cli._read_series(str(p)).tolist() == [1.5] * (4 if p == short else 5)
+        assert parses == [str(short), str(long), str(long)]
+        cli._write_series(str(long), np.ones(5))
+        assert list(cli._SERIES_MEMO) == ["x\n" + "1.5\n" * 4]
+
+    def test_written_series_reads_back_without_a_parse(self, tmp_path, parses):
+        x = np.array([0.1, -0.0, 5e-324, 1e16, -2.5e-07, 1 / 3, 1e-5, 7.0])
+        path = str(tmp_path / "x.csv")
+        cli._write_series(path, x)
+        expected = x.tobytes()
+        x[:] = 1.0   # the caller's array stays its own
+        back = cli._read_series(path)
+        assert parses == [] and back.tobytes() == expected
+        # the remembered array is what a parse of the written text gives
+        text = open(path, encoding="utf-8").read()
+        assert cli._parse_series(path, text).tobytes() == back.tobytes()
+
+    def test_non_finite_series_is_not_remembered(self, tmp_path, parses, capsys):
+        path = str(tmp_path / "x.csv")
+        cli._write_series(path, np.array([1.0, np.nan] + [2.0] * 10))
+        assert cli._SERIES_MEMO == {}
+        assert cli.dispatch(["periodogram", "--in", path, "--out", str(tmp_path / "pg.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: non-finite-input:")
+
+    def test_verb_chain_parses_no_written_file(self, tmp_path, spec_file, parses):
+        f = lambda name: str(tmp_path / name)
+        for argv in (["simulate", "--spec", spec_file, "--n", "256", "--seed", "3", "--out", f("x.csv")],
+                     ["periodogram", "--in", f("x.csv"), "--out", f("pg.csv")],
+                     ["filter", "--in", f("x.csv"), "--d", "0.1,0.3", "--periods", "1,4",
+                      "--out", f("resid.csv")],
+                     ["acf", "--in", f("resid.csv"), "--max-lag", "8", "--out", f("acf.csv")]):
+            assert cli.dispatch(argv) == 0
+        assert parses == []
 
 
 class TestEstimateGphVerb:
@@ -319,6 +427,19 @@ class TestFilterScanAcfVerbs:
         assert open(out, "rb").read() == open(golden, "rb").read()
 
 
+#: (rows, file text) of ``write_csv`` with the header ("a", "b"): no rows, one
+#: blank cell, columns mixing types, float edge values, str columns
+WRITER_CASES = [
+    ([], "a,b\n"),
+    ([(None,)], "a,b\n\n"),
+    ([("s", 1.5), (None, 2), (3, None), (0.25, np.float64(1 / 3)), (np.float64(-0.0), "t")],
+     "a,b\ns,1.5\n,2\n3,\n0.25,0.3333333333333333\n-0.0,t\n"),
+    ([(v, None if math.isnan(v) else v) for v in [-0.0, 5e-324, 1e-5, 1e16, math.nan, math.inf]],
+     "a,b\n-0.0,-0.0\n5e-324,5e-324\n1e-05,1e-05\n1e+16,1e+16\nnan,\ninf,inf\n"),
+    ([("x", "y"), ("", "z")], "a,b\nx,y\n,z\n"),
+]
+
+
 class TestCsvBytes:
     """Header and data rows of every CSV writer, pinned as literal text."""
 
@@ -360,6 +481,28 @@ class TestCsvBytes:
         estimates_to_csv(summary, tmp_path / "reps.csv")
         assert lines("reps.csv")[:2] == ["rep,estimator,param,value", "0,gph_T,d1,0.3017"]
         assert lines("reps.csv")[-2:] == ["1,ft,d1,", "1,ft,d2,"]
+
+        for rows, text in WRITER_CASES:
+            write_csv(tmp_path / "t.csv", ("a", "b"), rows)
+            assert (tmp_path / "t.csv").read_bytes() == text.encode(), rows
+
+        for n in (8, 9, 1079, 1080):
+            pg = periodogram(np.cos(np.arange(n) * 0.7) + np.arange(n) % 3)
+            pg.to_csv(tmp_path / "pg.csv")
+            expected = "j,lambda,ordinate\n" + "".join(
+                f"{j},{float(lam)!r},{float(o)!r}\n"
+                for j, lam, o in zip(range(1, n), pg.frequencies, pg.ordinates))
+            assert (tmp_path / "pg.csv").read_bytes() == expected.encode(), n
+
+    def test_long_periodogram_cells_are_not_cached(self, tmp_path, monkeypatch):
+        import sarfima.spectrum as spectrum
+        pg = periodogram(np.cos(np.arange(9) * 0.7))
+        pg.to_csv(tmp_path / "cached.csv")
+        monkeypatch.setattr(spectrum, "_CACHED_CELLS_MAX_N", 8)
+        spectrum._frequency_cells.cache_clear()
+        pg.to_csv(tmp_path / "direct.csv")
+        assert spectrum._frequency_cells.cache_info().currsize == 0
+        assert (tmp_path / "direct.csv").read_bytes() == (tmp_path / "cached.csv").read_bytes()
 
 
 class TestMcVerb:

@@ -82,6 +82,19 @@ def test_fit_ab_against_this_checkout(capsys):
                         r"estimates equal: yes", lines[-1])
 
 
+def test_fit_ab_cli_against_this_checkout(capsys):
+    fit_ab = load("fit_ab")
+    argv = ["--against", str(SCRIPTS.parent), "--cli", "--rounds", "2", "--reps", "1", "--n", "256"]
+    assert fit_ab.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["cli chain, n 256, 1 series per run; CPU seconds per series",
+                         "round      this   against   ratio"]
+    assert [int(line.split()[0]) for line in lines[2:-1]] == [0, 1]
+    # every verb's output file has the same bytes on both sides
+    assert re.fullmatch(r"median this/against \d+\.\d{3}  this faster in [0-2] of 2 rounds  "
+                        r"outputs equal: yes", lines[-1])
+
+
 def test_seed_sweep_reproduces_the_acceptance_values(capsys):
     sweep = load("seed_sweep")
     assert sweep.main(["--seeds", "20260826,1", "--method", "exact_dl"]) == 0
