@@ -11,17 +11,17 @@ Prints three SHA-256 digests:
 * ``circulant``: as ``run_mc``, with the paths drawn by circulant embedding.
 
 Run it on two checkouts with the same arguments; equal digests mean equal bits.
-Where the bits differ, ``--save`` on one checkout and ``--against`` on the
-other compare the run_mc estimates of both samplers replication by
-replication: per design and estimator, the largest |change of d_hat|, the
-replications whose Newton steps differ, and the code mismatches (replications
-that failed on one side only, plus the difference of the failure-code
-tallies).  ``--against`` exits 1 on any step or code mismatch.
+Where the bits differ, ``--against CHECKOUT`` loads the other checkout's
+package into this process (so both sides run under one BLAS setting) and
+compares the run_mc estimates of both samplers replication by replication:
+per design and estimator, the largest |change of d_hat|, the replications
+whose Newton steps differ, and the code mismatches (replications that
+failed on one side only, plus the difference of the failure-code tallies).
+``--against`` exits 1 on any step or code mismatch.
 
     python scripts/digest.py
     python scripts/digest.py --reps 2      # a quick smoke run
-    python scripts/digest.py --n 4096 --save before.npz           # on the old checkout
-    python scripts/digest.py --n 4096 --against before.npz        # on the new one
+    python scripts/digest.py --n 4096 --against ../parent
 """
 
 from __future__ import annotations
@@ -35,25 +35,28 @@ import sys
 import tempfile
 from pathlib import Path
 
-# this checkout's package, installed or not
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+# this checkout's package, installed or not, and fit_ab's loader of another
+sys.path[:0] = [str(Path(__file__).resolve().parent.parent / "src"), str(Path(__file__).resolve().parent)]
 
 import numpy as np
 
-from sarfima import DESIGN_NAMES, SarfimaError, design, run_mc, spec_to_json
+import sarfima
+from fit_ab import load_package
+from sarfima import design, spec_to_json
 from sarfima.cli import dispatch
 
 METHODS = ("exact_dl", "circulant")
 
 
-def mc_runs(master_seed: int, reps: int, n: int, method: str) -> dict:
-    """Each design's run_mc summary, or the error code it raised (table3 and
-    table5 admit no band plan at small n)."""
+def mc_runs(package, master_seed: int, reps: int, n: int, method: str) -> dict:
+    """Each design's run_mc summary on ``package``, or the error code it
+    raised (table3 and table5 admit no band plan at small n)."""
     runs = {}
-    for name in DESIGN_NAMES:
+    for name in package.DESIGN_NAMES:
         try:
-            runs[name] = run_mc(design(name, master_seed=master_seed, reps=reps, n=n, method=method))
-        except SarfimaError as exc:
+            runs[name] = package.run_mc(package.design(name, master_seed=master_seed, reps=reps, n=n,
+                                                       method=method))
+        except package.SarfimaError as exc:
             runs[name] = exc.code
     return runs
 
@@ -71,44 +74,40 @@ def mc_digest(runs: dict) -> str:
 
 
 def records(runs_by_method: dict) -> dict:
-    """The arrays ``--save`` writes: per sampler, design and estimator the
-    estimates, the Newton steps (empty for a band regression) and the
-    failure-code tally as JSON; per design that raised, its error code."""
+    """Per sampler and design that raised, its error code; per sampler,
+    design and estimator, the estimates, the Newton steps (empty for a band
+    regression) and the failure-code tally."""
     out = {}
     for method, runs in runs_by_method.items():
         for name, summary in runs.items():
             if isinstance(summary, str):
-                out[f"{method}/{name}/error"] = np.array(summary)
+                out[f"{method}/{name}"] = summary
                 continue
             for res in summary.results:
-                key = f"{method}/{name}/{res.name}"
-                out[f"{key}/estimates"] = res.estimates
-                out[f"{key}/steps"] = np.array([] if res.iterations is None else res.iterations, dtype=int)
-                out[f"{key}/codes"] = np.array(json.dumps(res.failure_codes, sort_keys=True))
+                steps = np.array([] if res.iterations is None else res.iterations, dtype=int)
+                out[f"{method}/{name}/{res.name}"] = (res.estimates, steps, res.failure_codes)
     return out
 
 
-def compare(saved: dict, now: dict) -> tuple:
+def compare(before: dict, after: dict) -> tuple:
     """One line per sampler, design and estimator of either record, and
     whether any steps or codes differ."""
     lines, mismatched = [], False
-    groups = dict.fromkeys(key.rsplit("/", 1)[0] for key in list(saved) + list(now))
-    for group in groups:
+    for group in dict.fromkeys([*before, *after]):
         if group.count("/") == 1:   # a design that raised on at least one side
-            was, got = (str(r.get(f"{group}/error", "ran")) for r in (saved, now))
+            was, got = (r.get(group, "ran") for r in (before, after))
             mismatched |= was != got
             lines.append(f"{group:30} error {was} -> {got}")
             continue
-        if not all(f"{group}/estimates" in r for r in (saved, now)):
+        if group not in before or group not in after:
             continue   # the design raised on one side: reported above
-        a, b = saved[f"{group}/estimates"], now[f"{group}/estimates"]
+        (a, steps_a, tally_a), (b, steps_b, tally_b) = before[group], after[group]
         failed_a, failed_b = np.isnan(a).any(axis=1), np.isnan(b).any(axis=1)
         both = ~failed_a & ~failed_b
         delta = float(np.max(np.abs(a[both] - b[both]), initial=0.0))
-        steps = int(np.sum(saved[f"{group}/steps"] != now[f"{group}/steps"]))
-        tallies = [json.loads(str(r[f"{group}/codes"])) for r in (saved, now)]
+        steps = int(np.sum(steps_a != steps_b))
         codes = int(np.sum(failed_a != failed_b)) + sum(
-            abs(tallies[0].get(code, 0) - tallies[1].get(code, 0)) for code in {*tallies[0], *tallies[1]})
+            abs(tally_a.get(code, 0) - tally_b.get(code, 0)) for code in {*tally_a, *tally_b})
         mismatched |= steps > 0 or codes > 0
         lines.append(f"{group:30} max|dd| {delta:.3g}  steps {steps}  codes {codes}")
     return lines, mismatched
@@ -156,26 +155,20 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=20101125, help="master seed")
     ap.add_argument("--reps", type=int, default=100, help="replications per design")
     ap.add_argument("--n", type=int, default=1080, help="series length")
-    ap.add_argument("--save", metavar="FILE", help="write the run_mc records of both samplers to FILE (.npz)")
-    ap.add_argument("--against", metavar="FILE", help="compare the run_mc records with those saved in FILE")
+    ap.add_argument("--against", metavar="CHECKOUT",
+                    help="compare the run_mc records with those of the checkout CHECKOUT")
     args = ap.parse_args(argv)
-    runs = {method: mc_runs(args.seed, args.reps, args.n, method) for method in METHODS}
+    params = (args.seed, args.reps, args.n)
+    runs = {method: mc_runs(sarfima, *params, method) for method in METHODS}
     print(f"run_mc {mc_digest(runs['exact_dl'])}  table1-5, seed {args.seed}, "
           f"n {args.n}, {args.reps} reps")
-    print(f"cli    {cli_digest(args.seed, args.reps, args.n)}  {len(cli_calls(0, 0, 0))} verb calls")
+    print(f"cli    {cli_digest(*params)}  {len(cli_calls(0, 0, 0))} verb calls")
     print(f"circulant {mc_digest(runs['circulant'])}  table1-5, seed {args.seed}, "
           f"n {args.n}, {args.reps} reps")
-    now = records(runs)
-    params = json.dumps([args.seed, args.reps, args.n])
-    if args.save:
-        np.savez(args.save, params=params, **now)
     if args.against:
-        with np.load(args.against) as f:
-            saved = dict(f)
-        if str(saved.pop("params", "")) != params:
-            print(f"error: {args.against} was saved with other --seed/--reps/--n", file=sys.stderr)
-            return 2
-        lines, mismatched = compare(saved, now)
+        other = load_package(Path(args.against), "sarfima_against")
+        lines, mismatched = compare(records({method: mc_runs(other, *params, method) for method in METHODS}),
+                                    records(runs))
         print("\n".join(lines))
         return 1 if mismatched else 0
     return 0

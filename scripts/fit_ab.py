@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""CPU time of Monte Carlo blocks or CLI chains on this checkout against another, in one process.
+"""CPU time of Monte Carlo blocks, CLI chains or cold starts on this checkout against another.
 
-Loads this checkout's ``src/sarfima`` and the other checkout's as two
-packages in one interpreter, then alternates runs on the two, swapping which
-side goes first every round.  Round k uses master seed ``--seed`` + k on
-both sides, and one untimed run per side builds the caches first.
+Alternates the two checkouts step by step (a step is the whole run, or
+with ``--cold`` one command), swapping which side goes first every round.
+Round k uses master seed ``--seed`` + k on both sides, and one untimed run
+per side builds the caches first (with ``--cold``, one ``import sarfima``,
+which writes the package's bytecode).
 
 By default a run is ``run_mc`` of one canned design (default: table4,
 n = 1080, 8 replications, one block), with the acvf self-check skipped, so
@@ -19,29 +20,47 @@ memories 0.1 and 0.3), each side in its own temporary directory; the
 times are CPU seconds per series, and after every series the two sides'
 exit codes and the bytes of every file in their directories are compared.
 
-Each round prints both CPU times and their ratio; the last line gives the
-median ratio this/against, the rounds in which this checkout was faster,
-and whether the two sides' estimates (or output files) were bitwise equal
-in every round.
+With ``--cold`` a run is five commands, each in a fresh interpreter with
+that checkout's ``src/`` on PYTHONPATH and ``OPENBLAS_NUM_THREADS=1``:
+``import sarfima`` and the verbs ``simulate`` at n = 1080, ``mc --design
+table2 --reps 1``, ``filter`` and ``periodogram`` (the last two on a
+1080-point path of the table2 spec), each side in its own temporary
+directory.  A command's time is the CPU seconds of its child process
+(user plus system, from ``RUSAGE_CHILDREN``), which a loaded host disturbs
+far less than wall time, and the bytes of every file the commands write
+are compared.  A command that exits non-zero stops the script with exit 1.
+``--against .`` times this checkout's cold start alone.
+
+The other modes load this checkout's ``src/sarfima`` and the other
+checkout's as two packages in one interpreter.  Each round prints both CPU
+times and their ratio (with ``--cold``, summed over the commands; each
+command's medians, median ratio and wins follow the rounds); the last line
+gives the median ratio this/against, the rounds in which this checkout was
+faster, and whether the two sides' estimates (or output files) were
+bitwise equal in every round.
 
 On a shared host, back-to-back processes can differ by more than a change
-being measured; alternating in one process puts both sides under the same
-load.  Run as a script, BLAS runs one thread (``OPENBLAS_NUM_THREADS=1``
-unless already set), so CPU time is not inflated by spinning BLAS threads.
+being measured; alternating puts both sides under the same load.  Run as a
+script, BLAS runs one thread (``OPENBLAS_NUM_THREADS=1`` unless already
+set), so CPU time is not inflated by spinning BLAS threads.
 
     python scripts/fit_ab.py --against ../parent
     python scripts/fit_ab.py --against ../parent --design table2 --reps 64 --rounds 20
     python scripts/fit_ab.py --against ../parent --cli --reps 4 --rounds 10
+    python scripts/fit_ab.py --against ../parent --cold --rounds 7
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import importlib.util
 import json
 import os
+import resource
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -58,6 +77,8 @@ def load_package(checkout: Path, name: str):
     root = Path(checkout).resolve() / "src" / "sarfima"
     if not (root / "__init__.py").is_file():
         raise SystemExit(f"error: no src/sarfima package under {checkout}")
+    for loaded in [key for key in sys.modules if key.startswith(f"{name}.")]:
+        del sys.modules[loaded]   # a package loaded under this name before: its submodules would be reused
     spec = importlib.util.spec_from_file_location(name, root / "__init__.py",
                                                   submodule_search_locations=[str(root)])
     module = importlib.util.module_from_spec(spec)
@@ -92,8 +113,9 @@ def cli_chain(work: Path, seed: int, n: int) -> list:
 
 
 def cli_runner(package, work: Path, reps: int, n: int):
-    """``run(seed)``: (CPU seconds per series, outputs) of ``reps`` chains on
-    ``package`` in the directory ``work``, series seeds seed * reps + j."""
+    """``{"cli": run}``, ``run(seed)`` giving (CPU seconds per series,
+    outputs) of ``reps`` chains on ``package`` in the directory ``work``,
+    series seeds seed * reps + j."""
     dispatch = importlib.import_module(f"{package.__name__}.cli").dispatch
     work.mkdir()
     (work / "spec.json").write_text(json.dumps(CLI_SPEC))
@@ -106,7 +128,46 @@ def cli_runner(package, work: Path, reps: int, n: int):
             cpu += time.process_time() - start
             outputs.append((codes, [(p.name, p.read_bytes()) for p in sorted(work.iterdir())]))
         return cpu / reps, outputs
-    return run
+    return {"cli": run}
+
+
+#: (label, arguments after the interpreter) of ``--cold``, run in a
+#: directory holding spec.json and series.csv
+COLD_COMMANDS = [
+    ("import", ["-c", "import sarfima"]),
+    ("simulate", ["-m", "sarfima", "simulate", "--spec", "spec.json", "--n", "1080", "--seed", "1",
+                  "--out", "sim.csv"]),
+    ("mc", ["-m", "sarfima", "mc", "--design", "table2", "--seed", "1", "--reps", "1", "--out", "mc.csv"]),
+    ("filter", ["-m", "sarfima", "filter", "--in", "series.csv", "--d", "0.1,0.3", "--periods", "1,4",
+                "--out", "resid.csv"]),
+    ("periodogram", ["-m", "sarfima", "periodogram", "--in", "series.csv", "--out", "pgram.csv"]),
+]
+
+
+def cold_runner(package, checkout: Path, work: Path):
+    """``{label: run}`` per cold command, ``run(seed)`` giving (child CPU
+    seconds, the files in ``work``) of the command on ``checkout``'s src/;
+    ``package`` writes spec.json and series.csv into ``work`` first."""
+    work.mkdir()
+    dispatch = importlib.import_module(f"{package.__name__}.cli").dispatch
+    (work / "spec.json").write_text(package.spec_to_json(package.design("table2", master_seed=1, reps=1).spec))
+    dispatch(["simulate", "--spec", str(work / "spec.json"), "--n", "1080", "--seed", "2",
+              "--out", str(work / "series.csv")])
+    env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"), OPENBLAS_NUM_THREADS="1")
+
+    def cpu_seconds():
+        usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+        return usage.ru_utime + usage.ru_stime
+
+    def command(args, seed):
+        start = cpu_seconds()
+        done = subprocess.run([sys.executable, *args], cwd=work, env=env, capture_output=True, text=True)
+        cpu = cpu_seconds() - start
+        if done.returncode != 0:
+            raise SystemExit(f"error: {' '.join(args)} on {checkout} exited {done.returncode}: "
+                             f"{done.stderr.strip()}")
+        return cpu, [(p.name, p.read_bytes()) for p in sorted(work.iterdir())]
+    return {label: functools.partial(command, args) for label, args in COLD_COMMANDS}
 
 
 def main(argv=None) -> int:
@@ -114,38 +175,57 @@ def main(argv=None) -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--against", required=True, metavar="CHECKOUT",
                     help="the other checkout's root directory (holding src/sarfima)")
-    ap.add_argument("--cli", action="store_true", help="time the seven-verb CLI chain instead of run_mc")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--cli", action="store_true", help="time the seven-verb CLI chain instead of run_mc")
+    mode.add_argument("--cold", action="store_true", help="time five commands in fresh interpreters")
     ap.add_argument("--design", default="table4", help="canned design (default table4)")
     ap.add_argument("--n", type=int, default=1080, help="series length (default 1080)")
     ap.add_argument("--reps", type=int, default=8, help="replications, or --cli series, per run (default 8)")
     ap.add_argument("--rounds", type=int, default=12, help="timed rounds (default 12)")
     ap.add_argument("--seed", type=int, default=20101125, help="master seed of round 0")
     args = ap.parse_args(argv)
-    sides = {"this": load_package(HERE, "sarfima_this"),
-             "against": load_package(Path(args.against), "sarfima_against")}
+    checkouts = {"this": HERE, "against": Path(args.against)}
+    sides = {side: load_package(checkout, f"sarfima_{side}") for side, checkout in checkouts.items()}
     with tempfile.TemporaryDirectory() as tmp:
-        if args.cli:
+        if args.cold:
+            runs = {side: cold_runner(sides["this"], checkout, Path(tmp, side))
+                    for side, checkout in checkouts.items()}
+            print(f"cold start, {len(COLD_COMMANDS)} commands in fresh processes; CPU seconds of the children")
+        elif args.cli:
             runs = {side: cli_runner(package, Path(tmp, side), args.reps, args.n)
                     for side, package in sides.items()}
             print(f"cli chain, n {args.n}, {args.reps} series per run; CPU seconds per series")
         else:
-            runs = {side: lambda seed, package=package: timed_run(package, args.design, seed, args.reps, args.n)
+            runs = {side: {"run_mc": functools.partial(timed_run, package, args.design, reps=args.reps, n=args.n)}
                     for side, package in sides.items()}
             print(f"{args.design}, n {args.n}, {args.reps} reps per run; CPU seconds")
-        for run in runs.values():   # caches: designs, the sampler's table or roots
-            run(args.seed)
-        ratios, equal = [], True
+        for steps in runs.values():   # caches: designs, the sampler's table or roots, bytecode
+            next(iter(steps.values()))(args.seed)
+        rounds, equal = [], True
         print("round      this   against   ratio")
         for k in range(args.rounds):
+            # each step alternates the sides, so that the two runs compared lie close in time
             order = list(sides) if k % 2 == 0 else list(sides)[::-1]
-            done = {side: runs[side](args.seed + k) for side in order}
-            (t_this, out_this), (t_against, out_against) = done["this"], done["against"]
-            equal &= out_this == out_against
-            ratios.append(t_this / t_against)
-            print(f"{k:5d} {t_this:9.4f} {t_against:9.4f} {ratios[-1]:7.3f}")
+            times = {side: {} for side in sides}
+            for label in runs["this"]:
+                done = {side: runs[side][label](args.seed + k) for side in order}
+                equal &= done["this"][1] == done["against"][1]
+                for side in sides:
+                    times[side][label] = done[side][0]
+            rounds.append((times["this"], times["against"]))
+            total, total_against = sum(times["this"].values()), sum(times["against"].values())
+            print(f"{k:5d} {total:9.4f} {total_against:9.4f} {total / total_against:7.3f}")
+    if len(runs["this"]) > 1:
+        print(f"{'command':12} {'this':>9} {'against':>9} {'ratio':>7}  this faster in")
+        for label in runs["this"]:
+            ratios = [a[label] / b[label] for a, b in rounds]
+            print(f"{label:12} {statistics.median(a[label] for a, _ in rounds):9.4f} "
+                  f"{statistics.median(b[label] for _, b in rounds):9.4f} {statistics.median(ratios):7.3f}  "
+                  f"{sum(r < 1 for r in ratios)} of {len(ratios)}")
+    ratios = [sum(a.values()) / sum(b.values()) for a, b in rounds]
     wins = sum(r < 1 for r in ratios)
     print(f"median this/against {statistics.median(ratios):.3f}  this faster in {wins} of {len(ratios)} "
-          f"rounds  {'outputs' if args.cli else 'estimates'} equal: {'yes' if equal else 'no'}")
+          f"rounds  {'outputs' if args.cli or args.cold else 'estimates'} equal: {'yes' if equal else 'no'}")
     return 0
 
 

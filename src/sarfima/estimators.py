@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ValidationError
 from .model import SarfimaSpec, SeasonalComponent, enumerate_poles, _roots_outside_unit_circle
 from .spectrum import (Periodogram, BandPlan, build_band_plan, periodogram, _check_bandwidth,
-                       _check_period_pair)
+                       _check_period_pair, _check_periods)
 
 __all__ = ["MemoryEstimate", "WhittleFit", "WhittleTemplate", "gph_estimate",
            "asymptotic_cov_matrix", "whittle_estimate",
@@ -74,6 +74,7 @@ def asymptotic_cov_matrix(s1: int, s2, m: int) -> np.ndarray:
     Built once per argument tuple; the shared matrix is read-only.
     """
     _check_bandwidth(m)
+    _check_periods(s1, *(() if s2 is None else (s2,)))
     return _asymptotic_cov(s1, s2, m)
 
 
@@ -243,7 +244,7 @@ class WhittleTemplate:
     @classmethod
     def pure(cls, periods, d_box: float = 0.49) -> "WhittleTemplate":
         """All-free fractional template with no ARMA part."""
-        comps = tuple(SeasonalComponent(int(s), 0.0) for s in periods)
+        comps = tuple(SeasonalComponent(s, 0.0) for s in periods)
         return cls(spec=SarfimaSpec(components=comps), d_box=d_box)
 
 

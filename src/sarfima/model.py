@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_integer, _is_integer
 
 __all__ = [
     "SeasonalComponent",
@@ -51,8 +51,8 @@ class SeasonalComponent:
     memory: float
 
     def __post_init__(self):
-        if type(self.period) is not int or self.period < 1:   # not bool, float or str
-            raise ValidationError("bad-period", f"period must be a positive integer, got {self.period!r}")
+        _check_integer(self.period, 1, "bad-period", "period")
+        object.__setattr__(self, "period", int(self.period))   # a plain int, which spec_to_json writes
         if not math.isfinite(self.memory) or self.memory <= -1:
             raise ValidationError("bad-memory", f"memory must be finite and > -1, got {self.memory!r}")
 
@@ -65,8 +65,8 @@ class ArmaFactor:
     coeffs: tuple
 
     def __post_init__(self):
-        if type(self.lag) is not int or self.lag < 1:
-            raise ValidationError("bad-arma-lag", f"factor lag must be a positive integer, got {self.lag!r}")
+        _check_integer(self.lag, 1, "bad-arma-lag", "factor lag")
+        object.__setattr__(self, "lag", int(self.lag))
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if len(self.coeffs) == 0:
             raise ValidationError("bad-arma-coeffs", "factor needs at least one coefficient")
@@ -180,8 +180,8 @@ def pi_coefficients(d: float, s: int, max_lag: int) -> np.ndarray:
     """
     if not math.isfinite(d):
         raise ValidationError("bad-memory", f"d must be finite, got {d!r}")
-    if s < 1 or max_lag < 0:
-        raise ValidationError("bad-lag", "need s >= 1 and max_lag >= 0")
+    _check_integer(s, 1, "bad-period", "period")
+    _check_integer(max_lag, 0, "bad-lag", "max_lag")
     kmax = max_lag // s
     coeffs = np.zeros(max_lag + 1)
     k = np.arange(1, kmax + 1)
@@ -334,10 +334,11 @@ def asymptotic_acvf(spec: SarfimaSpec, h: int) -> float:
     factors and the s_i^(-2 d_i) limits of the vanishing ones.
     """
     require_stationary(spec, "asymptotic autocovariance")
-    h = int(h)
+    if not _is_integer(h):
+        raise ValidationError("bad-lag", f"lag must be an integer, got {h!r}")
     if h == 0:
         raise ValidationError("bad-lag", "asymptotic form is not valid at h = 0")
-    h = abs(h)
+    h = abs(int(h))
 
     total = 0.0
     any_positive = False

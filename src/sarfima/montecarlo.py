@@ -20,12 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _is_integer
 from .model import ArmaFactor, SarfimaSpec, SeasonalComponent
 from .spectrum import BandPlan, build_band_plan, resolve_bandwidth, write_csv, _ordinates
 from .estimators import WhittleTemplate, _band_design, _gph_fits, _whittle_design, _whittle_fits
 from .simulate import (DEFAULT_METHOD, SimConfig, acvf_self_check, derive_rep_seed, _check_memory,
-                       _is_integer, _paths)
+                       _paths)
 
 __all__ = ["EstimatorDef", "McConfig", "EstimatorResult", "McSummary", "run_mc",
            "standardized_sample", "design", "DESIGN_NAMES", "summary_to_csv",

@@ -6,9 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SarfimaError, ValidationError
+from .errors import SarfimaError, ValidationError, _is_integer
 from .model import SarfimaSpec, SeasonalComponent, combined_filter_coefficients, _convolve_head
-from .spectrum import build_band_plan, periodogram, resolve_bandwidth, write_csv, _check_period_pair
+from .spectrum import (build_band_plan, periodogram, resolve_bandwidth, write_csv, _check_period_pair,
+                       _check_periods)
 from .estimators import MemoryEstimate, gph_estimate
 from .simulate import levinson
 
@@ -69,7 +70,8 @@ def fractional_filter(series, d_hat, periods) -> np.ndarray:
     """
     x = np.asarray(series, dtype=float)
     d_hat = np.atleast_1d(np.asarray(d_hat, dtype=float))
-    periods = [int(s) for s in np.atleast_1d(periods)]
+    periods = np.atleast_1d(periods).tolist()
+    _check_periods(*periods)
     if len(d_hat) != len(periods):
         raise ValidationError("bad-filter", f"{len(d_hat)} memories for {len(periods)} periods")
     if np.any(np.abs(d_hat) >= 1):
@@ -92,8 +94,8 @@ def sample_acf_pacf(series, max_lag: int) -> AcfPacf:
     """Biased-divisor sample ACF and Durbin-Levinson PACF for lags 1..max_lag."""
     x = np.asarray(series, dtype=float)
     n = len(x)
-    if not 1 <= max_lag < n / 2:
-        raise ValidationError("bad-lag", f"need 1 <= max_lag < n/2, got {max_lag} with n={n}")
+    if not (_is_integer(max_lag) and 1 <= max_lag < n / 2):
+        raise ValidationError("bad-lag", f"need an integer 1 <= max_lag < n/2, got {max_lag!r} with n={n}")
     xc = x - x.mean()
     c0 = float(xc @ xc) / n
     if c0 <= 0:

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, NumericError
+from .errors import ValidationError, NumericError, _check_integer, _is_integer
 from .model import SarfimaSpec, arma_spectral_density, enumerate_poles, require_stationary
 
 __all__ = ["SimConfig", "acvf_numeric", "acvf_self_check", "simulate",
@@ -53,10 +52,6 @@ DEFAULT_METHOD = "circulant"
 #: largest accepted grid exponent.  The resolution floor stops at 2^18 from
 #: g = 21, so no larger value changes the grid
 MAX_GRID_EXPONENT = 40
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)   # not bool, float or str
 
 
 def default_grid_exponent(n: int) -> int:
@@ -192,6 +187,7 @@ def _regularized_density(spec: SarfimaSpec, lam: np.ndarray, pole=None):
     return g
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def acvf_numeric(spec: SarfimaSpec, max_lag: int, grid_exponent: int = 17) -> np.ndarray:
     """gamma(0..max_lag) = int_{-pi}^{pi} f(lambda) e^(i h lambda) dlambda.
 
@@ -205,12 +201,12 @@ def acvf_numeric(spec: SarfimaSpec, max_lag: int, grid_exponent: int = 17) -> np
     i h Delta, with G_p's derivatives from a Chebyshev fit; an interior pole
     counts twice, for its mirror, and the poles at 0 and pi once.  The zeta
     values come from ``_zeta``: Euler-Maclaurin summation, through Riemann's
-    functional equation below 1/2.
+    functional equation below 1/2.  A density grid or gamma that overflows
+    raises ``non-finite-acvf``, before any pole correction for the grid.
     """
     from numpy.polynomial import chebyshev, polynomial
+    _check_integer(max_lag, 0, "bad-lag", "max_lag")
     require_stationary(spec, "autocovariance")
-    if max_lag < 0:
-        raise ValidationError("bad-lag", "max_lag must be >= 0")
     nodes = _grid_nodes(spec, max_lag, grid_exponent)
     delta = 2 * math.pi / nodes
     poles = enumerate_poles(spec)
@@ -222,6 +218,7 @@ def acvf_numeric(spec: SarfimaSpec, max_lag: int, grid_exponent: int = 17) -> np
     for start in range(0, len(f), _DENSITY_CHUNK):
         j = start + np.flatnonzero(off[start:start + _DENSITY_CHUNK])
         f.real[j] = _regularized_density(spec, delta * j)
+    _check_finite(f.real, "the spectral density on the quadrature grid")
     gamma = 2 * math.pi * np.fft.irfft(f, nodes)[:max_lag + 1]
 
     radius = _fit_radius(spec)
@@ -244,7 +241,15 @@ def acvf_numeric(spec: SarfimaSpec, max_lag: int, grid_exponent: int = 17) -> np
         even, odd = polynomial.polyval(t * t, c[0::2]), t * polynomial.polyval(t * t, c[1::2])
         weight = 1 if pole.boundary else 2
         gamma -= weight * (np.cos(pole.frequency * h) * even - np.sin(pole.frequency * h) * odd)
+    _check_finite(gamma, "the autocovariance")
     return gamma
+
+
+def _check_finite(values: np.ndarray, what: str):
+    """Raise ``non-finite-acvf`` if ``values`` hold a NaN or infinity, the
+    overflow that ``acvf_numeric`` lets pass silently up to its checks."""
+    if not np.isfinite(values).all():
+        raise NumericError("non-finite-acvf", f"{what} overflows or is undefined in floating point")
 
 
 #: lags and tolerance of the grid doubling check

@@ -3,12 +3,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_integer, _is_integer
 
 __all__ = ["Periodogram", "Band", "BandPlan", "periodogram", "build_band_plan",
            "gph_T_bandwidth", "resolve_bandwidth", "write_csv"]
@@ -101,16 +100,16 @@ class BandPlan:
 
 
 def _check_periods(*periods):
-    """Reject a period below 1 before any bandwidth or band arithmetic divides by it."""
+    """Reject a period that is not an integer >= 1 before any cache lookup,
+    bandwidth or band arithmetic."""
     for s in periods:
-        if s < 1:
-            raise ValidationError("bad-period", f"periods must be >= 1, got {s}")
+        _check_integer(s, 1, "bad-period", "period")
 
 
 def _check_bandwidth(m):
     """Reject a bandwidth that is not an integer; called before a cache
     lookup, so a float or boolean is rejected, not coerced to an equal key."""
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+    if not _is_integer(m):
         raise ValidationError("bad-bandwidth", f"bandwidth m must be an integer, got {m!r}")
 
 
@@ -170,12 +169,12 @@ def build_band_plan(n: int, s1: int, s2: int, m: int, allow_overlap: bool = Fals
     argument tuple and shared, with read-only index arrays.
     """
     _check_bandwidth(m)
+    _check_period_pair(s1, s2)
     return _band_plan(n, s1, s2, m, allow_overlap)
 
 
 @functools.lru_cache(maxsize=64)
 def _band_plan(n: int, s1: int, s2: int, m: int, allow_overlap: bool) -> BandPlan:
-    _check_period_pair(s1, s2)
     sp, ss = max(s1, s2), min(s1, s2)
     if m < 2:
         raise ValidationError("m-too-small", f"bandwidth m must be >= 2, got {m}")

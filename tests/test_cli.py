@@ -678,6 +678,20 @@ class TestRejectedInputs:
         self.assert_one_error(capsys, "negative-eigenvalue")
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["circulant", "exact_dl"])
+    @pytest.mark.parametrize("coeff", [1e308, 1e153])   # the density overflows; its transform overflows
+    def test_non_finite_acvf_exits_2(self, tmp_path, capsys, method, coeff):
+        # one coded error before any padding doubling or Levinson step, and no RuntimeWarning
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"components": [{"period": 4, "d": 0.2}],
+                                    "ma": [{"lag": 1, "coeffs": [coeff]}]}))
+        out = tmp_path / "y.csv"
+        rc = cli.dispatch(["simulate", "--spec", str(spec), "--n", "256", "--seed", "1",
+                           "--method", method, "--out", str(out)])
+        assert rc == 2
+        self.assert_one_error(capsys, "non-finite-acvf")
+        assert not out.exists()
+
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_non_finite_alpha(self, series_file, capsys, alpha):
         path, _ = series_file

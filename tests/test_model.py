@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sarfima import (ArmaFactor, SarfimaSpec, SeasonalComponent, ValidationError,
-                     arma_spectral_density, asymptotic_acvf,
+                     acvf_numeric, arma_spectral_density, asymptotic_acvf,
                      check_stationary_invertible, combined_filter_coefficients,
-                     enumerate_poles, pi_coefficients, spec_from_json,
+                     enumerate_poles, pi_coefficients, sample_acf_pacf, spec_from_json,
                      spec_to_json, spectral_density)
 
 
@@ -373,6 +373,33 @@ class TestAsymptoticAcvf:
         assert exc.value.code == "no-positive-memory"
 
 
+@pytest.mark.parametrize("call", [
+    lambda spec: pi_coefficients(0.3, 4, 20.0),
+    lambda spec: pi_coefficients(0.3, 4, -1),
+    lambda spec: combined_filter_coefficients(spec, 20.0),
+    lambda spec: combined_filter_coefficients(spec, True),
+    lambda spec: asymptotic_acvf(spec, 2.5),
+    lambda spec: asymptotic_acvf(spec, True),
+    lambda spec: asymptotic_acvf(spec, 12.0),
+    lambda spec: acvf_numeric(spec, 20.0),
+    lambda spec: acvf_numeric(spec, -1),
+    lambda spec: sample_acf_pacf(np.arange(64.0), 12.0),
+    lambda spec: sample_acf_pacf(np.arange(64.0), True),
+])
+def test_non_integer_lag_rejected(call):
+    # a lag that is not an integer ends in bad-lag, never truncated or coerced
+    with pytest.raises(ValidationError) as exc:
+        call(SarfimaSpec(components=(SeasonalComponent(4, 0.3),)))
+    assert exc.value.code == "bad-lag"
+
+
+def test_numpy_integer_period_and_lag_stored_as_int():
+    spec = SarfimaSpec(components=(SeasonalComponent(np.int64(4), 0.3),),
+                       ar_factors=(ArmaFactor(np.int32(12), (0.5,)),))
+    assert type(spec.components[0].period) is int and type(spec.ar_factors[0].lag) is int
+    assert spec_from_json(spec_to_json(spec)) == spec
+
+
 class TestSpecJson:
     def test_round_trip(self):
         spec = SarfimaSpec(components=(SeasonalComponent(1, 0.1),
@@ -415,7 +442,7 @@ class TestSpecJson:
         assert spec.memories == (0.0,) and spec.ar_factors[0].coeffs == (0.0,)
         assert spec.innovation_variance == 2.0
 
-    @pytest.mark.parametrize("value", [4.7, True, "4"])
+    @pytest.mark.parametrize("value", [4.7, True, "4", 12.0, 4.5])
     def test_non_integral_period_and_lag_rejected(self, value):
         # json.loads gives float, bool and str here; none may be coerced to an int
         period_doc = {"components": [{"period": value, "d": 0.3}]}

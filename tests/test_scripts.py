@@ -2,6 +2,7 @@
 import importlib.util
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -42,14 +43,13 @@ def test_digest_prints_stable_digests(capsys):
     assert all(re.fullmatch("[0-9a-f]{64}", line.split()[1]) for line in runs[0])
 
 
-def test_digest_against_its_own_record_finds_no_difference(tmp_path, capsys):
+def test_digest_against_this_checkout_finds_no_difference(capsys):
     digest = load("digest")
-    record = tmp_path / "record.npz"
-    assert digest.main(["--reps", "2", "--n", "256", "--save", str(record)]) == 0
-    saved = capsys.readouterr().out.splitlines()
-    assert digest.main(["--reps", "2", "--n", "256", "--against", str(record)]) == 0
+    assert digest.main(["--reps", "2", "--n", "256"]) == 0
+    alone = capsys.readouterr().out.splitlines()
+    assert digest.main(["--reps", "2", "--n", "256", "--against", str(SCRIPTS.parent)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:3] == saved
+    assert lines[:3] == alone
     rows = lines[3:]
     # the 10 estimators of table1, 2 and 4 and the band-overlap of table3 and 5, per sampler
     assert len(rows) == 2 * (10 + 2)
@@ -59,6 +59,23 @@ def test_digest_against_its_own_record_finds_no_difference(tmp_path, capsys):
             assert fields[2:] == ["band-overlap", "->", "band-overlap"]
         else:
             assert fields[1:] == ["max|dd|", "0", "steps", "0", "codes", "0"]
+
+
+def test_digest_against_a_changed_checkout_exits_1(tmp_path, capsys):
+    # a copy of the package whose Whittle fits stop after one Newton step
+    package = tmp_path / "src" / "sarfima"
+    shutil.copytree(SCRIPTS.parent / "src" / "sarfima", package, ignore=shutil.ignore_patterns("__pycache__"))
+    estimators = package / "estimators.py"
+    text, n_subs = re.subn(r"(?m)^WHITTLE_MAX_STEPS = \d+$", "WHITTLE_MAX_STEPS = 1", estimators.read_text())
+    assert n_subs == 1
+    estimators.write_text(text)
+    digest = load("digest")
+    assert digest.main(["--reps", "2", "--n", "256", "--against", str(tmp_path)]) == 1
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[3:]]
+    # the band regressions have no steps and agree; the Whittle fits do not
+    gph = [r for r in rows if "/gph" in r[0]]
+    assert gph and all(r[1:] == ["max|dd|", "0", "steps", "0", "codes", "0"] for r in gph)
+    assert any(r[0].endswith("/ft") and r[4] != "0" for r in rows)
 
 
 def test_digest_runs_from_a_plain_checkout(tmp_path):
@@ -129,14 +146,18 @@ def test_seed_sweep_compares_two_samplers(capsys, monkeypatch):
                             "fisher p         criterion 4: 1  criterion 6: 0.652  criterion 7: 1"]
 
 
-def test_cold_start_times_each_command(capsys):
-    cold_start = load("cold_start")
-    assert cold_start.main(["--runs", "1", "--against", str(SCRIPTS.parent)]) == 0
+def test_fit_ab_cold_against_this_checkout(capsys):
+    fit_ab = load("fit_ab")
+    assert fit_ab.main(["--against", str(SCRIPTS.parent), "--cold", "--rounds", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "cold start, 1 fresh processes per command; wall seconds"
-    assert lines[1].split() == ["command", "median", "min", "max", "against", "min", "max", "ratio"]
-    assert [line.split()[0] for line in lines[2:]] == ["import", "simulate", "mc", "filter", "periodogram"]
-    # one run: its median, minimum and maximum are the same time
-    for line in lines[2:]:
-        this, against = line.split()[1:4], line.split()[4:7]
-        assert len(set(this)) == 1 and len(set(against)) == 1
+    assert lines[:2] == ["cold start, 5 commands in fresh processes; CPU seconds of the children",
+                         "round      this   against   ratio"]
+    assert lines[2].split()[0] == "0"
+    assert lines[3].split() == ["command", "this", "against", "ratio", "this", "faster", "in"]
+    # per command: both medians, their ratio and the win count of the one round
+    assert [line.split()[0] for line in lines[4:-1]] == ["import", "simulate", "mc", "filter", "periodogram"]
+    for line in lines[4:-1]:
+        assert re.fullmatch(r"\S+ +\d+\.\d{4} +\d+\.\d{4} +\d+\.\d{3}  [01] of 1", line)
+    # every file the commands wrote has the same bytes on both sides
+    assert re.fullmatch(r"median this/against \d+\.\d{3}  this faster in [01] of 1 rounds  "
+                        r"outputs equal: yes", lines[-1])

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sarfima import (ValidationError, asymptotic_cov_matrix, build_band_plan,
-                     gph_T_bandwidth, periodogram)
+from sarfima import (ValidationError, WhittleTemplate, asymptotic_cov_matrix, bandwidth_scan,
+                     build_band_plan, fractional_filter, gph_T_bandwidth, periodogram,
+                     pi_coefficients)
 
 
 class TestPeriodogram:
@@ -216,6 +217,21 @@ class TestBandPlan:
     lambda: build_band_plan(1080, -4, -4, 20),
     lambda: gph_T_bandwidth(1080, 4, 0),
     lambda: gph_T_bandwidth(1080, -1),
+    # not an integer: rejected before any cache lookup, never truncated or coerced
+    lambda: build_band_plan(1080, 4, 12.0, 32),
+    lambda: build_band_plan(1080, True, 4, 20),
+    lambda: gph_T_bandwidth(1080, 4.5),
+    lambda: gph_T_bandwidth(1080, 4, True),
+    lambda: (asymptotic_cov_matrix(4, 12, 30), asymptotic_cov_matrix(4, 12.0, 30)),
+    lambda: asymptotic_cov_matrix(True, None, 30),
+    lambda: asymptotic_cov_matrix(0, None, 30),
+    lambda: asymptotic_cov_matrix(-4, None, 30),
+    lambda: bandwidth_scan(np.arange(64.0), 4, 12.0, [0.5]),
+    lambda: fractional_filter(np.arange(64.0), [0.3], [4.5]),
+    lambda: fractional_filter(np.arange(64.0), [0.3], [True]),
+    lambda: pi_coefficients(0.3, 4.0, 20),
+    lambda: pi_coefficients(0.3, True, 20),
+    lambda: WhittleTemplate.pure((4.5, 12)),
 ])
 def test_period_below_one_rejected(call):
     with pytest.raises(ValidationError) as exc:
