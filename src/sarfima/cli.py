@@ -229,14 +229,8 @@ def _cmd_periodogram(args) -> int:
 def _cmd_estimate_gph(args) -> int:
     x = _read_series(args.infile)
     n = len(x)
-    picks = sum([args.alpha is not None, args.m is not None, args.gph_T])
-    if picks != 1:
-        raise ValidationError("bad-arguments", "pick exactly one of --alpha, --m, --gph-T")
-    if args.uncapped and not args.gph_T:
-        raise ValidationError("bad-arguments", "--uncapped applies only with --gph-T")
     s2 = args.s1 if args.s2 is None else args.s2   # one period: the single-parameter fit
-    m = resolve_bandwidth(n, max(args.s1, s2), alpha=args.alpha,
-                          m=args.m, gph_T=args.gph_T, uncapped=args.uncapped)
+    m = resolve_bandwidth(n, max(args.s1, s2), alpha=args.alpha, m=args.m, gph_T=args.gph_T, uncapped=args.uncapped)
     pg = periodogram(x)
     plan = build_band_plan(n, args.s1, s2, m, allow_overlap=args.uncapped)
     _emit(estimate_to_json(gph_estimate(pg, plan, args.s1, s2)) + "\n", args.out)

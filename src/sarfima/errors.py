@@ -27,13 +27,14 @@ class NumericError(SarfimaError):
     """Numerical failure: quadrature self-check, non-PSD covariance, ..."""
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)   # not bool, float or str
-
-
-def _check_integer(value, low: int, code: str, what: str):
-    """Raise ``code`` unless ``value`` is an integer >= ``low``.  Called
-    before any cache lookup, so that 12.0 or True is rejected, not served
-    from the entry of the equal int."""
-    if not (_is_integer(value) and value >= low):
-        raise ValidationError(code, f"{what} must be an integer >= {low}, got {value!r}")
+def _check_integer(value, low, code: str, what: str, high: int = None) -> int:
+    """``value`` as a plain int; raise ``code`` unless it is an integer (not a
+    bool, float or str) with low <= value < high, where None is no bound.
+    Called before any cache lookup, so that 12.0 or True is rejected, not
+    served from the entry of the equal int; a numpy integer is accepted."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        number = int(value)
+        if (low is None or number >= low) and (high is None or number < high):
+            return number
+    rule = " and ".join(f"{op} {bound}" for op, bound in ((">=", low), ("<", high)) if bound is not None)
+    raise ValidationError(code, f"{what} must be an integer {rule}".rstrip() + f", got {value!r}")

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import SarfimaSpec, SeasonalComponent, enumerate_poles, _roots_outside_unit_circle
-from .spectrum import (Periodogram, BandPlan, build_band_plan, periodogram, _check_bandwidth,
-                       _check_period_pair, _check_periods)
+from .spectrum import (Periodogram, BandPlan, build_band_plan, periodogram, resolve_bandwidth,
+                       _check_bandwidth, _check_period_pair, _check_periods)
 
 __all__ = ["MemoryEstimate", "WhittleFit", "WhittleTemplate", "gph_estimate",
            "asymptotic_cov_matrix", "whittle_estimate",
@@ -73,16 +73,15 @@ def asymptotic_cov_matrix(s1: int, s2, m: int) -> np.ndarray:
     s2 = s1) returns the 1x1 matrix [[pi^2 / (24 s m)]].
     Built once per argument tuple; the shared matrix is read-only.
     """
-    _check_bandwidth(m)
-    _check_periods(s1, *(() if s2 is None else (s2,)))
-    return _asymptotic_cov(s1, s2, m)
+    m = _check_bandwidth(m)
+    return _asymptotic_cov(*_check_periods(s1, s1 if s2 is None else s2), m)
 
 
 @functools.lru_cache(maxsize=64)
-def _asymptotic_cov(s1: int, s2, m: int) -> np.ndarray:
+def _asymptotic_cov(s1: int, s2: int, m: int) -> np.ndarray:
     if m < 1:
         raise ValidationError("m-too-small", f"bandwidth must be >= 1, got {m}")
-    if s2 is None or s1 == s2:
+    if s1 == s2:
         return _frozen(np.array([[math.pi ** 2 / (24 * s1 * m)]]))
     _check_period_pair(s1, s2)
     sp, ss = max(s1, s2), min(s1, s2)
@@ -319,7 +318,7 @@ def _whittle_design(n: int, template: WhittleTemplate) -> _WhittleDesign:
     _frozen(keep, weight, jac_d, jac_stack, jac_mean, base, box)
     periods = spec0.periods
     try:   # the band OLS memories are the start where the periods admit a plan at this n
-        start = build_band_plan(n, periods[0], periods[-1], max(2, int(n ** 0.5)))
+        start = build_band_plan(n, periods[0], periods[-1], resolve_bandwidth(n, max(periods), alpha=0.5))
         _band_design(start, periods)
     except ValidationError:
         start = None

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError, _check_integer, _is_integer
+from .errors import ValidationError, _check_integer
 
 __all__ = [
     "SeasonalComponent",
@@ -51,8 +51,7 @@ class SeasonalComponent:
     memory: float
 
     def __post_init__(self):
-        _check_integer(self.period, 1, "bad-period", "period")
-        object.__setattr__(self, "period", int(self.period))   # a plain int, which spec_to_json writes
+        object.__setattr__(self, "period", _check_integer(self.period, 1, "bad-period", "period"))
         if not math.isfinite(self.memory) or self.memory <= -1:
             raise ValidationError("bad-memory", f"memory must be finite and > -1, got {self.memory!r}")
 
@@ -65,8 +64,7 @@ class ArmaFactor:
     coeffs: tuple
 
     def __post_init__(self):
-        _check_integer(self.lag, 1, "bad-arma-lag", "factor lag")
-        object.__setattr__(self, "lag", int(self.lag))
+        object.__setattr__(self, "lag", _check_integer(self.lag, 1, "bad-arma-lag", "factor lag"))
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if len(self.coeffs) == 0:
             raise ValidationError("bad-arma-coeffs", "factor needs at least one coefficient")
@@ -334,11 +332,9 @@ def asymptotic_acvf(spec: SarfimaSpec, h: int) -> float:
     factors and the s_i^(-2 d_i) limits of the vanishing ones.
     """
     require_stationary(spec, "asymptotic autocovariance")
-    if not _is_integer(h):
-        raise ValidationError("bad-lag", f"lag must be an integer, got {h!r}")
+    h = abs(_check_integer(h, None, "bad-lag", "lag"))
     if h == 0:
         raise ValidationError("bad-lag", "asymptotic form is not valid at h = 0")
-    h = abs(int(h))
 
     total = 0.0
     any_positive = False

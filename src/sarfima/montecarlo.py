@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, _is_integer
+from .errors import ValidationError, _check_integer
 from .model import ArmaFactor, SarfimaSpec, SeasonalComponent
-from .spectrum import BandPlan, build_band_plan, resolve_bandwidth, write_csv, _ordinates
+from .spectrum import BandPlan, build_band_plan, resolve_bandwidth, write_csv, _check_bandwidth_choice, _ordinates
 from .estimators import WhittleTemplate, _band_design, _gph_fits, _whittle_design, _whittle_fits
 from .simulate import (DEFAULT_METHOD, SimConfig, acvf_self_check, derive_rep_seed, _check_memory,
                        _paths)
@@ -48,10 +48,10 @@ class EstimatorDef:
 
     kind: gph_multi (two-parameter band OLS over the spec's two periods),
     gph_single (one-parameter band OLS at a one-component spec's period), or
-    whittle (Fox-Taqqu fit of ``template``).  Bandwidth comes from exactly
-    one of ``alpha`` (m = floor(n^alpha)), ``m`` (fixed), or ``use_gph_T``
-    (the capped truncated bandwidth; ``allow_overlap`` switches to the
-    uncapped variant and is rejected without ``use_gph_T``).
+    whittle (Fox-Taqqu fit of ``template``, without ``allow_overlap``).  A gph
+    bandwidth comes from exactly one of ``alpha`` (m = floor(n^alpha)), ``m``
+    or ``use_gph_T`` (capped; ``allow_overlap`` uncaps it), by the rule of
+    ``resolve_bandwidth``.
     """
 
     name: str
@@ -65,17 +65,10 @@ class EstimatorDef:
     def __post_init__(self):
         if self.kind not in ("gph_multi", "gph_single", "whittle"):
             raise ValidationError("bad-estimator", f"unknown estimator kind {self.kind!r}")
-        if self.kind == "whittle":
-            if self.template is None:
-                raise ValidationError("bad-estimator", f"{self.name}: whittle needs a template")
-        else:
-            picks = sum([self.alpha is not None, self.m is not None, self.use_gph_T])
-            if picks != 1:
-                raise ValidationError("bad-estimator",
-                                      f"{self.name}: pick exactly one of alpha, m, use_gph_T")
-        if self.allow_overlap and not self.use_gph_T:
-            raise ValidationError("bad-estimator",
-                                  f"{self.name}: allow_overlap applies only with use_gph_T")
+        if self.kind != "whittle":
+            _check_bandwidth_choice(self.alpha, self.m, self.use_gph_T, self.allow_overlap)
+        elif self.template is None or self.allow_overlap:
+            raise ValidationError("bad-estimator", f"{self.name}: whittle needs a template and no allow_overlap")
 
     def bandwidth(self, n: int, s_prime: int) -> int:
         return resolve_bandwidth(n, s_prime, alpha=self.alpha, m=self.m,
@@ -114,16 +107,20 @@ class McConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        if not (_is_integer(self.reps) and self.reps >= 1):
-            raise ValidationError("bad-reps", f"reps must be a positive integer, got {self.reps!r}")
+        object.__setattr__(self, "reps", _check_integer(self.reps, 1, "bad-reps", "reps"))
         if not self.estimators:
             raise ValidationError("bad-estimator", "need at least one estimator")
         # the sampler's own checks (n, seed, method, table size, grid exponent), before any acvf work
         sampler = SimConfig(spec=self.spec, n=self.n, seed=self.master_seed, method=self.method,
                             grid_exponent=self.grid_exponent)
-        object.__setattr__(self, "grid_exponent", sampler.grid_exponent)
+        for count, value in (("n", sampler.n), ("master_seed", sampler.seed),
+                             ("grid_exponent", sampler.grid_exponent)):
+            object.__setattr__(self, count, value)
+        workers = _resolve_workers(self.workers)
+        if self.workers is not None:   # None reads SARFIMA_THREADS at each run
+            object.__setattr__(self, "workers", workers)
         # each worker's block of paths is in flight next to the sampler's table or roots
-        in_flight = min(self.reps, _PATH_BLOCK * _resolve_workers(self.workers))
+        in_flight = min(self.reps, _PATH_BLOCK * workers)
         _check_memory(self.spec, self.n, self.method, self.grid_exponent,
                       in_flight * _BLOCK_BYTES_PER_POINT * self.n)
         names = [e.name for e in self.estimators]
@@ -209,9 +206,9 @@ def run_mc(config: McConfig) -> McSummary:
     triangular solve), and each estimator fits a whole block at once: one
     transform, one band regression and one Whittle descent.  Block 0 runs
     in this process and the rest in order, or on a pool of forked workers
-    that run one BLAS thread each.  A replication's estimates do not depend
-    on the block it shares.  The config checked each estimator's design, so
-    only replications fail (zero-ordinate, zero-periodogram,
+    that run scipy's BLAS on one thread each.  A replication's estimates do
+    not depend on the block it shares.  The config checked each estimator's
+    design, so only replications fail (zero-ordinate, zero-periodogram,
     not-converged); they are excluded from the moments and counted by error
     code.  The summary is identical for any worker count.
     """
@@ -250,41 +247,32 @@ def run_mc(config: McConfig) -> McSummary:
                      master_seed=config.master_seed)
 
 
-#: the OpenBLAS builds bundled with numpy's and scipy's wheels, by package,
-#: with the suffix of their symbols (numpy's has 64-bit integers)
-_BUNDLED_OPENBLAS = (("numpy", "64_"), ("scipy", ""))
-
-
-def _loaded_openblas():
-    """(library, symbol suffix) of each bundled OpenBLAS that this process
-    has loaded; a library it has not loaded is not loaded here."""
-    found = []
-    for package, suffix in _BUNDLED_OPENBLAS:
-        spec = importlib.util.find_spec(package)
-        if spec is None or spec.origin is None:
-            continue
-        for path in sorted((Path(spec.origin).parent.parent / f"{package}.libs").glob("libscipy_openblas*")):
-            try:
-                found.append((ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD), suffix))
-            except OSError:
-                pass
-    return found
+def _scipy_openblas():
+    """The OpenBLAS bundled with scipy's wheel, if this process has loaded it
+    (exact_dl's ``dtrsm`` does), else None; it is not loaded here."""
+    libs = Path(importlib.util.find_spec("scipy").origin).parent.parent / "scipy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            return ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+        except OSError:
+            pass
 
 
 def _one_blas_thread():
-    """Pin this process's OpenBLAS libraries to one thread each.  A forked
-    worker would otherwise keep the default, one thread per CPU, and two
-    workers on two CPUs would run four threads, slower than one worker."""
-    for lib, suffix in _loaded_openblas():
-        setter = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
+    """Pin scipy's OpenBLAS, which runs exact_dl's ``dtrsm``, to one thread: a
+    forked worker keeps one per CPU, and two on two CPUs would run four.
+    numpy's is left alone: a block's numpy work is FFTs, row sums and small
+    ``eigh`` calls, and pinning it in a forked worker measured slower."""
+    setter = getattr(_scipy_openblas(), "scipy_openblas_set_num_threads", None)
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
 
 
 def _worker_pool(workers: int):
     """A ``ProcessPoolExecutor`` of ``workers`` forked processes, each running
-    one BLAS thread; the pool modules load only when a run needs workers."""
+    scipy's BLAS on one thread; the pool modules load only when a run needs
+    workers."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
@@ -294,16 +282,11 @@ def _worker_pool(workers: int):
 def _resolve_workers(workers) -> int:
     """The worker count: ``workers``, else SARFIMA_THREADS, else 1.  Anything
     but a positive integer is rejected, not coerced."""
+    what = "workers"
     if workers is None:
-        env = os.environ.get("SARFIMA_THREADS")
-        if env is None:
-            return 1
-        if not (env.isascii() and env.isdigit() and int(env) > 0):
-            raise ValidationError("bad-workers", f"SARFIMA_THREADS must be a positive integer, got {env!r}")
-        return int(env)
-    if not (_is_integer(workers) and workers >= 1):
-        raise ValidationError("bad-workers", f"workers must be a positive integer, got {workers!r}")
-    return int(workers)
+        what, text = "SARFIMA_THREADS", os.environ.get("SARFIMA_THREADS", "1")
+        workers = int(text) if text.isascii() and text.isdigit() else text
+    return _check_integer(workers, 1, "bad-workers", what)
 
 
 def standardized_sample(estimates, component: int = 0):

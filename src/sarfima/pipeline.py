@@ -6,10 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SarfimaError, ValidationError, _is_integer
+from .errors import SarfimaError, ValidationError, _check_integer
 from .model import SarfimaSpec, SeasonalComponent, combined_filter_coefficients, _convolve_head
-from .spectrum import (build_band_plan, periodogram, resolve_bandwidth, write_csv, _check_period_pair,
-                       _check_periods)
+from .spectrum import (build_band_plan, periodogram, resolve_bandwidth, write_csv, _check_alpha,
+                       _check_period_pair, _check_periods, _series)
 from .estimators import MemoryEstimate, gph_estimate
 from .simulate import levinson
 
@@ -33,12 +33,12 @@ class BandwidthScan:
 def bandwidth_scan(series, s1: int, s2: int, alphas) -> BandwidthScan:
     """One gph_estimate per bandwidth m = floor(n^alpha).
 
-    Alphas must be strictly increasing inside (0, 1), and the periods must
-    admit a band plan at all.  A row that cannot be estimated (m below 2,
-    band overlap, degenerate regression) is recorded with its error code and
-    the scan continues.
+    Alphas must be real numbers (``bad-bandwidth``), strictly increasing
+    inside (0, 1), and the periods must admit a band plan at all.  A row
+    that cannot be estimated (m below 2, band overlap, degenerate
+    regression) is recorded with its error code and the scan continues.
     """
-    alphas = [float(a) for a in alphas]
+    alphas = [_check_alpha(a) for a in alphas]
     if not alphas:
         raise ValidationError("bad-alphas", "need at least one alpha")
     if any(not 0 < a < 1 for a in alphas):
@@ -68,10 +68,9 @@ def fractional_filter(series, d_hat, periods) -> np.ndarray:
     available history (no pre-sample values, no backcasting), so the output
     has the same length as the input and early values carry start-up bias.
     """
-    x = np.asarray(series, dtype=float)
+    x = _series(series)
     d_hat = np.atleast_1d(np.asarray(d_hat, dtype=float))
-    periods = np.atleast_1d(periods).tolist()
-    _check_periods(*periods)
+    periods = _check_periods(*np.atleast_1d(periods).tolist())
     if len(d_hat) != len(periods):
         raise ValidationError("bad-filter", f"{len(d_hat)} memories for {len(periods)} periods")
     if np.any(np.abs(d_hat) >= 1):
@@ -92,10 +91,9 @@ class AcfPacf:
 
 def sample_acf_pacf(series, max_lag: int) -> AcfPacf:
     """Biased-divisor sample ACF and Durbin-Levinson PACF for lags 1..max_lag."""
-    x = np.asarray(series, dtype=float)
+    x = _series(series)
     n = len(x)
-    if not (_is_integer(max_lag) and 1 <= max_lag < n / 2):
-        raise ValidationError("bad-lag", f"need an integer 1 <= max_lag < n/2, got {max_lag!r} with n={n}")
+    max_lag = _check_integer(max_lag, 1, "bad-lag", f"max_lag at n={n}", (n + 1) // 2)
     xc = x - x.mean()
     c0 = float(xc @ xc) / n
     if c0 <= 0:

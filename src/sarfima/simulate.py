@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, NumericError, _check_integer, _is_integer
+from .errors import ValidationError, NumericError, _check_integer
 from .model import SarfimaSpec, arma_spectral_density, enumerate_poles, require_stationary
 
 __all__ = ["SimConfig", "acvf_numeric", "acvf_self_check", "simulate",
@@ -61,7 +61,7 @@ def default_grid_exponent(n: int) -> int:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything needed to reproduce one simulated path."""
+    """Everything needed to reproduce one simulated path, with its counts as plain ints."""
 
     spec: SarfimaSpec
     n: int
@@ -70,18 +70,13 @@ class SimConfig:
     grid_exponent: int = None
 
     def __post_init__(self):
-        if not (_is_integer(self.n) and self.n >= 1):
-            raise ValidationError("bad-n", f"n must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", _check_integer(self.n, 1, "bad-n", "n"))
         if self.method not in _DRAWERS:
             raise ValidationError("bad-method", f"unknown simulation method {self.method!r}")
-        if not (_is_integer(self.seed) and 0 <= self.seed < 2 ** 64):
-            raise ValidationError("bad-seed", "seed must be an unsigned 64-bit integer")
+        object.__setattr__(self, "seed", _check_integer(self.seed, 0, "bad-seed", "seed", 2 ** 64))
         g = self.grid_exponent
-        if g is None:
-            object.__setattr__(self, "grid_exponent", default_grid_exponent(self.n))
-        elif not (type(g) is int and 0 <= g <= MAX_GRID_EXPONENT):
-            raise ValidationError("bad-grid-exponent",
-                                  f"grid exponent must be an integer in 0..{MAX_GRID_EXPONENT}, got {g!r}")
+        object.__setattr__(self, "grid_exponent", default_grid_exponent(self.n) if g is None else
+                           _check_integer(g, 0, "bad-grid-exponent", "grid exponent", MAX_GRID_EXPONENT + 1))
         if 2 ** self.grid_exponent < 64 * self.n:
             raise ValidationError("grid-too-small",
                                   f"need 2^grid_exponent >= 64 n; got 2^{self.grid_exponent} < {64 * self.n}")

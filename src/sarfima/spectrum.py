@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, _check_integer, _is_integer
+from .errors import ValidationError, _check_integer
 
 __all__ = ["Periodogram", "Band", "BandPlan", "periodogram", "build_band_plan",
            "gph_T_bandwidth", "resolve_bandwidth", "write_csv"]
@@ -51,10 +52,21 @@ def periodogram(series) -> Periodogram:
     mean: the ordinates j = 1..n-1 do not depend on the mean, and removing
     it keeps a large one from costing precision.
     """
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1 or len(x) < 8:
+    x = _series(series)
+    if len(x) < 8:
         raise ValidationError("series-too-short", f"need a 1-d series with n >= 8, got n={x.size}")
     return Periodogram(n=len(x), ordinates=_ordinates(x[None, :])[0])
+
+
+def _series(series) -> np.ndarray:
+    """``series`` as a 1-d float array: any other shape ends in
+    ``series-too-short``, a NaN or infinite value in ``non-finite-input``."""
+    x = np.asarray(series, dtype=float)
+    if x.ndim != 1:
+        raise ValidationError("series-too-short", f"need a 1-d series, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("non-finite-input", "series contains NaN or infinite values")
+    return x
 
 
 def _ordinates(paths: np.ndarray) -> np.ndarray:
@@ -99,26 +111,44 @@ class BandPlan:
     bands: tuple
 
 
-def _check_periods(*periods):
-    """Reject a period that is not an integer >= 1 before any cache lookup,
-    bandwidth or band arithmetic."""
-    for s in periods:
-        _check_integer(s, 1, "bad-period", "period")
+def _check_periods(*periods) -> tuple:
+    """The periods as plain ints; one that is not an integer >= 1 is
+    rejected before any cache lookup, bandwidth or band arithmetic."""
+    return tuple(_check_integer(s, 1, "bad-period", "period") for s in periods)
 
 
-def _check_bandwidth(m):
-    """Reject a bandwidth that is not an integer; called before a cache
-    lookup, so a float or boolean is rejected, not coerced to an equal key."""
-    if not _is_integer(m):
-        raise ValidationError("bad-bandwidth", f"bandwidth m must be an integer, got {m!r}")
+def _check_bandwidth(m) -> int:
+    """The bandwidth as a plain int, below 2^53 so that float arithmetic holds
+    it exactly; one below 2 is ``m-too-small`` in a plan."""
+    return _check_integer(m, None, "bad-bandwidth", "bandwidth m", 2 ** 53)
 
 
-def _check_period_pair(s1: int, s2: int):
-    """Both periods >= 1 and the smaller dividing the larger."""
-    _check_periods(s1, s2)
+def _check_period_pair(s1: int, s2: int) -> tuple:
+    """Both periods as plain ints >= 1, the smaller dividing the larger."""
+    s1, s2 = _check_periods(s1, s2)
     sp, ss = max(s1, s2), min(s1, s2)
     if sp % ss != 0:
         raise ValidationError("s2-not-divisor", f"smaller period {ss} must divide larger period {sp}")
+    return s1, s2
+
+
+def _check_alpha(alpha) -> float:
+    """The bandwidth exponent as a float: a real number (not a bool or str) in the float range."""
+    try:
+        if isinstance(alpha, numbers.Real) and not isinstance(alpha, bool):
+            return float(alpha)
+    except OverflowError:
+        pass
+    raise ValidationError("bad-bandwidth", f"alpha must be a real number in the float range, got {alpha!r}")
+
+
+def _check_bandwidth_choice(alpha, m, gph_T, uncapped):
+    """The one rule that picks a bandwidth: exactly one of ``alpha``, ``m``
+    and the bool ``gph_T``, and the bool ``uncapped`` only with ``gph_T``."""
+    if not (isinstance(gph_T, bool) and isinstance(uncapped, bool)
+            and (alpha is not None) + (m is not None) + gph_T == 1 and (gph_T or not uncapped)):
+        raise ValidationError("bad-bandwidth", "pick exactly one of alpha, m and gph_T, uncapped only with gph_T, "
+                              f"bool flags; got {alpha=}, {m=}, {gph_T=}, {uncapped=}")
 
 
 def gph_T_bandwidth(n: int, s1: int, s2: int = None) -> int:
@@ -132,9 +162,8 @@ def gph_T_bandwidth(n: int, s1: int, s2: int = None) -> int:
     Never returns less than 1 (values below 2 are rejected downstream by
     the band plan).
     """
-    periods = (s1,) if s2 is None else (s1, s2)
-    _check_periods(*periods)
-    sp = max(periods)
+    n = _check_integer(n, 1, "bad-n", "series length n")
+    sp = max(_check_periods(s1, s1 if s2 is None else s2))
     raw = (n - 1) // sp
     cap = (n // sp - 1) // 2
     return max(min(raw, cap), 1)
@@ -142,19 +171,24 @@ def gph_T_bandwidth(n: int, s1: int, s2: int = None) -> int:
 
 def resolve_bandwidth(n: int, s_prime: int, alpha: float = None, m: int = None,
                       gph_T: bool = False, uncapped: bool = False) -> int:
-    """Bandwidth m: the truncated floor((n-1)/s') if ``gph_T`` (capped unless
-    ``uncapped``, floored at 1), else floor(n^alpha), else the fixed ``m``."""
-    _check_periods(s_prime)
+    """The bandwidth m as a plain int, decided here alone: the truncated
+    floor((n-1)/s') if ``gph_T`` (capped unless ``uncapped``, floored at 1),
+    floor(n^alpha), or the fixed ``m``.  Any other choice, a non-bool flag,
+    or an alpha with no finite n^alpha ends in ``bad-bandwidth``."""
+    n = _check_integer(n, 1, "bad-n", "series length n")
+    (s_prime,) = _check_periods(s_prime)
+    _check_bandwidth_choice(alpha, m, gph_T, uncapped)
     if gph_T:
         return max((n - 1) // s_prime, 1) if uncapped else gph_T_bandwidth(n, s_prime)
-    if alpha is not None:
-        try:
-            if math.isfinite(alpha):
-                return int(n ** alpha)
-        except OverflowError:   # n^alpha beyond the float range
-            pass
-        raise ValidationError("bad-bandwidth", f"need a finite alpha with a finite n^alpha, got {alpha!r}")
-    return m
+    if m is not None:
+        return _check_bandwidth(m)
+    alpha = _check_alpha(alpha)
+    try:
+        if math.isfinite(alpha):
+            return int(n ** alpha)
+    except OverflowError:   # n or n^alpha beyond the float range
+        pass
+    raise ValidationError("bad-bandwidth", f"need a finite alpha with a finite n^alpha, got {alpha!r}")
 
 
 def build_band_plan(n: int, s1: int, s2: int, m: int, allow_overlap: bool = False) -> BandPlan:
@@ -168,9 +202,9 @@ def build_band_plan(n: int, s1: int, s2: int, m: int, allow_overlap: bool = Fals
     A plan depends on nothing but its arguments, so it is built once per
     argument tuple and shared, with read-only index arrays.
     """
-    _check_bandwidth(m)
-    _check_period_pair(s1, s2)
-    return _band_plan(n, s1, s2, m, allow_overlap)
+    m = _check_bandwidth(m)
+    return _band_plan(_check_integer(n, 1, "bad-n", "series length n"), *_check_period_pair(s1, s2), m,
+                      allow_overlap)
 
 
 @functools.lru_cache(maxsize=64)

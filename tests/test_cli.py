@@ -272,7 +272,7 @@ class TestEstimateGphVerb:
         rc = cli.dispatch(["estimate-gph", "--in", path, "--s1", "4",
                            "--alpha", "0.5", "--m", "30"])
         assert rc == 1
-        assert "error: bad-arguments:" in capsys.readouterr().err
+        assert "error: bad-bandwidth:" in capsys.readouterr().err
 
     def test_uncapped_bandwidth_below_two(self, tmp_path, capsys):
         # floor((n-1)/s') = 0 here; the bandwidth is floored at 1, then rejected
@@ -291,7 +291,7 @@ class TestEstimateGphVerb:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: bad-arguments:")
+        assert captured.err.startswith("error: bad-bandwidth:")
 
     def test_out_file(self, tmp_path, series_file):
         path, _ = series_file

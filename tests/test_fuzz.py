@@ -1,0 +1,132 @@
+"""Boundary property test of the library's count and bandwidth arguments.
+
+Every call either returns, with each count in its result a plain ``int``,
+or raises a coded ``SarfimaError``; any other exception, and any warning,
+fails the test.  The draws are integers of any sign and past 2^64, floats
+(12.0, NaN and infinities among them), bools, None, short strings, and
+numpy int64 and float64 values.  Band plans hold O(m s') Python ints, and
+only the overlap rule m < n / (2 s') bounds them, so every call that builds
+one keeps n <= 2^20 and m <= 2^12.  Nothing here simulates or runs a study.
+"""
+import math
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sarfima import (EstimatorDef, McConfig, SarfimaError, SarfimaSpec, SeasonalComponent, SimConfig,
+                     asymptotic_cov_matrix, bandwidth_scan, build_band_plan, gph_T_bandwidth,
+                     sample_acf_pacf)
+from sarfima.spectrum import resolve_bandwidth
+
+FUZZ = settings(derandomize=True, max_examples=60, deadline=None)
+
+#: integers that the unbounded strategy draws only rarely
+_BIG = (2 ** 64, 2 ** 64 + 1, -2 ** 64, 2 ** 2000)
+
+
+def values(cap: int = None):
+    """Any argument value; integers, plain and numpy, at most ``cap`` if given."""
+    ints = st.integers(max_value=cap)
+    return st.one_of(
+        ints, st.sampled_from([v for v in _BIG if cap is None or v <= cap]),
+        st.integers(-2 ** 63, 2 ** 63 - 1 if cap is None else cap).map(np.int64),
+        st.floats(), st.sampled_from([12.0, math.nan, math.inf, -math.inf]), st.floats().map(np.float64),
+        st.booleans(), st.none(), st.text(max_size=3))
+
+
+SMALL = values(cap=24)          # periods
+FLAG = st.booleans() | values()   # half bools, so that some choices get past the flag check
+
+
+def outcome(call, *args, **kwargs):
+    """``call``'s result, or None where it raised a coded error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return call(*args, **kwargs)
+        except SarfimaError as exc:
+            assert isinstance(exc.code, str) and exc.code
+            return None
+
+
+def assert_ints(*counts):
+    assert all(type(c) is int for c in counts), [type(c) for c in counts]
+
+
+@FUZZ
+@given(n=values(), s=values(),
+       choice=st.fixed_dictionaries({}, optional={"alpha": values(), "m": values(),
+                                                  "gph_T": FLAG, "uncapped": FLAG}))
+def test_resolve_bandwidth(n, s, choice):
+    m = outcome(resolve_bandwidth, n, s, **choice)
+    if m is not None:
+        assert_ints(m)
+
+
+@FUZZ
+@given(n=values(), s1=values(), s2=st.none() | values())
+def test_gph_T_bandwidth(n, s1, s2):
+    m = outcome(gph_T_bandwidth, n, s1, s2)
+    if m is not None:
+        assert_ints(m)
+
+
+@FUZZ
+@given(n=values(cap=2 ** 20), s1=SMALL, s2=SMALL, m=values(cap=2 ** 12), overlap=st.booleans())
+def test_build_band_plan(n, s1, s2, m, overlap):
+    plan = outcome(build_band_plan, n, s1, s2, m, allow_overlap=overlap)
+    if plan is not None:
+        assert_ints(plan.n, plan.s_prime, plan.s_small, plan.m,
+                    *(c for b in plan.bands for c in (b.k, b.center_index)))
+
+
+@FUZZ
+@given(s1=SMALL, s2=st.none() | SMALL, m=values())
+def test_asymptotic_cov_matrix(s1, s2, m):
+    cov = outcome(asymptotic_cov_matrix, s1, s2, m)
+    if cov is not None:
+        assert cov.shape in ((1, 1), (2, 2))
+
+
+QUARTERLY = SarfimaSpec(components=(SeasonalComponent(4, 0.3),))
+
+
+@FUZZ
+@given(n=values(), seed=values(), g=st.none() | values(), method=st.sampled_from(["circulant", "exact_dl"]))
+def test_sim_config_counts(n, seed, g, method):
+    cfg = outcome(SimConfig, spec=QUARTERLY, n=n, seed=seed, method=method, grid_exponent=g)
+    if cfg is not None:
+        assert_ints(cfg.n, cfg.seed, cfg.grid_exponent)
+
+
+@FUZZ
+@given(reps=values(), n=values(cap=2 ** 20), seed=values(), g=st.none() | values(),
+       workers=st.none() | values())
+def test_mc_config_counts(reps, n, seed, g, workers):
+    estimators = (EstimatorDef(name="gph_T", kind="gph_single", use_gph_T=True),)
+    cfg = outcome(McConfig, spec=QUARTERLY, estimators=estimators, reps=reps, n=n, master_seed=seed,
+                  grid_exponent=g, workers=workers)
+    if cfg is not None:
+        assert_ints(cfg.reps, cfg.n, cfg.master_seed, cfg.grid_exponent,
+                    *(() if workers is None else (cfg.workers,)))
+
+
+SERIES = np.random.default_rng(16).standard_normal(256)
+
+
+@FUZZ
+@given(max_lag=values())
+def test_sample_acf_pacf_lag(max_lag):
+    res = outcome(sample_acf_pacf, SERIES, max_lag)
+    if res is not None:
+        assert len(res.acf) == max_lag
+
+
+@FUZZ
+@given(alphas=st.lists(values(), min_size=1, max_size=3))
+def test_bandwidth_scan_alphas(alphas):
+    scan = outcome(bandwidth_scan, SERIES, 1, 4, alphas)
+    if scan is not None:
+        assert_ints(*(row.m for row in scan.rows))

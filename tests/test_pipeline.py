@@ -50,6 +50,17 @@ class TestFractionalFilter:
             fractional_filter(rng.standard_normal(50), [1.0], [4])
         assert exc.value.code == "bad-filter"
 
+    @pytest.mark.parametrize("series, code", [
+        ([np.nan] * 10, "non-finite-input"),
+        ([1.0, np.inf, 2.0], "non-finite-input"),
+        (np.ones((3, 3)), "series-too-short"),
+        (1.0, "series-too-short"),
+    ])
+    def test_bad_series_rejected(self, series, code):
+        with pytest.raises(ValidationError) as exc:
+            fractional_filter(series, [0.1], [4])
+        assert exc.value.code == code
+
 
 class TestBandwidthScan:
     def test_rows_cover_alphas(self, two_period_path):
@@ -80,6 +91,12 @@ class TestBandwidthScan:
     def test_alphas_must_be_interior(self, two_period_path):
         with pytest.raises(ValidationError):
             bandwidth_scan(two_period_path, 1, 4, [0.5, 1.0])
+
+    @pytest.mark.parametrize("alpha", ["a", "0.5", True, None])
+    def test_alphas_must_be_real_numbers(self, two_period_path, alpha):
+        with pytest.raises(ValidationError) as exc:
+            bandwidth_scan(two_period_path, 1, 4, [alpha])
+        assert exc.value.code == "bad-bandwidth"
 
     def test_csv_format(self, two_period_path, tmp_path):
         scan = bandwidth_scan(two_period_path, 1, 4, [0.05, 0.5])
@@ -132,6 +149,23 @@ class TestSampleAcfPacf:
         with pytest.raises(ValidationError) as exc:
             sample_acf_pacf(np.ones(100), 5)
         assert exc.value.code == "zero-variance"
+
+    @pytest.mark.parametrize("series, code", [
+        ([np.nan] * 20, "non-finite-input"),
+        ([0.0, 1.0, -np.inf] * 7, "non-finite-input"),
+        (np.ones((20, 2)), "series-too-short"),
+        (1.0, "series-too-short"),
+    ])
+    def test_bad_series_rejected(self, series, code):
+        with pytest.raises(ValidationError) as exc:
+            sample_acf_pacf(series, 2)
+        assert exc.value.code == code
+
+    @pytest.mark.parametrize("max_lag", [2.0, True, "2", None])
+    def test_lag_must_be_an_integer(self, rng, max_lag):
+        with pytest.raises(ValidationError) as exc:
+            sample_acf_pacf(rng.standard_normal(50), max_lag)
+        assert exc.value.code == "bad-lag"
 
     def test_csv_format(self, rng, tmp_path):
         res = sample_acf_pacf(rng.standard_normal(100), 3)

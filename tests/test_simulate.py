@@ -288,6 +288,13 @@ class TestSimConfig:
             SimConfig(spec=quarterly_spec, **kwargs)
         assert exc.value.code == code
 
+    @pytest.mark.parametrize("seed", [5, 2 ** 63 + 5, 2 ** 64 - 1])
+    def test_numpy_integers_are_stored_as_ints(self, quarterly_spec, seed):
+        cfg = SimConfig(spec=quarterly_spec, n=np.int64(256), seed=np.uint64(seed), grid_exponent=np.int64(17))
+        assert [type(v) for v in (cfg.n, cfg.seed, cfg.grid_exponent)] == [int] * 3
+        plain = SimConfig(spec=quarterly_spec, n=256, seed=seed, grid_exponent=17)
+        assert cfg == plain and simulate(cfg).tobytes() == simulate(plain).tobytes()
+
 
 class TestSimulate:
     def test_fixed_seed_reproducible(self, quarterly_spec):

@@ -258,6 +258,59 @@ def test_numpy_integer_bandwidth_accepted():
     assert build_band_plan(1080, 1, 4, np.int64(20)) == build_band_plan(1080, 1, 4, 20)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(),                              # no bandwidth picked
+    dict(alpha=0.5, m=10),
+    dict(alpha=0.5, gph_T=True),
+    dict(alpha=0.5, uncapped=True),      # uncapped only with gph_T
+    dict(m=10, uncapped=True),
+    dict(gph_T="yes"),                   # the flags are bools
+    dict(gph_T=True, uncapped=1),
+    dict(alpha=True),                    # alpha is a real number, m an integer
+    dict(alpha="0.5"),
+    dict(alpha=10 ** 400),
+    dict(m=10.0),
+])
+def test_bandwidth_choice_rejected(kwargs):
+    from sarfima.spectrum import resolve_bandwidth
+    with pytest.raises(ValidationError) as exc:
+        resolve_bandwidth(1080, 4, **kwargs)
+    assert exc.value.code == "bad-bandwidth"
+
+
+@pytest.mark.parametrize("kwargs, m", [(dict(alpha=np.float64(0.5)), 32), (dict(m=np.int64(20)), 20),
+                                       (dict(gph_T=True), 134), (dict(gph_T=True, uncapped=True), 269)])
+def test_resolved_bandwidth_is_a_plain_int(kwargs, m):
+    from sarfima.spectrum import resolve_bandwidth
+    got = resolve_bandwidth(np.int64(1080), np.int64(4), **kwargs)
+    assert type(got) is int and got == m
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_band_plan(0, 4, 12, 32),
+    lambda: build_band_plan(1080.5, 4, 12, 32),
+    lambda: build_band_plan(True, 1, 4, 2, allow_overlap=True),
+    lambda: gph_T_bandwidth(1080.5, 4),
+    lambda: gph_T_bandwidth(-5, 4),
+    lambda: gph_T_bandwidth("1080", 4),
+])
+def test_bad_length_rejected(call):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert exc.value.code == "bad-n"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: asymptotic_cov_matrix(4, 12, 2 ** 2000),
+    lambda: asymptotic_cov_matrix(4, None, 2 ** 53),
+    lambda: build_band_plan(1080, 4, 12, 2 ** 64, allow_overlap=True),
+])
+def test_bandwidth_past_exact_floats_rejected(call):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert exc.value.code == "bad-bandwidth"
+
+
 class TestPlanCache:
     def test_plan_is_shared_and_read_only(self):
         plan = build_band_plan(1080, 4, 12, 30)
