@@ -405,11 +405,9 @@ def _derivatives(design: _WhittleDesign, state):
     curvature = 0.0   # sum((weight / total - wn) d2 log g)
     if ratios:
         p = len(design.box)
-        jac = np.empty((len(w), p, w.shape[1]))
-        jac[:, :nd] = design.jac_d
+        free = np.empty((len(w), p - nd, w.shape[1]))   # the free factors' columns of J
         for (sign, sl, _), r in zip(design.factors, ratios):
-            np.multiply(r[:, 0], -2 * sign, out=jac[:, sl])
-        free = jac[:, nd:]
+            np.multiply(r[:, 0], -2 * sign, out=free[:, sl.start - nd:sl.stop - nd])
         u = design.weight / design.total - wn
         grad = np.concatenate([grad, (u[:, None, :] * free).sum(axis=2)], axis=1)
         w_free = wn[:, None, :] * free
@@ -417,10 +415,11 @@ def _derivatives(design: _WhittleDesign, state):
         full = np.empty((len(w), p, p))
         full[:, :nd, :nd] = second
         second = full
-        for k in range(nd, p):   # row and column k, up to the diagonal
-            second[:, k, :k + 1] = second[:, :k + 1, k] = (w_free[:, k - nd, None, :]
-                                                           * jac[:, :k + 1]).sum(axis=2)
-        del jac, free, w_free
+        for k in range(nd, p):   # row and column k, up to the diagonal: memory, then factor entries
+            wk = w_free[:, k - nd, None, :]
+            second[:, k, :nd] = second[:, :nd, k] = (wk * design.jac_d).sum(axis=2)
+            second[:, k, nd:k + 1] = second[:, nd:k + 1, k] = (wk * free[:, :k + 1 - nd]).sum(axis=2)
+        del free, w_free
         curvature = np.zeros((len(w), p, p))
         for (sign, sl, _), r in zip(design.factors, ratios):
             ru = r * u[:, None, None, :]
