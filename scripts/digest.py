@@ -17,7 +17,10 @@ compares the run_mc estimates of both samplers replication by replication:
 per design and estimator, the largest |change of d_hat|, the replications
 whose Newton steps differ, and the code mismatches (replications that
 failed on one side only, plus the difference of the failure-code tallies).
-``--against`` exits 1 on any step or code mismatch.
+For each Whittle estimator it also refits the run's paths, drawn here in
+run_mc's blocks, with both packages' block fit and counts the
+replications whose objective ends lower and higher on this side (by more
+than 1e-9).  ``--against`` exits 1 on any step or code mismatch.
 
     python scripts/digest.py
     python scripts/digest.py --reps 2      # a quick smoke run
@@ -73,6 +76,45 @@ def mc_digest(runs: dict) -> str:
     return h.hexdigest()
 
 
+#: an objective that moves by no more than this has not moved
+OBJECTIVE_TOL = 1e-9
+
+
+def objective_counts(other, master_seed: int, reps: int, n: int) -> dict:
+    """Per sampler, design and Whittle estimator, how many replications end
+    with a lower and how many with a higher objective on this side: every
+    block of run_mc's paths, drawn by this package, is fitted by this
+    package's and by ``other``'s ``_whittle_fits``, each with its own
+    design's template."""
+    from sarfima.estimators import _whittle_fits
+    from sarfima.montecarlo import _PATH_BLOCK
+    from sarfima.simulate import _paths
+    from sarfima.spectrum import _ordinates
+    counts = {}
+    for method in METHODS:
+        for name in sarfima.DESIGN_NAMES:
+            try:
+                config = design(name, master_seed=master_seed, reps=reps, n=n, method=method)
+                other_estimators = other.design(name, master_seed=master_seed, reps=reps, n=n).estimators
+            except (sarfima.SarfimaError, other.SarfimaError):
+                continue   # reported by the run_mc comparison
+            templates = [(e.name, e.template, o.template) for e, o in zip(config.estimators, other_estimators)
+                         if e.kind == "whittle"]
+            diffs = {label: [] for label, _, _ in templates}
+            for start in range(0, reps, _PATH_BLOCK):
+                seeds = [sarfima.derive_rep_seed(master_seed, rep)
+                         for rep in range(start, min(start + _PATH_BLOCK, reps))]
+                ordinates = _ordinates(_paths(config.spec, n, config.grid_exponent, method, seeds))
+                for label, mine, theirs in templates:
+                    diffs[label].append(_whittle_fits(ordinates, n, mine).objective
+                                        - other.estimators._whittle_fits(ordinates, n, theirs).objective)
+            for label, parts in diffs.items():
+                diff = np.concatenate(parts)
+                counts[f"{method}/{name}/{label}"] = (int(np.sum(diff < -OBJECTIVE_TOL)),
+                                                      int(np.sum(diff > OBJECTIVE_TOL)))
+    return counts
+
+
 def records(runs_by_method: dict) -> dict:
     """Per sampler and design that raised, its error code; per sampler,
     design and estimator, the estimates, the Newton steps (empty for a band
@@ -89,9 +131,10 @@ def records(runs_by_method: dict) -> dict:
     return out
 
 
-def compare(before: dict, after: dict) -> tuple:
-    """One line per sampler, design and estimator of either record, and
-    whether any steps or codes differ."""
+def compare(before: dict, after: dict, objectives: dict) -> tuple:
+    """One line per sampler, design and estimator of either record, with the
+    objective counts of a Whittle estimator, and whether any steps or codes
+    differ."""
     lines, mismatched = [], False
     for group in dict.fromkeys([*before, *after]):
         if group.count("/") == 1:   # a design that raised on at least one side
@@ -109,7 +152,10 @@ def compare(before: dict, after: dict) -> tuple:
         codes = int(np.sum(failed_a != failed_b)) + sum(
             abs(tally_a.get(code, 0) - tally_b.get(code, 0)) for code in {*tally_a, *tally_b})
         mismatched |= steps > 0 or codes > 0
-        lines.append(f"{group:30} max|dd| {delta:.3g}  steps {steps}  codes {codes}")
+        line = f"{group:30} max|dd| {delta:.3g}  steps {steps}  codes {codes}"
+        if group in objectives:
+            line += "  objective lower {} higher {}".format(*objectives[group])
+        lines.append(line)
     return lines, mismatched
 
 
@@ -168,7 +214,7 @@ def main(argv=None) -> int:
     if args.against:
         other = load_package(Path(args.against), "sarfima_against")
         lines, mismatched = compare(records({method: mc_runs(other, *params, method) for method in METHODS}),
-                                    records(runs))
+                                    records(runs), objective_counts(other, *params))
         print("\n".join(lines))
         return 1 if mismatched else 0
     return 0

@@ -58,20 +58,19 @@ class WhittleFit:
 # asymptotic covariance of the band-OLS memory estimates
 # ---------------------------------------------------------------------------
 
-def _band_deltas(sp: int):
-    """delta_k over k = 0..floor(s'/2)."""
-    return [1 if (k == 0 or 2 * k == sp) else 2 for k in range(sp // 2 + 1)]
-
-
 def asymptotic_cov_matrix(s1: int, s2, m: int) -> np.ndarray:
     """Asymptotic covariance (pi^2 / 6m) Q^-1 of the band OLS estimator.
 
     Q = 4 [[sum_k delta_k, sum_{k in I} delta_k], [sym., sum_{k in I} delta_k]]
-    where I = {0} u {k : k s2 = 0 mod s'}; each entry of the inverse is a
-    quotient of Python ints, which is the exact rational correctly rounded,
-    before the pi^2/(6m) scaling.  A single-period call (s2 = None or
-    s2 = s1) returns the 1x1 matrix [[pi^2 / (24 s m)]].
-    Built once per argument tuple; the shared matrix is read-only.
+    over k = 0..floor(s'/2), with delta_k = 1 at k = 0 and k = s'/2 and 2
+    elsewhere, and I = {0} u {k : k s2 = 0 mod s'}.  The sums are closed
+    forms: the deltas count each residue k mod s' once, so they total s',
+    and I holds the gcd(s', s2) multiples of s' / gcd(s', s2).  Each entry
+    of the inverse is a quotient of Python ints, which is the exact
+    rational correctly rounded, before the pi^2/(6m) scaling.  A
+    single-period call (s2 = None or s2 = s1) returns the 1x1 matrix
+    [[pi^2 / (24 s m)]].  Built once per argument tuple; the shared matrix
+    is read-only.
     """
     m = _check_bandwidth(m)
     return _asymptotic_cov(*_check_periods(s1, s1 if s2 is None else s2), m)
@@ -81,13 +80,12 @@ def asymptotic_cov_matrix(s1: int, s2, m: int) -> np.ndarray:
 def _asymptotic_cov(s1: int, s2: int, m: int) -> np.ndarray:
     if m < 1:
         raise ValidationError("m-too-small", f"bandwidth must be >= 1, got {m}")
-    if s1 == s2:
-        return _frozen(np.array([[math.pi ** 2 / (24 * s1 * m)]]))
+    if s1 == s2:   # a quotient of ints, so that a period past the float range gives 0, not an overflow
+        num, den = (math.pi ** 2).as_integer_ratio()
+        return _frozen(np.array([[num / (den * 24 * s1 * m)]]))
     _check_period_pair(s1, s2)
     sp, ss = max(s1, s2), min(s1, s2)
-    deltas = _band_deltas(sp)
-    total = sum(deltas)
-    informative = sum(d for k, d in enumerate(deltas) if (k * ss) % sp == 0)
+    total, informative = sp, math.gcd(sp, ss)
     q11, q12, q22 = 4 * total, 4 * informative, 4 * informative
     det = q11 * q22 - q12 * q12
     if det == 0:
@@ -209,11 +207,13 @@ def _gph_fits(ordinates: np.ndarray, plan: BandPlan, periods: tuple):
 class WhittleTemplate:
     """Parametric spectral shape with per-parameter free/fixed markers.
 
-    ``spec`` supplies the structure and the starting/fixed values; ``free_d``
-    marks which component memories are estimated, ``free_ar``/``free_ma``
-    mark whole factors.  ``d_box`` is a hard constraint |d| <= d_box on each
-    free memory; the default 0.49 keeps fits inside the stationary region,
-    misspecification studies may widen it.
+    ``spec`` supplies the structure, the fixed values and the start of a
+    free MA factor; a free AR factor starts at its Yule-Walker coefficients,
+    and its spec coefficients are only the fallback of a row where those
+    fail.  ``free_d`` marks which component memories are estimated,
+    ``free_ar``/``free_ma`` mark whole factors.  ``d_box`` is a hard
+    constraint |d| <= d_box on each free memory; the default 0.49 keeps fits
+    inside the stationary region, misspecification studies may widen it.
     """
 
     spec: SarfimaSpec
@@ -272,9 +272,11 @@ def _whittle_design(n: int, template: WhittleTemplate) -> _WhittleDesign:
     their products, ``jac_stack`` = (J_i, then J_i J_j row-major), and the
     weighted mean ``jac_mean`` of J, the fixed
     part ``base`` of log g, each free factor's (sign, slice of theta,
-    (Re z, Im z) as a (2, q, K) array), the factors' starting
-    coefficients ``arma0``, the ``box`` |theta| <= box, and the band plan
-    ``start`` of the starting memories, or None.  The arrays are read-only.
+    (Re z, Im z) as a (2, q, K) array), the free factors' spec
+    coefficients ``arma0`` (0 where they are not stationary or invertible),
+    which are an MA factor's start and an AR factor's fallback start, the
+    ``box`` |theta| <= box, and the band plan ``start`` of the starting
+    memories, or None.  The arrays are read-only.
     n must be >= 64, with total >= 8.
 
     log g = base + d . jac_d + sum of sign * ln|t|^2 over the free factors,
@@ -548,6 +550,54 @@ def _projected_newton(design: _WhittleDesign, I_u: np.ndarray, theta0: np.ndarra
     return out
 
 
+#: share of ``d_box`` the memories of a free-AR fit start within: a start on
+#: the box would hold the memory there through a first descent
+START_BOX_SHARE = 0.9
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _yule_walker_start(design: _WhittleDesign, I_u: np.ndarray, theta0: np.ndarray) -> np.ndarray:
+    """theta0 with its memories clipped to START_BOX_SHARE of the box and
+    each free AR factor, in template order, at its Yule-Walker coefficients.
+
+    For fixed memories the AR part of F is, up to the mean of ln|t|^2 (near
+    0 for a stationary factor), the log of the quadratic form mean(w |t|^2)
+    in the factor's coefficients, with w = I / g taken at the factor's
+    coefficients set to 0.  Its minimum solves Toeplitz(R_0..R_{q-1}) c =
+    (R_1..R_q), R_h = sum(w cos(h lag lambda)) / total, which is stationary
+    whenever w >= 0 (variable projection, used only for the start).  A row
+    whose c is not finite or not stationary keeps ``arma0`` for the factor.
+    Each row's system is solved on its own, so its bits do not depend on
+    the block.
+    """
+    theta = theta0.copy()
+    nd = len(design.jac_d)
+    box = START_BOX_SHARE * design.box[:nd]
+    theta[:, :nd] = np.clip(theta[:, :nd], -box, box)
+    for sign, sl, z in design.factors:
+        if sign > 0:
+            continue
+        theta[:, sl] = 0.0
+        w = _objective(design, I_u, theta)[2]
+        R = np.concatenate([w.sum(axis=1)[:, None], (w[:, None, :] * z[0]).sum(axis=2)], axis=1)
+        R /= design.total
+        q = z.shape[1]
+        toeplitz = R[:, np.abs(np.subtract.outer(np.arange(q), np.arange(q)))]
+        try:
+            c = np.linalg.solve(toeplitz, R[:, 1:, None])[:, :, 0]
+        except np.linalg.LinAlgError:   # a row is exactly singular: solve each row alone, NaN where singular
+            c = np.full((len(R), q), np.nan)
+            for r in range(len(R)):
+                try:
+                    c[r] = np.linalg.solve(toeplitz[r], R[r, 1:])
+                except np.linalg.LinAlgError:
+                    pass
+        theta[:, sl] = c
+        ok = _stationary(design, theta)   # false on a NaN row
+        theta[:, sl] = np.where(ok[:, None], c, theta0[:, sl])
+    return theta
+
+
 #: Fox-Taqqu fits of a block of periodograms, one row each; a row that
 #: raised has its error in ``errors``, NaN values and -1 steps
 _WhittleFits = namedtuple("_WhittleFits", "d_hat theta sigma2 objective converged steps errors")
@@ -578,6 +628,8 @@ def _whittle_fits(ordinates: np.ndarray, n: int, template: WhittleTemplate) -> _
         d0 = np.nan_to_num(_gph_fits(np.where(solved[:, None], ordinates, 1.0), design.start,
                                      template.spec.periods)[0], nan=0.0)
     theta0 = np.hstack([d0[:, free_d], np.tile(np.array(design.arma0, dtype=float), (len(I_u), 1))])
+    if any(sign < 0 for sign, _, _ in design.factors):
+        theta0 = _yule_walker_start(design, I_u, theta0)
     # with free AR/MA factors F is not convex: a memory on the box may mark
     # a local minimum, so such a row descends once more from white noise
     theta, F, s2, converged, steps = _projected_newton(design, I_u, theta0, restart=bool(design.factors))
@@ -603,9 +655,12 @@ def whittle_estimate(series, template: WhittleTemplate) -> WhittleFit:
     F = ln sigma^2_hat + mean(ln g_j) is minimized over the free shape
     parameters by projected Newton steps (analytic gradient and Hessian)
     from the band OLS memories, with the free memories held in the box
-    |d| <= d_box and the AR/MA roots outside the unit circle.  With free
-    AR/MA factors F is not convex, so a fit that ends on the box is repeated
-    from white noise.  ``iterations`` counts Newton steps; non-convergence is
+    |d| <= d_box and the AR/MA roots outside the unit circle.  With a free
+    AR factor the start's memories are clipped to START_BOX_SHARE of the
+    box, and each free AR factor starts at its Yule-Walker coefficients for
+    them (``_yule_walker_start``).  With free AR/MA factors F is not convex,
+    so a fit that ends on the box is repeated from white noise.
+    ``iterations`` counts Newton steps; non-convergence is
     reported in the returned fit, never silently discarded.  This is the
     one-row case of the block fit a Monte Carlo run applies to its paths.
     """

@@ -48,7 +48,7 @@ class EstimatorDef:
 
     kind: gph_multi (two-parameter band OLS over the spec's two periods),
     gph_single (one-parameter band OLS at a one-component spec's period), or
-    whittle (Fox-Taqqu fit of ``template``, without ``allow_overlap``).  A gph
+    whittle (Fox-Taqqu fit of ``template``, with none of the bandwidth fields).  A gph
     bandwidth comes from exactly one of ``alpha`` (m = floor(n^alpha)), ``m``
     or ``use_gph_T`` (capped; ``allow_overlap`` uncaps it), by the rule of
     ``resolve_bandwidth``.
@@ -67,8 +67,10 @@ class EstimatorDef:
             raise ValidationError("bad-estimator", f"unknown estimator kind {self.kind!r}")
         if self.kind != "whittle":
             _check_bandwidth_choice(self.alpha, self.m, self.use_gph_T, self.allow_overlap)
-        elif self.template is None or self.allow_overlap:
-            raise ValidationError("bad-estimator", f"{self.name}: whittle needs a template and no allow_overlap")
+        elif self.template is None or any(value is not default for value, default in (
+                (self.alpha, None), (self.m, None), (self.use_gph_T, False), (self.allow_overlap, False))):
+            raise ValidationError("bad-estimator", f"{self.name}: whittle needs a template and no bandwidth "
+                                  f"(alpha, m, use_gph_T, allow_overlap)")
 
     def bandwidth(self, n: int, s_prime: int) -> int:
         return resolve_bandwidth(n, s_prime, alpha=self.alpha, m=self.m,

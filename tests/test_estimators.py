@@ -64,6 +64,34 @@ class TestCovarianceMatrix:
                 asymptotic_cov_matrix(4, s2, m)
             assert exc.value.code == "bad-bandwidth"
 
+    def test_closed_form_sums_match_the_band_weights(self):
+        # the sums of Q as the list of band weights delta_k gave them
+        for sp in range(1, 61):
+            deltas = [1 if k == 0 or 2 * k == sp else 2 for k in range(sp // 2 + 1)]
+            for ss in range(1, sp + 1):
+                if sp % ss:
+                    continue
+                for m in (1, 7, 32):
+                    if ss == sp:
+                        want = np.array([[math.pi ** 2 / (24 * sp * m)]])
+                        assert asymptotic_cov_matrix(sp, None, m).tobytes() == want.tobytes()
+                        continue
+                    total = sum(deltas)
+                    informative = sum(d for k, d in enumerate(deltas) if (k * ss) % sp == 0)
+                    q11, q12 = 4 * total, 4 * informative
+                    det = q11 * q12 - q12 * q12
+                    want = math.pi ** 2 / (6 * m) * np.array([[q12 / det, -q12 / det], [-q12 / det, q11 / det]])
+                    assert asymptotic_cov_matrix(sp, ss, m).tobytes() == want.tobytes()
+                    assert asymptotic_cov_matrix(ss, sp, m).tobytes() == want[::-1, ::-1].tobytes()
+
+    def test_huge_period_is_closed_form(self):
+        # Q = 4 [[2^40, g], [g, g]] with g = gcd(2^40, s2): no list of 2^39 band weights
+        for s2, g in ((1, 1), (2 ** 20, 2 ** 20)):
+            det = 16 * (2 ** 40 * g - g * g)
+            want = math.pi ** 2 / 60 * np.array([[4 * g / det, -4 * g / det], [-4 * g / det, 2 ** 42 / det]])
+            assert asymptotic_cov_matrix(2 ** 40, s2, 10).tobytes() == want.tobytes()
+        assert asymptotic_cov_matrix(2 ** 2000, None, 10)[0, 0] == 0.0
+
     def test_numpy_integer_bandwidth_accepted(self):
         assert np.array_equal(asymptotic_cov_matrix(4, 12, np.int64(30)),
                               asymptotic_cov_matrix(4, 12, 30))
@@ -531,6 +559,13 @@ def two_descents(wd, I_u, theta0):
     return (theta, F, s2, converged, steps), again, better
 
 
+def band_ols_start(monkeypatch):
+    """Make free-AR fits start as they did before the Yule-Walker start: at
+    the band OLS memories, on or past the box, with each factor at ``arma0``."""
+    from sarfima import estimators
+    monkeypatch.setattr(estimators, "_yule_walker_start", lambda design, I_u, theta0: theta0)
+
+
 def stationary_rows(wd, theta):
     """Per row of theta, whether every free factor's companion matrix has
     its eigenvalues inside the unit circle: written independently of the
@@ -551,9 +586,9 @@ class TestFreeFactorDescent:
     # (design, n, sampler, master seed, rows where the restart wins, where it loses)
     @pytest.mark.parametrize("name, n, method, master, wins, losses", [
         ("table4", 1080, "exact_dl", 20101125, [4], [2, 11, 12]),
-        ("table5", 1080, "exact_dl", 20101125, [3, 5, 12, 13], [14]),
+        ("table5", 1080, "exact_dl", 20101125, [], [14]),
         ("table4", 4096, "circulant", 3, [], []),   # no memory ends on the box here
-        ("table5", 4096, "circulant", 3, [12], [10]),
+        ("table5", 4096, "circulant", 3, [], [10]),
     ])
     def test_restart_in_place_is_two_separate_descents(self, name, n, method, master, wins, losses,
                                                        monkeypatch):
@@ -599,8 +634,12 @@ class TestFreeFactorDescent:
         monkeypatch.setattr(estimators, "_stationary", stationary_spy)
         template, ordinates = ft_block(name, 1080, "exact_dl", 20101125, 16)
         estimators._whittle_fits(ordinates, 1080, template)
+        # from the band OLS start the line search tries points outside the region
+        rejected.clear()
+        band_ols_start(monkeypatch)
+        estimators._whittle_fits(ordinates, 1080, template)
         assert all(ok.all() for ok in evaluated)
-        assert sum(rejected) > 0   # the line search did try points outside the region
+        assert sum(rejected) > 0
 
     @pytest.mark.parametrize("n, method", [(1080, "exact_dl"), (20000, "circulant")])
     def test_ar2_one_row_fit_is_its_block_row(self, n, method):
@@ -613,15 +652,88 @@ class TestFreeFactorDescent:
             assert one.theta[0].tobytes() == block.theta[r].tobytes()
             assert one.steps[0] == block.steps[r]
 
-    def test_slow_descent_is_allowed_to_finish(self):
-        # a memory released where the Hessian is indefinite leaves the row
-        # on short Gauss-Newton steps: it was still lowering F at step 100
+    def test_slow_descent_is_allowed_to_finish(self, monkeypatch):
+        # from the band OLS start, a memory released where the Hessian is
+        # indefinite leaves the row on short Gauss-Newton steps: it was still
+        # lowering F at step 100.  The Yule-Walker start reaches the same
+        # minimum in a few steps.
         from sarfima.estimators import _whittle_fits
         master = 20101125 * 1_000_000 + 320
         template, ordinates = ft_block("table4", 1080, "circulant", master, 5)
         fit = _whittle_fits(ordinates[4:], 1080, template)
+        assert fit.converged[0] and fit.steps[0] <= 15
+        assert fit.theta[0] == pytest.approx([0.1275, 0.1996, 0.8298], abs=1e-4)
+        band_ols_start(monkeypatch)
+        fit = _whittle_fits(ordinates[4:], 1080, template)
         assert fit.converged[0] and fit.steps[0] == 107
         assert fit.theta[0] == pytest.approx([0.1275, 0.1996, 0.8298], abs=1e-4)
+
+
+def captured_start(monkeypatch, template, ordinates, n):
+    """The design, rescaled ordinates and start that ``_whittle_fits`` hands
+    to the descent."""
+    from sarfima import estimators
+    seen = []
+    real = estimators._projected_newton
+
+    def spy(wd, I_u, theta0, restart):
+        seen.append((wd, I_u, theta0))
+        return real(wd, I_u, theta0, restart)
+
+    monkeypatch.setattr(estimators, "_projected_newton", spy)
+    estimators._whittle_fits(ordinates, n, template)
+    monkeypatch.undo()
+    return seen[0]
+
+
+class TestYuleWalkerStart:
+    """A free-AR fit starts inside the box, at the AR coefficients that
+    minimise mean(w |t|^2) for the start's memories."""
+
+    @pytest.mark.parametrize("name", ["table4", "table5", "ar2"])
+    def test_start_is_stationary_and_solves_yule_walker(self, name, monkeypatch):
+        from sarfima.estimators import START_BOX_SHARE, _objective
+        template, ordinates = ft_block(name, 1080, "circulant", 20101125, 16)
+        wd, I_u, theta0 = captured_start(monkeypatch, template, ordinates, 1080)
+        nd = len(wd.jac_d)
+        assert np.all(np.abs(theta0[:, :nd]) <= START_BOX_SHARE * template.d_box)
+        assert stationary_rows(wd, theta0).all()
+        (_, sl, z), = wd.factors
+        at_zero = theta0.copy()
+        at_zero[:, sl] = 0.0
+        w = _objective(wd, I_u, at_zero)[2]
+        R = np.concatenate([w.sum(axis=1)[:, None], (w[:, None, :] * z[0]).sum(axis=2)], axis=1) / wd.total
+        c = theta0[:, sl]
+        if c.shape[1] == 1:
+            assert c[:, 0].tolist() == (R[:, 1] / R[:, 0]).tolist()
+        else:   # R_0 c_1 + R_1 c_2 = R_1 and R_1 c_1 + R_0 c_2 = R_2
+            lhs = np.stack([R[:, 0] * c[:, 0] + R[:, 1] * c[:, 1], R[:, 1] * c[:, 0] + R[:, 0] * c[:, 1]], axis=1)
+            assert np.max(np.abs(lhs - R[:, 1:])) <= 1e-14 * np.max(R[:, 0])
+
+    @pytest.mark.parametrize("name", ["table4", "table5", "ar2"])
+    def test_one_row_start_is_its_block_row(self, name):
+        from sarfima.estimators import _whittle_fits
+        template, ordinates = ft_block(name, 1080, "circulant", 20101125, 6)
+        block = _whittle_fits(ordinates, 1080, template)
+        for r, row in enumerate(ordinates):
+            one = _whittle_fits(misaligned(row), 1080, template)
+            assert one.theta[0].tobytes() == block.theta[r].tobytes()
+            assert one.steps[0] == block.steps[r]
+
+    def test_singular_row_keeps_the_spec_coefficients(self, monkeypatch):
+        # x_t = cos(pi t / 2) has its power at lambda = pi/2, where
+        # cos(4 lambda) = cos(8 lambda) = 1: the Yule-Walker system of an
+        # AR(2) factor at lag 4 is exactly singular there
+        from sarfima.spectrum import _ordinates
+        spec = SarfimaSpec(components=(SeasonalComponent(1, 0.0),), ar_factors=(ArmaFactor(4, (0.2, 0.1)),))
+        template = WhittleTemplate(spec=spec)
+        wave = np.cos(np.pi * np.arange(1080) / 2)
+        ordinates = _ordinates(np.stack([wave, np.random.default_rng(7).standard_normal(1080)]))
+        block = captured_start(monkeypatch, template, ordinates, 1080)[2]
+        alone = captured_start(monkeypatch, template, ordinates[1:], 1080)[2]
+        assert block[0, 1:].tolist() == [0.2, 0.1]
+        assert block[1].tobytes() == alone[0].tobytes()
+        assert whittle_estimate(wave, template).converged
 
 
 class TestDesignCache:

@@ -62,6 +62,13 @@ class TestEstimatorDef:
             EstimatorDef(name="x", kind="whittle", template=WhittleTemplate.pure((4,)), allow_overlap=True)
         assert exc.value.code == "bad-estimator"
 
+    @pytest.mark.parametrize("bandwidth", [{"alpha": 0.5}, {"m": 7}, {"use_gph_T": True}, {"alpha": 0.0},
+                                           {"use_gph_T": 0}])
+    def test_whittle_refuses_a_bandwidth(self, bandwidth):
+        with pytest.raises(ValidationError) as exc:
+            EstimatorDef(name="x", kind="whittle", template=WhittleTemplate.pure((4,)), **bandwidth)
+        assert exc.value.code == "bad-estimator"
+
     @pytest.mark.parametrize("alpha", ["0.5", True])
     def test_alpha_must_be_a_real_number(self, alpha):
         spec = SarfimaSpec(components=(SeasonalComponent(1, 0.1), SeasonalComponent(4, 0.3)))

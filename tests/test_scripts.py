@@ -57,6 +57,8 @@ def test_digest_against_this_checkout_finds_no_difference(capsys):
         fields = row.split()
         if fields[1] == "error":
             assert fields[2:] == ["band-overlap", "->", "band-overlap"]
+        elif "/ft" in fields[0]:   # a Whittle fit also compares its objective
+            assert fields[1:] == ["max|dd|", "0", "steps", "0", "codes", "0", "objective", "lower", "0", "higher", "0"]
         else:
             assert fields[1:] == ["max|dd|", "0", "steps", "0", "codes", "0"]
 
@@ -76,6 +78,10 @@ def test_digest_against_a_changed_checkout_exits_1(tmp_path, capsys):
     gph = [r for r in rows if "/gph" in r[0]]
     assert gph and all(r[1:] == ["max|dd|", "0", "steps", "0", "codes", "0"] for r in gph)
     assert any(r[0].endswith("/ft") and r[4] != "0" for r in rows)
+    # a full descent ends lower than one step, and never higher
+    whittle = [r for r in rows if "/ft" in r[0]]
+    assert any(r[9] != "0" for r in whittle) and all(r[7:9] == ["objective", "lower"] and r[11] == "0"
+                                                     for r in whittle)
 
 
 def test_digest_runs_from_a_plain_checkout(tmp_path):
