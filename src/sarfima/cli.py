@@ -21,15 +21,11 @@ from .model import spec_from_json, spec_to_json
 from .spectrum import build_band_plan, periodogram, resolve_bandwidth, write_csv
 from .estimators import (WhittleTemplate, estimate_to_json, gph_estimate,
                          whittle_estimate, whittle_fit_to_json)
-from .simulate import DEFAULT_METHOD, SimConfig, simulate
+from .simulate import DEFAULT_METHOD, SimConfig, simulate, _DRAWERS
 from .pipeline import acf_to_csv, bandwidth_scan, fractional_filter, sample_acf_pacf, scan_to_csv
 from .montecarlo import DESIGN_NAMES, design, estimates_to_csv, run_mc, summary_to_csv
 
 __all__ = ["main", "dispatch"]
-
-
-#: the samplers of ``simulate --method`` and ``mc --method``
-_METHODS = ["circulant", "exact_dl"]
 
 
 class _CliArgError(Exception):
@@ -146,7 +142,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--spec", required=True, help="model spec JSON file")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--method", choices=_METHODS, default=DEFAULT_METHOD)
+    sp.add_argument("--method", choices=sorted(_DRAWERS), default=DEFAULT_METHOD)
     sp.add_argument("--grid-exponent", type=int, default=None)
     sp.add_argument("--out", required=True)
 
@@ -196,7 +192,7 @@ def build_parser() -> _Parser:
     mc.add_argument("--seed", type=int, required=True)
     mc.add_argument("--reps", type=int, default=2000)
     mc.add_argument("--n", type=int, default=1080)
-    mc.add_argument("--method", choices=_METHODS, default=DEFAULT_METHOD)
+    mc.add_argument("--method", choices=sorted(_DRAWERS), default=DEFAULT_METHOD)
     mc.add_argument("--threads", type=int, default=None,
                     help="worker processes (default: SARFIMA_THREADS or 1)")
     mc.add_argument("--out", required=True)

@@ -2,9 +2,10 @@
 
 Codes are kebab-case strings surfaced verbatim by the CLI as
 ``error: <code>: <message>``.  Every layer imports this module, so the
-integer rule of the library boundary lives here too.
+integer and memory rules of the library boundary live here too.
 """
 import numbers
+import os
 
 
 class SarfimaError(Exception):
@@ -38,3 +39,11 @@ def _check_integer(value, low, code: str, what: str, high: int = None) -> int:
             return number
     rule = " and ".join(f"{op} {bound}" for op, bound in ((">=", low), ("<", high)) if bound is not None)
     raise ValidationError(code, f"{what} must be an integer {rule}".rstrip() + f", got {value!r}")
+
+
+def _check_fits(need: int, what: str, hint: str = ""):
+    """Raise ``too-large`` unless ``need`` bytes fit in physical memory."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValidationError("too-large", f"{what} needs {need / 2 ** 30:.3g} GiB; "
+                              f"physical memory is {have / 2 ** 30:.3g} GiB{hint}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import SarfimaSpec, SeasonalComponent, enumerate_poles, _roots_outside_unit_circle
+from .model import SarfimaSpec, SeasonalComponent, enumerate_poles, levinson, _roots_outside_unit_circle
 from .spectrum import (Periodogram, BandPlan, build_band_plan, periodogram, resolve_bandwidth,
                        _check_bandwidth, _check_period_pair, _check_periods)
 
@@ -277,7 +277,7 @@ def _whittle_design(n: int, template: WhittleTemplate) -> _WhittleDesign:
     which are an MA factor's start and an AR factor's fallback start, the
     ``box`` |theta| <= box, and the band plan ``start`` of the starting
     memories, or None.  The arrays are read-only.
-    n must be >= 64, with total >= 8.
+    n must be >= 64 and more than half of each period, with total >= 8.
 
     log g = base + d . jac_d + sum of sign * ln|t|^2 over the free factors,
     t = 1 - sum_p c_p z_p with z_p = exp(-i lambda p lag), sign -1 for AR
@@ -286,6 +286,8 @@ def _whittle_design(n: int, template: WhittleTemplate) -> _WhittleDesign:
     if n < 64:
         raise ValidationError("series-too-short", f"Whittle fit needs n >= 64, got {n}")
     spec0 = template.spec
+    if max(spec0.periods) >= 2 * n:   # then a pole lies within pi / (2n) of every Fourier frequency
+        raise ValidationError("series-too-short", "too few usable Fourier frequencies after pole exclusion")
     j = np.arange(1, n // 2 + 1)
     lam = 2 * np.pi * j / n
     keep = np.ones(len(j), dtype=bool)
@@ -565,10 +567,10 @@ def _yule_walker_start(design: _WhittleDesign, I_u: np.ndarray, theta0: np.ndarr
     in the factor's coefficients, with w = I / g taken at the factor's
     coefficients set to 0.  Its minimum solves Toeplitz(R_0..R_{q-1}) c =
     (R_1..R_q), R_h = sum(w cos(h lag lambda)) / total, which is stationary
-    whenever w >= 0 (variable projection, used only for the start).  A row
-    whose c is not finite or not stationary keeps ``arma0`` for the factor.
-    Each row's system is solved on its own, so its bits do not depend on
-    the block.
+    whenever w >= 0 (variable projection, used only for the start).  c is
+    the order-q ``levinson`` predictor, and a row with a reflection
+    coefficient outside (-1, 1), or NaN, keeps ``arma0`` for the factor.
+    Each row runs its own recursion, so its bits do not depend on the block.
     """
     theta = theta0.copy()
     nd = len(design.jac_d)
@@ -579,22 +581,11 @@ def _yule_walker_start(design: _WhittleDesign, I_u: np.ndarray, theta0: np.ndarr
             continue
         theta[:, sl] = 0.0
         w = _objective(design, I_u, theta)[2]
-        R = np.concatenate([w.sum(axis=1)[:, None], (w[:, None, :] * z[0]).sum(axis=2)], axis=1)
-        R /= design.total
-        q = z.shape[1]
-        toeplitz = R[:, np.abs(np.subtract.outer(np.arange(q), np.arange(q)))]
-        try:
-            c = np.linalg.solve(toeplitz, R[:, 1:, None])[:, :, 0]
-        except np.linalg.LinAlgError:   # a row is exactly singular: solve each row alone, NaN where singular
-            c = np.full((len(R), q), np.nan)
-            for r in range(len(R)):
-                try:
-                    c[r] = np.linalg.solve(toeplitz[r], R[r, 1:])
-                except np.linalg.LinAlgError:
-                    pass
-        theta[:, sl] = c
-        ok = _stationary(design, theta)   # false on a NaN row
-        theta[:, sl] = np.where(ok[:, None], c, theta0[:, sl])
+        R = np.concatenate([w.sum(axis=1)[:, None], (w[:, None, :] * z[0]).sum(axis=2)], axis=1) / design.total
+        stationary = np.ones(len(R), dtype=bool)
+        for kappa, c, _ in levinson(R):
+            stationary &= np.abs(kappa) < 1.0
+        theta[:, sl] = np.where(stationary[:, None], c, theta0[:, sl])
     return theta
 
 

@@ -80,10 +80,30 @@ class ArmaFactor:
         return bool(_roots_outside_unit_circle(np.array([self.coeffs]))[0])
 
 
+def levinson(gamma):
+    """Durbin-Levinson recursion over autocovariance sequences along gamma's last axis.
+
+    Yields, for orders t = 1..L-1, the partial autocorrelations kappa, the
+    predictor coefficients phi (phi[..., j-1] multiplies X_{t-j}) and the
+    innovation variances v, one per sequence; callers decide what kappa or v
+    out of range means.  Each row's dot product runs over its own reversed
+    view, in the order of a 1-d ``@``, so its bits do not depend on the block.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    phi = gamma[..., :0]
+    v = gamma[..., 0]
+    for t in range(1, gamma.shape[-1]):
+        dot = np.matmul(phi[..., None, :], gamma[..., t - 1:0:-1, None])[..., 0, 0]
+        kappa = (gamma[..., t] - dot) / v
+        phi = np.concatenate([phi - kappa[..., None] * phi[..., ::-1], kappa[..., None]], axis=-1)
+        v = v * (1.0 - kappa * kappa)
+        yield kappa, phi, v
+
+
 def _roots_outside_unit_circle(coeffs: np.ndarray) -> np.ndarray:
     """Whether 1 - sum_p c_p z^(p lag) has every root outside the unit circle, per row c of
-    ``coeffs``: the step-down (Schur-Cohn) recursion, the inverse of ``simulate.levinson``'s
-    update, finds every reflection coefficient in (-1, 1).  The lag drops out: |z| > 1 iff |z^lag| > 1."""
+    ``coeffs``: the step-down (Schur-Cohn) recursion, the inverse of ``levinson``'s update,
+    finds every reflection coefficient in (-1, 1).  The lag drops out: |z| > 1 iff |z^lag| > 1."""
     a = np.asarray(coeffs, dtype=float)
     ok = np.abs(a[:, -1]) < 1.0
     for j in range(a.shape[1] - 1, 0, -1):

@@ -7,11 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SarfimaError, ValidationError, _check_integer
-from .model import SarfimaSpec, SeasonalComponent, combined_filter_coefficients, _convolve_head
+from .model import SarfimaSpec, SeasonalComponent, combined_filter_coefficients, levinson, _convolve_head
 from .spectrum import (build_band_plan, periodogram, resolve_bandwidth, write_csv, _check_alpha,
                        _check_period_pair, _check_periods, _series)
 from .estimators import MemoryEstimate, gph_estimate
-from .simulate import levinson
 
 __all__ = ["ScanRow", "BandwidthScan", "bandwidth_scan", "fractional_filter",
            "AcfPacf", "sample_acf_pacf", "scan_to_csv", "acf_to_csv"]

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, NumericError, _check_integer
-from .model import SarfimaSpec, arma_spectral_density, enumerate_poles, require_stationary
+from .errors import ValidationError, NumericError, _check_fits, _check_integer
+from .model import SarfimaSpec, arma_spectral_density, enumerate_poles, levinson, require_stationary
 
 __all__ = ["SimConfig", "acvf_numeric", "acvf_self_check", "simulate",
            "durbin_levinson_decompose", "derive_rep_seed", "default_grid_exponent",
@@ -85,19 +84,17 @@ class SimConfig:
 
 def _check_memory(spec: SarfimaSpec, n: int, method: str, grid_exponent: int, block_bytes: int = 0,
                   half: int = None):
-    """Raise ``too-large`` unless the sampler's table or grid, plus
-    ``block_bytes`` for the paths in flight, fit in physical memory; checked
-    before any acvf work.  The exact_dl predictor table is n x n doubles;
-    the circulant roots come from the autocovariance's grid to lag ``half``,
-    the embedding's half-length (by default the unpadded one)."""
-    need = block_bytes + (8 * int(n) ** 2 if method == "exact_dl" else
-                          _BYTES_PER_NODE * _grid_nodes(spec, half or _embedding_half(spec, n), grid_exponent))
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        hint = "; use --method circulant" if method == "exact_dl" else ""
-        raise ValidationError("too-large",
-                              f"{method} at n={n} needs {need / 2 ** 30:.3g} GiB; "
-                              f"physical memory is {have / 2 ** 30:.3g} GiB{hint}")
+    """Raise ``too-large`` unless the acvf grid of either sampler (to lag ``half``, by default the
+    unpadded embedding's) or the n x n exact_dl table, plus ``block_bytes`` for the paths in
+    flight, fits in physical memory; checked before any acvf work.  A pole spacing pi / lcm past
+    the float range needs more nodes than any memory."""
+    try:
+        grid = _BYTES_PER_NODE * _grid_nodes(spec, half or _embedding_half(spec, n), grid_exponent)
+    except OverflowError:
+        grid = math.inf
+    table = 8 * int(n) ** 2 if method == "exact_dl" else 0
+    _check_fits(block_bytes + max(grid, table), f"{method} at n={n}",
+                "; use --method circulant" if table > grid else "")
 
 
 # ---------------------------------------------------------------------------
@@ -269,25 +266,6 @@ def acvf_self_check(spec: SarfimaSpec, grid_exponent: int) -> float:
 # Durbin-Levinson
 # ---------------------------------------------------------------------------
 
-def levinson(gamma):
-    """Durbin-Levinson recursion over an autocovariance sequence gamma.
-
-    Yields, for orders t = 1..len(gamma)-1, the partial autocorrelation
-    kappa, the predictor coefficients phi (phi[j-1] multiplies X_{t-j}) and
-    the innovation variance v; callers decide what kappa or v out of range means.
-    """
-    phi = np.empty(0)
-    v = gamma[0]
-    for t in range(1, len(gamma)):
-        kappa = (gamma[t] - phi @ gamma[t - 1:0:-1]) / v if t > 1 else gamma[1] / gamma[0]
-        nxt = np.empty(t)
-        nxt[: t - 1] = phi - kappa * phi[::-1]
-        nxt[t - 1] = kappa
-        phi = nxt
-        v = v * (1.0 - kappa * kappa)
-        yield kappa, phi, v
-
-
 def durbin_levinson_decompose(gamma: np.ndarray):
     """One-step-ahead predictor table for a Gaussian process with acvf gamma.
 
@@ -302,8 +280,7 @@ def durbin_levinson_decompose(gamma: np.ndarray):
     n = len(gamma)
     if gamma[0] <= 0:
         raise NumericError("not-positive-definite", f"gamma(0) = {gamma[0]} must be positive")
-    M = np.zeros((n, n))
-    np.fill_diagonal(M, 1.0)
+    M = np.eye(n)
     v = np.empty(n)
     v[0] = gamma[0]
     for t, (kappa, phi, v_t) in enumerate(levinson(gamma), start=1):

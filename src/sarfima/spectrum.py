@@ -5,10 +5,11 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError, _check_integer
+from .errors import ValidationError, _check_fits, _check_integer
 
 __all__ = ["Periodogram", "Band", "BandPlan", "periodogram", "build_band_plan",
            "gph_T_bandwidth", "resolve_bandwidth", "write_csv"]
@@ -90,9 +91,8 @@ class Band:
     """One regression band around the harmonic 2 pi k / s'."""
 
     k: int
-    center_index: int       # nearest Fourier index round(n k / s')
-    j_set: tuple            # signed offsets
-    # center_index + j_set, read-only; equality and hashing go by the fields above
+    center_index: int       # nearest Fourier index round(n k / s'), half to even
+    # center_index + j, j = 1..m then -1..-m, per side it has; read-only; compared by the fields above
     fourier_indices: np.ndarray = field(compare=False)
 
 
@@ -197,8 +197,10 @@ def build_band_plan(n: int, s1: int, s2: int, m: int, allow_overlap: bool = Fals
     Per band k the signed offsets are {1..m} at k=0, {-1..-m} at k=s'/2 for
     even s', and {+-1..+-m} otherwise; ordinates live at the Fourier index
     round(n k / s') + j.  Requires the smaller period to divide the larger
-    and 2 pi m / n < pi / s' unless ``allow_overlap`` (used by the uncapped
+    and 2 m s' < n unless ``allow_overlap`` (used by the uncapped
     truncated-bandwidth variant, which double-counts shared ordinates).
+    Every rule is decided in integers before an index is built, and the
+    indices must fit in int64 and the plan in memory (``too-large``).
     A plan depends on nothing but its arguments, so it is built once per
     argument tuple and shared, with read-only index arrays.
     """
@@ -207,35 +209,40 @@ def build_band_plan(n: int, s1: int, s2: int, m: int, allow_overlap: bool = Fals
                       allow_overlap)
 
 
+#: bytes per band besides the 8 m s' of indices: ~300 kept, ~420 at the peak of a build
+_BYTES_PER_BAND = 512
+
+
 @functools.lru_cache(maxsize=64)
 def _band_plan(n: int, s1: int, s2: int, m: int, allow_overlap: bool) -> BandPlan:
     sp, ss = max(s1, s2), min(s1, s2)
     if m < 2:
         raise ValidationError("m-too-small", f"bandwidth m must be >= 2, got {m}")
-    if not allow_overlap and not 2 * np.pi * m / n < np.pi / sp:
-        raise ValidationError("band-overlap",
-                              f"2 pi m / n = {2*np.pi*m/n:.4g} >= pi/s' = {np.pi/sp:.4g}; reduce m")
+    if not allow_overlap and not 2 * m * sp < n:
+        raise ValidationError("band-overlap", f"2 m s' = {2 * m * sp} >= n = {n}: 2 pi m / n >= pi / s'; reduce m")
+
+    def span(k):   # band k's centre and its first and last Fourier index, in (0, pi] and int64
+        centre = round(Fraction(n * k, sp))
+        first, last = (1, m) if k == 0 else (centre - m, centre - 1 if 2 * k == sp else centre + m)
+        if first < 1 or last > n // 2:
+            raise ValidationError("band-overlap",
+                                  f"band k={k} spills outside (0, pi] (indices {first}..{last})")
+        if last >= 2 ** 63:
+            raise ValidationError("too-large", f"band k={k} has Fourier indices past int64 (up to {last})")
+        return centre, first, last
+
+    spans = [span(k) for k in range(min(2, sp // 2 + 1))]   # a huge s' spills here, before the size check
+    _check_fits(8 * m * sp + _BYTES_PER_BAND * (sp // 2 + 1), f"a band plan of {sp // 2 + 1} bands")
+    spans += [span(k) for k in range(len(spans), sp // 2 + 1)]
+    if not allow_overlap and any(a[2] >= b[1] for a, b in zip(spans, spans[1:])):
+        raise ValidationError("band-overlap", "bands share Fourier indices; reduce m")
 
     bands = []
-    for k in range(sp // 2 + 1):
-        center_index = round(n * k / sp)
-        if k == 0:
-            js = tuple(range(1, m + 1))
-        elif 2 * k == sp:
-            js = tuple(range(-1, -m - 1, -1))
-        else:
-            js = tuple(range(1, m + 1)) + tuple(range(-1, -m - 1, -1))
-        idx = center_index + np.array(js)
-        if idx.min() < 1 or idx.max() > n // 2:
-            raise ValidationError("band-overlap",
-                                  f"band k={k} spills outside (0, pi] (indices {idx.min()}..{idx.max()})")
+    for k, (centre, _, _) in enumerate(spans):
+        up, down = centre + np.arange(1, m + 1), centre - np.arange(1, m + 1)
+        idx = up if k == 0 else down if 2 * k == sp else np.concatenate([up, down])
         idx.setflags(write=False)
-        bands.append(Band(k=k, center_index=center_index, j_set=js, fourier_indices=idx))
-
-    if not allow_overlap:
-        everything = np.concatenate([b.fourier_indices for b in bands])
-        if len(np.unique(everything)) != len(everything):
-            raise ValidationError("band-overlap", "bands share Fourier indices; reduce m")
+        bands.append(Band(k=k, center_index=centre, fourier_indices=idx))
     return BandPlan(n=n, s_prime=sp, s_small=ss, m=m, bands=tuple(bands))
 
 

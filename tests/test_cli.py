@@ -592,6 +592,10 @@ class TestParsing:
         assert capsys.readouterr().out == estimate_to_json(est) + "\n"
 
 
+#: a period past the float range
+HUGE_PERIOD = 4 * 2 ** 1100
+
+
 class TestRejectedInputs:
     """Each ends in exit 1 and one ``error: <code>:`` line, never a traceback."""
 
@@ -648,6 +652,35 @@ class TestRejectedInputs:
         assert rc == 1
         self.assert_one_error(capsys, code)
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["circulant", "exact_dl"])
+    @pytest.mark.parametrize("period", [10 ** 8, HUGE_PERIOD])
+    def test_simulate_period_past_memory(self, tmp_path, capsys, monkeypatch, method, period):
+        # the acvf grid has a node at every pole; past the float range pi / period overflows
+        def forbidden(*args, **kwargs):
+            raise AssertionError("acvf work started")
+
+        monkeypatch.setattr(importlib.import_module("sarfima.simulate"), "acvf_numeric", forbidden)
+        spec, out = tmp_path / "spec.json", tmp_path / "y.csv"
+        spec.write_text(json.dumps({"components": [{"period": period, "d": 0.1}]}))
+        rc = cli.dispatch(["simulate", "--spec", str(spec), "--n", "100", "--seed", "1",
+                           "--method", method, "--out", str(out)])
+        assert rc == 1
+        self.assert_one_error(capsys, "too-large")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["estimate-gph", "--s1", "4", "--s2", str(HUGE_PERIOD), "--alpha", "0.5"], "band-overlap"),
+        (["scan", "--s1", "4", "--s2", str(HUGE_PERIOD), "--alphas", "0.5,0.6"], "band-overlap"),
+        # a period >= 2n leaves no Fourier frequency away from a pole
+        (["estimate-whittle", "--periods", "4,1000000"], "series-too-short"),
+        (["estimate-whittle", "--periods", f"4,{HUGE_PERIOD}"], "series-too-short"),
+    ])
+    def test_period_past_the_series(self, tmp_path, series_file, capsys, argv, code):
+        path, _ = series_file
+        out = ["--out", str(tmp_path / "scan.csv")] if argv[0] == "scan" else []
+        assert cli.dispatch([argv[0], "--in", path, *argv[1:], *out]) == 1
+        self.assert_one_error(capsys, code)
 
     @pytest.mark.parametrize("threads,env", [(["--threads", "-3"], None),
                                              (["--threads", "0"], None),

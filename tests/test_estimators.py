@@ -720,10 +720,20 @@ class TestYuleWalkerStart:
             assert one.theta[0].tobytes() == block.theta[r].tobytes()
             assert one.steps[0] == block.steps[r]
 
+    FROZEN = json.loads((Path(__file__).parent / "data" / "yule_walker_start_n1080.json").read_text())
+
+    @pytest.mark.parametrize("name", ["table4", "table5"])
+    def test_start_is_bitwise_the_frozen_solve(self, name, monkeypatch):
+        # one AR coefficient: the Levinson step R_1 / R_0 is the 1 x 1 solve's quotient
+        template, ordinates = ft_block(name, 1080, "circulant", 20101125, 8)
+        theta0 = captured_start(monkeypatch, template, ordinates, 1080)[2]
+        assert theta0.tolist() == self.FROZEN[f"{name}/ft"]
+
     def test_singular_row_keeps_the_spec_coefficients(self, monkeypatch):
         # x_t = cos(pi t / 2) has its power at lambda = pi/2, where
         # cos(4 lambda) = cos(8 lambda) = 1: the Yule-Walker system of an
-        # AR(2) factor at lag 4 is exactly singular there
+        # AR(2) factor at lag 4 is exactly singular there, with a first
+        # reflection coefficient of 1
         from sarfima.spectrum import _ordinates
         spec = SarfimaSpec(components=(SeasonalComponent(1, 0.0),), ar_factors=(ArmaFactor(4, (0.2, 0.1)),))
         template = WhittleTemplate(spec=spec)

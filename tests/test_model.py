@@ -219,6 +219,41 @@ class TestStepDownRootTest:
             assert ArmaFactor(1, (0.5, 1e-320)).roots_outside_unit_circle()
 
 
+def levinson_1d(gamma):
+    """The Durbin-Levinson recursion of one sequence, written out with a 1-d
+    ``@``: the reference for the row-wise ``levinson``."""
+    phi, v = np.empty(0), gamma[0]
+    for t in range(1, len(gamma)):
+        kappa = (gamma[t] - phi @ gamma[t - 1:0:-1]) / v if t > 1 else gamma[1] / gamma[0]
+        phi = np.append(phi - kappa * phi[::-1], kappa)
+        v = v * (1.0 - kappa * kappa)
+        yield kappa, phi, v
+
+
+class TestLevinson:
+    """One recursion for every Toeplitz system, row by row over a block."""
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_block_rows_are_the_one_sequence_recursion(self, q):
+        from sarfima.model import levinson
+        rng = np.random.default_rng(q)
+        # biased sample autocovariances of rows of any scale: positive definite
+        x = rng.standard_normal((64, 4 * q + 8)) * rng.lognormal(0, 3, size=(64, 1))
+        n = x.shape[1]
+        gamma = np.stack([(x[:, :n - h] * x[:, h:]).sum(axis=1) / n for h in range(q + 1)], axis=1)
+        block = list(levinson(gamma))
+        assert len(block) == q
+        for r, row in enumerate(gamma):
+            for (kappa, phi, v), (k1, p1, v1), (k2, p2, v2) in zip(block, levinson_1d(row), levinson(row)):
+                assert kappa[r] == k1 == k2 and v[r] == v1 == v2
+                assert phi[r].tobytes() == p1.tobytes() == p2.tobytes()
+                assert abs(k1) < 1 and v1 > 0
+        # the order-q predictor solves the Yule-Walker system
+        toeplitz = gamma[:, np.abs(np.subtract.outer(np.arange(q), np.arange(q)))]
+        c = block[-1][1]
+        assert np.allclose((toeplitz * c[:, None, :]).sum(axis=2), gamma[:, 1:], rtol=1e-10, atol=0)
+
+
 class TestSpectralDensity:
     def test_white_noise_is_flat(self):
         spec = SarfimaSpec(components=(SeasonalComponent(1, 0.0),),

@@ -121,9 +121,14 @@ class TestTruncatedBandwidth:
             build_band_plan(n, s, s, m)  # must not raise band-overlap
 
 
+def offsets(band):
+    """The band's signed offsets j, its Fourier indices less its centre."""
+    return (band.fourier_indices - band.center_index).tolist()
+
+
 def sides(plan):
-    """Sides per band (|j_set| / m): the band weight delta_k of the covariance design."""
-    return [len(b.j_set) // plan.m for b in plan.bands]
+    """Sides per band (offsets / m): the band weight delta_k of the covariance design."""
+    return [len(offsets(b)) // plan.m for b in plan.bands]
 
 
 def assert_cov_matches_plan(plan, informative_ks):
@@ -144,15 +149,15 @@ class TestBandPlan:
         ks = [b.k for b in plan.bands]
         assert ks == [0, 1, 2]
         b0, b1, b2 = plan.bands
-        assert b0.j_set == tuple(range(1, 11))
-        assert b1.j_set == tuple(range(1, 11)) + tuple(range(-1, -11, -1))
-        assert b2.j_set == tuple(range(-1, -11, -1))
+        assert offsets(b0) == list(range(1, 11))
+        assert offsets(b1) == list(range(1, 11)) + list(range(-1, -11, -1))
+        assert offsets(b2) == list(range(-1, -11, -1))
         assert sides(plan) == [1, 2, 1]
         assert b0.center_index == 0 and b1.center_index == 270 and b2.center_index == 540
         assert all(b.center_index == 1080 * b.k / 4 for b in plan.bands)
         # s_small = 1 has its only pole at frequency zero
         assert_cov_matches_plan(plan, informative_ks=[0])
-        assert sum(len(b.j_set) for b in plan.bands) == 40
+        assert sum(len(b.fourier_indices) for b in plan.bands) == 40
 
     def test_annual_within_monthly_membership(self):
         plan = build_band_plan(1080, 12, 4, 5)
@@ -162,10 +167,11 @@ class TestBandPlan:
         assert_cov_matches_plan(plan, informative_ks=[0, 3, 6])
 
     def test_indices_are_center_plus_offsets(self):
-        plan = build_band_plan(1080, 4, 1, 7)
-        for band in plan.bands:
-            assert np.array_equal(band.fourier_indices,
-                                  band.center_index + np.array(band.j_set))
+        up, down = list(range(1, 8)), list(range(-1, -8, -1))
+        for s in (4, 7):
+            for band in build_band_plan(1080, s, 1, 7).bands:
+                assert band.fourier_indices.dtype == np.int64
+                assert offsets(band) == (up if band.k == 0 else down if 2 * band.k == s else up + down)
 
     def test_snapping_flagged_when_center_not_integer(self):
         plan = build_band_plan(1000, 12, 4, 3)
@@ -180,7 +186,7 @@ class TestBandPlan:
         plan = build_band_plan(700, 7, 1, 4)
         assert [b.k for b in plan.bands] == [0, 1, 2, 3]
         assert sides(plan) == [1, 2, 2, 2]
-        assert sum(len(b.j_set) for b in plan.bands) == 4 + 3 * 8
+        assert sum(len(b.fourier_indices) for b in plan.bands) == 4 + 3 * 8
 
     def test_smaller_period_must_divide(self):
         with pytest.raises(ValidationError) as exc:
@@ -202,7 +208,7 @@ class TestBandPlan:
         assert plan.m == 269
         # adjacent bands share ordinates in this regime
         idx = np.concatenate([b.fourier_indices for b in plan.bands])
-        assert len(np.unique(idx)) < sum(len(b.j_set) for b in plan.bands)
+        assert len(np.unique(idx)) < len(idx)
 
     def test_all_indices_unique_and_in_range(self):
         plan = build_band_plan(1080, 12, 4, 40)
@@ -309,6 +315,41 @@ def test_bandwidth_past_exact_floats_rejected(call):
     with pytest.raises(ValidationError) as exc:
         call()
     assert exc.value.code == "bad-bandwidth"
+
+
+class TestPlanInIntegers:
+    """Every plan rule is decided in integers, before any index is built."""
+
+    @pytest.mark.parametrize("args, code", [
+        ((2 ** 70, 4, 12, 32), "too-large"),          # indices past int64
+        ((2 ** 2000, 4, 12, 32), "too-large"),
+        ((1080, 4, 4 * 2 ** 1100, 2), "band-overlap"),   # 2 m s' >= n, s' past the float range
+        ((22, 1, 1, 11), "band-overlap"),             # the tie n = 2 m s'
+        ((2 ** 62, 1, 2 ** 40, 2), "too-large"),      # 2^39 bands
+    ])
+    def test_boundary_is_a_coded_error(self, args, code):
+        with pytest.raises(ValidationError) as exc:
+            build_band_plan(*args)
+        assert exc.value.code == code
+
+    def test_huge_n_with_small_indices_builds(self):
+        # one band at k = 0: its indices are 1..m whatever n is
+        plan = build_band_plan(2 ** 2000, 1, 1, 32)
+        assert plan.bands[0].fourier_indices.tolist() == list(range(1, 33))
+        assert build_band_plan(2 ** 63, 12, 4, 3).bands[-1].fourier_indices.tolist() == [2 ** 62 - k for k in (1, 2, 3)]
+
+    def test_huge_period_spills_before_the_size_check(self):
+        with pytest.raises(ValidationError) as exc:
+            build_band_plan(1080, 4, 4 * 2 ** 1100, 2, allow_overlap=True)
+        assert exc.value.code == "band-overlap" and "band k=1 spills" in exc.value.message
+
+    def test_centres_round_half_to_even(self):
+        # n k / s' = 10.5, 11.5 and 2^60 + 1.5, the last past float precision
+        assert [b.center_index for b in build_band_plan(42, 4, 1, 2).bands] == [0, 10, 21]
+        assert [b.center_index for b in build_band_plan(46, 4, 1, 2).bands] == [0, 12, 23]
+        plan = build_band_plan(2 ** 62 + 6, 4, 1, 2)
+        assert plan.bands[1].center_index == 2 ** 60 + 2
+        assert plan.bands[1].fourier_indices.tolist() == [2 ** 60 + 3, 2 ** 60 + 4, 2 ** 60 + 1, 2 ** 60]
 
 
 class TestPlanCache:
