@@ -20,7 +20,11 @@ failed on one side only, plus the difference of the failure-code tallies).
 For each Whittle estimator it also refits the run's paths, drawn here in
 run_mc's blocks, with both packages' block fit and counts the
 replications whose objective ends lower and higher on this side (by more
-than 1e-9).  ``--against`` exits 1 on any step or code mismatch.
+than 1e-9).  It also runs the CLI chain with both packages, on the same
+input files, and names each verb whose exit code differs and each output
+file whose bytes differ.  ``--against`` exits 1 on any step or code
+mismatch, exit codes of the verbs included; a file that differs is only
+named.
 
     python scripts/digest.py
     python scripts/digest.py --reps 2      # a quick smoke run
@@ -32,6 +36,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import sys
@@ -46,7 +51,6 @@ import numpy as np
 import sarfima
 from fit_ab import load_package
 from sarfima import design, spec_to_json
-from sarfima.cli import dispatch
 
 METHODS = ("exact_dl", "circulant")
 
@@ -179,20 +183,47 @@ def cli_calls(seed: int, reps: int, n: int):
     ]
 
 
-def cli_digest(seed: int, reps: int, n: int) -> str:
+def cli_run(package, seed: int, reps: int, n: int) -> tuple:
+    """(each verb's exit code, each written file's bytes by name) of the verb
+    chain run by ``package``'s ``dispatch`` on this package's spec and
+    template files."""
+    dispatch = importlib.import_module(f"{package.__name__}.cli").dispatch
     spec = design("table4", master_seed=seed, reps=1, n=n).spec
     template = {"spec": json.loads(spec_to_json(spec)), "free_d": [True, True], "free_ar": [True]}
-    h = hashlib.sha256()
+    codes = []
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         Path("spec.json").write_text(spec_to_json(spec))
         Path("template.json").write_text(json.dumps(template))
         for argv in cli_calls(seed, reps, n):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                code = dispatch(argv)
-            h.update(f"{argv[0]} -> {code}\n".encode())
-        for path in sorted(Path(".").iterdir()):
-            h.update(path.name.encode() + b"\0" + path.read_bytes())
+                codes.append((argv[0], dispatch(argv)))
+        files = {path.name: path.read_bytes() for path in sorted(Path(".").iterdir())}
+    return codes, files
+
+
+def cli_digest(run: tuple) -> str:
+    codes, files = run
+    h = hashlib.sha256()
+    for verb, code in codes:
+        h.update(f"{verb} -> {code}\n".encode())
+    for name, data in files.items():
+        h.update(name.encode() + b"\0" + data)
     return h.hexdigest()
+
+
+def compare_cli(before: tuple, after: tuple) -> tuple:
+    """One line per verb call whose exit code differs and per output file
+    whose bytes differ (or that one side alone wrote), and whether any exit
+    code differs."""
+    lines = [f"cli {verb:26} exit {was} -> {got}"
+             for (verb, was), (_, got) in zip(before[0], after[0]) if was != got]
+    mismatched = bool(lines)
+    for name in sorted({*before[1], *after[1]}):
+        was, got = before[1].get(name), after[1].get(name)
+        if was != got:
+            lines.append(f"cli {name:26} " + ("differs" if was is not None and got is not None else
+                                               "written here only" if was is None else "not written here"))
+    return lines, mismatched
 
 
 def main(argv=None) -> int:
@@ -208,15 +239,17 @@ def main(argv=None) -> int:
     runs = {method: mc_runs(sarfima, *params, method) for method in METHODS}
     print(f"run_mc {mc_digest(runs['exact_dl'])}  table1-5, seed {args.seed}, "
           f"n {args.n}, {args.reps} reps")
-    print(f"cli    {cli_digest(*params)}  {len(cli_calls(0, 0, 0))} verb calls")
+    cli = cli_run(sarfima, *params)
+    print(f"cli    {cli_digest(cli)}  {len(cli_calls(0, 0, 0))} verb calls")
     print(f"circulant {mc_digest(runs['circulant'])}  table1-5, seed {args.seed}, "
           f"n {args.n}, {args.reps} reps")
     if args.against:
         other = load_package(Path(args.against), "sarfima_against")
         lines, mismatched = compare(records({method: mc_runs(other, *params, method) for method in METHODS}),
                                     records(runs), objective_counts(other, *params))
-        print("\n".join(lines))
-        return 1 if mismatched else 0
+        cli_lines, cli_mismatched = compare_cli(cli_run(other, *params), cli)
+        print("\n".join(lines + cli_lines))
+        return 1 if mismatched or cli_mismatched else 0
     return 0
 
 

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .errors import NumericError, SarfimaError, ValidationError
-from .model import spec_from_json, spec_to_json
+from .model import spec_from_json, spec_to_json, _json_object
 from .spectrum import build_band_plan, periodogram, resolve_bandwidth, write_csv
 from .estimators import (WhittleTemplate, estimate_to_json, gph_estimate,
                          whittle_estimate, whittle_fit_to_json)
@@ -105,7 +105,7 @@ def _write_series(path, x):
     """Write the series; a finite one is remembered under the text written,
     which reads back to the same bits (float(repr(v)) == v for finite v)."""
     x = np.array(x, dtype=float)
-    text = write_csv(path, ("x",), zip(x.tolist()))
+    text = write_csv(path, ("x",), columns=(x.tolist(),))
     if x.ndim == 1 and x.size and np.isfinite(x).all():
         _remember(text, x)
 
@@ -238,6 +238,7 @@ def _load_template(path) -> WhittleTemplate:
         doc = json.loads(_read_text(path, "bad-json"))
     except json.JSONDecodeError as exc:
         raise ValidationError("bad-json", f"template is not valid JSON: {exc}") from exc
+    doc = _json_object(doc, ("spec", "free_d", "free_ar", "free_ma", "d_box"), "a template", "bad-template")
     try:
         spec = spec_from_json(json.dumps(doc["spec"]))
         d_box = doc.get("d_box", 0.49)

@@ -4,6 +4,7 @@ Codes are kebab-case strings surfaced verbatim by the CLI as
 ``error: <code>: <message>``.  Every layer imports this module, so the
 integer and memory rules of the library boundary live here too.
 """
+import math
 import numbers
 import os
 
@@ -45,5 +46,6 @@ def _check_fits(need: int, what: str, hint: str = ""):
     """Raise ``too-large`` unless ``need`` bytes fit in physical memory."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise ValidationError("too-large", f"{what} needs {need / 2 ** 30:.3g} GiB; "
+        gib = need / 2 ** 30 if need < 2 ** 1023 else math.inf   # an int past the float range
+        raise ValidationError("too-large", f"{what} needs {gib:.3g} GiB; "
                               f"physical memory is {have / 2 ** 30:.3g} GiB{hint}")

@@ -88,6 +88,7 @@ def levinson(gamma):
     innovation variances v, one per sequence; callers decide what kappa or v
     out of range means.  Each row's dot product runs over its own reversed
     view, in the order of a 1-d ``@``, so its bits do not depend on the block.
+    Each order's phi is a new array, so a caller may keep every order's.
     """
     gamma = np.asarray(gamma, dtype=float)
     phi = gamma[..., :0]
@@ -95,7 +96,10 @@ def levinson(gamma):
     for t in range(1, gamma.shape[-1]):
         dot = np.matmul(phi[..., None, :], gamma[..., t - 1:0:-1, None])[..., 0, 0]
         kappa = (gamma[..., t] - dot) / v
-        phi = np.concatenate([phi - kappa[..., None] * phi[..., ::-1], kappa[..., None]], axis=-1)
+        step = np.empty(gamma.shape[:-1] + (t,))
+        np.subtract(phi, kappa[..., None] * phi[..., ::-1], out=step[..., :-1])
+        step[..., -1] = kappa
+        phi = step
         v = v * (1.0 - kappa * kappa)
         yield kappa, phi, v
 
@@ -395,19 +399,30 @@ def _json_number(value, what: str) -> float:
     return float(value)
 
 
+def _json_object(value, keys: tuple, what: str, code: str = "bad-spec-json") -> dict:
+    """``value`` if it is a JSON object whose keys are all among ``keys``: a
+    misspelt key ends in ``code``, rather than leaving its part out."""
+    if not isinstance(value, dict):
+        raise ValidationError(code, f"{what} must be a JSON object, got {type(value).__name__}")
+    unknown = [key for key in value if key not in keys]
+    if unknown:
+        raise ValidationError(code, f"unknown keys {unknown} in {what}; the keys are {list(keys)}")
+    return value
+
+
 def spec_from_json(text: str) -> SarfimaSpec:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError("bad-json", f"spec is not valid JSON: {exc}") from exc
+    doc = _json_object(doc, ("components", "ar", "ma", "sigma2"), "a spec")
     try:
         # periods and lags go in as parsed: the dataclasses reject 4.7, true and "4"
         components = tuple(SeasonalComponent(c["period"], _json_number(c["d"], "d"))
-                           for c in doc["components"])
-        ar = tuple(ArmaFactor(f["lag"], tuple(_json_number(c, "coeffs") for c in f["coeffs"]))
-                   for f in doc.get("ar", []))
-        ma = tuple(ArmaFactor(f["lag"], tuple(_json_number(c, "coeffs") for c in f["coeffs"]))
-                   for f in doc.get("ma", []))
+                           for c in doc["components"] if _json_object(c, ("period", "d"), "a component"))
+        ar, ma = (tuple(ArmaFactor(f["lag"], tuple(_json_number(c, "coeffs") for c in f["coeffs"]))
+                        for f in doc.get(key, []) if _json_object(f, ("lag", "coeffs"), f"an {key} factor"))
+                  for key in ("ar", "ma"))
         sigma2 = _json_number(doc.get("sigma2", 1.0), "sigma2")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError("bad-spec-json", f"malformed spec document: {exc}") from exc

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SarfimaError, ValidationError, _check_integer
-from .model import SarfimaSpec, SeasonalComponent, combined_filter_coefficients, levinson, _convolve_head
+from .model import SarfimaSpec, SeasonalComponent, levinson, pi_coefficients, _convolve_head
 from .spectrum import (build_band_plan, periodogram, resolve_bandwidth, write_csv, _check_alpha,
                        _check_period_pair, _check_periods, _series)
 from .estimators import MemoryEstimate, gph_estimate
@@ -66,6 +66,9 @@ def fractional_filter(series, d_hat, periods) -> np.ndarray:
     Applies the combined filter prod (1 - B^s_i)^(d_i) truncated at the
     available history (no pre-sample values, no backcasting), so the output
     has the same length as the input and early values carry start-up bias.
+    The first n terms of x * a * b are the first n terms of (the first n of
+    x * a) * b, so each component's expansion is applied in turn by one FFT
+    convolution, in O(n log n), and the product pi* is never built.
     """
     x = _series(series)
     d_hat = np.atleast_1d(np.asarray(d_hat, dtype=float))
@@ -76,8 +79,9 @@ def fractional_filter(series, d_hat, periods) -> np.ndarray:
         raise ValidationError("bad-filter", "each |d| must be < 1 for the truncated filter")
     spec = SarfimaSpec(components=tuple(SeasonalComponent(s, float(d))
                                         for s, d in zip(periods, d_hat)))
-    coeffs = combined_filter_coefficients(spec, len(x) - 1)
-    return _convolve_head(x, coeffs)
+    for comp in spec.components:
+        x = _convolve_head(x, pi_coefficients(comp.memory, comp.period, len(x) - 1))
+    return x
 
 
 @dataclass(frozen=True)

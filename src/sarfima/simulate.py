@@ -86,12 +86,8 @@ def _check_memory(spec: SarfimaSpec, n: int, method: str, grid_exponent: int, bl
                   half: int = None):
     """Raise ``too-large`` unless the acvf grid of either sampler (to lag ``half``, by default the
     unpadded embedding's) or the n x n exact_dl table, plus ``block_bytes`` for the paths in
-    flight, fits in physical memory; checked before any acvf work.  A pole spacing pi / lcm past
-    the float range needs more nodes than any memory."""
-    try:
-        grid = _BYTES_PER_NODE * _grid_nodes(spec, half or _embedding_half(spec, n), grid_exponent)
-    except OverflowError:
-        grid = math.inf
+    flight, fits in physical memory; checked before any acvf work."""
+    grid = _BYTES_PER_NODE * _grid_nodes(spec, half or _embedding_half(spec, n), grid_exponent)
     table = 8 * int(n) ** 2 if method == "exact_dl" else 0
     _check_fits(block_bytes + max(grid, table), f"{method} at n={n}",
                 "; use --method circulant" if table > grid else "")
@@ -159,10 +155,15 @@ def _zeta(x: float) -> float:
 
 
 def _grid_nodes(spec: SarfimaSpec, max_lag: int, grid_exponent: int) -> int:
-    """M, the node count of ``acvf_numeric``'s grid; every pole is a node."""
+    """M, the node count of ``acvf_numeric``'s grid; every pole is a node.  A
+    pole spacing pi / lcm past the float range needs more nodes than any
+    memory, and reads inf."""
     step = math.lcm(*spec.periods)
-    need = max(_MIN_NODES, _NODES_PER_LAG * (max_lag + 1), 2 ** min(grid_exponent - 3, 18),
-               math.ceil(2 * math.pi * _NODES_PER_RADIUS / _fit_radius(spec)))
+    try:
+        radius_nodes = math.ceil(2 * math.pi * _NODES_PER_RADIUS / _fit_radius(spec))
+    except OverflowError:
+        return math.inf
+    need = max(_MIN_NODES, _NODES_PER_LAG * (max_lag + 1), 2 ** min(grid_exponent - 3, 18), radius_nodes)
     return step << (-(-need // step) - 1).bit_length()
 
 
@@ -194,12 +195,15 @@ def acvf_numeric(spec: SarfimaSpec, max_lag: int, grid_exponent: int = 17) -> np
     counts twice, for its mirror, and the poles at 0 and pi once.  The zeta
     values come from ``_zeta``: Euler-Maclaurin summation, through Riemann's
     functional equation below 1/2.  A density grid or gamma that overflows
-    raises ``non-finite-acvf``, before any pole correction for the grid.
+    raises ``non-finite-acvf``, before any pole correction for the grid, and
+    a grid that does not fit in physical memory ``too-large``, before it is
+    allocated.
     """
     from numpy.polynomial import chebyshev, polynomial
     _check_integer(max_lag, 0, "bad-lag", "max_lag")
     require_stationary(spec, "autocovariance")
     nodes = _grid_nodes(spec, max_lag, grid_exponent)
+    _check_fits(_BYTES_PER_NODE * nodes, "the acvf grid")
     delta = 2 * math.pi / nodes
     poles = enumerate_poles(spec)
     off = np.ones(nodes // 2 + 1, bool)

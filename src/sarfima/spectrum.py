@@ -28,19 +28,33 @@ class Periodogram:
 
     def to_csv(self, path):
         cells = _frequency_cells if self.n <= _CACHED_CELLS_MAX_N else _frequency_cells.__wrapped__
-        write_csv(path, ("j", "lambda", "ordinate"), zip(*cells(self.n), self.ordinates.tolist()))
+        write_csv(path, ("j", "lambda", "ordinate"), columns=(cells(self.n), _ordinate_cells(self.ordinates)))
 
 
-#: the longest periodogram whose ``j`` and ``lambda`` cells are cached: four
-#: entries then hold at most ~20 MB
+def _ordinate_cells(ordinates: np.ndarray) -> list:
+    """The ordinates as CSV cells, or as the floats that write_csv formats.
+    ``periodogram`` makes I_j and I_(n-j) the same bits, so the cells of such
+    a mirrored sequence are formatted for its first half alone: a float's
+    repr is most of the cost of a periodogram file."""
+    values = ordinates.tolist()
+    if not (ordinates.dtype == np.float64
+            and np.array_equal(ordinates.view(np.uint64), ordinates[::-1].view(np.uint64))):
+        return values
+    half = len(values) // 2
+    cells = list(map(repr, values[:len(values) - half]))
+    return cells + cells[:half][::-1]
+
+
+#: the longest periodogram whose ``j,lambda`` texts are cached: four entries
+#: then hold at most ~20 MB
 _CACHED_CELLS_MAX_N = 1 << 15
 
 
 @functools.lru_cache(maxsize=4)
 def _frequency_cells(n: int) -> tuple:
-    """The ``j`` and ``lambda`` cells of a length-n periodogram's CSV rows,
-    which depend on n alone."""
-    return tuple(map(str, range(1, n))), tuple(map(repr, _frequencies(n).tolist()))
+    """The ``j,lambda`` text that starts each row of a length-n periodogram's
+    CSV, which depends on n alone."""
+    return tuple(map("{},{!r}".format, range(1, n), _frequencies(n).tolist()))
 
 
 def _frequencies(n: int) -> np.ndarray:
@@ -250,10 +264,11 @@ def _band_plan(n: int, s1: int, s2: int, m: int, allow_overlap: bool) -> BandPla
 # CSV output
 # ---------------------------------------------------------------------------
 
-def write_csv(path, header, rows) -> str:
+def write_csv(path, header, rows=(), columns=None) -> str:
     """Write ``header`` and equal-length ``rows`` as CSV and return the text
     written: None is a blank cell, a float (numpy floats included) its
-    shortest round-trip repr, anything else str."""
+    shortest round-trip repr, anything else str.  Equal-length sequences
+    ``columns`` may stand in for ``rows``, which spares their transpose."""
     def cell(v):
         return "" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
 
@@ -263,10 +278,12 @@ def write_csv(path, header, rows) -> str:
         kinds = set(map(type, col))
         return col if kinds <= {str} else map(repr, col) if kinds <= {float, int} else map(cell, col)
 
-    columns = [formatted(col) for col in zip(*rows)]
-    lines = "\n".join(map(",".join, zip(*columns)))
+    columns = list(zip(*rows)) if columns is None else columns
+    cells = [formatted(col) for col in columns]
+    # one column is its lines already; several are joined cell by cell
+    lines = "\n".join(cells[0] if len(cells) == 1 else map(",".join, zip(*cells)))
     # no rows writes the header alone; a single blank cell is still a line
-    text = ",".join(header) + "\n" + (lines + "\n" if columns else "")
+    text = ",".join(header) + "\n" + (lines + "\n" if columns and len(columns[0]) else "")
     with open(path, "w") as fh:
         fh.write(text)
     return text

@@ -669,6 +669,47 @@ class TestRejectedInputs:
         self.assert_one_error(capsys, "too-large")
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc", [
+        {"components": [{"period": 4, "d": 0.3}], "ma_factors": [{"lag": 1, "coeffs": [0.5]}]},
+        {"components": [{"period": 4, "d": 0.3, "memory": 0.2}]},
+        {"components": [{"period": 4, "d": 0.3}], "ar": [{"lag": 4, "coeffs": [0.5], "sign": -1}]},
+    ], ids=["spec", "component", "factor"])
+    def test_unknown_spec_key(self, tmp_path, capsys, doc):
+        # a misspelt part is refused, not simulated without it
+        spec, out = tmp_path / "spec.json", tmp_path / "y.csv"
+        spec.write_text(json.dumps(doc))
+        rc = cli.dispatch(["simulate", "--spec", str(spec), "--n", "100", "--seed", "1", "--out", str(out)])
+        assert rc == 1
+        self.assert_one_error(capsys, "bad-spec-json")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("patch, code", [
+        ({"free_memory": [True]}, "bad-template"),
+        ({"spec": {"components": [{"period": 4, "d": 0.3}], "ma_factors": []}}, "bad-spec-json"),
+    ], ids=["template", "spec"])
+    def test_unknown_template_key(self, tmp_path, series_file, two_period_spec, capsys, patch, code):
+        template, out = tmp_path / "template.json", tmp_path / "fit.json"
+        template.write_text(json.dumps({"spec": json.loads(spec_to_json(two_period_spec)), **patch}))
+        rc = cli.dispatch(["estimate-whittle", "--in", series_file[0], "--template", str(template),
+                           "--out", str(out)])
+        assert rc == 1
+        self.assert_one_error(capsys, code)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("d, periods, code", [
+        ("0.1,0.3", "4,4", "duplicate-period"),
+        ("0.1,0.2,0.3", "1,4,12", "bad-components"),
+        ("0.1,0.3", "1,4,12", "bad-filter"),
+        ("nan", "4", "bad-memory"),
+    ])
+    def test_filter_codes(self, tmp_path, series_file, capsys, d, periods, code):
+        out = tmp_path / "resid.csv"
+        rc = cli.dispatch(["filter", "--in", series_file[0], "--d", d, "--periods", periods,
+                           "--out", str(out)])
+        assert rc == 1
+        self.assert_one_error(capsys, code)
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, code", [
         (["estimate-gph", "--s1", "4", "--s2", str(HUGE_PERIOD), "--alpha", "0.5"], "band-overlap"),
         (["scan", "--s1", "4", "--s2", str(HUGE_PERIOD), "--alphas", "0.5,0.6"], "band-overlap"),

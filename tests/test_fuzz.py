@@ -6,12 +6,15 @@ fails the test.  The draws are integers of any sign and past 2^64, floats
 (12.0, NaN and infinities among them), bools, None, short strings, and
 numpy int64 and float64 values.  A band plan decides its rules in integers
 and checks its size before it builds an index, so its draws are unbounded
-too.  Nothing here simulates or runs a study.
+too; a second strategy draws plans inside the overlap rule, so that most
+of its draws build one and its invariants are checked.  Nothing here
+simulates or runs a study.
 """
 import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,6 +82,44 @@ def test_build_band_plan(n, s1, s2, m, overlap):
     if plan is not None:
         assert_ints(plan.n, plan.s_prime, plan.s_small, plan.m,
                     *(c for b in plan.bands for c in (b.k, b.center_index)))
+
+
+@st.composite
+def plan_args(draw):
+    """(n, s1, s2, m) inside the overlap rule: the smaller period divides the
+    larger s', m >= 2 and 2 m s' < n <= 2^16; n is a multiple of s' half the time."""
+    s_small = draw(st.integers(1, 64))
+    sp = s_small * draw(st.integers(1, (2 ** 14 - 1) // s_small))
+    m = draw(st.integers(2, (2 ** 16 - 1) // (2 * sp)))
+    n = draw(st.integers(2 * m * sp + 1, 2 ** 16))
+    if draw(st.booleans()) and -(-n // sp) * sp <= 2 ** 16:
+        n = -(-n // sp) * sp
+    s1, s2 = draw(st.permutations([s_small, sp]))
+    return n, s1, s2, m
+
+
+@FUZZ
+@given(args=plan_args())
+def test_band_plans_inside_the_overlap_rule(args):
+    n, s1, s2, m = args
+    plan = outcome(build_band_plan, n, s1, s2, m)
+    sp = max(s1, s2)
+    if plan is None:
+        # only a centre rounded off the Fourier grid can make two bands touch
+        assert n % sp != 0
+        with pytest.raises(SarfimaError, match="band-overlap"):
+            build_band_plan(n, s1, s2, m)
+        return
+    assert_ints(plan.n, plan.s_prime, plan.s_small, plan.m,
+                *(c for b in plan.bands for c in (b.k, b.center_index)))
+    assert (plan.n, plan.s_prime, plan.s_small, plan.m) == (n, sp, min(s1, s2), m)
+    assert [b.k for b in plan.bands] == list(range(sp // 2 + 1))
+    for b in plan.bands:
+        assert len(b.fourier_indices) == (m if b.k == 0 or 2 * b.k == sp else 2 * m)
+    indices = np.concatenate([b.fourier_indices for b in plan.bands])
+    assert indices.dtype == np.int64
+    assert indices.min() >= 1 and indices.max() <= n // 2
+    assert len(np.unique(indices)) == len(indices)
 
 
 @FUZZ

@@ -33,6 +33,23 @@ class TestFractionalFilter:
         direct = np.array([coeffs[: t + 1][::-1] @ x[: t + 1] for t in range(64)])
         assert np.max(np.abs(fractional_filter(x, [0.3], [4]) - direct)) < 1e-10
 
+    def test_matches_longdouble_direct_filter(self):
+        # each component's truncated expansion, summed directly in extended
+        # precision residue class by residue class; the FFT path measured
+        # 7.5e-16 of max|x| here
+        def direct(x, d, s):
+            k = np.arange(1, (len(x) - 1) // s + 1, dtype=np.longdouble)
+            pi = np.concatenate([[np.longdouble(1)], np.cumprod((k - 1 - np.longdouble(d)) / k)])
+            out = np.empty(len(x), dtype=np.longdouble)
+            for r in range(s):
+                out[r::s] = np.convolve(x[r::s], pi)[:len(x[r::s])]
+            return out
+
+        x = np.random.default_rng(20101125).standard_normal(1 << 14)
+        reference = direct(direct(x.astype(np.longdouble), 0.1, 4), 0.3, 12)
+        error = np.max(np.abs(fractional_filter(x, [0.1, 0.3], [4, 12]) - reference))
+        assert float(error) < 1e-14 * np.max(np.abs(x))
+
     def test_whitens_simulated_memory(self, two_period_spec, two_period_path):
         residuals = fractional_filter(two_period_path, [0.1, 0.3], [1, 4])
         # discard start-up, residual memory should be near zero

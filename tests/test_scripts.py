@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -51,8 +53,10 @@ def test_digest_against_this_checkout_finds_no_difference(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[:3] == alone
     rows = lines[3:]
-    # the 10 estimators of table1, 2 and 4 and the band-overlap of table3 and 5, per sampler
+    # the 10 estimators of table1, 2 and 4 and the band-overlap of table3 and 5, per
+    # sampler, and no line for a CLI verb or file: both packages wrote the same bytes
     assert len(rows) == 2 * (10 + 2)
+    assert not any(row.startswith("cli ") for row in rows)
     for row in rows:
         fields = row.split()
         if fields[1] == "error":
@@ -74,6 +78,12 @@ def test_digest_against_a_changed_checkout_exits_1(tmp_path, capsys):
     digest = load("digest")
     assert digest.main(["--reps", "2", "--n", "256", "--against", str(tmp_path)]) == 1
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[3:]]
+    # the CLI chain names the verbs whose exit code moved and the files the fits wrote
+    cli = [r[1:] for r in rows if r[0] == "cli"]
+    assert ["estimate-whittle", "exit", "2", "->", "0"] in cli
+    assert [r[0] for r in cli if r[1:] == ["differs"]] == ["mc.csv", "mc_estimates.csv", "whittle_ar.json",
+                                                            "whittle_pure.json"]
+    rows = [r for r in rows if r[0] != "cli"]
     # the band regressions have no steps and agree; the Whittle fits do not
     gph = [r for r in rows if "/gph" in r[0]]
     assert gph and all(r[1:] == ["max|dd|", "0", "steps", "0", "codes", "0"] for r in gph)
@@ -167,3 +177,16 @@ def test_fit_ab_cold_against_this_checkout(capsys):
     # every file the commands wrote has the same bytes on both sides
     assert re.fullmatch(r"median this/against \d+\.\d{3}  this faster in [01] of 1 rounds  "
                         r"outputs equal: yes", lines[-1])
+
+
+def test_digest_names_only_the_cli_files_that_differ(monkeypatch):
+    # a package whose filter verb adds a trend: its residuals and their ACF
+    # change, nothing else, and no verb's exit code does
+    digest = load("digest")
+    trend = digest.load_package(SCRIPTS.parent, "sarfima_trend")
+    cli = importlib.import_module("sarfima_trend.cli")
+    filtered = cli.fractional_filter
+    monkeypatch.setattr(cli, "fractional_filter", lambda x, *args: filtered(x, *args) + 1e-3 * np.arange(len(x)))
+    lines, mismatched = digest.compare_cli(digest.cli_run(trend, 7, 2, 256), digest.cli_run(digest.sarfima, 7, 2, 256))
+    assert [line.split() for line in lines] == [["cli", "acf.csv", "differs"], ["cli", "resid.csv", "differs"]]
+    assert not mismatched

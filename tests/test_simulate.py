@@ -557,6 +557,29 @@ class TestSamplerGuards:
                      n=10 ** 7, master_seed=1, method="circulant")
         assert exc.value.code == "too-large"
 
+    @pytest.mark.parametrize("period, max_lag", [
+        (4 * 2 ** 1100, 10),   # a pole spacing past the float range
+        (10 ** 8, 10),         # about 1.6e9 nodes, 60 GiB
+        (4, 2 ** 2000),        # a node count past the float range
+    ])
+    def test_huge_acvf_grid_rejected_before_any_work(self, period, max_lag, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("grid work started")
+
+        monkeypatch.setattr(simulate_module(), "_regularized_density", forbidden)
+        pages = 16 * 2 ** 30 // os.sysconf("SC_PAGE_SIZE")
+        sysconf = os.sysconf
+        monkeypatch.setattr(os, "sysconf", lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name))
+        with pytest.raises(ValidationError) as exc:
+            acvf_numeric(SarfimaSpec(components=(SeasonalComponent(period, 0.1),)), max_lag)
+        assert exc.value.code == "too-large"
+
+    def test_length_past_the_float_range_is_too_large(self, quarterly_spec):
+        for method in ("exact_dl", "circulant"):
+            with pytest.raises(ValidationError) as exc:
+                SimConfig(spec=quarterly_spec, n=10 ** 400, seed=1, method=method)
+            assert exc.value.code == "too-large"
+
     def test_circulant_has_no_table(self, quarterly_spec):
         cfg = SimConfig(spec=quarterly_spec, n=10 ** 7, seed=1, method="circulant")
         assert cfg.n == 10 ** 7

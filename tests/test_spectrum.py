@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sarfima import (ValidationError, WhittleTemplate, asymptotic_cov_matrix, bandwidth_scan,
+from sarfima import (Periodogram, ValidationError, WhittleTemplate, asymptotic_cov_matrix, bandwidth_scan,
                      build_band_plan, fractional_filter, gph_T_bandwidth, periodogram,
                      pi_coefficients)
+from sarfima.spectrum import write_csv
 
 
 class TestPeriodogram:
@@ -96,6 +97,35 @@ class TestPeriodogram:
         assert int(j) == 6
         assert float(lam) == pg.frequencies[5]
         assert float(val) == pg.ordinates[5]
+
+    @pytest.mark.parametrize("ordinates", [
+        [0.25, 1.5, 0.25],               # mirrored: half of it is formatted
+        [0.25, 1.5, 0.5],                # not mirrored
+        [-0.0, 2.0, 0.0],                # equal but not the same bits
+        [0.5, np.nan, np.nan, 0.5],
+        [1e16],
+        [],                              # n = 1: the header alone
+    ])
+    def test_csv_cells_of_any_ordinates(self, tmp_path, ordinates):
+        n = len(ordinates) + 1
+        pg = Periodogram(n=n, ordinates=np.array(ordinates))
+        pg.to_csv(tmp_path / "pg.csv")
+        expected = "j,lambda,ordinate\n" + "".join(
+            f"{j},{float(lam)!r},{float(o)!r}\n" for j, lam, o in zip(range(1, n), pg.frequencies, ordinates))
+        assert (tmp_path / "pg.csv").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("rows", [
+        [],                              # the header alone
+        [(None, "a")],                   # a blank cell
+        [(1, 0.5), (2, np.float64(1e16)), (3, None)],
+    ])
+    def test_csv_columns_write_the_bytes_of_rows(self, tmp_path, rows):
+        for width in (1, 2):
+            header = ("x", "y")[:width]
+            by_rows = write_csv(tmp_path / "r.csv", header, [row[:width] for row in rows])
+            columns = [[row[k] for row in rows] for k in range(width)]
+            assert write_csv(tmp_path / "c.csv", header, columns=columns) == by_rows
+            assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
 
 
 class TestTruncatedBandwidth:
