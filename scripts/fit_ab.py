@@ -20,10 +20,11 @@ memories 0.1 and 0.3), each side in its own temporary directory; the
 times are CPU seconds per series, and after every series the two sides'
 exit codes and the bytes of every file in their directories are compared.
 
-With ``--cold`` a run is five commands, each in a fresh interpreter with
+With ``--cold`` a run is six commands, each in a fresh interpreter with
 that checkout's ``src/`` on PYTHONPATH and ``OPENBLAS_NUM_THREADS=1``:
 ``import sarfima`` and the verbs ``simulate`` at n = 1080, ``mc --design
-table2 --reps 1``, ``filter`` and ``periodogram`` (the last two on a
+table2 --reps 1``, ``mc --design table5 --method exact_dl --reps 1`` (the
+Durbin-Levinson set-up), ``filter`` and ``periodogram`` (the last two on a
 1080-point path of the table2 spec), each side in its own temporary
 directory.  A command's time is the CPU seconds of its child process
 (user plus system, from ``RUSAGE_CHILDREN``), which a loaded host disturbs
@@ -138,6 +139,8 @@ COLD_COMMANDS = [
     ("simulate", ["-m", "sarfima", "simulate", "--spec", "spec.json", "--n", "1080", "--seed", "1",
                   "--out", "sim.csv"]),
     ("mc", ["-m", "sarfima", "mc", "--design", "table2", "--seed", "1", "--reps", "1", "--out", "mc.csv"]),
+    ("mc_dl", ["-m", "sarfima", "mc", "--design", "table5", "--method", "exact_dl", "--seed", "1", "--reps", "1",
+               "--out", "mc_dl.csv"]),
     ("filter", ["-m", "sarfima", "filter", "--in", "series.csv", "--d", "0.1,0.3", "--periods", "1,4",
                 "--out", "resid.csv"]),
     ("periodogram", ["-m", "sarfima", "periodogram", "--in", "series.csv", "--out", "pgram.csv"]),
@@ -177,7 +180,7 @@ def main(argv=None) -> int:
                     help="the other checkout's root directory (holding src/sarfima)")
     mode = ap.add_mutually_exclusive_group()
     mode.add_argument("--cli", action="store_true", help="time the seven-verb CLI chain instead of run_mc")
-    mode.add_argument("--cold", action="store_true", help="time five commands in fresh interpreters")
+    mode.add_argument("--cold", action="store_true", help="time six commands in fresh interpreters")
     ap.add_argument("--design", default="table4", help="canned design (default table4)")
     ap.add_argument("--n", type=int, default=1080, help="series length (default 1080)")
     ap.add_argument("--reps", type=int, default=8, help="replications, or --cli series, per run (default 8)")

@@ -21,7 +21,7 @@ from .model import spec_from_json, spec_to_json, _json_object
 from .spectrum import build_band_plan, periodogram, resolve_bandwidth, write_csv
 from .estimators import (WhittleTemplate, estimate_to_json, gph_estimate,
                          whittle_estimate, whittle_fit_to_json)
-from .simulate import DEFAULT_METHOD, SimConfig, simulate, _DRAWERS
+from .simulate import DEFAULT_METHOD, SimConfig, simulate, _SAMPLERS
 from .pipeline import acf_to_csv, bandwidth_scan, fractional_filter, sample_acf_pacf, scan_to_csv
 from .montecarlo import DESIGN_NAMES, design, estimates_to_csv, run_mc, summary_to_csv
 
@@ -142,7 +142,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--spec", required=True, help="model spec JSON file")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--method", choices=sorted(_DRAWERS), default=DEFAULT_METHOD)
+    sp.add_argument("--method", choices=sorted(_SAMPLERS), default=DEFAULT_METHOD)
     sp.add_argument("--grid-exponent", type=int, default=None)
     sp.add_argument("--out", required=True)
 
@@ -192,7 +192,7 @@ def build_parser() -> _Parser:
     mc.add_argument("--seed", type=int, required=True)
     mc.add_argument("--reps", type=int, default=2000)
     mc.add_argument("--n", type=int, default=1080)
-    mc.add_argument("--method", choices=sorted(_DRAWERS), default=DEFAULT_METHOD)
+    mc.add_argument("--method", choices=sorted(_SAMPLERS), default=DEFAULT_METHOD)
     mc.add_argument("--threads", type=int, default=None,
                     help="worker processes (default: SARFIMA_THREADS or 1)")
     mc.add_argument("--out", required=True)
@@ -236,7 +236,7 @@ def _cmd_estimate_gph(args) -> int:
 def _load_template(path) -> WhittleTemplate:
     try:
         doc = json.loads(_read_text(path, "bad-json"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an integer of more than 4300 digits
         raise ValidationError("bad-json", f"template is not valid JSON: {exc}") from exc
     doc = _json_object(doc, ("spec", "free_d", "free_ar", "free_ma", "d_box"), "a template", "bad-template")
     try:
@@ -250,7 +250,7 @@ def _load_template(path) -> WhittleTemplate:
             free_ar=tuple(doc["free_ar"]) if "free_ar" in doc else None,
             free_ma=tuple(doc["free_ma"]) if "free_ma" in doc else None,
             d_box=float(d_box))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:   # a number past the float range
         raise ValidationError("bad-template", f"malformed template document: {exc}") from exc
 
 

@@ -39,7 +39,19 @@ def _check_integer(value, low, code: str, what: str, high: int = None) -> int:
         if (low is None or number >= low) and (high is None or number < high):
             return number
     rule = " and ".join(f"{op} {bound}" for op, bound in ((">=", low), ("<", high)) if bound is not None)
-    raise ValidationError(code, f"{what} must be an integer {rule}".rstrip() + f", got {value!r}")
+    raise ValidationError(code, f"{what} must be an integer {rule}".rstrip() + f", got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """``repr(value)``, except that an integer of more than 64 bits (about
+    20 digits) is shown by its digit count, taken from its bit length:
+    ``str`` refuses an int of more than 4300 digits."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        bits = abs(int(value)).bit_length()
+        if bits > 64:
+            digits = int(bits * math.log10(2)) + 1   # exact, or one too many
+            return f"{'a negative' if value < 0 else 'an'} integer of about {digits} digits"
+    return repr(value)
 
 
 def _check_fits(need: int, what: str, hint: str = ""):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _shown
 from .model import SarfimaSpec, SeasonalComponent, enumerate_poles, levinson, _roots_outside_unit_circle
 from .spectrum import (Periodogram, BandPlan, build_band_plan, periodogram, resolve_bandwidth,
                        _check_bandwidth, _check_period_pair, _check_periods)
@@ -79,7 +79,7 @@ def asymptotic_cov_matrix(s1: int, s2, m: int) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _asymptotic_cov(s1: int, s2: int, m: int) -> np.ndarray:
     if m < 1:
-        raise ValidationError("m-too-small", f"bandwidth must be >= 1, got {m}")
+        raise ValidationError("m-too-small", f"bandwidth must be >= 1, got {_shown(m)}")
     if s1 == s2:   # a quotient of ints, so that a period past the float range gives 0, not an overflow
         num, den = (math.pi ** 2).as_integer_ratio()
         return _frozen(np.array([[num / (den * 24 * s1 * m)]]))
@@ -87,9 +87,7 @@ def _asymptotic_cov(s1: int, s2: int, m: int) -> np.ndarray:
     sp, ss = max(s1, s2), min(s1, s2)
     total, informative = sp, math.gcd(sp, ss)
     q11, q12, q22 = 4 * total, 4 * informative, 4 * informative
-    det = q11 * q22 - q12 * q12
-    if det == 0:
-        raise ValidationError("singular-q", "Q matrix singular (equal periods?)")
+    det = q11 * q22 - q12 * q12   # 16 s_small (s' - s_small) > 0: the smaller period divides s'
     cov = math.pi ** 2 / (6 * m) * np.array([[q22 / det, -q12 / det], [-q12 / det, q11 / det]])
     if s1 < s2:  # caller listed the smaller period first
         cov = cov[::-1, ::-1]

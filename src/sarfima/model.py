@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError, _check_integer
+from .errors import ValidationError, _check_fits, _check_integer, _shown
 
 __all__ = [
     "SeasonalComponent",
@@ -135,7 +135,8 @@ class SarfimaSpec:
             raise ValidationError("bad-components", f"need 1 or 2 seasonal components, got {len(comps)}")
         periods = [c.period for c in comps]
         if len(set(periods)) != len(periods):
-            raise ValidationError("duplicate-period", f"component periods must be distinct, got {periods}")
+            raise ValidationError("duplicate-period",
+                                  f"component periods must be distinct, got {_shown(periods[0])} twice")
         if not (math.isfinite(self.innovation_variance) and self.innovation_variance > 0):
             raise ValidationError("bad-sigma2", f"innovation variance must be > 0, got {self.innovation_variance!r}")
 
@@ -204,6 +205,7 @@ def pi_coefficients(d: float, s: int, max_lag: int) -> np.ndarray:
         raise ValidationError("bad-memory", f"d must be finite, got {d!r}")
     _check_integer(s, 1, "bad-period", "period")
     _check_integer(max_lag, 0, "bad-lag", "max_lag")
+    _check_fits(8 * (max_lag + 1), f"a filter of {_shown(max_lag + 1)} coefficients")
     kmax = max_lag // s
     coeffs = np.zeros(max_lag + 1)
     k = np.arange(1, kmax + 1)
@@ -222,8 +224,6 @@ def combined_filter_coefficients(spec: SarfimaSpec, max_lag: int) -> np.ndarray:
     out = np.array([1.0])
     for comp in spec.components:
         out = np.convolve(out, pi_coefficients(comp.memory, comp.period, max_lag))[: max_lag + 1]
-    if len(out) < max_lag + 1:
-        out = np.pad(out, (0, max_lag + 1 - len(out)))
     return out
 
 
@@ -356,7 +356,8 @@ def asymptotic_acvf(spec: SarfimaSpec, h: int) -> float:
     factors and the s_i^(-2 d_i) limits of the vanishing ones.
     """
     require_stationary(spec, "asymptotic autocovariance")
-    h = abs(_check_integer(h, None, "bad-lag", "lag"))
+    # past 2^53, h lam_p has no fractional part left
+    h = abs(_check_integer(h, 1 - 2 ** 53, "bad-lag", "lag", 2 ** 53))
     if h == 0:
         raise ValidationError("bad-lag", "asymptotic form is not valid at h = 0")
 
@@ -413,7 +414,7 @@ def _json_object(value, keys: tuple, what: str, code: str = "bad-spec-json") -> 
 def spec_from_json(text: str) -> SarfimaSpec:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an integer of more than 4300 digits
         raise ValidationError("bad-json", f"spec is not valid JSON: {exc}") from exc
     doc = _json_object(doc, ("components", "ar", "ma", "sigma2"), "a spec")
     try:
@@ -424,7 +425,7 @@ def spec_from_json(text: str) -> SarfimaSpec:
                         for f in doc.get(key, []) if _json_object(f, ("lag", "coeffs"), f"an {key} factor"))
                   for key in ("ar", "ma"))
         sigma2 = _json_number(doc.get("sigma2", 1.0), "sigma2")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:   # a number past the float range
         raise ValidationError("bad-spec-json", f"malformed spec document: {exc}") from exc
     return SarfimaSpec(components=components, ar_factors=ar, ma_factors=ma,
                        innovation_variance=sigma2)

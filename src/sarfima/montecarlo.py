@@ -24,8 +24,8 @@ from .errors import ValidationError, _check_integer
 from .model import ArmaFactor, SarfimaSpec, SeasonalComponent
 from .spectrum import BandPlan, build_band_plan, resolve_bandwidth, write_csv, _check_bandwidth_choice, _ordinates
 from .estimators import WhittleTemplate, _band_design, _gph_fits, _whittle_design, _whittle_fits
-from .simulate import (DEFAULT_METHOD, SimConfig, acvf_self_check, derive_rep_seed, _check_memory,
-                       _paths)
+from .simulate import (DEFAULT_METHOD, SimConfig, derive_rep_seed, _check_memory, _halving_shift, _paths,
+                       _sampler_setup)
 
 __all__ = ["EstimatorDef", "McConfig", "EstimatorResult", "McSummary", "run_mc",
            "standardized_sample", "design", "DESIGN_NAMES", "summary_to_csv",
@@ -40,6 +40,13 @@ _PATH_BLOCK = 64
 #: a 64-path block peaked at 40-88 on table1-5 (circulant, n = 16 384 and
 #: 65 536), the most with a free-AR Whittle fit
 _BLOCK_BYTES_PER_POINT = 128
+
+#: bytes per replication and estimator that a run keeps until its summary:
+#: two estimates, a 13-character code and the steps take 76, twice while
+#: the blocks are joined; tracemalloc peaks grew by 24-108 per replication
+#: and estimator on table1, 2, 4 and 5 (n = 1080, 640 against 1920 and
+#: 3840 replications)
+_BYTES_PER_REP_ESTIMATE = 160
 
 
 @dataclass(frozen=True)
@@ -121,10 +128,12 @@ class McConfig:
         workers = _resolve_workers(self.workers)
         if self.workers is not None:   # None reads SARFIMA_THREADS at each run
             object.__setattr__(self, "workers", workers)
-        # each worker's block of paths is in flight next to the sampler's table or roots
+        # each worker's block of paths is in flight next to the sampler's table or roots,
+        # and every replication's estimates are kept until the summary
         in_flight = min(self.reps, _PATH_BLOCK * workers)
         _check_memory(self.spec, self.n, self.method, self.grid_exponent,
-                      in_flight * _BLOCK_BYTES_PER_POINT * self.n)
+                      in_flight * _BLOCK_BYTES_PER_POINT * self.n
+                      + self.reps * len(self.estimators) * _BYTES_PER_REP_ESTIMATE)
         names = [e.name for e in self.estimators]
         if len(set(names)) != len(names):
             raise ValidationError("bad-estimator", "estimator names must be unique")
@@ -201,7 +210,8 @@ class McSummary:
 def run_mc(config: McConfig) -> McSummary:
     """Run the full replication study described by ``config``.
 
-    Startup runs the acvf grid-doubling self-check, then each replication
+    Startup builds the sampler's set-up and runs the acvf grid-halving
+    self-check on the grid its paths come from, then each replication
     simulates with its derived seed and every estimator is applied to the
     same path.  The unit of work is a block of up to _PATH_BLOCK replications
     (circulant draws its paths with one batch of FFTs, exact_dl with one
@@ -215,10 +225,11 @@ def run_mc(config: McConfig) -> McSummary:
     code.  The summary is identical for any worker count.
     """
     workers = _resolve_workers(config.workers)
-    if config.self_check:
-        acvf_self_check(config.spec, config.grid_exponent)
-    # block 0 caches the sampler's table or roots, so forked workers
-    # inherit them along with the estimators' designs
+    if config.self_check:   # on the grid that the paths are drawn from
+        _, nodes, head = _sampler_setup(config.spec, config.n, config.grid_exponent, config.method)
+        _halving_shift(config.spec, head, nodes)
+    # block 0 (or the self-check) caches the sampler's set-up, so forked
+    # workers inherit it along with the estimators' designs
     blocks = [_run_block(config, 0)]
     rest = range(_PATH_BLOCK, config.reps, _PATH_BLOCK)
     if workers == 1:

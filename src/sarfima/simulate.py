@@ -10,13 +10,12 @@ decomposition (exact_dl), in O(n^2).
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, NumericError, _check_fits, _check_integer
+from .errors import ValidationError, NumericError, _check_fits, _check_integer, _shown
 from .model import SarfimaSpec, arma_spectral_density, enumerate_poles, levinson, require_stationary
 
 __all__ = ["SimConfig", "acvf_numeric", "acvf_self_check", "simulate",
@@ -70,7 +69,7 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_integer(self.n, 1, "bad-n", "n"))
-        if self.method not in _DRAWERS:
+        if self.method not in _SAMPLERS:
             raise ValidationError("bad-method", f"unknown simulation method {self.method!r}")
         object.__setattr__(self, "seed", _check_integer(self.seed, 0, "bad-seed", "seed", 2 ** 64))
         g = self.grid_exponent
@@ -78,18 +77,18 @@ class SimConfig:
                            _check_integer(g, 0, "bad-grid-exponent", "grid exponent", MAX_GRID_EXPONENT + 1))
         if 2 ** self.grid_exponent < 64 * self.n:
             raise ValidationError("grid-too-small",
-                                  f"need 2^grid_exponent >= 64 n; got 2^{self.grid_exponent} < {64 * self.n}")
+                                  f"need 2^grid_exponent >= 64 n; got 2^{self.grid_exponent} < {_shown(64 * self.n)}")
         _check_memory(self.spec, self.n, self.method, self.grid_exponent)
 
 
-def _check_memory(spec: SarfimaSpec, n: int, method: str, grid_exponent: int, block_bytes: int = 0,
-                  half: int = None):
-    """Raise ``too-large`` unless the acvf grid of either sampler (to lag ``half``, by default the
-    unpadded embedding's) or the n x n exact_dl table, plus ``block_bytes`` for the paths in
-    flight, fits in physical memory; checked before any acvf work."""
-    grid = _BYTES_PER_NODE * _grid_nodes(spec, half or _embedding_half(spec, n), grid_exponent)
+def _check_memory(spec: SarfimaSpec, n: int, method: str, grid_exponent: int, block_bytes: int = 0):
+    """Raise ``too-large`` unless the acvf grid of either sampler (to the unpadded embedding's lag)
+    or the n x n exact_dl table, plus ``block_bytes`` for what a run holds beside it, fits in
+    physical memory; checked before any acvf work, which checks each padded grid itself."""
+    grid = _BYTES_PER_NODE * _grid_nodes(spec, _embedding_half(spec, n), grid_exponent)
     table = 8 * int(n) ** 2 if method == "exact_dl" else 0
-    _check_fits(block_bytes + max(grid, table), f"{method} at n={n}",
+    _check_fits(block_bytes + max(grid, table),
+                f"{method} at n={_shown(n)}" + (" with the run's paths and estimates" if block_bytes else ""),
                 "; use --method circulant" if table > grid else "")
 
 
@@ -180,7 +179,6 @@ def _regularized_density(spec: SarfimaSpec, lam: np.ndarray, pole=None):
     return g
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def acvf_numeric(spec: SarfimaSpec, max_lag: int, grid_exponent: int = 17) -> np.ndarray:
     """gamma(0..max_lag) = int_{-pi}^{pi} f(lambda) e^(i h lambda) dlambda.
 
@@ -199,10 +197,16 @@ def acvf_numeric(spec: SarfimaSpec, max_lag: int, grid_exponent: int = 17) -> np
     a grid that does not fit in physical memory ``too-large``, before it is
     allocated.
     """
-    from numpy.polynomial import chebyshev, polynomial
     _check_integer(max_lag, 0, "bad-lag", "max_lag")
     require_stationary(spec, "autocovariance")
-    nodes = _grid_nodes(spec, max_lag, grid_exponent)
+    return _acvf(spec, max_lag, _grid_nodes(spec, max_lag, grid_exponent))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _acvf(spec: SarfimaSpec, max_lag: int, nodes: int) -> np.ndarray:
+    """``acvf_numeric`` of a stationary spec on ``nodes`` nodes, a multiple
+    of lcm(periods); the grid is checked against physical memory first."""
+    from numpy.polynomial import chebyshev, polynomial
     _check_fits(_BYTES_PER_NODE * nodes, "the acvf grid")
     delta = 2 * math.pi / nodes
     poles = enumerate_poles(spec)
@@ -248,22 +252,28 @@ def _check_finite(values: np.ndarray, what: str):
         raise NumericError("non-finite-acvf", f"{what} overflows or is undefined in floating point")
 
 
-#: lags and tolerance of the grid doubling check
+#: lags and tolerance of the grid halving check
 _SELF_CHECK_LAGS = 50
 _SELF_CHECK_TOL = 1e-6
 
 
-def acvf_self_check(spec: SarfimaSpec, grid_exponent: int) -> float:
-    """Doubling check: gamma(h <= _SELF_CHECK_LAGS) must move by less than
-    _SELF_CHECK_TOL when the grid exponent, and below 21 the grid, doubles.
+def _halving_shift(spec: SarfimaSpec, head: np.ndarray, nodes: int) -> float:
+    """Halving check: ``head``, gamma(h <= _SELF_CHECK_LAGS) on ``nodes``
+    nodes, must move by less than _SELF_CHECK_TOL on nodes / 2, where every
+    pole is still a node, since the fit radius makes nodes >= 16 lcm(periods).
     Returns the observed maximum shift; raises ``quadrature-unstable``."""
-    g1 = acvf_numeric(spec, _SELF_CHECK_LAGS, grid_exponent)
-    g2 = acvf_numeric(spec, _SELF_CHECK_LAGS, grid_exponent + 1)
-    shift = float(np.max(np.abs(g1 - g2)))
+    shift = float(np.max(np.abs(head - _acvf(spec, _SELF_CHECK_LAGS, nodes // 2))))
     if not shift < _SELF_CHECK_TOL:
-        raise NumericError("quadrature-unstable",
-                           f"acvf changed by {shift:.3g} >= {_SELF_CHECK_TOL:.3g} under grid doubling")
+        raise NumericError("quadrature-unstable", f"acvf changed by {shift:.3g} >= {_SELF_CHECK_TOL:.3g} "
+                           f"when its grid of {nodes} nodes was halved")
     return shift
+
+
+def acvf_self_check(spec: SarfimaSpec, grid_exponent: int) -> float:
+    """The halving check on the grid of ``acvf_numeric(spec,
+    _SELF_CHECK_LAGS, grid_exponent)``; returns the observed maximum shift."""
+    head = acvf_numeric(spec, _SELF_CHECK_LAGS, grid_exponent)
+    return _halving_shift(spec, head, _grid_nodes(spec, _SELF_CHECK_LAGS, grid_exponent))
 
 
 # ---------------------------------------------------------------------------
@@ -301,24 +311,11 @@ def durbin_levinson_decompose(gamma: np.ndarray):
     return M, np.sqrt(v)
 
 
-#: the one resident Durbin-Levinson table, by (spec, n, grid_exponent):
-#: ``too-large`` vouches for one 8 n^2-byte table, not for several
-_DL_TABLE = {}
-
-
-def _dl_tables(spec: SarfimaSpec, n: int, grid_exponent: int):
-    """(M, sigma) for ``spec`` at length n, read-only so that the finiteness
-    check made when they were built holds for every later path.  Only the
-    last table stays cached, and it is released before the next is built."""
-    key = (spec, n, grid_exponent)
-    if key not in _DL_TABLE:
-        _DL_TABLE.clear()
-        gamma = acvf_numeric(spec, n - 1 if n > 1 else 0, grid_exponent)
-        tables = durbin_levinson_decompose(gamma)
-        for table in tables:
-            table.setflags(write=False)
-        _DL_TABLE[key] = tables
-    return _DL_TABLE[key]
+def _dl_setup(spec: SarfimaSpec, n: int, grid_exponent: int):
+    """The Durbin-Levinson table (M, sigma) of gamma(0..n-1), with the
+    grid's node count and gamma(0.._SELF_CHECK_LAGS)."""
+    gamma, nodes, head = _setup_acvf(spec, n - 1, grid_exponent)
+    return durbin_levinson_decompose(gamma), nodes, head
 
 
 def derive_rep_seed(master_seed: int, rep_index: int) -> int:
@@ -352,10 +349,10 @@ def _dl_paths(spec: SarfimaSpec, n: int, grid_exponent: int, rngs) -> np.ndarray
     generator only, not on the block's width or on the row's place in it.
     """
     from scipy.linalg.blas import dtrsm   # keeps scipy.linalg off the import path
-    M, sig = _dl_tables(spec, n, grid_exponent)
+    M, sig = _sampler_setup(spec, n, grid_exponent, "exact_dl")[0]
     B = _normals(rngs, n)
     B *= sig
-    # M was checked finite when the cached table was built; M.T and B.T are
+    # M was checked finite when the set-up was built; M.T and B.T are
     # F-contiguous views, so neither the n x n table nor the block is copied
     return dtrsm(1.0, M.T, B.T, lower=0, trans_a=1, diag=1, overwrite_b=1).T
 
@@ -372,24 +369,22 @@ def _embedding_half(spec: SarfimaSpec, n: int) -> int:
 _MAX_PADDING_DOUBLINGS = 4
 
 
-@functools.lru_cache(maxsize=4)
-def _circulant_roots(spec: SarfimaSpec, n: int, grid_exponent: int) -> np.ndarray:
-    """Square roots of the eigenvalues of the circulant embedding of
-    gamma(0..N), scaled for ``_circulant_paths``; read-only.
+def _circulant_setup(spec: SarfimaSpec, n: int, grid_exponent: int):
+    """The square roots of the eigenvalues of the circulant embedding of
+    gamma(0..N), scaled for ``_circulant_paths``, with the grid's node count
+    and gamma(0.._SELF_CHECK_LAGS).
 
     The half-length N starts at ``_embedding_half``.  Short series of
     seasonal AR designs have negative eigenvalues there (table5 at n = 16:
     down to -0.0014 of the largest), so N doubles, staying a multiple of the
     lcm, until every eigenvalue is non-negative (Wood & Chan 1994), at most
-    _MAX_PADDING_DOUBLINGS times; each larger grid is checked against
-    physical memory first.  Eigenvalues are never clipped.
+    _MAX_PADDING_DOUBLINGS times.  Eigenvalues are never clipped.
     """
     half = _embedding_half(spec, n)
     for doubling in range(_MAX_PADDING_DOUBLINGS + 1):
         if doubling:
             half *= 2
-            _check_memory(spec, n, "circulant", grid_exponent, half=half)
-        gamma = acvf_numeric(spec, half, grid_exponent)
+        gamma, nodes, head = _setup_acvf(spec, half, grid_exponent)
         eig = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
         if np.isfinite(eig).all() and eig.min() >= 0:
             break
@@ -402,9 +397,7 @@ def _circulant_roots(spec: SarfimaSpec, n: int, grid_exponent: int) -> np.ndarra
     # real and imaginary parts each carry half of the eigenvalue
     scale = np.full(half + 1, float(half))
     scale[[0, half]] = 2.0 * half
-    root = np.sqrt(scale * eig)
-    root.setflags(write=False)
-    return root
+    return (np.sqrt(scale * eig),), nodes, head
 
 
 def _circulant_paths(spec: SarfimaSpec, n: int, grid_exponent: int, rngs) -> np.ndarray:
@@ -419,7 +412,7 @@ def _circulant_paths(spec: SarfimaSpec, n: int, grid_exponent: int, rngs) -> np.
     only.  The normals are released before the transform and the paths
     copied out of it, so neither outlives its use.
     """
-    root = _circulant_roots(spec, n, grid_exponent)
+    root, = _sampler_setup(spec, n, grid_exponent, "circulant")[0]
     half = len(root) - 1
     z = _normals(rngs, 2 * half)
     spectrum = np.zeros((len(rngs), half + 1), dtype=complex)
@@ -430,14 +423,44 @@ def _circulant_paths(spec: SarfimaSpec, n: int, grid_exponent: int, rngs) -> np.
     return np.fft.irfft(spectrum, 2 * half, axis=1)[:, :n].copy()
 
 
-#: the path drawers by method name
-_DRAWERS = {"exact_dl": _dl_paths, "circulant": _circulant_paths}
+#: (set-up, drawer) by method name
+_SAMPLERS = {"exact_dl": (_dl_setup, _dl_paths), "circulant": (_circulant_setup, _circulant_paths)}
+
+
+#: the one resident sampler set-up, by (spec, n, grid_exponent, method):
+#: ``too-large`` vouches for one set-up, not for several
+_SETUP = {}
+
+
+def _sampler_setup(spec: SarfimaSpec, n: int, grid_exponent: int, method: str):
+    """``method``'s set-up for ``spec`` at length n, built once after one
+    stationarity check: its arrays, read-only so that the checks made when
+    they were built hold for every later path, the node count M of the acvf
+    grid they were built on and gamma(0.._SELF_CHECK_LAGS) on that grid.
+    Only the last set-up stays cached, released before the next is built."""
+    key = (spec, n, grid_exponent, method)
+    if key not in _SETUP:
+        _SETUP.clear()
+        require_stationary(spec, "simulation")
+        arrays, nodes, head = _SAMPLERS[method][0](spec, n, grid_exponent)
+        for array in arrays:
+            array.setflags(write=False)
+        _SETUP[key] = arrays, nodes, head
+    return _SETUP[key]
+
+
+def _setup_acvf(spec: SarfimaSpec, max_lag: int, grid_exponent: int):
+    """gamma(0..max_lag) on ``acvf_numeric``'s grid, its node count and
+    gamma(0.._SELF_CHECK_LAGS) on it: a lag's value is the same bits to any max_lag."""
+    nodes = _grid_nodes(spec, max_lag, grid_exponent)
+    gamma = _acvf(spec, max(max_lag, _SELF_CHECK_LAGS), nodes)
+    return gamma[:max_lag + 1], nodes, gamma[:_SELF_CHECK_LAGS + 1].copy()
 
 
 def _paths(spec: SarfimaSpec, n: int, grid_exponent: int, method: str, seeds) -> np.ndarray:
     """The paths of ``seeds`` drawn at once by ``method``, one row each; a
     row's bits depend on its seed only, not on the other rows."""
-    return _DRAWERS[method](spec, n, grid_exponent, [_seed_rng(seed) for seed in seeds])
+    return _SAMPLERS[method][1](spec, n, grid_exponent, [_seed_rng(seed) for seed in seeds])
 
 
 def simulate(config: SimConfig) -> np.ndarray:
@@ -445,5 +468,4 @@ def simulate(config: SimConfig) -> np.ndarray:
     quadrature error of the autocovariance.  A block of one: the result is
     bitwise the row a Monte Carlo run draws for the same seed and method.
     """
-    require_stationary(config.spec, "simulation")
     return _paths(config.spec, config.n, config.grid_exponent, config.method, [config.seed])[0]

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError, _check_fits, _check_integer
+from .errors import ValidationError, _check_fits, _check_integer, _shown
 
 __all__ = ["Periodogram", "Band", "BandPlan", "periodogram", "build_band_plan",
            "gph_T_bandwidth", "resolve_bandwidth", "write_csv"]
@@ -142,7 +142,8 @@ def _check_period_pair(s1: int, s2: int) -> tuple:
     s1, s2 = _check_periods(s1, s2)
     sp, ss = max(s1, s2), min(s1, s2)
     if sp % ss != 0:
-        raise ValidationError("s2-not-divisor", f"smaller period {ss} must divide larger period {sp}")
+        raise ValidationError("s2-not-divisor",
+                              f"smaller period {_shown(ss)} must divide larger period {_shown(sp)}")
     return s1, s2
 
 
@@ -153,7 +154,7 @@ def _check_alpha(alpha) -> float:
             return float(alpha)
     except OverflowError:
         pass
-    raise ValidationError("bad-bandwidth", f"alpha must be a real number in the float range, got {alpha!r}")
+    raise ValidationError("bad-bandwidth", f"alpha must be a real number in the float range, got {_shown(alpha)}")
 
 
 def _check_bandwidth_choice(alpha, m, gph_T, uncapped):
@@ -162,7 +163,8 @@ def _check_bandwidth_choice(alpha, m, gph_T, uncapped):
     if not (isinstance(gph_T, bool) and isinstance(uncapped, bool)
             and (alpha is not None) + (m is not None) + gph_T == 1 and (gph_T or not uncapped)):
         raise ValidationError("bad-bandwidth", "pick exactly one of alpha, m and gph_T, uncapped only with gph_T, "
-                              f"bool flags; got {alpha=}, {m=}, {gph_T=}, {uncapped=}")
+                              "bool flags; got " + ", ".join(f"{name}={_shown(value)}" for name, value in (
+                                  ("alpha", alpha), ("m", m), ("gph_T", gph_T), ("uncapped", uncapped))))
 
 
 def gph_T_bandwidth(n: int, s1: int, s2: int = None) -> int:
@@ -231,22 +233,23 @@ _BYTES_PER_BAND = 512
 def _band_plan(n: int, s1: int, s2: int, m: int, allow_overlap: bool) -> BandPlan:
     sp, ss = max(s1, s2), min(s1, s2)
     if m < 2:
-        raise ValidationError("m-too-small", f"bandwidth m must be >= 2, got {m}")
+        raise ValidationError("m-too-small", f"bandwidth m must be >= 2, got {_shown(m)}")
     if not allow_overlap and not 2 * m * sp < n:
-        raise ValidationError("band-overlap", f"2 m s' = {2 * m * sp} >= n = {n}: 2 pi m / n >= pi / s'; reduce m")
+        raise ValidationError("band-overlap",
+                              f"2 m s' = {_shown(2 * m * sp)} >= n = {_shown(n)}: 2 pi m / n >= pi / s'; reduce m")
 
     def span(k):   # band k's centre and its first and last Fourier index, in (0, pi] and int64
         centre = round(Fraction(n * k, sp))
         first, last = (1, m) if k == 0 else (centre - m, centre - 1 if 2 * k == sp else centre + m)
         if first < 1 or last > n // 2:
             raise ValidationError("band-overlap",
-                                  f"band k={k} spills outside (0, pi] (indices {first}..{last})")
+                                  f"band k={k} spills outside (0, pi] (indices {_shown(first)}..{_shown(last)})")
         if last >= 2 ** 63:
-            raise ValidationError("too-large", f"band k={k} has Fourier indices past int64 (up to {last})")
+            raise ValidationError("too-large", f"band k={k} has Fourier indices past int64 (up to {_shown(last)})")
         return centre, first, last
 
     spans = [span(k) for k in range(min(2, sp // 2 + 1))]   # a huge s' spills here, before the size check
-    _check_fits(8 * m * sp + _BYTES_PER_BAND * (sp // 2 + 1), f"a band plan of {sp // 2 + 1} bands")
+    _check_fits(8 * m * sp + _BYTES_PER_BAND * (sp // 2 + 1), f"a band plan of {_shown(sp // 2 + 1)} bands")
     spans += [span(k) for k in range(len(spans), sp // 2 + 1)]
     if not allow_overlap and any(a[2] >= b[1] for a, b in zip(spans, spans[1:])):
         raise ValidationError("band-overlap", "bands share Fourier indices; reduce m")

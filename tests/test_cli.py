@@ -333,7 +333,7 @@ class TestEstimateWhittleVerb:
         assert captured.err.startswith("error: bad-template:")
 
     @pytest.mark.parametrize("markers", [{"free_d": [1, 0]}, {"free_d": "ab"},
-                                         {"free_d": [True, None]}, {"free_ar": [1]}])
+                                         {"free_d": [True, None]}, {"free_ar": [1]}, {"free_d": 5}])
     def test_non_boolean_markers_rejected(self, tmp_path, series_file, two_period_spec,
                                           capsys, markers):
         path, _ = series_file
@@ -701,6 +701,7 @@ class TestRejectedInputs:
         ("0.1,0.2,0.3", "1,4,12", "bad-components"),
         ("0.1,0.3", "1,4,12", "bad-filter"),
         ("nan", "4", "bad-memory"),
+        ("0.1,abc", "1,4", "bad-arguments"),
     ])
     def test_filter_codes(self, tmp_path, series_file, capsys, d, periods, code):
         out = tmp_path / "resid.csv"
@@ -739,10 +740,9 @@ class TestRejectedInputs:
     def test_circulant_negative_eigenvalue_exits_2(self, tmp_path, capsys, monkeypatch):
         # table5 at n = 64 draws at x2; with no doubling allowed it has none
         from sarfima import design
-        from sarfima.simulate import _circulant_roots
         simulate_module = importlib.import_module("sarfima.simulate")   # the package attribute is the function
         monkeypatch.setattr(simulate_module, "_MAX_PADDING_DOUBLINGS", 0)
-        _circulant_roots.cache_clear()
+        simulate_module._SETUP.clear()
         spec = tmp_path / "table5.json"
         spec.write_text(spec_to_json(design("table5", master_seed=1).spec))
         out = tmp_path / "y.csv"
@@ -789,7 +789,16 @@ class TestRejectedInputs:
          ["simulate", "--spec", "BAD", "--n", "100", "--seed", "1", "--out", "OUT"], "bad-json"),
         (b'{"spec": {"components": [{"period": 4, "d": 0.3}]}, "note": "\xff"}',
          ["estimate-whittle", "--in", "SERIES", "--template", "BAD", "--out", "OUT"], "bad-json"),
-    ], ids=["series", "spec", "template"])
+        (b'{"spec": {"components": [{"period": 4, "d": 0.3}]',
+         ["estimate-whittle", "--in", "SERIES", "--template", "BAD", "--out", "OUT"], "bad-json"),
+        # integers past str()'s 4300 digits, and past the float range
+        (b'{"components": [{"period": 4, "d": 1%s}]}' % (b"0" * 5000,),
+         ["simulate", "--spec", "BAD", "--n", "100", "--seed", "1", "--out", "OUT"], "bad-json"),
+        (b'{"components": [{"period": 4, "d": 1%s}]}' % (b"0" * 400,),
+         ["simulate", "--spec", "BAD", "--n", "100", "--seed", "1", "--out", "OUT"], "bad-spec-json"),
+        (b'{"spec": {"components": [{"period": 4, "d": 0.3}]}, "d_box": 1%s}' % (b"0" * 400,),
+         ["estimate-whittle", "--in", "SERIES", "--template", "BAD", "--out", "OUT"], "bad-template"),
+    ], ids=["series", "spec", "template", "template-json", "long-int", "int-past-float", "box-past-float"])
     def test_undecodable_input(self, tmp_path, series_file, capsys, content, argv, code):
         bad, out = tmp_path / "bad", tmp_path / "out"
         bad.write_bytes(content)
@@ -850,6 +859,13 @@ class TestRejectedInputs:
         # the 8 n^2-byte Durbin-Levinson table
         rc = cli.dispatch(["mc", "--design", "table2", "--seed", "1", "--reps", "2",
                            "--n", "10000000", "--method", "exact_dl", "--out", str(tmp_path / "m.csv")])
+        assert rc == 1
+        self.assert_one_error(capsys, "too-large")
+
+    def test_mc_too_many_reps(self, tmp_path, capsys):
+        # the estimates every replication keeps until the summary
+        rc = cli.dispatch(["mc", "--design", "table2", "--seed", "1", "--reps", str(10 ** 12),
+                           "--out", str(tmp_path / "m.csv")])
         assert rc == 1
         self.assert_one_error(capsys, "too-large")
 

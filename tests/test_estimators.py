@@ -745,6 +745,21 @@ class TestYuleWalkerStart:
         assert block[1].tobytes() == alone[0].tobytes()
         assert whittle_estimate(wave, template).converged
 
+    def test_free_ma_factor_is_left_at_its_start(self, monkeypatch):
+        # the start solves for the free AR factor and skips the free MA one
+        from sarfima.spectrum import _ordinates
+        spec = SarfimaSpec(components=(SeasonalComponent(4, 0.1), SeasonalComponent(12, 0.3)))
+        x = simulate(SimConfig(spec=spec, n=1080, seed=1))
+        template = WhittleTemplate(spec=SarfimaSpec(
+            components=(SeasonalComponent(4, 0.0), SeasonalComponent(12, 0.0)),
+            ar_factors=(ArmaFactor(4, (0.0,)),), ma_factors=(ArmaFactor(12, (0.0,)),)))
+        wd, _, theta0 = captured_start(monkeypatch, template, _ordinates(x[None]), 1080)
+        (_, ar, _), = [f for f in wd.factors if f[0] < 0]
+        (_, ma, _), = [f for f in wd.factors if f[0] > 0]
+        assert theta0[0, ar] != 0.0 and theta0[0, ma] == 0.0
+        fit = whittle_estimate(x, template)
+        assert fit.converged and fit.iterations == 5
+
 
 class TestDesignCache:
     """The data-free halves of both estimators are built once and shared read-only."""

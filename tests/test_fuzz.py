@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sarfima import (EstimatorDef, McConfig, SarfimaError, SarfimaSpec, SeasonalComponent, SimConfig,
-                     asymptotic_cov_matrix, bandwidth_scan, build_band_plan, gph_T_bandwidth,
-                     sample_acf_pacf)
+                     asymptotic_acvf, asymptotic_cov_matrix, bandwidth_scan, build_band_plan,
+                     combined_filter_coefficients, gph_T_bandwidth, pi_coefficients, sample_acf_pacf)
 from sarfima.spectrum import resolve_bandwidth
 
 FUZZ = settings(derandomize=True, max_examples=60, deadline=None)
@@ -170,3 +170,40 @@ def test_bandwidth_scan_alphas(alphas):
     scan = outcome(bandwidth_scan, SERIES, 1, 4, alphas)
     if scan is not None:
         assert_ints(*(row.m for row in scan.rows))
+
+
+#: an integer past the 4300 digits that ``str`` converts, and a spec with two memories
+HUGE = 10 ** 5000
+TWO_PERIODS = SarfimaSpec(components=(SeasonalComponent(4, 0.1), SeasonalComponent(12, 0.3)))
+
+
+@pytest.mark.parametrize("call, code", [
+    (lambda: SimConfig(spec=QUARTERLY, n=HUGE, seed=1), "too-large"),
+    (lambda: SimConfig(spec=QUARTERLY, n=100, seed=HUGE), "bad-seed"),
+    (lambda: asymptotic_cov_matrix(4, 12, HUGE), "bad-bandwidth"),
+    (lambda: sample_acf_pacf(SERIES, HUGE), "bad-lag"),
+    (lambda: build_band_plan(HUGE, 4, 12, 2), "too-large"),
+    (lambda: build_band_plan(1080, 4, 4 * HUGE, 2), "band-overlap"),
+    # 7.28 TiB of coefficients, or more than any array can hold
+    (lambda: pi_coefficients(0.1, 4, 10 ** 12), "too-large"),
+    (lambda: combined_filter_coefficients(TWO_PERIODS, 10 ** 12), "too-large"),
+    (lambda: pi_coefficients(0.1, 4, HUGE), "too-large"),
+    # past 2^53, h lambda_p has no fractional part left
+    (lambda: asymptotic_acvf(TWO_PERIODS, 10 ** 400), "bad-lag"),
+    (lambda: asymptotic_acvf(TWO_PERIODS, 2 ** 53), "bad-lag"),
+    # about 45 years at 700 replications a second
+    (lambda: McConfig(spec=QUARTERLY, estimators=(EstimatorDef(name="gph_T", kind="gph_single", use_gph_T=True),),
+                      reps=10 ** 12, n=1080, master_seed=1), "too-large"),
+], ids=["sim-n", "sim-seed", "cov-m", "acf-lag", "plan-n", "plan-period", "pi", "filter", "pi-huge",
+        "asymptotic-lag", "asymptotic-2^53", "mc-reps"])
+def test_oversized_counts_end_in_codes(call, code):
+    # each message prints, even where it names a count too long for str
+    with warnings.catch_warnings(), pytest.raises(SarfimaError) as exc:
+        warnings.simplefilter("error")
+        call()
+    assert exc.value.code == code
+    assert str(exc.value).startswith(f"{code}: ")
+
+
+def test_asymptotic_acvf_below_2_53():
+    assert math.isfinite(outcome(asymptotic_acvf, TWO_PERIODS, 2 ** 53 - 1))

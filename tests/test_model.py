@@ -116,6 +116,12 @@ class TestSpecValidation:
                                     SeasonalComponent(4, 0.1),
                                     SeasonalComponent(12, 0.1)))
 
+    @pytest.mark.parametrize("coeffs", [(), (math.nan,)])
+    def test_rejects_bad_arma_coeffs(self, coeffs):
+        with pytest.raises(ValidationError) as exc:
+            ArmaFactor(4, coeffs)
+        assert exc.value.code == "bad-arma-coeffs"
+
     def test_rejects_nonpositive_variance(self):
         with pytest.raises(ValidationError):
             SarfimaSpec(components=(SeasonalComponent(4, 0.3),),
@@ -309,6 +315,12 @@ class TestSpectralDensity:
             spectral_density(spec, 1.0)
         assert exc.value.code == "nonstationary-spec"
 
+    def test_rejects_frequency_outside_the_circle(self):
+        spec = SarfimaSpec(components=(SeasonalComponent(4, 0.3),))
+        with pytest.raises(ValidationError) as exc:
+            spectral_density(spec, 4.0)
+        assert exc.value.code == "bad-frequency"
+
 
 class TestPoleEnumeration:
     def test_single_quarterly(self):
@@ -458,6 +470,11 @@ class TestSpecJson:
     def test_missing_components_rejected(self):
         with pytest.raises(ValidationError) as exc:
             spec_from_json('{"sigma2": 1.0}')
+        assert exc.value.code == "bad-spec-json"
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValidationError) as exc:
+            spec_from_json("[1, 2]")
         assert exc.value.code == "bad-spec-json"
 
     @pytest.mark.parametrize("bad", [dict(d="0.3"), dict(d=True), dict(sigma2=True),

@@ -119,6 +119,12 @@ class TestMcConfigValidation:
             McConfig(spec=spec, estimators=ests, reps=reps, n=n, master_seed=1)
         assert exc.value.code == code
 
+    def test_needs_an_estimator(self):
+        spec = SarfimaSpec(components=(SeasonalComponent(4, 0.3),))
+        with pytest.raises(ValidationError) as exc:
+            McConfig(spec=spec, estimators=(), reps=5, n=256, master_seed=1)
+        assert exc.value.code == "bad-estimator"
+
     def test_gph_single_needs_one_component(self):
         spec = SarfimaSpec(components=(SeasonalComponent(1, 0.1), SeasonalComponent(4, 0.3)))
         ests = (EstimatorDef(name="g", kind="gph_single", m=10),)

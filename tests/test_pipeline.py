@@ -105,6 +105,11 @@ class TestBandwidthScan:
             bandwidth_scan(two_period_path, 1, 4, [0.5, 0.4])
         assert exc.value.code == "bad-alphas"
 
+    def test_needs_an_alpha(self, two_period_path):
+        with pytest.raises(ValidationError) as exc:
+            bandwidth_scan(two_period_path, 4, 12, [])
+        assert exc.value.code == "bad-alphas"
+
     def test_alphas_must_be_interior(self, two_period_path):
         with pytest.raises(ValidationError):
             bandwidth_scan(two_period_path, 1, 4, [0.5, 1.0])

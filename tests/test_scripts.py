@@ -166,12 +166,13 @@ def test_fit_ab_cold_against_this_checkout(capsys):
     fit_ab = load("fit_ab")
     assert fit_ab.main(["--against", str(SCRIPTS.parent), "--cold", "--rounds", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == ["cold start, 5 commands in fresh processes; CPU seconds of the children",
+    assert lines[:2] == ["cold start, 6 commands in fresh processes; CPU seconds of the children",
                          "round      this   against   ratio"]
     assert lines[2].split()[0] == "0"
     assert lines[3].split() == ["command", "this", "against", "ratio", "this", "faster", "in"]
     # per command: both medians, their ratio and the win count of the one round
-    assert [line.split()[0] for line in lines[4:-1]] == ["import", "simulate", "mc", "filter", "periodogram"]
+    assert [line.split()[0] for line in lines[4:-1]] == ["import", "simulate", "mc", "mc_dl", "filter",
+                                                         "periodogram"]
     for line in lines[4:-1]:
         assert re.fullmatch(r"\S+ +\d+\.\d{4} +\d+\.\d{4} +\d+\.\d{3}  [01] of 1", line)
     # every file the commands wrote has the same bytes on both sides

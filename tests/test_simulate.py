@@ -11,9 +11,9 @@ from sarfima import (ArmaFactor, NumericError, SarfimaSpec, SeasonalComponent,
                      SimConfig, ValidationError, acvf_numeric, acvf_self_check,
                      default_grid_exponent, derive_rep_seed,
                      durbin_levinson_decompose, simulate)
-from sarfima import McConfig, design
-from sarfima.simulate import (MAX_GRID_EXPONENT, _DL_TABLE, _circulant_paths, _circulant_roots,
-                              _dl_paths, _dl_tables, _embedding_half, _seed_rng, _zeta)
+from sarfima import McConfig, design, run_mc
+from sarfima.simulate import (MAX_GRID_EXPONENT, _SETUP, _circulant_paths, _dl_paths, _embedding_half,
+                              _sampler_setup, _seed_rng, _zeta)
 
 
 def arfima_acvf(d, sigma2, lags):
@@ -180,6 +180,68 @@ class TestAcvfNumeric:
             acvf_numeric(spec, 10)
 
 
+class TestSelfCheck:
+    """The halving check compares gamma(0..50) on the grid that a set-up was
+    built on with gamma on half its nodes, so it checks the grid in use."""
+
+    @staticmethod
+    def evaluations(monkeypatch, config):
+        """(max_lag, nodes) of each autocovariance that ``run_mc(config)`` evaluates."""
+        sim = simulate_module()
+        seen, acvf = [], sim._acvf
+
+        def spy(spec, max_lag, nodes):
+            seen.append((max_lag, nodes))
+            return acvf(spec, max_lag, nodes)
+
+        monkeypatch.setattr(sim, "_acvf", spy)
+        _SETUP.clear()
+        run_mc(config)
+        return seen
+
+    @staticmethod
+    def sampler_shift(spec, n):
+        """The halving shift on the grid of the circulant set-up at length n, as ``run_mc`` checks it."""
+        _, nodes, head = _sampler_setup(spec, n, default_grid_exponent(n), "circulant")
+        return simulate_module()._halving_shift(spec, head, nodes)
+
+    @pytest.mark.parametrize("n", [1, 16, 40, 1080])
+    def test_set_up_acvf_is_bitwise_the_public_one(self, n):
+        # a short set-up evaluates 51 lags for the check; the lags it uses keep their bits
+        spec = design("table5", master_seed=1).spec
+        g = default_grid_exponent(n)
+        gamma, _, head = simulate_module()._setup_acvf(spec, n - 1, g)
+        assert gamma.tobytes() == acvf_numeric(spec, n - 1, g).tobytes()
+        assert head.tobytes() == acvf_numeric(spec, 50, g).tobytes()
+
+    @pytest.mark.parametrize("name, method, nodes", [("table2", "circulant", 16384),
+                                                     ("table5", "exact_dl", 24576)])
+    def test_two_evaluations_on_the_sampler_grid(self, monkeypatch, name, method, nodes):
+        from dataclasses import replace
+        config = design(name, master_seed=1, reps=1, method=method)
+        assert [m for _, m in self.evaluations(monkeypatch, config)] == [nodes, nodes // 2]
+        assert [m for _, m in self.evaluations(monkeypatch, replace(config, self_check=False))] == [nodes]
+
+    def test_checks_a_grid_past_exponent_21(self):
+        # grid exponent 22, where doubling the exponent leaves the grid as it is
+        spec = design("table5", master_seed=1).spec
+        n = 2 ** 16
+        shift = self.sampler_shift(spec, n)
+        assert 0.0 < shift < 1e-6
+        _SETUP.clear()
+
+    @pytest.mark.parametrize("name", ["table2", "table5"])
+    @pytest.mark.parametrize("g", [21, 22, 26])
+    def test_public_check_halves_its_grid(self, name, g):
+        assert 0.0 < acvf_self_check(design(name, master_seed=1).spec, g) < 1e-6
+
+    @pytest.mark.parametrize("name", ["table1", "table2", "table3", "table4", "table5"])
+    def test_shift_is_small_at_every_size(self, name):
+        spec = design(name, master_seed=1).spec
+        for n in (256, 1080, 4096, 16384):
+            assert self.sampler_shift(spec, n) < 1e-6, n
+
+
 class TestZeta:
     """``_zeta`` at the arguments of the pole corrections, 2 e - m for local
     exponents e in (-1/2, 1/2) and even m <= 12."""
@@ -331,7 +393,7 @@ class TestSimulate:
                 spec = design(name, master_seed=1).spec
                 g = SimConfig(spec=spec, n=n, seed=31).grid_exponent
                 # the embedding's eigenvalues give back the autocovariance
-                root = _circulant_roots(spec, n, g)
+                root, = _sampler_setup(spec, n, g, "circulant")[0]
                 half = len(root) - 1
                 scale = np.full(half + 1, float(half))
                 scale[[0, half]] = 2.0 * half
@@ -342,7 +404,7 @@ class TestSimulate:
                         for draw in (_dl_paths, _circulant_paths))
                 assert np.max(np.abs(mean_sample_acf(a) - mean_sample_acf(b))) < 0.06, name
         finally:
-            _DL_TABLE.clear()   # a 134 MB table
+            _SETUP.clear()   # a 134 MB table
 
     def test_white_noise_path_is_iid_normals(self):
         spec = SarfimaSpec(components=(SeasonalComponent(1, 0.0),))
@@ -381,7 +443,7 @@ class TestDlTableChecks:
 
     def test_cached_table_is_read_only(self, quarterly_spec):
         cfg = SimConfig(spec=quarterly_spec, n=64, seed=1)
-        M, sigma = _dl_tables(quarterly_spec, cfg.n, cfg.grid_exponent)
+        M, sigma = _sampler_setup(quarterly_spec, cfg.n, cfg.grid_exponent, "exact_dl")[0]
         with pytest.raises(ValueError):
             M[1, 0] = 0.0
         with pytest.raises(ValueError):
@@ -396,7 +458,7 @@ class TestDlTableChecks:
         spec = design(name, master_seed=1).spec
         for seed in (11, 12, 13):
             cfg = SimConfig(spec=spec, n=1080, seed=seed, method="exact_dl")
-            M, sigma = _dl_tables(spec, cfg.n, cfg.grid_exponent)
+            M, sigma = _sampler_setup(spec, cfg.n, cfg.grid_exponent, "exact_dl")[0]
             z = np.random.default_rng(np.random.SeedSequence(seed)).standard_normal(cfg.n)
             b = np.asfortranarray((sigma * z)[:, None])
             column = dtrsm(1.0, M.T, b, lower=0, trans_a=1, diag=1)[:, 0]
@@ -417,7 +479,7 @@ class TestDlTableChecks:
         import weakref
         sim = simulate_module()
         g = default_grid_exponent(64)
-        first = weakref.ref(_dl_tables(quarterly_spec, 64, g)[0])
+        first = weakref.ref(_sampler_setup(quarterly_spec, 64, g, "exact_dl")[0][0])
         decompose = sim.durbin_levinson_decompose
         released = []
 
@@ -427,9 +489,29 @@ class TestDlTableChecks:
             return decompose(gamma)
 
         monkeypatch.setattr(sim, "durbin_levinson_decompose", checked)
-        _dl_tables(two_period_spec, 64, g)
+        _sampler_setup(two_period_spec, 64, g, "exact_dl")
         assert released == [True]
-        assert list(_DL_TABLE) == [(two_period_spec, 64, g)]
+        assert list(_SETUP) == [(two_period_spec, 64, g, "exact_dl")]
+
+    def test_table_released_before_the_roots_are_built(self, quarterly_spec, monkeypatch):
+        # one set-up is resident whatever its method
+        import gc
+        import weakref
+        sim = simulate_module()
+        g = default_grid_exponent(64)
+        first = weakref.ref(_sampler_setup(quarterly_spec, 64, g, "exact_dl")[0][0])
+        setup_acvf = sim._setup_acvf
+        released = []
+
+        def checked(*args):
+            gc.collect()
+            released.append(first() is None)
+            return setup_acvf(*args)
+
+        monkeypatch.setattr(sim, "_setup_acvf", checked)
+        _sampler_setup(quarterly_spec, 64, g, "circulant")
+        assert released == [True]
+        assert list(_SETUP) == [(quarterly_spec, 64, g, "circulant")]
 
 
 class TestBlockDraw:
@@ -609,7 +691,7 @@ class TestCirculant:
         from scipy.linalg import toeplitz
         spec = design(name, master_seed=1).spec
         g = SimConfig(spec=spec, n=n, seed=0).grid_exponent
-        half = len(_circulant_roots(spec, n, g)) - 1
+        half = len(_sampler_setup(spec, n, g, "circulant")[0][0]) - 1
         A = _circulant_paths(spec, n, g, [self.UnitRng(i) for i in range(2 * half)])
         gamma = acvf_numeric(spec, n - 1, g)
         assert np.max(np.abs(A.T @ A - toeplitz(gamma))) < 1e-12 * gamma[0]
@@ -618,7 +700,7 @@ class TestCirculant:
                                                ("table4", 63, 64), ("table1", 1, 4)])
     def test_half_length_is_padded_to_the_lcm(self, name, n, half):
         spec = design(name, master_seed=1).spec
-        assert len(_circulant_roots(spec, n, default_grid_exponent(n))) == half + 1
+        assert len(_sampler_setup(spec, n, default_grid_exponent(n), "circulant")[0][0]) == half + 1
 
     # the doublings each short series of a canned design needs; none from n = 256
     PADDING = {"table4": {8: 8, 16: 4, 24: 2, 32: 2, 40: 2, 48: 1, 128: 1},
@@ -629,28 +711,42 @@ class TestCirculant:
         spec = design(name, master_seed=1).spec
         sizes = self.PADDING.get(name, {n: 1 for n in (8, 16, 64, 128)})
         for n in [*sizes, 256, 1080]:
-            root = _circulant_roots(spec, n, default_grid_exponent(n))
+            root, = _sampler_setup(spec, n, default_grid_exponent(n), "circulant")[0]
             assert (len(root) - 1) / _embedding_half(spec, n) == sizes.get(n, 1), n
 
     def test_each_doubling_checks_memory_first(self, monkeypatch):
-        # table4 at n = 16 starts at N = 16 and draws at x4
+        # table4 at n = 16 starts at N = 16 and draws at x4; each grid passes
+        # the acvf's memory check before its density is evaluated
         spec = design("table4", master_seed=1).spec
         sim = simulate_module()
-        checked, check = [], sim._check_memory
+        events, setup_acvf, check, density = [], sim._setup_acvf, sim._check_fits, sim._regularized_density
 
-        def spy(*args, half=None, **kwargs):
-            checked.append(half)
-            return check(*args, half=half, **kwargs)
+        def acvf_spy(spec, max_lag, grid_exponent):
+            events.append(("acvf", max_lag))
+            return setup_acvf(spec, max_lag, grid_exponent)
 
-        monkeypatch.setattr(sim, "_check_memory", spy)
-        _circulant_roots.cache_clear()
-        assert len(_circulant_roots(spec, 16, default_grid_exponent(16))) == 64 + 1
-        assert checked == [32, 64]
+        def check_spy(need, what, hint=""):
+            events.append(("check", need // sim._BYTES_PER_NODE))
+            return check(need, what, hint)
+
+        def density_spy(*args):
+            if events[-1] != ("density",):
+                events.append(("density",))
+            return density(*args)
+
+        monkeypatch.setattr(sim, "_setup_acvf", acvf_spy)
+        monkeypatch.setattr(sim, "_check_fits", check_spy)
+        monkeypatch.setattr(sim, "_regularized_density", density_spy)
+        _SETUP.clear()
+        assert len(_sampler_setup(spec, 16, default_grid_exponent(16), "circulant")[0][0]) == 64 + 1
+        grid = ("check", sim._grid_nodes(spec, 64, default_grid_exponent(16)))
+        assert events == [("acvf", 16), grid, ("density",), ("acvf", 32), grid, ("density",),
+                          ("acvf", 64), grid, ("density",)]
 
     def test_negative_eigenvalue_is_a_coded_error(self, monkeypatch):
         # table5 at n = 64 draws at x2; with no doubling allowed it has none
         monkeypatch.setattr(simulate_module(), "_MAX_PADDING_DOUBLINGS", 0)
-        _circulant_roots.cache_clear()
+        _SETUP.clear()
         spec = design("table5", master_seed=1).spec
         with pytest.raises(NumericError) as exc:
             simulate(SimConfig(spec=spec, n=64, seed=1, method="circulant"))
@@ -658,7 +754,7 @@ class TestCirculant:
         assert "-0.000769 of the largest" in exc.value.message
 
     def test_roots_are_read_only(self, quarterly_spec):
-        root = _circulant_roots(quarterly_spec, 64, default_grid_exponent(64))
+        root, = _sampler_setup(quarterly_spec, 64, default_grid_exponent(64), "circulant")[0]
         with pytest.raises(ValueError):
             root[0] = 1.0
 
