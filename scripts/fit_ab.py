@@ -38,7 +38,11 @@ times and their ratio (with ``--cold``, summed over the commands; each
 command's medians, median ratio and wins follow the rounds); the last line
 gives the median ratio this/against, the rounds in which this checkout was
 faster, and whether the two sides' estimates (or output files) were
-bitwise equal in every round.
+bitwise equal in every round.  Two lines close the report: each side's
+median and quartiles of CPU seconds per run (per round, summed over the
+commands with ``--cold``), and whether this checkout meets the rule for
+claiming a gain: faster in at least 9/10 of the rounds, with the medians
+further apart than the other side's interquartile range.
 
 On a shared host, back-to-back processes can differ by more than a change
 being measured; alternating puts both sides under the same load.  Run as a
@@ -229,7 +233,31 @@ def main(argv=None) -> int:
     wins = sum(r < 1 for r in ratios)
     print(f"median this/against {statistics.median(ratios):.3f}  this faster in {wins} of {len(ratios)} "
           f"rounds  {'outputs' if args.cli or args.cold else 'estimates'} equal: {'yes' if equal else 'no'}")
+    for line in gain_report(*([sum(times.values()) for times in side] for side in zip(*rounds))):
+        print(line)
     return 0
+
+
+def quartiles(values: list) -> tuple:
+    """(first quartile, median, third quartile) of ``values``, by linear
+    interpolation between order statistics; one value is all three."""
+    if len(values) < 2:
+        return (values[0],) * 3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def gain_report(this: list, against: list) -> list:
+    """The two closing lines, from each round's CPU seconds on both sides:
+    each side's median and quartiles, and whether this side meets the rule
+    for claiming a gain (faster in at least 9/10 of the rounds, and the
+    medians further apart than the other side's interquartile range)."""
+    (q1, mid, q3), (p1, pmid, p3) = quartiles(this), quartiles(against)
+    wins = sum(a < b for a, b in zip(this, against))
+    met = 10 * wins >= 9 * len(this) and pmid - mid > p3 - p1
+    return [f"CPU seconds per run  this median {mid:.6f} (quartiles {q1:.6f} {q3:.6f})  "
+            f"against median {pmid:.6f} (quartiles {p1:.6f} {p3:.6f})",
+            f"gain rule: this faster in {wins} of {len(this)} rounds (9/10 needed), median gap "
+            f"{pmid - mid:.6f} against IQR {p3 - p1:.6f} (must be wider): {'met' if met else 'not met'}"]
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 Codes are kebab-case strings surfaced verbatim by the CLI as
 ``error: <code>: <message>``.  Every layer imports this module, so the
-integer and memory rules of the library boundary live here too.
+integer, real and memory rules of the library boundary live here too.
 """
 import math
 import numbers
@@ -40,6 +40,20 @@ def _check_integer(value, low, code: str, what: str, high: int = None) -> int:
             return number
     rule = " and ".join(f"{op} {bound}" for op, bound in ((">=", low), ("<", high)) if bound is not None)
     raise ValidationError(code, f"{what} must be an integer {rule}".rstrip() + f", got {_shown(value)}")
+
+
+def _check_real(value, code: str, what: str) -> float:
+    """``value`` as a float; raise ``code`` unless it is a real number (not a
+    bool or str) that is finite and inside the float range, so that an int
+    past the range ends in the code, not in an ``OverflowError``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValidationError(code, f"{what} must be a finite real number, got {_shown(value)}")
 
 
 def _shown(value) -> str:

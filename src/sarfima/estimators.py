@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _shown
+from .errors import ValidationError, _check_real, _shown
 from .model import SarfimaSpec, SeasonalComponent, enumerate_poles, levinson, _roots_outside_unit_circle
 from .spectrum import (Periodogram, BandPlan, build_band_plan, periodogram, resolve_bandwidth,
                        _check_bandwidth, _check_period_pair, _check_periods)
@@ -233,8 +233,9 @@ class WhittleTemplate:
                 or len(self.free_ar) != len(self.spec.ar_factors) \
                 or len(self.free_ma) != len(self.spec.ma_factors):
             raise ValidationError("bad-template", "free-parameter markers do not match the spec shape")
-        if not (0 < self.d_box < math.inf):
-            raise ValidationError("bad-template", f"d_box must be positive and finite, got {self.d_box}")
+        object.__setattr__(self, "d_box", _check_real(self.d_box, "bad-template", "d_box"))
+        if self.d_box <= 0:
+            raise ValidationError("bad-template", f"d_box must be positive, got {self.d_box!r}")
         if not any(self.free_d) and not any(self.free_ar) and not any(self.free_ma):
             raise ValidationError("bad-template", "template has no free parameters")
 
@@ -350,29 +351,64 @@ def _objective(design: _WhittleDesign, I_u: np.ndarray, theta: np.ndarray):
     """The concentrated Whittle objective F at every row of theta, whose
     free factors the caller has checked ``_stationary``.
 
-    Returns the state (F, sigma2_hat, w, then per free factor Re and Im of
-    t = 1 - sum_p c_p z_p as a (rows, 2, K) array), with w = I / g; I_u
-    carries the design's weights, so w does too.  F is inf where sigma2_hat
-    is 0 or overflows.  -log g is formed directly: negation is exact, so F
-    has the bits it would have from log g.  The caller silences the
-    floating-point warnings of the rows F cannot use.
+    Returns the state (F, sigma2_hat, w, then per free factor |t|^2 and the
+    factor's coefficients c), with w = I / g and t = 1 - sum_p c_p z_p;
+    I_u carries the design's weights, so w does too.  With theta_l = lag
+    lambda, |t|^2 = (1 - sum c_p cos p theta_l)^2 + (sum c_p sin p theta_l)^2.
+    F is inf where sigma2_hat is 0 or overflows.  -log g is formed
+    directly: negation is exact, so F has the bits it would have from
+    log g.  The caller silences the floating-point warnings of the rows F
+    cannot use.
     """
     neg_logg = _rows_times(np.negative(theta[:, :len(design.jac_d)]), design.jac_d)
     neg_logg -= design.base
-    ts = []
+    factors = []
     for sign, sl, z in design.factors:
-        c = theta[:, sl]
-        t = np.empty((len(theta), 2, z.shape[2]))
-        np.subtract(1.0, _rows_times(c, z[0]), out=t[:, 0])
-        np.negative(_rows_times(c, z[1]), out=t[:, 1])
-        neg_logg -= sign * np.log(t[:, 0] * t[:, 0] + t[:, 1] * t[:, 1])
-        ts.append(t)
+        c = theta[:, sl].copy()   # the state's own rows: the descent updates theta and state apart
+        t2 = np.subtract(1.0, _rows_times(c, z[0]))
+        t2 *= t2
+        im = _rows_times(c, z[1])   # -sum c_p sin(p theta_l): its square is the same
+        im *= im
+        t2 += im
+        if sign < 0:
+            neg_logg += np.log(t2)
+        else:
+            neg_logg -= np.log(t2)
+        factors += (t2, c)
     mean_neg_logg = (neg_logg * design.weight).sum(axis=1) / design.total
     w = np.exp(neg_logg, out=neg_logg)
     w *= I_u
     s2 = w.sum(axis=1) / design.total
     F = np.where((s2 > 0) & (s2 < np.inf), np.log(s2) - mean_neg_logg, np.inf)
-    return F, s2, w, *ts
+    return F, s2, w, *factors
+
+
+def _ratios(z: np.ndarray, t2: np.ndarray, c: np.ndarray):
+    """Re and Im of z_p / t for p = 1..q, as two lists of (rows, K) arrays,
+    in closed form: z_p conj(t) = sum_k ct_k exp(i (k - p) theta_l) with
+    ct = (1, -c_1, .., -c_q), so that
+
+        Re(z_p / t) = sum_k ct_k cos((k - p) theta_l) / |t|^2
+        Im(z_p / t) = sum_k ct_k sin((k - p) theta_l) / |t|^2,
+
+    taken from the design's rows z[0] = cos(j theta_l) and
+    z[1] = -sin(j theta_l), j = 1..q, and the constant cos 0 = 1.  For
+    q = 1 they are (cos theta_l - c) / |t|^2 and -sin theta_l / |t|^2."""
+    q = c.shape[1]
+    res, ims = [], []
+    for p in range(q):
+        re = z[0, p] - c[:, p, None]   # the terms k = 0 and k = p
+        im = z[1, p]
+        for k in range(q):
+            if k < p:   # sin((k - p) theta_l) = z[1, p - k - 1]
+                re = re - c[:, k, None] * z[0, p - k - 1]
+                im = im - c[:, k, None] * z[1, p - k - 1]
+            elif k > p:   # sin((k - p) theta_l) = -z[1, k - p - 1]
+                re = re - c[:, k, None] * z[0, k - p - 1]
+                im = im + c[:, k, None] * z[1, k - p - 1]
+        res.append(re / t2)
+        ims.append(im / t2)
+    return res, ims
 
 
 def _derivatives(design: _WhittleDesign, state):
@@ -383,21 +419,17 @@ def _derivatives(design: _WhittleDesign, state):
     is sum(wn J J') - m m' and the Hessian adds
     sum((weight / total - wn) d2 log g).  The memories' J, their
     products J_i J_j and their c are the design's, so a pure template takes
-    one product and one row sum.  A free factor's columns of J depend on
-    theta and are built per step, from the ratios z / t that are formed
-    here, once per iterate, not at every trial of the line search: their
-    gradient entries are
+    one product and one row sum.  A free factor's columns of J,
+    -2 sign Re(z_p / t), and its second derivatives,
+    -2 sign Re(z_p z_r / t^2) = -2 sign (Re_p Re_r - Im_p Im_r) of the
+    ratios, depend on theta.  The ratios z / t are formed here, once per
+    iterate and not at every trial of the line search, in closed form
+    (``_ratios``) from the |t|^2 and the coefficients that the state
+    carries.  The free columns' gradient entries
     sum((weight / total - wn) J), the weights of their curvature term, and
     their rows of sum(wn J J') are formed one parameter at a time.  Every
     sum runs along the last axis, row by row."""
-    _, _, w, *ts = state
-    ratios = []   # Re and Im of z / t, per free factor a (rows, 2, q, K) array
-    for (_, _, z), t in zip(design.factors, ts):
-        tr, ti = t[:, 0], t[:, 1]
-        t2 = tr * tr + ti * ti
-        tr, ti = tr[:, None, :], ti[:, None, :]
-        ratios.append(np.stack([z[0] * tr + z[1] * ti, z[1] * tr - z[0] * ti], axis=1)
-                      / t2[:, None, None, :])
+    _, _, w, *factors = state
     wn = w / w.sum(axis=1, keepdims=True)
     nd = len(design.jac_d)
     moments = (wn[:, None, :] * design.jac_stack).sum(axis=2)
@@ -405,11 +437,13 @@ def _derivatives(design: _WhittleDesign, state):
     grad = design.jac_mean - m
     second = moments[:, nd:].reshape(len(w), nd, nd)   # sum(wn J J')
     curvature = 0.0   # sum((weight / total - wn) d2 log g)
-    if ratios:
+    if design.factors:
+        ratios = [_ratios(z, t2, c) for (_, _, z), t2, c in zip(design.factors, factors[::2], factors[1::2])]
         p = len(design.box)
         free = np.empty((len(w), p - nd, w.shape[1]))   # the free factors' columns of J
-        for (sign, sl, _), r in zip(design.factors, ratios):
-            np.multiply(r[:, 0], -2 * sign, out=free[:, sl.start - nd:sl.stop - nd])
+        for (sign, sl, _), (res, _) in zip(design.factors, ratios):
+            for k, re in enumerate(res, start=sl.start - nd):
+                np.multiply(re, -2 * sign, out=free[:, k])
         u = design.weight / design.total - wn
         grad = np.concatenate([grad, (u[:, None, :] * free).sum(axis=2)], axis=1)
         w_free = wn[:, None, :] * free
@@ -423,10 +457,14 @@ def _derivatives(design: _WhittleDesign, state):
             second[:, k, nd:k + 1] = second[:, nd:k + 1, k] = (wk * free[:, :k + 1 - nd]).sum(axis=2)
         del free, w_free
         curvature = np.zeros((len(w), p, p))
-        for (sign, sl, _), r in zip(design.factors, ratios):
-            ru = r * u[:, None, None, :]
-            curvature[:, sl, sl] = -2 * sign * (ru[:, 0, :, None, :] * r[:, 0, None, :, :]
-                                                - ru[:, 1, :, None, :] * r[:, 1, None, :, :]).sum(axis=3)
+        for (sign, sl, _), (res, ims) in zip(design.factors, ratios):
+            for a in range(len(res)):   # d2 log g = -2 sign (Re_a Re_b - Im_a Im_b) of the ratios
+                for b in range(a + 1):
+                    x = res[a] * res[b]
+                    x -= ims[a] * ims[b]
+                    x *= u
+                    ka, kb = sl.start + a, sl.start + b
+                    curvature[:, ka, kb] = curvature[:, kb, ka] = -2 * sign * x.sum(axis=1)
     gauss_newton = second - m[:, :, None] * m[:, None, :]
     return grad, gauss_newton + curvature, gauss_newton
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError, _check_fits, _check_integer, _shown
+from .errors import ValidationError, _check_fits, _check_integer, _check_real, _shown
 
 __all__ = [
     "SeasonalComponent",
@@ -52,8 +52,9 @@ class SeasonalComponent:
 
     def __post_init__(self):
         object.__setattr__(self, "period", _check_integer(self.period, 1, "bad-period", "period"))
-        if not math.isfinite(self.memory) or self.memory <= -1:
-            raise ValidationError("bad-memory", f"memory must be finite and > -1, got {self.memory!r}")
+        object.__setattr__(self, "memory", _check_real(self.memory, "bad-memory", "memory"))
+        if self.memory <= -1:
+            raise ValidationError("bad-memory", f"memory must be > -1, got {self.memory!r}")
 
 
 @dataclass(frozen=True)
@@ -65,11 +66,10 @@ class ArmaFactor:
 
     def __post_init__(self):
         object.__setattr__(self, "lag", _check_integer(self.lag, 1, "bad-arma-lag", "factor lag"))
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs",
+                           tuple(_check_real(c, "bad-arma-coeffs", "an ARMA coefficient") for c in self.coeffs))
         if len(self.coeffs) == 0:
             raise ValidationError("bad-arma-coeffs", "factor needs at least one coefficient")
-        if not all(math.isfinite(c) for c in self.coeffs):
-            raise ValidationError("bad-arma-coeffs", "non-finite ARMA coefficient")
 
     def transfer(self, lam) -> np.ndarray:
         """Transfer 1 - sum_p c_p e^(-i lam p lag) at the frequencies lam."""
@@ -137,8 +137,10 @@ class SarfimaSpec:
         if len(set(periods)) != len(periods):
             raise ValidationError("duplicate-period",
                                   f"component periods must be distinct, got {_shown(periods[0])} twice")
-        if not (math.isfinite(self.innovation_variance) and self.innovation_variance > 0):
-            raise ValidationError("bad-sigma2", f"innovation variance must be > 0, got {self.innovation_variance!r}")
+        variance = _check_real(self.innovation_variance, "bad-sigma2", "innovation variance")
+        object.__setattr__(self, "innovation_variance", variance)
+        if variance <= 0:
+            raise ValidationError("bad-sigma2", f"innovation variance must be > 0, got {variance!r}")
 
     @property
     def periods(self) -> tuple:
@@ -201,8 +203,7 @@ def pi_coefficients(d: float, s: int, max_lag: int) -> np.ndarray:
     pi_0 = 1, pi_k = pi_{k-1} (k-1-d)/k, which avoids Gamma overflow past
     k ~ 170.
     """
-    if not math.isfinite(d):
-        raise ValidationError("bad-memory", f"d must be finite, got {d!r}")
+    d = _check_real(d, "bad-memory", "d")
     _check_integer(s, 1, "bad-period", "period")
     _check_integer(max_lag, 0, "bad-lag", "max_lag")
     _check_fits(8 * (max_lag + 1), f"a filter of {_shown(max_lag + 1)} coefficients")

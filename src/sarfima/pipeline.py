@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,14 +72,15 @@ def fractional_filter(series, d_hat, periods) -> np.ndarray:
     convolution, in O(n log n), and the product pi* is never built.
     """
     x = _series(series)
-    d_hat = np.atleast_1d(np.asarray(d_hat, dtype=float))
+    d_hat = np.atleast_1d(d_hat).tolist()
     periods = _check_periods(*np.atleast_1d(periods).tolist())
     if len(d_hat) != len(periods):
         raise ValidationError("bad-filter", f"{len(d_hat)} memories for {len(periods)} periods")
-    if np.any(np.abs(d_hat) >= 1):
+    # compared exactly, so that an int past the float range fails here; a NaN
+    # or a value that is not a real number fails the component's rule
+    if any(isinstance(d, numbers.Real) and abs(d) >= 1 for d in d_hat):
         raise ValidationError("bad-filter", "each |d| must be < 1 for the truncated filter")
-    spec = SarfimaSpec(components=tuple(SeasonalComponent(s, float(d))
-                                        for s, d in zip(periods, d_hat)))
+    spec = SarfimaSpec(components=tuple(SeasonalComponent(s, d) for s, d in zip(periods, d_hat)))
     for comp in spec.components:
         x = _convolve_head(x, pi_coefficients(comp.memory, comp.period, len(x) - 1))
     return x

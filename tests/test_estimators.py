@@ -358,21 +358,36 @@ def profiled_whittle(x, periods, memories, ar_factors=()):
     return float(np.sum(np.log(s2) + log_g + I * np.exp(-log_g) / s2) / (2 * n))
 
 
-def full_spectrum_derivatives(I, n, periods, theta, ar_lag=None):
+#: a free AR(2) factor at lag 1, whose stationarity test runs two steps of
+#: the step-down recursion: the canned designs' factors have one coefficient
+AR2_SPEC = SarfimaSpec(components=(SeasonalComponent(4, 0.3),), ar_factors=(ArmaFactor(1, (1.2, -0.5)),))
+AR2_TEMPLATE = WhittleTemplate(spec=SarfimaSpec(components=(SeasonalComponent(4, 0.0),),
+                                                ar_factors=(ArmaFactor(1, (0.0, 0.0)),)))
+
+
+def full_spectrum_derivatives(I, n, periods, theta, factors=()):
     """F = ln mean(I/g) + mean(ln g), its gradient, Hessian and Gauss-Newton
-    part at theta = (memories, then an AR coefficient at ``ar_lag``), summed
-    over every usable j = 1..n-1 from the closed-form derivatives of ln g."""
+    part at theta = (memories, then the coefficients of each free factor in
+    ``factors``, given as (sign, lag, order) with sign -1 for AR and +1 for
+    MA), summed over every usable j = 1..n-1 from the derivatives of ln g in
+    complex arithmetic: with t = 1 - sum_p c_p z^p, z = exp(-i lag lambda),
+    d ln|t|^2 / dc_p = -2 Re(z^p / t) and d2 / dc_p dc_r = -2 Re(z^(p+r) / t^2)."""
     keep = full_spectrum_mask(n, periods)
     lam, I = 2 * np.pi * np.arange(1, n)[keep] / n, I[keep]
     jac = [-2 * np.log(np.abs(2 * np.sin(s * lam / 2))) for s in periods]
     log_g = sum(d * j for d, j in zip(theta, jac)) - math.log(2 * math.pi)
     second = np.zeros((len(theta), len(theta), len(lam)))
-    if ar_lag is not None:
-        c, cos = theta[-1], np.cos(ar_lag * lam)
-        t2 = 1 - 2 * c * cos + c * c          # |1 - c e^(-i lag lambda)|^2
-        log_g = log_g - np.log(t2)
-        jac.append((2 * cos - 2 * c) / t2)
-        second[-1, -1] = -2 / t2 + (2 * c - 2 * cos) ** 2 / t2 ** 2
+    at = len(periods)
+    for sign, lag, order in factors:
+        c = theta[at:at + order]
+        powers = np.exp(-1j * np.outer(lag * np.arange(1, order + 1), lam))
+        t = 1 - c @ powers
+        log_g = log_g + sign * np.log(np.abs(t) ** 2)
+        for p in range(order):
+            jac.append(-2 * sign * (powers[p] / t).real)
+            for r in range(order):
+                second[at + p, at + r] = -2 * sign * (powers[p] * powers[r] / t ** 2).real
+        at += order
     jac = np.array(jac)
     w = I * np.exp(-log_g)
     wn = w / w.sum()
@@ -384,31 +399,44 @@ def full_spectrum_derivatives(I, n, periods, theta, ar_lag=None):
     return F, grad, hess, gauss_newton
 
 
+def stationary_draw(rng, order):
+    """Coefficients of a factor of the given order (1 or 2) with its roots
+    outside the unit circle: reflection coefficients in (-0.9, 0.9), stepped up."""
+    kappa = rng.uniform(-0.9, 0.9, order)
+    return kappa if order == 1 else np.array([kappa[0] * (1 - kappa[1]), kappa[1]])
+
+
+#: a free MA(1) factor at lag 12 next to memories at periods 1 and 4
+MA_TEMPLATE = WhittleTemplate(spec=SarfimaSpec(components=(SeasonalComponent(1, 0.0), SeasonalComponent(4, 0.0)),
+                                               ma_factors=(ArmaFactor(12, (0.0,)),)))
+
+
 class TestHalfSpectrumFold:
     """The Whittle sums over j = 1..n-1 run as weighted sums over j <= n/2."""
 
     # table2's and table4's templates have a pole at pi; periods (1, 3) have
     # none, so an even n keeps j = n/2, the one index of weight 1
     @pytest.mark.parametrize("n", [1079, 1080, 4096])
-    @pytest.mark.parametrize("name", ["table2", "table4", "periods13"])
+    @pytest.mark.parametrize("name", ["table2", "table4", "periods13", "ar2", "ma"])
     def test_objective_and_derivatives_match_the_full_sums(self, name, n):
         from sarfima.estimators import _derivatives, _objective, _stationary, _whittle_design
-        template = WhittleTemplate.pure((1, 3)) if name == "periods13" else \
-            next(e.template for e in design(name, 1).estimators if e.name == "ft")
-        ar_lag = template.spec.ar_factors[0].lag if template.spec.ar_factors else None
-        periods = template.spec.periods
+        template = {"periods13": WhittleTemplate.pure((1, 3)), "ar2": AR2_TEMPLATE, "ma": MA_TEMPLATE}.get(name) \
+            or next(e.template for e in design(name, 1).estimators if e.name == "ft")
+        spec = template.spec
+        factors = [(-1, f.lag, len(f.coeffs)) for f in spec.ar_factors] \
+            + [(1, f.lag, len(f.coeffs)) for f in spec.ma_factors]
+        periods = spec.periods
         wd = _whittle_design(n, template)
         rng = np.random.default_rng(n)
         I = periodogram(rng.standard_normal(n)).ordinates
         I_u = (I[:n // 2][wd.keep] * wd.weight)[None, :]
         for _ in range(4):
-            theta = rng.uniform(-0.45, 0.45, len(wd.box))
-            if ar_lag is not None:
-                theta[-1] = rng.uniform(-0.9, 0.9)
+            theta = np.concatenate([rng.uniform(-0.45, 0.45, len(periods)),
+                                    *(stationary_draw(rng, order) for _, _, order in factors)])
             feasible, state = _stationary(wd, theta[None, :]), _objective(wd, I_u, theta[None, :])
             assert feasible[0]
             got = (state[0][0], *(a[0] for a in _derivatives(wd, state)))
-            for g, want in zip(got, full_spectrum_derivatives(I, n, periods, theta, ar_lag)):
+            for g, want in zip(got, full_spectrum_derivatives(I, n, periods, theta, factors)):
                 assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n", [255, 1079, 1080, 4096])
@@ -434,6 +462,77 @@ class TestHalfSpectrumFold:
                 frozen = self.FROZEN[f"{name}/{e.name}"]
                 assert res.iterations.tolist() == frozen["steps"]
                 assert np.max(np.abs(res.estimates - np.array(frozen["d_hat"]))) < 1e-10
+
+
+def t_array_objective(wd, I_u, theta):
+    """F and w of the Whittle objective with each free factor's t formed as
+    a (rows, 2, K) array of Re t and Im t, squared and summed: the form the
+    objective had before it kept |t|^2 alone."""
+    from sarfima.estimators import _rows_times
+    neg_logg = _rows_times(np.negative(theta[:, :len(wd.jac_d)]), wd.jac_d)
+    neg_logg -= wd.base
+    for sign, sl, z in wd.factors:
+        c = theta[:, sl]
+        t = np.empty((len(theta), 2, z.shape[2]))
+        np.subtract(1.0, _rows_times(c, z[0]), out=t[:, 0])
+        np.negative(_rows_times(c, z[1]), out=t[:, 1])
+        neg_logg -= sign * np.log(t[:, 0] * t[:, 0] + t[:, 1] * t[:, 1])
+    mean_neg_logg = (neg_logg * wd.weight).sum(axis=1) / wd.total
+    w = np.exp(neg_logg, out=neg_logg)
+    w *= I_u
+    s2 = w.sum(axis=1) / wd.total
+    return np.where((s2 > 0) & (s2 < np.inf), np.log(s2) - mean_neg_logg, np.inf), w
+
+
+class TestFreeFactorArithmetic:
+    """A free factor's |t|^2 keeps the bits of (Re t)^2 + (Im t)^2, and its
+    ratios z / t come from a closed form that matches exact arithmetic."""
+
+    @pytest.mark.parametrize("n", [256, 1080, 4096])
+    @pytest.mark.parametrize("name", ["table4", "table5"])
+    def test_objective_is_bitwise_the_t_array_form(self, name, n):
+        from sarfima.estimators import _objective, _whittle_design
+        template = next(e.template for e in design(name, 1).estimators if e.name == "ft")
+        wd = _whittle_design(n, template)
+        rng = np.random.default_rng(n)
+        ordinates = np.stack([periodogram(rng.standard_normal(n)).ordinates for _ in range(4)])
+        I_u = np.ascontiguousarray(ordinates[:, :n // 2][:, wd.keep]) * wd.weight
+        edges = [0.9, -0.9, 0.99, -0.99, 0.999, -0.999, 0.0]
+        theta = np.column_stack([rng.uniform(-0.45, 0.45, (16, 2)),
+                                 edges + rng.uniform(-0.999, 0.999, 16 - len(edges)).tolist()])
+        for rows in (slice(0, 4), slice(4, 8), slice(8, 12), slice(12, 16)):
+            F, _, w, *_ = _objective(wd, I_u, theta[rows])
+            want_F, want_w = t_array_objective(wd, I_u, theta[rows])
+            assert F.tobytes() == want_F.tobytes()
+            assert w.tobytes() == want_w.tobytes()
+
+    # (lag, coefficients, tolerance): one coefficient near +-1, and an AR(2)
+    # factor with reflection coefficients (-0.99, 0.999), a root 1.0005 from
+    # the origin.  The largest errors measured at n = 1080 were 2.3e-15 (lag
+    # 4) and 8.3e-15 (lag 1) for one coefficient, 9.1e-12 for the AR(2); the
+    # tolerances are about twice that.
+    @pytest.mark.parametrize("lag, coeffs, tol", [(4, (c,), 1e-14) for c in (0.9, -0.9, 0.99, -0.99, 0.999, -0.999)]
+                             + [(1, (0.999,), 2e-14), (4, (-0.99 * (1 - 0.999), 0.999), 2e-11)])
+    def test_ratios_match_a_high_precision_reference(self, lag, coeffs, tol):
+        # the reference takes the design's float angles p lag lambda as exact
+        mpmath = pytest.importorskip("mpmath")
+        from sarfima.estimators import _objective, _ratios, _whittle_design
+        n, q = 1080, len(coeffs)
+        template = WhittleTemplate(spec=SarfimaSpec(components=(SeasonalComponent(4, 0.0),),
+                                                    ar_factors=(ArmaFactor(lag, (0.0,) * q),)))
+        wd = _whittle_design(n, template)
+        (_, _, z), = wd.factors
+        lam = 2 * np.pi * np.arange(1, n // 2 + 1)[wd.keep] / n
+        angles = np.outer(lag * np.arange(1, q + 1), lam)
+        _, _, _, t2, c = _objective(wd, wd.weight[None, :], np.array([[0.1, *coeffs]]))
+        res, ims = _ratios(z, t2, c)
+        with mpmath.workdps(40):
+            for k in range(len(lam)):
+                zs = [mpmath.expj(-mpmath.mpf(float(a))) for a in angles[:, k]]
+                t = 1 - sum(mpmath.mpf(cp) * zp for cp, zp in zip(coeffs, zs))
+                for p in range(q):
+                    want = zs[p] / t
+                    assert abs(mpmath.mpc(res[p][0, k], ims[p][0, k]) - want) <= tol * abs(want), (k, p)
 
 
 def misaligned(row):
@@ -519,13 +618,6 @@ class TestWhittleOptimum:
                 value = profiled_whittle(x, periods, nudged[:len(periods)],
                                          [(ar[0][0], nudged[len(periods):])] if ar else ())
                 assert value >= fit.objective - 1e-12, (i, h, value - fit.objective)
-
-
-#: a free AR(2) factor at lag 1, whose stationarity test runs two steps of
-#: the step-down recursion: the canned designs' factors have one coefficient
-AR2_SPEC = SarfimaSpec(components=(SeasonalComponent(4, 0.3),), ar_factors=(ArmaFactor(1, (1.2, -0.5)),))
-AR2_TEMPLATE = WhittleTemplate(spec=SarfimaSpec(components=(SeasonalComponent(4, 0.0),),
-                                                ar_factors=(ArmaFactor(1, (0.0, 0.0)),)))
 
 
 def ft_block(name, n, method, master, reps):

@@ -1,4 +1,5 @@
-"""Boundary property test of the library's count and bandwidth arguments.
+"""Boundary property test of the library's count and bandwidth arguments,
+and fixed cases of its real arguments.
 
 Every call either returns, with each count in its result a plain ``int``,
 or raises a coded ``SarfimaError``; any other exception, and any warning,
@@ -18,9 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sarfima import (EstimatorDef, McConfig, SarfimaError, SarfimaSpec, SeasonalComponent, SimConfig,
-                     asymptotic_acvf, asymptotic_cov_matrix, bandwidth_scan, build_band_plan,
-                     combined_filter_coefficients, gph_T_bandwidth, pi_coefficients, sample_acf_pacf)
+from sarfima import (ArmaFactor, EstimatorDef, McConfig, SarfimaError, SarfimaSpec, SeasonalComponent, SimConfig,
+                     WhittleTemplate, asymptotic_acvf, asymptotic_cov_matrix, bandwidth_scan, build_band_plan,
+                     combined_filter_coefficients, fractional_filter, gph_T_bandwidth, pi_coefficients,
+                     sample_acf_pacf)
 from sarfima.spectrum import resolve_bandwidth
 
 FUZZ = settings(derandomize=True, max_examples=60, deadline=None)
@@ -198,6 +200,27 @@ TWO_PERIODS = SarfimaSpec(components=(SeasonalComponent(4, 0.1), SeasonalCompone
         "asymptotic-lag", "asymptotic-2^53", "mc-reps"])
 def test_oversized_counts_end_in_codes(call, code):
     # each message prints, even where it names a count too long for str
+    with warnings.catch_warnings(), pytest.raises(SarfimaError) as exc:
+        warnings.simplefilter("error")
+        call()
+    assert exc.value.code == code
+    assert str(exc.value).startswith(f"{code}: ")
+
+
+#: an integer past the float range, where a real number is due
+PAST_FLOAT = 10 ** 400
+
+
+@pytest.mark.parametrize("call, code", [
+    (lambda: SeasonalComponent(4, PAST_FLOAT), "bad-memory"),
+    (lambda: ArmaFactor(4, (PAST_FLOAT,)), "bad-arma-coeffs"),
+    (lambda: SarfimaSpec(components=QUARTERLY.components, innovation_variance=PAST_FLOAT), "bad-sigma2"),
+    (lambda: pi_coefficients(PAST_FLOAT, 4, 10), "bad-memory"),
+    (lambda: fractional_filter(SERIES, [PAST_FLOAT], [4]), "bad-filter"),
+    (lambda: WhittleTemplate.pure((4,), d_box=PAST_FLOAT), "bad-template"),
+    (lambda: WhittleTemplate.pure((4,), d_box=True), "bad-template"),
+], ids=["memory", "arma-coeff", "sigma2", "pi-d", "filter-d", "d-box", "d-box-bool"])
+def test_reals_past_the_float_range_end_in_codes(call, code):
     with warnings.catch_warnings(), pytest.raises(SarfimaError) as exc:
         warnings.simplefilter("error")
         call()

@@ -213,6 +213,28 @@ class TestRunMc:
             run_mc(replace(small_config(), self_check=True))
         assert exc.value.code == "quadrature-unstable"
 
+    @pytest.mark.parametrize("method", ["circulant", "exact_dl"])
+    def test_coarse_grid_fails_the_self_check(self, method, monkeypatch):
+        # with the node floors lowered, n = 64 at grid exponent 12 leaves a
+        # grid of 512 nodes, on which gamma(0..50) moves by 3.4e-5 when the
+        # grid is halved; the floors give it 8192 nodes and a shift of 1.5e-15
+        from dataclasses import replace
+
+        from sarfima import NumericError
+        simulate_module = importlib.import_module("sarfima.simulate")
+        whittle = tuple(e for e in small_config().estimators if e.kind == "whittle")   # no band plan at n = 64
+        config = replace(small_config(reps=2), estimators=whittle, n=64, grid_exponent=12, method=method,
+                         self_check=True)
+        monkeypatch.setattr(simulate_module, "_SETUP", {})
+        run_mc(config)
+        for name in ("_MIN_NODES", "_NODES_PER_LAG", "_NODES_PER_RADIUS"):
+            monkeypatch.setattr(simulate_module, name, 1)
+        monkeypatch.setattr(simulate_module, "_SETUP", {})
+        with pytest.raises(NumericError) as exc:
+            run_mc(config)
+        assert exc.value.code == "quadrature-unstable"
+        assert "grid of 512 nodes" in str(exc.value)
+
     def test_failure_counts_zero_on_clean_run(self):
         summary = run_mc(small_config())
         assert all(r.failure_count == 0 for r in summary.results)

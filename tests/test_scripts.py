@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -103,16 +104,54 @@ def test_digest_runs_from_a_plain_checkout(tmp_path):
     assert [line.split()[0] for line in run.stdout.splitlines()] == ["run_mc", "cli", "circulant"]
 
 
+def assert_gain_rule(lines, rounds):
+    """fit_ab's two closing lines: each side's median and quartiles of CPU
+    seconds per run, then the verdict of the gain rule, which the numbers
+    printed decide."""
+    number = r"(\d+\.\d{6})"
+    sides = re.fullmatch(rf"CPU seconds per run  this median {number} \(quartiles {number} {number}\)  "
+                         rf"against median {number} \(quartiles {number} {number}\)", lines[0])
+    assert sides
+    mid, q1, q3, other, p1, p3 = map(float, sides.groups())
+    assert q1 <= mid <= q3 and p1 <= other <= p3
+    if rounds == 1:   # one value is its own quartiles
+        assert q1 == q3 and p1 == p3
+    rule = re.fullmatch(rf"gain rule: this faster in (\d+) of {rounds} rounds \(9/10 needed\), median gap "
+                        rf"(-?\d+\.\d{{6}}) against IQR {number} \(must be wider\): (met|not met)", lines[1])
+    assert rule
+    assert float(rule[2]) == pytest.approx(other - mid, abs=2e-6)
+    assert float(rule[3]) == pytest.approx(p3 - p1, abs=2e-6)
+
+
+#: CPU seconds per round of the other side: median 1.5, quartiles 1.425 and 1.575
+AGAINST = [1.0, 1.2, 1.4, 1.5, 1.5, 1.5, 1.5, 1.6, 1.8, 2.0]
+
+
+@pytest.mark.parametrize("this, wins, verdict", [
+    ([0.9] * 10, 10, "met"),
+    ([0.9] * 9 + [2.5], 9, "met"),
+    ([0.9] * 8 + [2.5] * 2, 8, "not met"),
+    ([t - 0.01 for t in AGAINST], 10, "not met"),   # the medians 0.01 apart, inside the IQR of 0.15
+])
+def test_fit_ab_gain_rule(this, wins, verdict):
+    fit_ab = load("fit_ab")
+    lines = fit_ab.gain_report(this, AGAINST)
+    assert lines[0].endswith("against median 1.500000 (quartiles 1.425000 1.575000)")
+    assert lines[1].startswith(f"gain rule: this faster in {wins} of 10 rounds (9/10 needed)")
+    assert lines[1].endswith(f"against IQR 0.150000 (must be wider): {verdict}")
+
+
 def test_fit_ab_against_this_checkout(capsys):
     fit_ab = load("fit_ab")
     argv = ["--against", str(SCRIPTS.parent), "--rounds", "2", "--reps", "2", "--n", "256"]
     assert fit_ab.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == ["table4, n 256, 2 reps per run; CPU seconds", "round      this   against   ratio"]
-    assert [int(line.split()[0]) for line in lines[2:-1]] == [0, 1]
+    assert [int(line.split()[0]) for line in lines[2:-3]] == [0, 1]
     # the same code on both sides gives the same bits
     assert re.fullmatch(r"median this/against \d+\.\d{3}  this faster in [0-2] of 2 rounds  "
-                        r"estimates equal: yes", lines[-1])
+                        r"estimates equal: yes", lines[-3])
+    assert_gain_rule(lines[-2:], rounds=2)
 
 
 def test_fit_ab_cli_against_this_checkout(capsys):
@@ -122,10 +161,11 @@ def test_fit_ab_cli_against_this_checkout(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == ["cli chain, n 256, 1 series per run; CPU seconds per series",
                          "round      this   against   ratio"]
-    assert [int(line.split()[0]) for line in lines[2:-1]] == [0, 1]
+    assert [int(line.split()[0]) for line in lines[2:-3]] == [0, 1]
     # every verb's output file has the same bytes on both sides
     assert re.fullmatch(r"median this/against \d+\.\d{3}  this faster in [0-2] of 2 rounds  "
-                        r"outputs equal: yes", lines[-1])
+                        r"outputs equal: yes", lines[-3])
+    assert_gain_rule(lines[-2:], rounds=2)
 
 
 def test_seed_sweep_reproduces_the_acceptance_values(capsys):
@@ -171,13 +211,14 @@ def test_fit_ab_cold_against_this_checkout(capsys):
     assert lines[2].split()[0] == "0"
     assert lines[3].split() == ["command", "this", "against", "ratio", "this", "faster", "in"]
     # per command: both medians, their ratio and the win count of the one round
-    assert [line.split()[0] for line in lines[4:-1]] == ["import", "simulate", "mc", "mc_dl", "filter",
+    assert [line.split()[0] for line in lines[4:-3]] == ["import", "simulate", "mc", "mc_dl", "filter",
                                                          "periodogram"]
-    for line in lines[4:-1]:
+    for line in lines[4:-3]:
         assert re.fullmatch(r"\S+ +\d+\.\d{4} +\d+\.\d{4} +\d+\.\d{3}  [01] of 1", line)
     # every file the commands wrote has the same bytes on both sides
     assert re.fullmatch(r"median this/against \d+\.\d{3}  this faster in [01] of 1 rounds  "
-                        r"outputs equal: yes", lines[-1])
+                        r"outputs equal: yes", lines[-3])
+    assert_gain_rule(lines[-2:], rounds=1)
 
 
 def test_digest_names_only_the_cli_files_that_differ(monkeypatch):
