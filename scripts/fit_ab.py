@@ -3,9 +3,10 @@
 
 Alternates the two checkouts step by step (a step is the whole run, or
 with ``--cold`` one command), swapping which side goes first every round.
-Round k uses master seed ``--seed`` + k on both sides, and one untimed run
-per side builds the caches first (with ``--cold``, one ``import sarfima``,
-which writes the package's bytecode).
+Every round uses master seed ``--seed`` on both sides, so that the rounds
+differ by timing noise alone, not by their data; one untimed run per side
+builds the caches first (with ``--cold``, one ``import sarfima``, which
+writes the package's bytecode).
 
 By default a run is ``run_mc`` of one canned design (default: table4,
 n = 1080, 8 replications, one block), with the acvf self-check skipped, so
@@ -189,7 +190,7 @@ def main(argv=None) -> int:
     ap.add_argument("--n", type=int, default=1080, help="series length (default 1080)")
     ap.add_argument("--reps", type=int, default=8, help="replications, or --cli series, per run (default 8)")
     ap.add_argument("--rounds", type=int, default=12, help="timed rounds (default 12)")
-    ap.add_argument("--seed", type=int, default=20101125, help="master seed of round 0")
+    ap.add_argument("--seed", type=int, default=20101125, help="master seed of every round")
     args = ap.parse_args(argv)
     checkouts = {"this": HERE, "against": Path(args.against)}
     sides = {side: load_package(checkout, f"sarfima_{side}") for side, checkout in checkouts.items()}
@@ -215,7 +216,7 @@ def main(argv=None) -> int:
             order = list(sides) if k % 2 == 0 else list(sides)[::-1]
             times = {side: {} for side in sides}
             for label in runs["this"]:
-                done = {side: runs[side][label](args.seed + k) for side in order}
+                done = {side: runs[side][label](args.seed) for side in order}
                 equal &= done["this"][1] == done["against"][1]
                 for side in sides:
                     times[side][label] = done[side][0]

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .errors import NumericError, SarfimaError, ValidationError
-from .model import spec_from_json, spec_to_json, _json_object
+from .model import spec_from_json, spec_to_json, _json_document, _json_object, _spec_from_doc
 from .spectrum import build_band_plan, periodogram, resolve_bandwidth, write_csv
 from .estimators import (WhittleTemplate, estimate_to_json, gph_estimate,
                          whittle_estimate, whittle_fit_to_json)
@@ -234,24 +234,12 @@ def _cmd_estimate_gph(args) -> int:
 
 
 def _load_template(path) -> WhittleTemplate:
-    try:
-        doc = json.loads(_read_text(path, "bad-json"))
-    except ValueError as exc:   # JSONDecodeError, or an integer of more than 4300 digits
-        raise ValidationError("bad-json", f"template is not valid JSON: {exc}") from exc
-    doc = _json_object(doc, ("spec", "free_d", "free_ar", "free_ma", "d_box"), "a template", "bad-template")
-    try:
-        spec = spec_from_json(json.dumps(doc["spec"]))
-        d_box = doc.get("d_box", 0.49)
-        if type(d_box) not in (int, float):   # true and "0.3" are not JSON numbers
-            raise ValidationError("bad-template", f"d_box must be a JSON number, got {d_box!r}")
-        return WhittleTemplate(
-            spec=spec,
-            free_d=tuple(doc["free_d"]) if "free_d" in doc else None,
-            free_ar=tuple(doc["free_ar"]) if "free_ar" in doc else None,
-            free_ma=tuple(doc["free_ma"]) if "free_ma" in doc else None,
-            d_box=float(d_box))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:   # a number past the float range
-        raise ValidationError("bad-template", f"malformed template document: {exc}") from exc
+    """The template in ``path``; ``WhittleTemplate``'s own rules decide its markers and d_box."""
+    doc = _json_object(_json_document(_read_text(path, "bad-json"), "template"),
+                       ("spec", "free_d", "free_ar", "free_ma", "d_box"), "a template", "bad-template")
+    if "spec" not in doc:
+        raise ValidationError("bad-template", "malformed template document: missing key 'spec'")
+    return WhittleTemplate(spec=_spec_from_doc(doc.pop("spec")), **doc)
 
 
 def _cmd_estimate_whittle(args) -> int:

@@ -2,8 +2,9 @@
 
 Codes are kebab-case strings surfaced verbatim by the CLI as
 ``error: <code>: <message>``.  Every layer imports this module, so the
-integer, real and memory rules of the library boundary live here too.
+integer, real, sequence and memory rules of every argument live here too.
 """
+import collections.abc
 import math
 import numbers
 import os
@@ -54,6 +55,22 @@ def _check_real(value, code: str, what: str) -> float:
         if math.isfinite(number):
             return number
     raise ValidationError(code, f"{what} must be a finite real number, got {_shown(value)}")
+
+
+def _check_sequence(value, code: str, what: str, kind=None) -> tuple:
+    """``value`` as a tuple; raise ``code`` unless it is an iterable that is
+    not a str, bytes or mapping (a 1-d numpy array counts) and, when ``kind``
+    is given, every item is a ``kind`` instance."""
+    try:
+        if isinstance(value, (str, bytes, collections.abc.Mapping)):
+            raise TypeError
+        items = tuple(value)
+    except TypeError:   # not iterable, or a 0-d numpy array
+        raise ValidationError(code, f"{what} must be a sequence, got {_shown(value)}") from None
+    for item in items if kind is not None else ():
+        if not isinstance(item, kind):
+            raise ValidationError(code, f"each of {what} must be of type {kind.__name__}, got {_shown(item)}")
+    return items
 
 
 def _shown(value) -> str:

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _check_real, _shown
+from .errors import ValidationError, _check_real, _check_sequence, _shown
 from .model import SarfimaSpec, SeasonalComponent, enumerate_poles, levinson, _roots_outside_unit_circle
 from .spectrum import (Periodogram, BandPlan, build_band_plan, periodogram, resolve_bandwidth,
-                       _check_bandwidth, _check_period_pair, _check_periods)
+                       _check_bandwidth, _check_period_pair, _check_periods, _series)
 
 __all__ = ["MemoryEstimate", "WhittleFit", "WhittleTemplate", "gph_estimate",
            "asymptotic_cov_matrix", "whittle_estimate",
@@ -225,14 +225,11 @@ class WhittleTemplate:
         for name, parts in (("free_d", self.spec.components), ("free_ar", self.spec.ar_factors),
                             ("free_ma", self.spec.ma_factors)):
             markers = getattr(self, name)
-            object.__setattr__(self, name, tuple(True for _ in parts) if markers is None else tuple(markers))
-        if not all(isinstance(flag, bool) for markers in (self.free_d, self.free_ar, self.free_ma)
-                   for flag in markers):
-            raise ValidationError("bad-template", "free-parameter markers must be true or false")
-        if len(self.free_d) != len(self.spec.components) \
-                or len(self.free_ar) != len(self.spec.ar_factors) \
-                or len(self.free_ma) != len(self.spec.ma_factors):
-            raise ValidationError("bad-template", "free-parameter markers do not match the spec shape")
+            markers = (True,) * len(parts) if markers is None \
+                else _check_sequence(markers, "bad-template", f"the {name} markers", bool)
+            if len(markers) != len(parts):
+                raise ValidationError("bad-template", f"{len(markers)} {name} markers for {len(parts)} spec parts")
+            object.__setattr__(self, name, markers)
         object.__setattr__(self, "d_box", _check_real(self.d_box, "bad-template", "d_box"))
         if self.d_box <= 0:
             raise ValidationError("bad-template", f"d_box must be positive, got {self.d_box!r}")
@@ -242,7 +239,7 @@ class WhittleTemplate:
     @classmethod
     def pure(cls, periods, d_box: float = 0.49) -> "WhittleTemplate":
         """All-free fractional template with no ARMA part."""
-        comps = tuple(SeasonalComponent(s, 0.0) for s in periods)
+        comps = tuple(SeasonalComponent(s, 0.0) for s in _check_sequence(periods, "bad-template", "periods"))
         return cls(spec=SarfimaSpec(components=comps), d_box=d_box)
 
 
@@ -691,7 +688,7 @@ def whittle_estimate(series, template: WhittleTemplate) -> WhittleFit:
     reported in the returned fit, never silently discarded.  This is the
     one-row case of the block fit a Monte Carlo run applies to its paths.
     """
-    x = np.asarray(series, dtype=float)
+    x = _series(series)
     fits = _whittle_fits(periodogram(x).ordinates[None, :], len(x), template)
     if fits.errors[0] is not None:
         raise fits.errors[0]
@@ -713,19 +710,18 @@ def whittle_estimate(series, template: WhittleTemplate) -> WhittleFit:
 # ---------------------------------------------------------------------------
 
 def estimate_to_json(est: MemoryEstimate) -> str:
-    doc = {
+    return json.dumps({
         "method": est.method,
         "d_hat": [float(v) for v in est.d_hat],
         "cov": [[float(v) for v in row] for row in est.asymptotic_cov],
         "m": int(est.m),
         "band_count": int(est.band_count),
         "periods": list(est.periods),
-    }
-    return json.dumps(doc, indent=2)
+    }, indent=2)
 
 
 def whittle_fit_to_json(fit: WhittleFit) -> str:
-    doc = {
+    return json.dumps({
         "method": "whittle",
         "d_hat": [float(v) for v in fit.d_hat],
         "converged": bool(fit.converged),
@@ -737,5 +733,4 @@ def whittle_fit_to_json(fit: WhittleFit) -> str:
             "ma": [{"lag": lag, "coeffs": list(c)} for lag, c in fit.short_memory["ma"]],
             "sigma2": fit.short_memory["sigma2"],
         },
-    }
-    return json.dumps(doc, indent=2)
+    }, indent=2)

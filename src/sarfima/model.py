@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError, _check_fits, _check_integer, _check_real, _shown
+from .errors import ValidationError, _check_fits, _check_integer, _check_real, _check_sequence, _shown
 
 __all__ = [
     "SeasonalComponent",
@@ -66,8 +66,8 @@ class ArmaFactor:
 
     def __post_init__(self):
         object.__setattr__(self, "lag", _check_integer(self.lag, 1, "bad-arma-lag", "factor lag"))
-        object.__setattr__(self, "coeffs",
-                           tuple(_check_real(c, "bad-arma-coeffs", "an ARMA coefficient") for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(_check_real(c, "bad-arma-coeffs", "an ARMA coefficient")
+                                                 for c in _check_sequence(self.coeffs, "bad-arma-coeffs", "coeffs")))
         if len(self.coeffs) == 0:
             raise ValidationError("bad-arma-coeffs", "factor needs at least one coefficient")
 
@@ -127,10 +127,10 @@ class SarfimaSpec:
     innovation_variance: float = 1.0
 
     def __post_init__(self):
-        comps = tuple(self.components)
+        comps = _check_sequence(self.components, "bad-components", "components", SeasonalComponent)
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "ar_factors", tuple(self.ar_factors))
-        object.__setattr__(self, "ma_factors", tuple(self.ma_factors))
+        for name in ("ar_factors", "ma_factors"):
+            object.__setattr__(self, name, _check_sequence(getattr(self, name), "bad-arma-factors", name, ArmaFactor))
         if not 1 <= len(comps) <= 2:
             raise ValidationError("bad-components", f"need 1 or 2 seasonal components, got {len(comps)}")
         periods = [c.period for c in comps]
@@ -277,7 +277,7 @@ def spectral_density(spec: SarfimaSpec, lam: float) -> float:
     the exponents cancel exactly.
     """
     require_stationary(spec, "spectral density")
-    lam = float(lam)
+    lam = _check_real(lam, "bad-frequency", "lambda")
     if not -np.pi - POLE_TOL <= lam <= np.pi + POLE_TOL:
         raise ValidationError("bad-frequency", f"lambda must lie in (-pi, pi], got {lam}")
     lam = abs(lam)  # even function
@@ -385,20 +385,12 @@ def asymptotic_acvf(spec: SarfimaSpec, h: int) -> float:
 # ---------------------------------------------------------------------------
 
 def spec_to_json(spec: SarfimaSpec) -> str:
-    doc = {
+    return json.dumps({
         "components": [{"period": c.period, "d": c.memory} for c in spec.components],
         "ar": [{"lag": f.lag, "coeffs": list(f.coeffs)} for f in spec.ar_factors],
         "ma": [{"lag": f.lag, "coeffs": list(f.coeffs)} for f in spec.ma_factors],
         "sigma2": spec.innovation_variance,
-    }
-    return json.dumps(doc, indent=2)
-
-
-def _json_number(value, what: str) -> float:
-    """``value`` as a float if it is a JSON number; true, false and strings are not."""
-    if type(value) not in (int, float):
-        raise ValidationError("bad-spec-json", f"{what} must be a JSON number, got {value!r}")
-    return float(value)
+    }, indent=2)
 
 
 def _json_object(value, keys: tuple, what: str, code: str = "bad-spec-json") -> dict:
@@ -412,21 +404,33 @@ def _json_object(value, keys: tuple, what: str, code: str = "bad-spec-json") -> 
     return value
 
 
-def spec_from_json(text: str) -> SarfimaSpec:
+def _json_document(text: str, what: str):
+    """The JSON value in ``text``; text that is not JSON ends in ``bad-json``."""
     try:
-        doc = json.loads(text)
-    except ValueError as exc:   # JSONDecodeError, or an integer of more than 4300 digits
-        raise ValidationError("bad-json", f"spec is not valid JSON: {exc}") from exc
-    doc = _json_object(doc, ("components", "ar", "ma", "sigma2"), "a spec")
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:   # JSONDecodeError, an integer of more than 4300 digits, deep nesting
+        raise ValidationError("bad-json", f"{what} is not valid JSON: {exc}") from exc
+
+
+def spec_from_json(text: str) -> SarfimaSpec:
+    return _spec_from_doc(_json_document(text, "spec"))
+
+
+def _spec_from_doc(value) -> SarfimaSpec:
+    """The spec of a parsed spec document; a malformed one ends in ``bad-spec-json``."""
+    doc = _json_object(value, ("components", "ar", "ma", "sigma2"), "a spec")
+
+    def objects(items, keys, what):
+        return [_json_object(item, keys, what) for item in _check_sequence(items, "bad-spec-json", f"{what} list")]
     try:
         # periods and lags go in as parsed: the dataclasses reject 4.7, true and "4"
-        components = tuple(SeasonalComponent(c["period"], _json_number(c["d"], "d"))
-                           for c in doc["components"] if _json_object(c, ("period", "d"), "a component"))
-        ar, ma = (tuple(ArmaFactor(f["lag"], tuple(_json_number(c, "coeffs") for c in f["coeffs"]))
-                        for f in doc.get(key, []) if _json_object(f, ("lag", "coeffs"), f"an {key} factor"))
+        components = tuple(SeasonalComponent(c["period"], _check_real(c["d"], "bad-spec-json", "d"))
+                           for c in objects(doc["components"], ("period", "d"), "a component"))
+        ar, ma = (tuple(ArmaFactor(f["lag"], tuple(_check_real(c, "bad-spec-json", "coeffs") for c in
+                                                   _check_sequence(f["coeffs"], "bad-spec-json", "coeffs")))
+                        for f in objects(doc.get(key, []), ("lag", "coeffs"), f"an {key} factor"))
                   for key in ("ar", "ma"))
-        sigma2 = _json_number(doc.get("sigma2", 1.0), "sigma2")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:   # a number past the float range
-        raise ValidationError("bad-spec-json", f"malformed spec document: {exc}") from exc
+    except KeyError as exc:
+        raise ValidationError("bad-spec-json", f"malformed spec document: missing key {exc}") from exc
     return SarfimaSpec(components=components, ar_factors=ar, ma_factors=ma,
-                       innovation_variance=sigma2)
+                       innovation_variance=_check_real(doc.get("sigma2", 1.0), "bad-spec-json", "sigma2"))

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, _check_integer
+from .errors import ValidationError, _check_integer, _check_sequence
 from .model import ArmaFactor, SarfimaSpec, SeasonalComponent
 from .spectrum import BandPlan, build_band_plan, resolve_bandwidth, write_csv, _check_bandwidth_choice, _ordinates
 from .estimators import WhittleTemplate, _band_design, _gph_fits, _whittle_design, _whittle_fits
@@ -115,7 +115,7 @@ class McConfig:
     self_check: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "estimators", tuple(self.estimators))
+        object.__setattr__(self, "estimators", _check_sequence(self.estimators, "bad-estimator", "estimators", EstimatorDef))
         object.__setattr__(self, "reps", _check_integer(self.reps, 1, "bad-reps", "reps"))
         if not self.estimators:
             raise ValidationError("bad-estimator", "need at least one estimator")

@@ -7,10 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SarfimaError, ValidationError, _check_integer
+from .errors import SarfimaError, ValidationError, _check_integer, _check_real, _check_sequence
 from .model import SarfimaSpec, SeasonalComponent, levinson, pi_coefficients, _convolve_head
-from .spectrum import (build_band_plan, periodogram, resolve_bandwidth, write_csv, _check_alpha,
-                       _check_period_pair, _check_periods, _series)
+from .spectrum import (build_band_plan, periodogram, resolve_bandwidth, write_csv, _check_period_pair,
+                       _check_periods, _series)
 from .estimators import MemoryEstimate, gph_estimate
 
 __all__ = ["ScanRow", "BandwidthScan", "bandwidth_scan", "fractional_filter",
@@ -33,12 +33,12 @@ class BandwidthScan:
 def bandwidth_scan(series, s1: int, s2: int, alphas) -> BandwidthScan:
     """One gph_estimate per bandwidth m = floor(n^alpha).
 
-    Alphas must be real numbers (``bad-bandwidth``), strictly increasing
-    inside (0, 1), and the periods must admit a band plan at all.  A row
+    Alphas must be finite real numbers (``bad-bandwidth``), strictly
+    increasing inside (0, 1), and the periods must admit a band plan.  A row
     that cannot be estimated (m below 2, band overlap, degenerate
     regression) is recorded with its error code and the scan continues.
     """
-    alphas = [_check_alpha(a) for a in alphas]
+    alphas = [_check_real(a, "bad-bandwidth", "alpha") for a in _check_sequence(alphas, "bad-alphas", "alphas")]
     if not alphas:
         raise ValidationError("bad-alphas", "need at least one alpha")
     if any(not 0 < a < 1 for a in alphas):
@@ -46,7 +46,7 @@ def bandwidth_scan(series, s1: int, s2: int, alphas) -> BandwidthScan:
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValidationError("bad-alphas", "alphas must be strictly increasing")
     _check_period_pair(s1, s2)   # bad periods fail the scan, not each row
-    x = np.asarray(series, dtype=float)
+    x = _series(series)
     pg = periodogram(x)
     n = len(x)
     rows = []

@@ -69,7 +69,7 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_integer(self.n, 1, "bad-n", "n"))
-        if self.method not in _SAMPLERS:
+        if not isinstance(self.method, str) or self.method not in _SAMPLERS:
             raise ValidationError("bad-method", f"unknown simulation method {self.method!r}")
         object.__setattr__(self, "seed", _check_integer(self.seed, 0, "bad-seed", "seed", 2 ** 64))
         g = self.grid_exponent

@@ -2,14 +2,12 @@
 from __future__ import annotations
 
 import functools
-import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError, _check_fits, _check_integer, _shown
+from .errors import ValidationError, _check_fits, _check_integer, _check_real, _shown
 
 __all__ = ["Periodogram", "Band", "BandPlan", "periodogram", "build_band_plan",
            "gph_T_bandwidth", "resolve_bandwidth", "write_csv"]
@@ -75,8 +73,14 @@ def periodogram(series) -> Periodogram:
 
 def _series(series) -> np.ndarray:
     """``series`` as a 1-d float array: any other shape ends in
-    ``series-too-short``, a NaN or infinite value in ``non-finite-input``."""
-    x = np.asarray(series, dtype=float)
+    ``series-too-short``; a NaN or infinite value, or one that is not a real
+    number, in ``non-finite-input``."""
+    try:
+        if np.iscomplexobj(series):   # the cast would drop the imaginary parts
+            raise TypeError("complex values")
+        x = np.asarray(series, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError("non-finite-input", f"series values must be real numbers ({exc})") from exc
     if x.ndim != 1:
         raise ValidationError("series-too-short", f"need a 1-d series, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
@@ -147,16 +151,6 @@ def _check_period_pair(s1: int, s2: int) -> tuple:
     return s1, s2
 
 
-def _check_alpha(alpha) -> float:
-    """The bandwidth exponent as a float: a real number (not a bool or str) in the float range."""
-    try:
-        if isinstance(alpha, numbers.Real) and not isinstance(alpha, bool):
-            return float(alpha)
-    except OverflowError:
-        pass
-    raise ValidationError("bad-bandwidth", f"alpha must be a real number in the float range, got {_shown(alpha)}")
-
-
 def _check_bandwidth_choice(alpha, m, gph_T, uncapped):
     """The one rule that picks a bandwidth: exactly one of ``alpha``, ``m``
     and the bool ``gph_T``, and the bool ``uncapped`` only with ``gph_T``."""
@@ -198,13 +192,11 @@ def resolve_bandwidth(n: int, s_prime: int, alpha: float = None, m: int = None,
         return max((n - 1) // s_prime, 1) if uncapped else gph_T_bandwidth(n, s_prime)
     if m is not None:
         return _check_bandwidth(m)
-    alpha = _check_alpha(alpha)
+    alpha = _check_real(alpha, "bad-bandwidth", "alpha")
     try:
-        if math.isfinite(alpha):
-            return int(n ** alpha)
-    except OverflowError:   # n or n^alpha beyond the float range
-        pass
-    raise ValidationError("bad-bandwidth", f"need a finite alpha with a finite n^alpha, got {alpha!r}")
+        return int(n ** alpha)
+    except OverflowError as exc:   # n or n^alpha beyond the float range
+        raise ValidationError("bad-bandwidth", f"need a finite n^alpha, got n={_shown(n)}, alpha={alpha!r}") from exc
 
 
 def build_band_plan(n: int, s1: int, s2: int, m: int, allow_overlap: bool = False) -> BandPlan:

@@ -154,6 +154,21 @@ def test_fit_ab_against_this_checkout(capsys):
     assert_gain_rule(lines[-2:], rounds=2)
 
 
+def test_fit_ab_runs_every_round_at_the_seed(monkeypatch, capsys):
+    # the rounds differ by timing alone: no round draws other data than the others
+    fit_ab = load("fit_ab")
+    seeds = []
+
+    def timed_run(package, name, seed, reps, n):
+        seeds.append((package, seed))
+        return 1.0, []
+    monkeypatch.setattr(fit_ab, "load_package", lambda checkout, name: name)
+    monkeypatch.setattr(fit_ab, "timed_run", timed_run)
+    assert fit_ab.main(["--against", str(SCRIPTS.parent), "--rounds", "3", "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert sorted(seeds) == [("sarfima_against", 7)] * 4 + [("sarfima_this", 7)] * 4
+
+
 def test_fit_ab_cli_against_this_checkout(capsys):
     fit_ab = load("fit_ab")
     argv = ["--against", str(SCRIPTS.parent), "--cli", "--rounds", "2", "--reps", "1", "--n", "256"]
