@@ -416,7 +416,8 @@ def _derivatives(design: _WhittleDesign, state):
     is sum(wn J J') - m m' and the Hessian adds
     sum((weight / total - wn) d2 log g).  The memories' J, their
     products J_i J_j and their c are the design's, so a pure template takes
-    one product and one row sum.  A free factor's columns of J,
+    one product and one row sum, and its Hessian is its Gauss-Newton
+    matrix, returned as that same array.  A free factor's columns of J,
     -2 sign Re(z_p / t), and its second derivatives,
     -2 sign Re(z_p z_r / t^2) = -2 sign (Re_p Re_r - Im_p Im_r) of the
     ratios, depend on theta.  The ratios z / t are formed here, once per
@@ -433,35 +434,36 @@ def _derivatives(design: _WhittleDesign, state):
     m = moments[:, :nd]
     grad = design.jac_mean - m
     second = moments[:, nd:].reshape(len(w), nd, nd)   # sum(wn J J')
-    curvature = 0.0   # sum((weight / total - wn) d2 log g)
-    if design.factors:
-        ratios = [_ratios(z, t2, c) for (_, _, z), t2, c in zip(design.factors, factors[::2], factors[1::2])]
-        p = len(design.box)
-        free = np.empty((len(w), p - nd, w.shape[1]))   # the free factors' columns of J
-        for (sign, sl, _), (res, _) in zip(design.factors, ratios):
-            for k, re in enumerate(res, start=sl.start - nd):
-                np.multiply(re, -2 * sign, out=free[:, k])
-        u = design.weight / design.total - wn
-        grad = np.concatenate([grad, (u[:, None, :] * free).sum(axis=2)], axis=1)
-        w_free = wn[:, None, :] * free
-        m = np.concatenate([m, w_free.sum(axis=2)], axis=1)
-        full = np.empty((len(w), p, p))
-        full[:, :nd, :nd] = second
-        second = full
-        for k in range(nd, p):   # row and column k, up to the diagonal: memory, then factor entries
-            wk = w_free[:, k - nd, None, :]
-            second[:, k, :nd] = second[:, :nd, k] = (wk * design.jac_d).sum(axis=2)
-            second[:, k, nd:k + 1] = second[:, nd:k + 1, k] = (wk * free[:, :k + 1 - nd]).sum(axis=2)
-        del free, w_free
-        curvature = np.zeros((len(w), p, p))
-        for (sign, sl, _), (res, ims) in zip(design.factors, ratios):
-            for a in range(len(res)):   # d2 log g = -2 sign (Re_a Re_b - Im_a Im_b) of the ratios
-                for b in range(a + 1):
-                    x = res[a] * res[b]
-                    x -= ims[a] * ims[b]
-                    x *= u
-                    ka, kb = sl.start + a, sl.start + b
-                    curvature[:, ka, kb] = curvature[:, kb, ka] = -2 * sign * x.sum(axis=1)
+    if not design.factors:   # log g is linear in the memories: the Hessian is the Gauss-Newton matrix
+        gauss_newton = second - m[:, :, None] * m[:, None, :]
+        return grad, gauss_newton, gauss_newton
+    ratios = [_ratios(z, t2, c) for (_, _, z), t2, c in zip(design.factors, factors[::2], factors[1::2])]
+    p = len(design.box)
+    free = np.empty((len(w), p - nd, w.shape[1]))   # the free factors' columns of J
+    for (sign, sl, _), (res, _) in zip(design.factors, ratios):
+        for k, re in enumerate(res, start=sl.start - nd):
+            np.multiply(re, -2 * sign, out=free[:, k])
+    u = design.weight / design.total - wn
+    grad = np.concatenate([grad, (u[:, None, :] * free).sum(axis=2)], axis=1)
+    w_free = wn[:, None, :] * free
+    m = np.concatenate([m, w_free.sum(axis=2)], axis=1)
+    full = np.empty((len(w), p, p))
+    full[:, :nd, :nd] = second
+    second = full
+    for k in range(nd, p):   # row and column k, up to the diagonal: memory, then factor entries
+        wk = w_free[:, k - nd, None, :]
+        second[:, k, :nd] = second[:, :nd, k] = (wk * design.jac_d).sum(axis=2)
+        second[:, k, nd:k + 1] = second[:, nd:k + 1, k] = (wk * free[:, :k + 1 - nd]).sum(axis=2)
+    del free, w_free
+    curvature = np.zeros((len(w), p, p))   # sum((weight / total - wn) d2 log g)
+    for (sign, sl, _), (res, ims) in zip(design.factors, ratios):
+        for a in range(len(res)):   # d2 log g = -2 sign (Re_a Re_b - Im_a Im_b) of the ratios
+            for b in range(a + 1):
+                x = res[a] * res[b]
+                x -= ims[a] * ims[b]
+                x *= u
+                ka, kb = sl.start + a, sl.start + b
+                curvature[:, ka, kb] = curvature[:, kb, ka] = -2 * sign * x.sum(axis=1)
     gauss_newton = second - m[:, :, None] * m[:, None, :]
     return grad, gauss_newton + curvature, gauss_newton
 
@@ -478,7 +480,8 @@ def _newton_steps(grad: np.ndarray, hess: np.ndarray, gauss_newton: np.ndarray,
         cols = np.flatnonzero(free[rows[0]])
         if cols.size:
             at, sub = np.ix_(rows, cols), np.ix_(rows, cols, cols)
-            step[at] = _pseudo_newton(grad[at], hess[sub], gauss_newton[sub])
+            h = hess[sub]
+            step[at] = _pseudo_newton(grad[at], h, h if gauss_newton is hess else gauss_newton[sub])
     return step
 
 
@@ -486,10 +489,10 @@ def _pseudo_newton(grad: np.ndarray, hess: np.ndarray, gauss_newton: np.ndarray)
     """-H^+ g for each row, from one stacked eigendecomposition.  Where the
     Hessian is not positive definite the Gauss-Newton matrix stands in, and
     the inverse is a pseudo-inverse: an AR and an MA factor at one lag can
-    cancel out."""
+    cancel out.  Where the two are one array, its decomposition serves both."""
     e, v = np.linalg.eigh(hess)   # eigenvalues ascending
     flat = ~(e[:, 0] > 0)   # not convex here: Gauss-Newton
-    if flat.any():
+    if flat.any() and hess is not gauss_newton:
         e[flat], v[flat] = np.linalg.eigh(gauss_newton[flat])
     e = np.where(e > 1e-12 * np.maximum(e[:, -1:], 0.0), e, np.inf)
     coef = (v.transpose(0, 2, 1) * grad[:, None, :]).sum(axis=2) / e
@@ -543,9 +546,10 @@ def _projected_newton(design: _WhittleDesign, I_u: np.ndarray, theta0: np.ndarra
             whole = searching.size == len(theta)
             at = slice(None) if whole else searching   # a view while every row searches
             trial = np.clip(theta[at] + alpha * step[at], -box, box)
-            ok = _stationary(design, trial)
-            if ok.any():
-                if not ok.all():   # F only at the stationary trial points
+            # a pure template has no roots to check: None stands for every trial point
+            ok = _stationary(design, trial) if design.factors else None
+            if ok is None or ok.any():
+                if ok is not None and not ok.all():   # F only at the stationary trial points
                     whole, at, trial = False, searching[ok], trial[ok]
                 trial_state = _objective(design, I_u[at], trial)
                 decrease = (grad[at] * (trial - theta[at])).sum(axis=1)
@@ -554,7 +558,10 @@ def _projected_newton(design: _WhittleDesign, I_u: np.ndarray, theta0: np.ndarra
                     # the common case: keep the trial arrays rather than copy every row back
                     theta, state, moved = trial, list(trial_state), better
                     break
-                ok[ok] = better
+                if ok is None:
+                    ok = better
+                else:
+                    ok[ok] = better
                 accepted = searching[ok]
                 theta[accepted] = trial[better]
                 for a, b in zip(state, trial_state):
