@@ -16,7 +16,9 @@ package into this process (so both sides run under one BLAS setting) and
 compares the run_mc estimates of both samplers replication by replication:
 per design and estimator, the largest |change of d_hat|, the replications
 whose Newton steps differ, and the code mismatches (replications that
-failed on one side only, plus the difference of the failure-code tallies).
+failed on one side only, plus the difference of the failure-code tallies);
+a Whittle estimator's line also gives the mean Newton steps on both sides,
+over the replications whose fit did not raise.
 For each Whittle estimator it also refits the run's paths, drawn here in
 run_mc's blocks, with both packages' block fit and counts the
 replications whose objective ends lower and higher on this side (by more
@@ -135,10 +137,16 @@ def records(runs_by_method: dict) -> dict:
     return out
 
 
+def mean_steps(steps: np.ndarray) -> str:
+    """The mean Newton steps of the fits that did not raise (-1 steps)."""
+    ran = steps[steps >= 0]
+    return f"{ran.mean():.2f}" if ran.size else "-"
+
+
 def compare(before: dict, after: dict, objectives: dict) -> tuple:
     """One line per sampler, design and estimator of either record, with the
-    objective counts of a Whittle estimator, and whether any steps or codes
-    differ."""
+    mean Newton steps of both sides and the objective counts of a Whittle
+    estimator, and whether any steps or codes differ."""
     lines, mismatched = [], False
     for group in dict.fromkeys([*before, *after]):
         if group.count("/") == 1:   # a design that raised on at least one side
@@ -159,6 +167,8 @@ def compare(before: dict, after: dict, objectives: dict) -> tuple:
         line = f"{group:30} max|dd| {delta:.3g}  steps {steps}  codes {codes}"
         if group in objectives:
             line += "  objective lower {} higher {}".format(*objectives[group])
+        if steps_a.size or steps_b.size:   # a Whittle estimator
+            line += f"  mean steps {mean_steps(steps_a)} -> {mean_steps(steps_b)}"
         lines.append(line)
     return lines, mismatched
 

@@ -251,8 +251,8 @@ WHITTLE_MAX_STEPS = 1000
 WHITTLE_TOL = 2e-15
 
 
-_WhittleDesign = namedtuple("_WhittleDesign",
-                            "keep weight total jac_d jac_stack jac_mean base factors arma0 box start")
+_WhittleDesign = namedtuple("_WhittleDesign", "keep weight total jac_d jac_stack jac_mean base factors arma0 box "
+                                              "start start_jac start_inv")
 
 
 @functools.lru_cache(maxsize=16)
@@ -270,9 +270,18 @@ def _whittle_design(n: int, template: WhittleTemplate) -> _WhittleDesign:
     part ``base`` of log g, each free factor's (sign, slice of theta,
     (Re z, Im z) as a (2, q, K) array), the free factors' spec
     coefficients ``arma0`` (0 where they are not stationary or invertible),
-    which are an MA factor's start and an AR factor's fallback start, the
-    ``box`` |theta| <= box, and the band plan ``start`` of the starting
-    memories, or None.  The arrays are read-only.
+    which are an MA factor's start and an AR factor's fallback start, and
+    the ``box`` |theta| <= box.  The last three fields hold the data-free
+    half of the starting memories.  With a free factor, ``start`` is the
+    band plan whose OLS memories start the fit, or None; ``start_jac`` and
+    ``start_inv`` are None.  Without one, log g is linear in the memories,
+    and the fit starts at the weighted least-squares fit of log I - base on
+    an intercept and J over the usable frequencies: ``start_jac`` is the
+    weighted, centred Jacobian weight (J - jac_mean) and ``start_inv`` the
+    inverse of its Gram matrix (J - jac_mean) weight (J - jac_mean)', taken
+    by ``eigh`` as a pseudo-inverse, so that a memory whose column of J is
+    flat over the usable frequencies starts at 0; ``start`` is None.  The
+    arrays are read-only.
     n must be >= 64 and more than half of each period, with total >= 8.
 
     log g = base + d . jac_d + sum of sign * ln|t|^2 over the free factors,
@@ -316,14 +325,23 @@ def _whittle_design(n: int, template: WhittleTemplate) -> _WhittleDesign:
     jac_stack = np.concatenate([jac_d, (jac_d[:, None, :] * jac_d).reshape(nd * nd, len(lam_u))])
     jac_mean = (weight / total * jac_d).sum(axis=1)
     _frozen(keep, weight, jac_d, jac_stack, jac_mean, base, box)
-    periods = spec0.periods
-    try:   # the band OLS memories are the start where the periods admit a plan at this n
-        start = build_band_plan(n, periods[0], periods[-1], resolve_bandwidth(n, max(periods), alpha=0.5))
-        _band_design(start, periods)
-    except ValidationError:
-        start = None
+    start = start_jac = start_inv = None
+    if factors:
+        periods = spec0.periods
+        try:   # the band OLS memories are the start where the periods admit a plan at this n
+            start = build_band_plan(n, periods[0], periods[-1], resolve_bandwidth(n, max(periods), alpha=0.5))
+            _band_design(start, periods)
+        except ValidationError:
+            start = None
+    else:
+        # products summed along the rows, not BLAS products, whose rounding can change with the thread count
+        centred = jac_d - jac_mean[:, None]
+        start_jac = centred * weight
+        e, v = np.linalg.eigh((start_jac[:, None, :] * centred).sum(axis=2))
+        e = np.where(e > 1e-12 * max(e[-1], 0.0), e, np.inf)
+        start_inv = _frozen(((v / e)[:, None, :] * v).sum(axis=2), start_jac)
     return _WhittleDesign(keep, weight, total, jac_d, jac_stack, jac_mean, base, tuple(factors),
-                          tuple(arma0), box, start)
+                          tuple(arma0), box, start, start_jac, start_inv)
 
 
 def _rows_times(theta: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -629,6 +647,23 @@ def _yule_walker_start(design: _WhittleDesign, I_u: np.ndarray, theta0: np.ndarr
     return theta
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _regression_start(design: _WhittleDesign, I: np.ndarray) -> np.ndarray:
+    """The starting memories of a template with no free factor: for each row
+    of the usable ordinates I, the weighted least-squares fit of
+    log I - base on an intercept and the free memories' J (Beran 1993;
+    Moulines & Soulier 1999), from the design's ``start_jac`` and
+    ``start_inv``.  F is convex there, so the start sets only the number of
+    Newton steps.  Each row is reduced on its own, by elementwise products
+    and row sums, so its bits do not depend on the block; a row whose fit
+    is not finite (a zero ordinate) starts at zero memories."""
+    y = np.log(I)
+    y -= design.base
+    rhs = np.stack([(y * a).sum(axis=1) for a in design.start_jac], axis=1)
+    d0 = (rhs[:, None, :] * design.start_inv).sum(axis=2)
+    return np.where(np.all(np.isfinite(d0), axis=1)[:, None], d0, 0.0)
+
+
 #: Fox-Taqqu fits of a block of periodograms, one row each; a row that
 #: raised has its error in ``errors``, NaN values and -1 steps
 _WhittleFits = namedtuple("_WhittleFits", "d_hat theta sigma2 objective converged steps errors")
@@ -639,10 +674,10 @@ def _whittle_fits(ordinates: np.ndarray, n: int, template: WhittleTemplate) -> _
     projected Newton descent over the block; see ``whittle_estimate``.  A
     row's bits do not depend on the other rows."""
     design = _whittle_design(n, template)
-    # weighted, so that w = I / g carries the weights; C-ordered, because the
-    # masked slice comes out F-ordered and its row sums would then round
-    # differently with the width of the block
-    I_u = np.ascontiguousarray(ordinates[:, :n // 2][:, design.keep]) * design.weight
+    # C-ordered, because the masked slice comes out F-ordered and its row sums
+    # (and its logs) would then round differently with the width of the block
+    I = np.ascontiguousarray(ordinates[:, :n // 2][:, design.keep])
+    I_u = I * design.weight   # weighted, so that w = I / g carries the weights
     # rescaled ordinates keep F of order one, whatever the scale of the series
     scale = I_u.sum(axis=1) / design.total
     solved = (scale > 0) & (scale < np.inf)
@@ -654,11 +689,15 @@ def _whittle_fits(ordinates: np.ndarray, n: int, template: WhittleTemplate) -> _
     I_u = np.where(solved[:, None], I_u / scale[:, None], design.weight)
     free_d = np.array(template.free_d)
     nd = len(design.jac_d)
-    d0 = np.zeros((len(I_u), len(free_d)))   # the band OLS memories, zeros where they fail
-    if design.start is not None:
-        d0 = np.nan_to_num(_gph_fits(np.where(solved[:, None], ordinates, 1.0), design.start,
-                                     template.spec.periods)[0], nan=0.0)
-    theta0 = np.hstack([d0[:, free_d], np.tile(np.array(design.arma0, dtype=float), (len(I_u), 1))])
+    if not design.factors:
+        d0 = np.where(solved[:, None], _regression_start(design, I), 0.0)
+    else:   # the band OLS memories, zeros where they fail
+        d0 = np.zeros((len(I_u), len(free_d)))
+        if design.start is not None:
+            d0 = np.nan_to_num(_gph_fits(np.where(solved[:, None], ordinates, 1.0), design.start,
+                                         template.spec.periods)[0], nan=0.0)
+        d0 = d0[:, free_d]
+    theta0 = np.hstack([d0, np.tile(np.array(design.arma0, dtype=float), (len(I_u), 1))])
     if any(sign < 0 for sign, _, _ in design.factors):
         theta0 = _yule_walker_start(design, I_u, theta0)
     # with free AR/MA factors F is not convex: a memory on the box may mark
@@ -684,13 +723,19 @@ def whittle_estimate(series, template: WhittleTemplate) -> WhittleFit:
     same term.  The innovation variance is profiled out analytically: with
     f = sigma^2 g, sigma^2_hat = mean(I_j / g_j) and the concentrated objective
     F = ln sigma^2_hat + mean(ln g_j) is minimized over the free shape
-    parameters by projected Newton steps (analytic gradient and Hessian)
-    from the band OLS memories, with the free memories held in the box
-    |d| <= d_box and the AR/MA roots outside the unit circle.  With a free
-    AR factor the start's memories are clipped to START_BOX_SHARE of the
-    box, and each free AR factor starts at its Yule-Walker coefficients for
-    them (``_yule_walker_start``).  With free AR/MA factors F is not convex,
-    so a fit that ends on the box is repeated from white noise.
+    parameters by projected Newton steps (analytic gradient and Hessian),
+    with the free memories held in the box |d| <= d_box and the AR/MA roots
+    outside the unit circle.  A template with no free AR/MA factor starts
+    at the full-band log-periodogram regression (``_regression_start``): the
+    weighted least-squares fit of log I_j - log g_j's fixed part on an
+    intercept and the free memories' Jacobian, over the same frequencies and
+    weights; log g is linear in the memories there and F convex, so the
+    start sets only how many steps the fit takes.  A template with a free
+    factor starts at the band OLS memories (alpha = 0.5); with a free AR
+    factor they are clipped to START_BOX_SHARE of the box, and each free AR
+    factor starts at its Yule-Walker coefficients for them
+    (``_yule_walker_start``).  With free AR/MA factors F is not convex, so a
+    fit that ends on the box is repeated from white noise.
     ``iterations`` counts Newton steps; non-convergence is
     reported in the returned fit, never silently discarded.  This is the
     one-row case of the block fit a Monte Carlo run applies to its paths.

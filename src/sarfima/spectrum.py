@@ -74,11 +74,14 @@ def periodogram(series) -> Periodogram:
 def _series(series) -> np.ndarray:
     """``series`` as a 1-d float array: any other shape ends in
     ``series-too-short``; a NaN or infinite value, or one that is not a real
-    number, in ``non-finite-input``."""
+    number (a numeric string included), in ``non-finite-input``."""
     try:
         if np.iscomplexobj(series):   # the cast would drop the imaginary parts
             raise TypeError("complex values")
-        x = np.asarray(series, dtype=float)
+        x = np.asarray(series)
+        if x.dtype.kind in "SU":   # the cast would parse numeric strings
+            raise TypeError(f"string values of dtype {x.dtype}")
+        x = np.asarray(x, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("non-finite-input", f"series values must be real numbers ({exc})") from exc
     if x.ndim != 1:

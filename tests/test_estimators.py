@@ -551,14 +551,17 @@ class TestRowInvariance:
     # past 8192 frequencies (numpy's buffer size) a reduction that is not
     # numpy's pairwise row sum, such as an einsum, can round a lone row
     # differently from its block row
+    # "design/estimator" names another estimator than ``ft``: table4's
+    # ft_misspec is a pure template in the wide box
     @pytest.mark.parametrize("n", [20000, 40000])
-    @pytest.mark.parametrize("name", ["table2", "table4", "table5"])
+    @pytest.mark.parametrize("name", ["table2", "table4", "table5", "table4/ft_misspec"])
     def test_one_row_fit_is_its_block_row_at_large_n(self, name, n):
         from sarfima.estimators import _whittle_fits
         from sarfima.simulate import _paths, default_grid_exponent
         from sarfima.spectrum import _ordinates
+        name, _, estimator = name.partition("/")
         config = design(name, master_seed=20101125)
-        template = next(e.template for e in config.estimators if e.name == "ft")
+        template = next(e.template for e in config.estimators if e.name == (estimator or "ft"))
         seeds = [derive_rep_seed(20101125, rep) for rep in range(6)]
         ordinates = _ordinates(_paths(config.spec, n, default_grid_exponent(n), "circulant", seeds))
         block = _whittle_fits(ordinates, n, template)
@@ -851,6 +854,125 @@ class TestYuleWalkerStart:
         assert theta0[0, ar] != 0.0 and theta0[0, ma] == 0.0
         fit = whittle_estimate(x, template)
         assert fit.converged and fit.iterations == 5
+
+
+def fixed_log_density(spec, free_d, lam):
+    """The part of log g that a template holds fixed at the frequencies lam:
+    -log(2 pi), the fixed memories' terms and each fixed AR factor's
+    -log|1 - sum c_p exp(-i p lag lambda)|^2, written independently of the
+    estimator's design."""
+    out = np.full(len(lam), -math.log(2 * math.pi))
+    for free, c in zip(free_d, spec.components):
+        if not free:
+            out += c.memory * -2 * np.log(np.abs(2 * np.sin(c.period * lam / 2)))
+    for f in spec.ar_factors:
+        t = 1 - sum(cp * np.exp(-1j * p * f.lag * lam) for p, cp in enumerate(f.coeffs, start=1))
+        out -= np.log(np.abs(t) ** 2)
+    return out
+
+
+#: a pure template, one with a fixed memory and one with a fixed AR factor: none has a free factor
+REGRESSION_TEMPLATES = {
+    "pure14": WhittleTemplate.pure((1, 4)),
+    "fixed-memory": WhittleTemplate(spec=SarfimaSpec(components=(SeasonalComponent(1, 0.0),
+                                                                 SeasonalComponent(4, 0.2))),
+                                    free_d=(True, False)),
+    "fixed-ar": WhittleTemplate(spec=SarfimaSpec(components=(SeasonalComponent(1, 0.0), SeasonalComponent(4, 0.0)),
+                                                 ar_factors=(ArmaFactor(4, (0.5,)),)), free_ar=(False,)),
+}
+
+
+class TestRegressionStart:
+    """A template with no free AR/MA factor starts at the weighted
+    least-squares fit of log I - base on an intercept and its free
+    memories' Jacobian, over the usable frequencies."""
+
+    @pytest.mark.parametrize("n", [1079, 1080])
+    @pytest.mark.parametrize("name", sorted(REGRESSION_TEMPLATES))
+    def test_start_is_the_dense_least_squares_fit(self, name, n, monkeypatch):
+        template = REGRESSION_TEMPLATES[name]
+        ordinates = ft_block("table2", n, "circulant", 20101125, 8)[1]
+        wd, _, theta0 = captured_start(monkeypatch, template, ordinates, n)
+        lam = 2 * np.pi * np.arange(1, n // 2 + 1)[wd.keep] / n
+        root = np.sqrt(wd.weight)
+        free = [c.period for c, f in zip(template.spec.components, template.free_d) if f]
+        X = np.column_stack([np.ones(len(lam)), *(-2 * np.log(np.abs(2 * np.sin(s * lam / 2))) for s in free)])
+        y = np.log(ordinates[:, :n // 2][:, wd.keep]) - fixed_log_density(template.spec, template.free_d, lam)
+        for r in range(len(ordinates)):
+            want = np.linalg.lstsq(X * root[:, None], y[r] * root, rcond=None)[0][1:]
+            assert theta0[r] == pytest.approx(want, abs=1e-12, rel=0)
+
+    def test_zero_ordinate_row_starts_at_zero_and_converges(self, monkeypatch):
+        from sarfima.estimators import _whittle_fits
+        template, ordinates = ft_block("table2", 1080, "circulant", 20101125, 4)
+        ordinates = ordinates.copy()
+        ordinates[1, 10] = 0.0   # I_11: a usable frequency
+        theta0 = captured_start(monkeypatch, template, ordinates, 1080)[2]
+        assert theta0[1].tolist() == [0.0, 0.0]
+        assert np.all(theta0[[0, 2, 3]] != 0.0)
+        with np.errstate(all="raise"):
+            fits = _whittle_fits(ordinates, 1080, template)
+        assert fits.errors == [None] * 4 and fits.converged.all() and fits.steps[1] > 0
+        one = _whittle_fits(misaligned(ordinates[1]), 1080, template)
+        assert one.theta[0].tobytes() == fits.theta[1].tobytes()
+
+    def test_flat_memory_column_starts_at_zero(self):
+        # at n = 128 the usable frequencies of period 64 are the odd j, where
+        # |2 sin(64 lambda / 2)| = 2: its column of J is flat, its Gram matrix 0
+        from sarfima.estimators import _whittle_design
+        template = WhittleTemplate.pure((64,))
+        assert _whittle_design(128, template).start_inv.tolist() == [[0.0]]
+        with np.errstate(all="raise"):
+            fit = whittle_estimate(np.random.default_rng(3).standard_normal(128), template)
+        assert fit.d_hat.tolist() == [0.0] and fit.converged
+
+    def test_design_holds_one_start(self):
+        from sarfima.estimators import _whittle_design
+        wd = _whittle_design(1080, WhittleTemplate.pure((1, 4)))
+        assert wd.start is None
+        for array in (wd.start_jac, wd.start_inv):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0
+        ar = _whittle_design(1080, AR2_TEMPLATE)
+        assert ar.start is not None and ar.start_jac is None and ar.start_inv is None
+
+    def test_block_fits_hash_the_same_under_one_and_two_blas_threads(self):
+        # the start and the descent use no BLAS product: a table2 and a table4
+        # block fit at n = 16 384 have the same bits with one and two threads
+        import os
+        import subprocess
+        import sys
+        src = os.path.dirname(os.path.dirname(__import__("sarfima").__file__))
+        hashes = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+            done = subprocess.run([sys.executable, "-c", BLOCK_HASH], env=env, capture_output=True, text=True,
+                                  timeout=300, check=True)
+            hashes.append(done.stdout.split())
+        assert len(hashes[0]) == 4 and hashes[0] == hashes[1]
+
+
+#: prints the SHA-256 of table2's and table4's ordinates, then of each
+#: design's block of Whittle fits, at n = 16 384
+BLOCK_HASH = """
+import hashlib
+from sarfima import derive_rep_seed, design
+from sarfima.estimators import _whittle_fits
+from sarfima.simulate import _paths, default_grid_exponent
+from sarfima.spectrum import _ordinates
+n = 16384
+for name in ("table2", "table4"):
+    config = design(name, master_seed=20101125)
+    seeds = [derive_rep_seed(20101125, rep) for rep in range(6)]
+    ordinates = _ordinates(_paths(config.spec, n, default_grid_exponent(n), "circulant", seeds))
+    fits = hashlib.sha256()
+    for e in config.estimators:
+        if e.kind == "whittle":
+            block = _whittle_fits(ordinates, n, e.template)
+            fits.update(block.theta.tobytes() + block.steps.tobytes())
+    print(hashlib.sha256(ordinates.tobytes()).hexdigest(), fits.hexdigest())
+"""
 
 
 class TestDesignCache:

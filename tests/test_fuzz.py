@@ -281,12 +281,16 @@ WORDS = ["a"] * 100
     (lambda: spec_from_json("[" * 100000), "bad-json"),
     (lambda: SimConfig(QUARTERLY, n=100, seed=1, method=[1]), "bad-method"),
     (lambda: design("table2", master_seed=1, method=[1]), "bad-method"),
+    (lambda: periodogram(["1.5"] * 20), "non-finite-input"),   # numeric strings are not parsed
+    (lambda: periodogram([b"1.5"] * 20), "non-finite-input"),
+    (lambda: whittle_estimate([1.0] * 99 + ["1.5"], PURE), "non-finite-input"),
 ], ids=["density-str", "density-past-float", "alpha-str", "scan-nan", "scan-inf", "coeffs-scalar", "coeffs-none",
         "components-scalar", "components-none", "components-tuple", "ar-tuple", "ma-scalar", "pure-scalar",
         "markers-bool", "estimators-scalar", "estimators-str", "alphas-scalar", "alphas-str", "periodogram-str",
         "periodogram-complex", "periodogram-past-float", "acf-str", "whittle-str", "scan-str", "json-nan",
         "json-infinity", "json-coeffs-scalar", "json-components-object", "json-missing-d", "json-deep",
-        "sim-method", "design-method"])
+        "sim-method", "design-method", "periodogram-numeric-str", "periodogram-numeric-bytes",
+        "whittle-one-numeric-str"])
 def test_each_argument_rule_ends_in_its_code(call, code):
     with warnings.catch_warnings(), pytest.raises(SarfimaError) as exc:
         warnings.simplefilter("error")

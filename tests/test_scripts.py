@@ -62,8 +62,10 @@ def test_digest_against_this_checkout_finds_no_difference(capsys):
         fields = row.split()
         if fields[1] == "error":
             assert fields[2:] == ["band-overlap", "->", "band-overlap"]
-        elif "/ft" in fields[0]:   # a Whittle fit also compares its objective
-            assert fields[1:] == ["max|dd|", "0", "steps", "0", "codes", "0", "objective", "lower", "0", "higher", "0"]
+        elif "/ft" in fields[0]:   # a Whittle fit also compares its objective and mean steps
+            assert fields[1:12] == ["max|dd|", "0", "steps", "0", "codes", "0", "objective", "lower", "0", "higher", "0"]
+            assert fields[12:14] == ["mean", "steps"] and fields[15] == "->" and fields[16] == fields[14]
+            assert float(fields[14]) > 0 and len(fields) == 17
         else:
             assert fields[1:] == ["max|dd|", "0", "steps", "0", "codes", "0"]
 
@@ -93,6 +95,8 @@ def test_digest_against_a_changed_checkout_exits_1(tmp_path, capsys):
     whittle = [r for r in rows if "/ft" in r[0]]
     assert any(r[9] != "0" for r in whittle) and all(r[7:9] == ["objective", "lower"] and r[11] == "0"
                                                      for r in whittle)
+    # and the mean steps of both sides size the change
+    assert all(r[12:14] == ["mean", "steps"] and r[15] == "->" and float(r[14]) < float(r[16]) for r in whittle)
 
 
 def test_digest_runs_from_a_plain_checkout(tmp_path):
